@@ -2,11 +2,15 @@
 the gas-stations rotation, nested-chain constants, and the best-subset
 df constant.
 
-Everything here is either a closed form evaluated in log space (sums of
-exponentials can involve 2^p terms) or a Monte Carlo estimate that reports
-its standard error.  Nothing in this module draws data from the estimation
-model; these are the deterministic reference quantities the rest of the
-package is checked against.
+Everything here is an exact closed form, evaluated in log space where sums
+of exponentials can involve 2^p terms or densities underflow.  Gaussian
+surface areas of spheres and the chi-squared guard probabilities of the
+nested-chain bounds come from the noncentral chi-squared distribution
+(Johnson, Kotz & Balakrishnan, Continuous Univariate Distributions vol. 2,
+ch. 29), evaluated with `scipy.special` alone: importing `scipy.stats`
+would add about half a second to `import suretune`.  Nothing in this
+module draws random numbers; these are the deterministic reference
+quantities the rest of the package is checked against.
 """
 
 import math
@@ -14,14 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaln, logsumexp
+from scipy.special import chdtr, chdtrc, chndtr, gammaln, ive, logsumexp
 
-from .core import DomainError, ShapeError
+from .core import DomainError, ShapeError, _normal_pdf
 
 __all__ = [
     "chi_sq_max_bound",
     "edf_upper_bound_simplified",
-    "SurfaceArea",
     "gaussian_surface_area_ball",
     "GasStationsRotation",
     "gas_stations_rotation",
@@ -89,75 +92,62 @@ def edf_upper_bound_simplified(sizes, delta):
     return 2.0 / (1.0 - delta) * math.log(k) + p_max * per_size
 
 
-@dataclass(frozen=True)
-class SurfaceArea:
-    """A Gaussian surface area value with its estimation provenance."""
-
-    value: float
-    std_error: float
-    method: str
-    directions: int
-
-
 def _log_surface_origin(d, r):
     # Ball's closed form: r^{d-1} e^{-r^2/2} / (2^{d/2 - 1} Gamma(d/2)).
     return (d - 1) * math.log(r) - 0.5 * r**2 - (d / 2.0 - 1.0) * math.log(2.0) - gammaln(d / 2.0)
 
 
-def gaussian_surface_area_ball(center, radius, *, directions=100_000, seed=0,
-                               antithetic=True, method="auto"):
-    """Gaussian surface area of the sphere of given center and radius.
+# Smallest scaled Bessel value trusted to full relative precision; far
+# enough above the smallest normal double (2.2e-308) that no subnormal
+# intermediate has rounded it.
+_BESSEL_FLOOR = 1e-280
 
-    Closed form for origin-centered balls in any dimension and for every
-    ball in dimension 1 (two density evaluations).  Off-center balls in
-    d >= 2 are integrated by Monte Carlo over uniform sphere directions,
-    antithetic by default, with a reported standard error.  Pass
-    ``method="mc"`` to force Monte Carlo even where a closed form exists,
-    or ``method="closed"`` to insist on the exact path.
+
+def _log_surface_off_center(d, a, r):
+    """log of 2 r f(r^2) for the chi2_d(a^2) density f, d >= 2 and a > 0."""
+    nu = d / 2.0 - 1.0
+    bessel = float(ive(nu, r * a))
+    if bessel >= _BESSEL_FLOOR:
+        # ive carries e^{-r a}; with e^{-(r^2 + a^2)/2} it leaves -(r - a)^2/2.
+        return math.log(r) - 0.5 * (r - a) ** 2 + nu * math.log(r / a) + math.log(bessel)
+    # Tiny centers or many dimensions: the Poisson(a^2/2) mixture of origin
+    # forms in dimensions d + 2k.  Its terms are log-concave in k with mode
+    # k*, and past k* + 10 sqrt(k* + 1) they have fallen below 1e-20 of the peak.
+    mode = max(0.0, 0.5 * (math.hypot(nu, r * a) - nu) - 1.0)
+    k = np.arange(int(mode + 10.0 * math.sqrt(mode + 1.0)) + 10, dtype=float)
+    log_weights = k * (2.0 * math.log(a) - math.log(2.0)) - 0.5 * a * a - gammaln(k + 1.0)
+    return float(logsumexp(log_weights + _log_surface_origin(d + 2.0 * k, r)))
+
+
+def gaussian_surface_area_ball(center, radius):
+    """Gaussian surface area of the sphere with the given center and radius.
+
+    For Z ~ N(0, I_d), P(||Z - c|| <= r) is the chi2_d(||c||^2) distribution
+    function at r^2, so its derivative in r is the surface area
+
+        Lambda = 2 r f_{chi2_d(||c||^2)}(r^2).
+
+    Exact for every center: phi(c - r) + phi(c + r) in one dimension, the
+    closed form r^{d-1} e^{-r^2/2} / (2^{d/2 - 1} Gamma(d/2)) at the origin,
+    and the Bessel form of the noncentral density elsewhere (its Poisson
+    mixture where the Bessel factor underflows).  Raises DomainError on a
+    non-finite center or a radius that is not positive and finite.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.ndim != 1:
-        raise ShapeError("center must be a vector")
-    d = center.shape[0]
-    if radius <= 0 or not math.isfinite(radius):
+    if center.ndim != 1 or center.size == 0:
+        raise ShapeError("center must be a nonempty vector")
+    if not np.all(np.isfinite(center)):
+        raise DomainError("center must be finite")
+    if not (math.isfinite(radius) and radius > 0):
         raise DomainError("radius must be positive and finite")
-    if method not in ("auto", "mc", "closed"):
-        raise DomainError("method must be auto, mc, or closed")
-
-    if method != "mc":
-        if d == 1:
-            c = center[0]
-            val = (math.exp(-0.5 * (c + radius) ** 2) + math.exp(-0.5 * (c - radius) ** 2))
-            return SurfaceArea(val / math.sqrt(2.0 * math.pi), 0.0, "closed_form", 0)
-        if np.all(center == 0.0):
-            return SurfaceArea(math.exp(_log_surface_origin(d, radius)), 0.0, "closed_form", 0)
-        if method == "closed":
-            raise DomainError("no closed form for an off-center ball in d >= 2")
-
-    if directions < 2:
-        raise DomainError("need at least 2 Monte Carlo directions")
-    rng = np.random.default_rng(seed)
-    log_area = (
-        math.log(2.0) + (d / 2.0) * math.log(math.pi) - gammaln(d / 2.0)
-        + (d - 1) * math.log(radius)
-    )
-    half = (directions + 1) // 2 if antithetic else directions
-    u = rng.standard_normal((half, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    log_norm = -0.5 * d * math.log(2.0 * math.pi)
-
-    def density_at(sign):
-        x = center[None, :] + sign * radius * u
-        return np.exp(log_area + log_norm - 0.5 * np.sum(x**2, axis=1))
-
-    if antithetic:
-        vals = 0.5 * (density_at(1.0) + density_at(-1.0))
-        used = 2 * half
-    else:
-        vals = density_at(1.0)
-        used = half
-    se = float(vals.std(ddof=1) / math.sqrt(vals.shape[0])) if vals.shape[0] > 1 else 0.0
-    return SurfaceArea(float(vals.mean()), se, "sphere_mc", used)
+    d = center.shape[0]
+    if d == 1:
+        c = float(center[0])
+        return float(_normal_pdf(c - radius) + _normal_pdf(c + radius))
+    a = float(np.linalg.norm(center))
+    if a == 0.0:
+        return math.exp(_log_surface_origin(d, radius))
+    return math.exp(_log_surface_off_center(d, a, radius))
 
 
 @dataclass(frozen=True)
@@ -259,112 +249,69 @@ def nested_bound_tail_split(n_terms=1000):
 class GeneralThetaBound:
     """Windowed and pairwise excess-df bounds for a nested chain.
 
-    Both values are Monte Carlo approximations whenever the rotated mean mu
-    is not identically zero; `windowed_se` and `alternate_se` propagate the
-    direction-sampling and chi-squared-sampling errors (delta method,
-    cross-term correlations ignored).  `cap` is the loose deterministic
-    ceiling sqrt(2p) p (p+1).
+    Both values are exact evaluations of the bound formulas for the given
+    rotated mean mu.  `cap` is the loose ceiling sqrt(2p) p (p+1).
     """
 
     windowed: float
-    windowed_se: float
     alternate: float
-    alternate_se: float
     cap: float
     p: int
-    directions: int
-    chi2_draws: int
 
 
-def _window_area(mu_window, seed, directions):
-    d = mu_window.shape[0]
-    radius = math.sqrt(2.0 * d)
-    if np.all(mu_window == 0.0) or d == 1:
-        return gaussian_surface_area_ball(mu_window, radius)
-    return gaussian_surface_area_ball(mu_window, radius, directions=directions, seed=seed)
-
-
-def _chi2_prob(df, nonc, threshold, upper, rng, draws):
-    """MC estimate of P(W_df(nonc) > threshold) (or <, when upper=False)."""
+def _chi2_prob(df, nonc, threshold, upper):
+    """P(W > threshold) for W ~ chi2_df(nonc), or P(W < threshold) if not upper."""
     if df == 0:
         # No coordinates left to constrain; the event is vacuous.
-        return 1.0, 0.0
-    w = rng.noncentral_chisquare(df, nonc, size=draws) if nonc > 0 else rng.chisquare(df, size=draws)
-    hits = w > threshold if upper else w < threshold
-    phat = float(hits.mean())
-    return phat, math.sqrt(max(phat * (1.0 - phat), 0.0) / draws)
+        return 1.0
+    if nonc == 0.0:
+        return float(chdtrc(df, threshold) if upper else chdtr(df, threshold))
+    cdf = float(chndtr(threshold, df, nonc))
+    return 1.0 - cdf if upper else cdf
 
 
-def general_theta_bound(mu, *, directions=100_000, chi2_draws=100_000, seed=0):
+def general_theta_bound(mu):
     """Windowed-max and pairwise excess-df bounds for the full nested chain.
 
-    mu is the rotated, noise-scaled mean (coordinates along the successive
-    orthonormal increment directions of the chain).  The windowed bound is
+    mu is the rotated, noise-scaled mean: its coordinates lie along the
+    chain's successive orthonormal increments.  The windowed bound is
 
         sum_{d=1}^p sqrt(2d) (d+1) max_j Lambda_d(B_d(mu_{(j+1):(j+d)}, sqrt(2d)))
 
     with the max over every length-d window (j = 0, ..., p-d).  The
-    pairwise bound multiplies each window's surface area by the MC
+    pairwise bound multiplies each window's surface area by the
     probabilities that a noncentral chi-squared variable stays above
     2(j-1) below the window and below 2(p-k) above it; chains with nothing
-    below (j = 0) or above (k = p) get vacuous factors of 1.
+    below (j = 0) or above (k = p) get vacuous factors of 1.  Raises
+    DomainError on a non-finite mu.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size == 0:
         raise ShapeError("mu must be a nonempty vector")
+    if not np.all(np.isfinite(mu)):
+        raise DomainError("mu must be finite")
     p = mu.shape[0]
-    seeds = np.random.SeedSequence(seed).spawn(3)
-
-    # Windowed max: one surface area per (d, j), seeded deterministically.
-    area_rng = np.random.default_rng(seeds[0])
-    windowed = 0.0
-    windowed_var = 0.0
-    for d in range(1, p + 1):
-        best_val, best_se = -math.inf, 0.0
-        for j in range(0, p - d + 1):
-            sub_seed = int(area_rng.integers(0, 2**63 - 1))
-            area = _window_area(mu[j : j + d], sub_seed, directions)
-            if area.value > best_val:
-                best_val, best_se = area.value, area.std_error
-        coef = math.sqrt(2.0 * d) * (d + 1)
-        windowed += coef * best_val
-        windowed_var += (coef * best_se) ** 2
-
-    # Pairwise alternate: chi-squared guard factors cached per endpoint.
-    chi_rng = np.random.default_rng(seeds[1])
-    low = {}
-    high = {}
-    for j in range(0, p + 1):
-        low[j] = _chi2_prob(j, float(np.sum(mu[:j] ** 2)), 2.0 * (j - 1), True, chi_rng, chi2_draws)
-        high[j] = _chi2_prob(
-            p - j, float(np.sum(mu[j:] ** 2)), 2.0 * (p - j), False, chi_rng, chi2_draws
-        )
-    pair_rng = np.random.default_rng(seeds[2])
-    alternate = 0.0
-    alternate_var = 0.0
-    for j in range(0, p + 1):
-        for k in range(j + 1, p + 1):
-            sub_seed = int(pair_rng.integers(0, 2**63 - 1))
-            area = _window_area(mu[j:k], sub_seed, directions)
-            pl, sl = low[j]
-            ph, sh = high[k]
-            coef = math.sqrt(2.0 * (k - j))
-            alternate += coef * pl * ph * area.value
-            alternate_var += coef**2 * (
-                (ph * area.value * sl) ** 2
-                + (pl * area.value * sh) ** 2
-                + (pl * ph * area.std_error) ** 2
-            )
-
+    # One surface area per window mu[j:k]; both bounds reuse them.
+    areas = {
+        (j, k): gaussian_surface_area_ball(mu[j:k], math.sqrt(2.0 * (k - j)))
+        for j in range(p)
+        for k in range(j + 1, p + 1)
+    }
+    windowed = sum(
+        math.sqrt(2.0 * d) * (d + 1) * max(areas[j, j + d] for j in range(p - d + 1))
+        for d in range(1, p + 1)
+    )
+    low = [_chi2_prob(j, float(np.sum(mu[:j] ** 2)), 2.0 * (j - 1), True) for j in range(p + 1)]
+    high = [_chi2_prob(p - k, float(np.sum(mu[k:] ** 2)), 2.0 * (p - k), False)
+            for k in range(p + 1)]
+    alternate = sum(
+        math.sqrt(2.0 * (k - j)) * low[j] * high[k] * area for (j, k), area in areas.items()
+    )
     return GeneralThetaBound(
         windowed=windowed,
-        windowed_se=math.sqrt(windowed_var),
         alternate=alternate,
-        alternate_se=math.sqrt(alternate_var),
         cap=math.sqrt(2.0 * p) * p * (p + 1),
         p=p,
-        directions=directions,
-        chi2_draws=chi2_draws,
     )
 
 

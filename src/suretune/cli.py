@@ -5,13 +5,11 @@ Subcommands
 tune       fit a family to a data vector; prints s_hat, SURE minimum, df
 edf        excess degrees of freedom by a chosen method
 simulate   run a simulation grid from a config file or preset, write CSV
-bounds     evaluate named bound quantities (closed form or Monte Carlo)
+bounds     evaluate named bound quantities (all exact)
 selfcheck  run the acceptance battery; nonzero exit if any criterion fails
 
-Global flags --seed, --threads, and --out come before the subcommand.
---threads is accepted for symmetry with batch schedulers but never feeds
-random number generation, so identical seeds give byte-identical output at
-any thread count.
+Global flags --seed and --out come before the subcommand.  Identical
+seeds give byte-identical output.
 
 Vector-valued options (--theta0, --sigmas, --center, ...) accept either a
 comma-separated list or @path to read the numbers from a file.
@@ -206,12 +204,8 @@ def _cmd_bounds(args):
         _print_kv(out, bound=edf_upper_bound_simplified(sizes, args.delta))
     elif name == "surface-area-ball":
         center = _vector_option(args.center, "center")
-        area = gaussian_surface_area_ball(center, args.radius,
-                                          directions=args.directions,
-                                          seed=args.seed or 0,
-                                          method="mc" if args.mc else "auto")
-        _print_kv(out, value=area.value, std_error=area.std_error,
-                  method=area.method, at_most_one=bool(area.value <= 1.0 + 4 * area.std_error))
+        area = gaussian_surface_area_ball(center, args.radius)
+        _print_kv(out, value=area, at_most_one=bool(area <= 1.0))
     elif name == "gas-stations":
         w = _vector_option(args.weights, "weights")
         rot = gas_stations_rotation(w)
@@ -226,11 +220,8 @@ def _cmd_bounds(args):
                   less_than_10=bool(split.total < 10.0))
     elif name == "general-theta":
         mu = _vector_option(args.mu, "mu")
-        rep = general_theta_bound(mu, directions=args.directions,
-                                  chi2_draws=args.chi2_draws, seed=args.seed or 0)
-        _print_kv(out, windowed=rep.windowed, windowed_se=rep.windowed_se,
-                  alternate=rep.alternate, alternate_se=rep.alternate_se,
-                  cap=rep.cap, p=rep.p)
+        rep = general_theta_bound(mu)
+        _print_kv(out, windowed=rep.windowed, alternate=rep.alternate, cap=rep.cap, p=rep.p)
     else:
         c = best_subset_constant()
         _print_kv(out, value=c.value, delta=c.delta, half_value=c.half_value)
@@ -251,8 +242,6 @@ def build_parser():
     )
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for any randomized computation (default 0)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; recorded only, never affects results")
     parser.add_argument("--out", default=None, help="output path ('-' for stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -306,8 +295,6 @@ def build_parser():
                          help="Gaussian surface area of a ball boundary")
     b3.add_argument("--center", required=True, help="center vector, list or @path")
     b3.add_argument("--radius", type=float, required=True)
-    b3.add_argument("--directions", type=int, default=100_000)
-    b3.add_argument("--mc", action="store_true", help="force the Monte Carlo path")
     b3.set_defaults(func=_cmd_bounds)
 
     b4 = bsub.add_parser("gas-stations", help="admissible start for a cyclic tour")
@@ -325,8 +312,6 @@ def build_parser():
 
     b7 = bsub.add_parser("general-theta", help="nonnull nested-chain bounds")
     b7.add_argument("--mu", required=True, help="rotated mean, list or @path")
-    b7.add_argument("--directions", type=int, default=100_000)
-    b7.add_argument("--chi2-draws", dest="chi2_draws", type=int, default=100_000)
     b7.set_defaults(func=_cmd_bounds)
 
     b8 = bsub.add_parser("best-subset-constant",

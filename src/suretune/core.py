@@ -386,6 +386,11 @@ def vectorize_rows(rule):
     return batched
 
 
+def _normal_pdf(t):
+    """Standard normal density, elementwise."""
+    return np.exp(-0.5 * np.square(t)) / math.sqrt(2.0 * math.pi)
+
+
 def _mean_se(values):
     values = np.asarray(values, dtype=float)
     r = values.shape[0]

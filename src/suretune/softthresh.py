@@ -22,6 +22,7 @@ from .core import (
     TunedBatch,
     TunedFit,
     TuningDomain,
+    _normal_pdf,
     mc_edf,
 )
 
@@ -35,10 +36,6 @@ __all__ = [
     "scan_jumps",
     "df_lower_bound_check",
 ]
-
-
-def _phi(t):
-    return np.exp(-0.5 * np.square(t)) / math.sqrt(2.0 * math.pi)
 
 
 def soft_threshold(y, s):
@@ -171,8 +168,8 @@ def soft_threshold_risk(theta0, sigma, s):
     val = (
         (1.0 + lam**2) * (1.0 - D)
         + m**2 * D
-        - (lam + m) * _phi(lam - m)
-        - (lam - m) * _phi(lam + m)
+        - (lam + m) * _normal_pdf(lam - m)
+        - (lam - m) * _normal_pdf(lam + m)
     )
     return sigma**2 * val
 

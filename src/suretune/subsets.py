@@ -29,6 +29,7 @@ from .core import (
     TunedBatch,
     TunedFit,
     TuningDomain,
+    _normal_pdf,
 )
 
 __all__ = [
@@ -257,8 +258,7 @@ def edf_two_model_exact(X, theta0, sigma):
         raise DegenerateDesignError("last column lies in the span of the others")
     m = float(v @ theta0) / (norm * sigma)
     root2 = math.sqrt(2.0)
-    phi = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    return root2 * (phi(root2 - m) + phi(root2 + m))
+    return float(root2 * (_normal_pdf(root2 - m) + _normal_pdf(root2 + m)))
 
 
 class BestSubsetFit:

@@ -15,7 +15,8 @@ criterion is recorded as failing rather than weakened until it passes.
 
 import pytest
 
-from suretune.acceptance import CRITERIA, run_all
+from suretune import bounds
+from suretune.acceptance import CRITERIA, c13_surface_area, run_all
 
 EXPECTED = {
     "c01": True,   # SURE unbiased for prediction error at fixed tuning
@@ -30,7 +31,7 @@ EXPECTED = {
     "c10": True,   # ridge rotation reproduces direct solves
     "c11": True,   # bootstrap edf centered and corrected error calibrated
     "c12": True,   # gas-stations rotation existence and uniqueness
-    "c13": True,   # surface-area Monte Carlo matches closed forms
+    "c13": True,   # exact surface areas match an independent sphere average
     "c14": True,   # best-subset constant and penalty curve
     "c15": True,   # simulation presets wired and byte-stable
 }
@@ -68,3 +69,11 @@ def test_run_all_filter_returns_single_result():
     assert len(results) == 1
     assert results[0].cid == "c12"
     assert results[0].passed
+
+
+def test_c13_fails_when_surface_areas_are_one_percent_high(monkeypatch):
+    exact = bounds.gaussian_surface_area_ball
+    monkeypatch.setattr(bounds, "gaussian_surface_area_ball",
+                        lambda center, radius: 1.01 * exact(center, radius))
+    res = c13_surface_area()
+    assert not res.passed, res.detail

@@ -1,11 +1,18 @@
-"""Checks for the closed-form and Monte Carlo bound evaluations."""
+"""Checks for the exact bound evaluations."""
 
+import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, ncx2
 
+import suretune
+from suretune.acceptance import _sphere_average_area
 from suretune.bounds import (
     _chi2_prob,
     best_subset_constant,
@@ -103,50 +110,89 @@ class TestSimplifiedBound:
         assert edf_upper_bound_simplified([3], 0.0) == math.inf
 
 
+def _scipy_area(center, radius):
+    """Independent reference: 2 r f(r^2) from scipy.stats."""
+    center = np.asarray(center, dtype=float)
+    nonc = float(center @ center)
+    dist = ncx2(center.size, nonc) if nonc > 0 else chi2(center.size)
+    return 2.0 * radius * float(dist.pdf(radius**2))
+
+
 class TestGaussianSurfaceArea:
     def test_one_dimensional_closed_form(self):
         out = gaussian_surface_area_ball([0.7], 1.3)
-        assert out.value == pytest.approx(_phi(0.7 + 1.3) + _phi(0.7 - 1.3), abs=1e-15)
-        assert out.method == "closed_form"
-        assert out.std_error == 0.0
+        assert isinstance(out, float)
+        assert out == pytest.approx(_phi(0.7 + 1.3) + _phi(0.7 - 1.3), abs=1e-15)
 
     def test_origin_closed_form_d1_is_two_densities(self):
         r = 1.9
         out = gaussian_surface_area_ball([0.0], r)
-        assert out.value == pytest.approx(2.0 * _phi(r), abs=1e-15)
+        assert out == pytest.approx(2.0 * _phi(r), abs=1e-15)
 
     def test_mc_is_exact_in_one_dimension(self):
-        # the two antithetic sphere points ARE the integral in d = 1
+        # c13's sphere average: the pair (u, -u) IS the sphere when d = 1
         closed = gaussian_surface_area_ball([0.7], 1.3)
-        mc = gaussian_surface_area_ball([0.7], 1.3, method="mc", directions=100)
-        assert mc.method == "sphere_mc"
-        assert mc.value == pytest.approx(closed.value, abs=1e-14)
+        mean, _ = _sphere_average_area(np.array([0.7]), 1.3, 100, 0)
+        assert mean == pytest.approx(closed, abs=1e-14)
 
     def test_mc_matches_closed_form_at_origin(self):
-        closed = gaussian_surface_area_ball([0.0, 0.0], 2.0)
-        mc = gaussian_surface_area_ball([0.0, 0.0], 2.0, method="mc", directions=8000)
-        assert abs(mc.value - closed.value) <= 4.0 * mc.std_error + 1e-12
+        # the density is constant on an origin-centered sphere
+        closed = gaussian_surface_area_ball([0.0, 0.0, 0.0], 2.0)
+        mean, se = _sphere_average_area(np.zeros(3), 2.0, 1000, 0)
+        assert mean == pytest.approx(closed, rel=1e-12, abs=0.0)
+        assert se <= 1e-12 * closed
 
     def test_off_center_seeds_agree(self):
-        a = gaussian_surface_area_ball([1.0, 0.0, 0.0], 2.0, directions=40_000, seed=1)
-        b = gaussian_surface_area_ball([1.0, 0.0, 0.0], 2.0, directions=40_000, seed=2)
-        assert a.method == "sphere_mc"
-        assert abs(a.value - b.value) <= 4.0 * (a.std_error + b.std_error)
+        center = np.array([1.0, 0.0, 0.0])
+        exact = gaussian_surface_area_ball(center, 2.0)
+        for seed in (1, 2):
+            mean, se = _sphere_average_area(center, 2.0, 40_000, seed)
+            assert abs(mean - exact) <= 4.0 * se
 
-    def test_plain_sampling_agrees_with_antithetic(self):
-        a = gaussian_surface_area_ball([1.0, 0.5], 1.5, directions=60_000, seed=3)
-        b = gaussian_surface_area_ball([1.0, 0.5], 1.5, directions=60_000, seed=4,
-                                       antithetic=False)
-        assert abs(a.value - b.value) <= 4.0 * (a.std_error + b.std_error)
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 30])
+    def test_matches_scipy_noncentral_density(self, d):
+        rng = np.random.default_rng(100 + d)
+        for norm in (0.05, 0.5, 1.0, 2.0, 4.0, 8.0):
+            u = rng.standard_normal(d)
+            center = norm * u / np.linalg.norm(u)
+            for radius in (0.3, 1.0, math.sqrt(2.0 * d), 2.0 * math.sqrt(d) + 3.0):
+                got = gaussian_surface_area_ball(center, radius)
+                assert got == pytest.approx(_scipy_area(center, radius), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d,norm,rel", [
+        (600, 0.1, 1e-12),  # e^{-z} I_nu(z) < 1e-280: Poisson mixture, mode near 0
+        (600, 1.0, 1e-12),  # back on the Bessel form
+        # mixture peaking near k = 87; log terms near 1e4 leave ~1e-12 rounding
+        (3000, 9.7, 1e-10),
+    ])
+    def test_many_dimensions_where_the_bessel_factor_underflows(self, d, norm, rel):
+        radius = math.sqrt(2.0 * d)
+        center = np.zeros(d)
+        center[0] = norm
+        got = gaussian_surface_area_ball(center, radius)
+        assert got == pytest.approx(_scipy_area(center, radius), rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 30])
+    def test_tiny_centers_approach_the_origin_value(self, d):
+        # the value moves from the origin's by O(|c|^2): about 5e-9 relative
+        # at |c|^2 = 1e-8, below 1e-30 from |c|^2 = 1e-40 on
+        radius = math.sqrt(2.0 * d)
+        origin = gaussian_surface_area_ball(np.zeros(d), radius)
+        for nonc in (1e-8, 1e-40, 1e-160, 1e-300):
+            center = np.zeros(d)
+            center[-1] = math.sqrt(nonc)
+            got = gaussian_surface_area_ball(center, radius)
+            assert math.isfinite(got)
+            want = _scipy_area(center, radius) if nonc > 1e-20 else origin
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_values_never_exceed_one(self):
         rng = np.random.default_rng(21)
-        for _ in range(20):
-            d = int(rng.integers(1, 6))
+        for _ in range(200):
+            d = int(rng.integers(1, 8))
             center = rng.normal(0.0, 1.5, d)
-            radius = float(rng.uniform(0.2, 4.0))
-            out = gaussian_surface_area_ball(center, radius, directions=20_000, seed=5)
-            assert out.value <= 1.0 + 4.0 * out.std_error
+            radius = float(rng.uniform(0.05, 4.0))
+            assert gaussian_surface_area_ball(center, radius) <= 1.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -154,11 +200,15 @@ class TestGaussianSurfaceArea:
         with pytest.raises(DomainError):
             gaussian_surface_area_ball([0.0], math.inf)
         with pytest.raises(DomainError):
-            gaussian_surface_area_ball([1.0, 1.0], 1.0, method="closed")
+            gaussian_surface_area_ball([0.0, 0.0], math.nan)
         with pytest.raises(DomainError):
-            gaussian_surface_area_ball([0.0], 1.0, method="typo")
+            gaussian_surface_area_ball([math.nan, 1.0], 1.0)
         with pytest.raises(DomainError):
-            gaussian_surface_area_ball([0.0, 0.0], 1.0, method="mc", directions=1)
+            gaussian_surface_area_ball([1.0, -math.inf], 1.0)
+        with pytest.raises(ShapeError):
+            gaussian_surface_area_ball([], 1.0)
+        with pytest.raises(ShapeError):
+            gaussian_surface_area_ball(np.zeros((2, 2)), 1.0)
 
 
 class TestGasStations:
@@ -239,52 +289,107 @@ class TestNestedTailSplit:
 
 class TestChiSquareProbabilities:
     def test_central_against_scipy(self):
-        rng = np.random.default_rng(23)
-        phat, se = _chi2_prob(3, 0.0, 4.0, True, rng, 200_000)
-        assert abs(phat - chi2.sf(4.0, 3)) <= 4.0 * se + 1e-6
+        sf, cdf = chi2.sf(4.0, 3), chi2.cdf(3.0, 5)
+        assert _chi2_prob(3, 0.0, 4.0, True) == pytest.approx(sf, rel=1e-12, abs=0.0)
+        assert _chi2_prob(5, 0.0, 3.0, False) == pytest.approx(cdf, rel=1e-12, abs=0.0)
 
     def test_noncentral_against_scipy(self):
-        rng = np.random.default_rng(24)
-        phat, se = _chi2_prob(4, 2.5, 6.0, False, rng, 200_000)
-        assert abs(phat - ncx2.cdf(6.0, 4, 2.5)) <= 4.0 * se + 1e-6
+        cdf, sf = ncx2.cdf(6.0, 4, 2.5), ncx2.sf(6.0, 4, 2.5)
+        assert _chi2_prob(4, 2.5, 6.0, False) == pytest.approx(cdf, rel=1e-12, abs=0.0)
+        assert _chi2_prob(4, 2.5, 6.0, True) == pytest.approx(sf, rel=1e-12, abs=0.0)
 
     def test_zero_df_is_vacuous(self):
-        rng = np.random.default_rng(25)
-        assert _chi2_prob(0, 0.0, 1.0, True, rng, 100) == (1.0, 0.0)
+        assert _chi2_prob(0, 0.0, 1.0, True) == 1.0
+
+
+def _scipy_general_theta(mu):
+    """Windowed and pairwise sums written out with scipy.stats."""
+    p = mu.size
+
+    def area(window):
+        return _scipy_area(window, math.sqrt(2.0 * window.size))
+
+    def prob(df, nonc, threshold, upper):
+        if df == 0:
+            return 1.0
+        dist = ncx2(df, nonc) if nonc > 0 else chi2(df)
+        return float(dist.sf(threshold) if upper else dist.cdf(threshold))
+
+    windowed = sum(
+        math.sqrt(2.0 * d) * (d + 1) * max(area(mu[j : j + d]) for j in range(p - d + 1))
+        for d in range(1, p + 1)
+    )
+    alternate = 0.0
+    for j in range(p + 1):
+        for k in range(j + 1, p + 1):
+            low = prob(j, float(mu[:j] @ mu[:j]), 2.0 * (j - 1), True)
+            high = prob(p - k, float(mu[k:] @ mu[k:]), 2.0 * (p - k), False)
+            alternate += math.sqrt(2.0 * (k - j)) * low * high * area(mu[j:k])
+    return windowed, alternate
 
 
 class TestGeneralThetaBound:
     def test_zero_mean_windowed_matches_origin_formula(self):
-        rep = general_theta_bound(np.zeros(3), directions=2000, chi2_draws=2000)
+        rep = general_theta_bound(np.zeros(3))
         expected = 0.0
         for d in (1, 2, 3):
-            area = gaussian_surface_area_ball(np.zeros(d), math.sqrt(2.0 * d))
-            expected += math.sqrt(2.0 * d) * (d + 1) * area.value
-        assert rep.windowed == pytest.approx(expected, abs=1e-12)
-        assert rep.windowed_se == 0.0
+            log_area = ((d - 1) * math.log(math.sqrt(2.0 * d)) - d
+                        - (d / 2.0 - 1.0) * math.log(2.0) - math.lgamma(d / 2.0))
+            expected += math.sqrt(2.0 * d) * (d + 1) * math.exp(log_area)
+        assert rep.windowed == pytest.approx(expected, rel=1e-12, abs=0.0)
         # (d+1) >= (1 + 1/d), so this dominates the sharpened null constant
         assert rep.windowed >= nested_null_edf_bound(3)
         assert rep.cap == pytest.approx(math.sqrt(6.0) * 3 * 4)
 
     def test_single_coordinate_alternate_is_the_exact_edf(self):
         m = 1.2
-        rep = general_theta_bound(np.array([m]), directions=100, chi2_draws=100)
+        rep = general_theta_bound(np.array([m]))
         root2 = math.sqrt(2.0)
         exact = root2 * (_phi(root2 - m) + _phi(root2 + m))
         assert rep.alternate == pytest.approx(exact, abs=1e-14)
-        assert rep.alternate_se == 0.0
         assert rep.windowed == pytest.approx(2.0 * exact, abs=1e-14)
 
     def test_windowed_dominates_alternate_guards(self):
         rng = np.random.default_rng(26)
         mu = rng.normal(0.0, 1.0, 3)
-        rep = general_theta_bound(mu, directions=20_000, chi2_draws=20_000, seed=8)
-        assert rep.alternate <= rep.windowed + 4.0 * (rep.alternate_se + rep.windowed_se)
-        assert rep.windowed <= rep.cap
+        rep = general_theta_bound(mu)
+        assert rep.alternate <= rep.windowed <= rep.cap
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_independent_scipy_evaluation(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        mu = rng.normal(0.0, 1.5, 6) * (rng.random(6) < 0.7)
+        rep = general_theta_bound(mu)
+        windowed, alternate = _scipy_general_theta(mu)
+        assert rep.windowed == pytest.approx(windowed, rel=1e-12, abs=0.0)
+        assert rep.alternate == pytest.approx(alternate, rel=1e-12, abs=0.0)
+        assert general_theta_bound(mu) == rep
+
+    def test_takes_only_mu(self):
+        assert list(inspect.signature(general_theta_bound).parameters) == ["mu"]
 
     def test_validation(self):
         with pytest.raises(ShapeError):
             general_theta_bound(np.zeros(0))
+        with pytest.raises(DomainError, match="mu must be finite"):
+            general_theta_bound([math.nan, 1.0])
+        with pytest.raises(DomainError, match="mu must be finite"):
+            general_theta_bound([0.5, math.inf, 1.0])
+
+
+def test_bounds_never_import_scipy_stats():
+    # scipy.stats costs about 0.4 s to import; the package must not need it
+    code = (
+        "import sys, suretune, suretune.cli\n"
+        "suretune.general_theta_bound([0.5, 1.0, 0.0])\n"
+        "suretune.gaussian_surface_area_ball([1.0, 2.0], 1.5)\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    src = str(Path(suretune.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestBestSubsetConstant:

@@ -126,20 +126,48 @@ class TestBounds:
         assert float(kv["value"]) == pytest.approx(2.2891486505747194, rel=1e-9)
         assert float(kv["half_value"]) == pytest.approx(float(kv["value"]) / 2)
 
-    def test_surface_area_closed_vs_forced_mc(self, capsys):
+    def test_surface_area_ball(self, capsys):
         rc = main(["bounds", "surface-area-ball", "--center", "0.7",
                    "--radius", "1.3"])
         assert rc == 0
-        closed = _kv(capsys.readouterr().out)
-        assert closed["method"] == "closed_form"
-        rc = main(["bounds", "surface-area-ball", "--center", "0.7",
-                   "--radius", "1.3", "--directions", "100", "--mc"])
+        kv = _kv(capsys.readouterr().out)
+        assert set(kv) == {"value", "at_most_one"}
+        phi = lambda t: np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+        assert float(kv["value"]) == pytest.approx(phi(2.0) + phi(-0.6), rel=1e-11)
+        assert kv["at_most_one"] == "True"
+
+    def test_general_theta(self, capsys):
+        rc = main(["bounds", "general-theta", "--mu", "1.2"])
         assert rc == 0
-        mc = _kv(capsys.readouterr().out)
-        assert mc["method"] == "sphere_mc"
-        # one dimension: two antithetic points integrate the density exactly
-        assert float(mc["value"]) == pytest.approx(float(closed["value"]), abs=1e-12)
-        assert closed["at_most_one"] == "True"
+        kv = _kv(capsys.readouterr().out)
+        assert set(kv) == {"windowed", "alternate", "cap", "p"}
+        root2 = np.sqrt(2.0)
+        phi = lambda t: np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+        exact = root2 * (phi(root2 - 1.2) + phi(root2 + 1.2))
+        assert float(kv["alternate"]) == pytest.approx(exact, rel=1e-11)
+        assert float(kv["windowed"]) == pytest.approx(2.0 * exact, rel=1e-11)
+        assert kv["p"] == "1"
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "general-theta", "--mu", "nan,1"],
+        ["bounds", "surface-area-ball", "--center", "0,inf", "--radius", "1"],
+        ["bounds", "surface-area-ball", "--center", "0,1", "--radius", "nan"],
+    ])
+    def test_non_finite_input_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "general-theta", "--mu", "1,2", "--directions", "5"],
+        ["bounds", "general-theta", "--mu", "1,2", "--chi2-draws", "5"],
+        ["bounds", "surface-area-ball", "--center", "1,1", "--radius", "1", "--mc"],
+        ["--threads", "2", "selfcheck"],
+    ])
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_nested_tail_split(self, capsys):
         rc = main(["bounds", "nested-tail-split", "--terms", "1000"])
