@@ -22,7 +22,7 @@ from .bounds import (
     gas_stations_rotation,
     nested_null_edf_bound,
 )
-from .core import DomainError, GaussianModel, _df_stats, _mean_se, mc_df, mc_edf, vectorize_rows
+from .core import DomainError, GaussianModel, _df_stats, _mean_se, mc_df, mc_edf
 from .shrinkage import (
     ShrinkMeansFamily,
     ShrinkRegressionFamily,
@@ -133,7 +133,7 @@ def _dominance_grid(reps=5000):
         Y = model.draw(np.random.default_rng(seed), reps)
         fit = family.tune_batch(Y)
         risk_tuned = np.sum((fit.theta_hat - theta0) ** 2, axis=1)
-        js = vectorize_rows(lambda y: james_stein_positive(y, 1.0))(Y)
+        js = james_stein_positive(Y, 1.0)
         risk_js = np.sum((js - theta0) ** 2, axis=1)
         out.append((tag, model, risk_tuned, risk_js))
     return n, out

@@ -29,10 +29,14 @@ by a heteroskedastic family is the bare divergence sum_i d theta_i / d Y_i,
 so that sure = scaled residual + 2 * naive_df.  All routines in this module
 dispatch on the model's noise specification and apply the matching scaling.
 
-Vectorization contract: estimator rules and family methods operate on arrays
-of shape (..., n), broadcasting over leading axes.  The Monte Carlo drivers
-rely on this to evaluate thousands of replications in single array ops; wrap
-a scalar-only rule with `vectorize_rows` if needed.
+Batch-first tuning contract: a family tunes a whole (reps, n) batch of data
+vectors in `tune_batch`, the one tuner it writes; `EstimatorFamily.tune`
+fits a single vector as row 0 of a one-row batch.  Every excess-df estimate
+(Monte Carlo, bootstrap, simulation grid) retunes thousands of vectors, so
+they all go through `tune_batch`.  Estimator rules and family methods
+operate on arrays of shape (..., n), broadcasting over leading axes; a
+single-vector rule handed to `mc_df` or `mc_prediction_error` can be
+batched with `vectorize_rows`.
 """
 
 import math
@@ -71,6 +75,9 @@ class DomainError(ValueError):
 
 class ShapeError(ValueError):
     """An array argument has the wrong shape or length."""
+
+
+_RANK_TOL = 1e-10
 
 
 def _as_float_vector(x, name, n=None):
@@ -166,6 +173,41 @@ class TuningDomain:
         return self.lower <= s <= self.upper
 
 
+def _check_batch(Y, n):
+    """Y as a float (reps, n) array whose every row has a finite squared norm.
+
+    Raises ShapeError for any other shape and DomainError naming the first
+    offending (row, column).  Sums of squares catch NaN, inf and rows whose
+    squared norm overflows without a temporary the size of Y: one BLAS dot
+    clears the common case, per-row sums locate a bad row.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != n:
+        raise ShapeError(f"expected a (reps, {n}) array, got shape {Y.shape}")
+    if Y.flags.c_contiguous and math.isfinite(np.vdot(Y, Y)):
+        return Y
+    finite = np.isfinite(np.einsum("ij,ij->i", Y, Y))
+    if not finite.all():
+        row = int(np.argmin(finite))
+        bad = np.flatnonzero(~np.isfinite(Y[row]))
+        if bad.size:
+            raise DomainError(f"data is not finite at (row {row}, column {bad[0]})")
+        col = int(np.argmax(np.abs(Y[row])))
+        raise DomainError(f"squared norm of data row {row} overflows (largest at column {col})")
+    return Y
+
+
+def _rank_basis(X):
+    """Thin SVD (U, d, Vt) of X without singular values <= 1e-10 * max column norm."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[1] == 0:
+        return np.zeros((X.shape[0], 0)), np.zeros(0), np.zeros((0, 0))
+    tol = _RANK_TOL * np.linalg.norm(X, axis=0).max()
+    U, d, Vt = np.linalg.svd(X, full_matrices=False)
+    rank = int(np.sum(d > tol))
+    return U[:, :rank], d[:rank], Vt[:rank]
+
+
 @dataclass
 class TunedFit:
     """Result of minimizing SURE over a family's tuning domain.
@@ -189,7 +231,8 @@ class TunedBatch:
 
     For discrete families `s_hat` holds integer indices into
     `domain.labels`; for continuous families it holds the tuning values
-    themselves (with +inf allowed).
+    themselves (with +inf allowed).  `multimodal` is a per-row bool array
+    from tuners that probe for several local minima of SURE, else None.
     """
 
     s_hat: np.ndarray
@@ -197,6 +240,7 @@ class TunedBatch:
     sure_min: np.ndarray
     naive_df_at_shat: np.ndarray
     discrete: bool = False
+    multimodal: np.ndarray = None
 
 
 EDF_METHODS = frozenset(
@@ -256,8 +300,9 @@ class OracleTuning:
 class EstimatorFamily(ABC):
     """A family {theta_s} indexed by a tuning value, with plug-in df.
 
-    Subclasses provide `estimate`, `naive_df`, and `tune`; `tune_batch`
-    has a generic row-loop fallback that vectorized families override.
+    Subclasses provide `estimate`, `naive_df` and `tune_batch`, which tunes
+    every row of a (reps, n) batch at once and first validates the batch
+    with `_check_batch`.  `tune` is derived here, once, from `tune_batch`.
     Each family carries its own noise level because tuning needs it.
     """
 
@@ -291,8 +336,27 @@ class EstimatorFamily(ABC):
         """Plug-in df of theta_s at y (divergence for smooth families)."""
 
     @abstractmethod
+    def tune_batch(self, Y):
+        """Minimize SURE over the domain for each row of Y; a TunedBatch."""
+
     def tune(self, y):
-        """Minimize SURE over the domain for a single data vector."""
+        """Minimize SURE over the domain for a single data vector.
+
+        Row 0 of `tune_batch(y[None])`, with a discrete index mapped back to
+        its label in `domain.labels`.
+        """
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.n,):
+            raise ShapeError(f"expected a length-{self.n} vector")
+        batch = self.tune_batch(y[None, :])
+        s = batch.s_hat[0]
+        return TunedFit(
+            s_hat=self.domain.labels[int(s)] if batch.discrete else float(s),
+            theta_hat=batch.theta_hat[0],
+            sure_min=float(batch.sure_min[0]),
+            naive_df_at_shat=float(batch.naive_df_at_shat[0]),
+            multimodal=None if batch.multimodal is None else bool(batch.multimodal[0]),
+        )
 
     def sure(self, s, y):
         return sure(self, s, y)
@@ -307,25 +371,6 @@ class EstimatorFamily(ABC):
             return self.tune_batch(Y).theta_hat
 
         return rule
-
-    def tune_batch(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim != 2:
-            raise ShapeError("tune_batch expects a (reps, n) array")
-        fits = [self.tune(row) for row in Y]
-        discrete = self.domain.kind == "discrete"
-        if discrete:
-            index = {label: k for k, label in enumerate(self.domain.labels)}
-            s = np.array([index[f.s_hat] for f in fits], dtype=float)
-        else:
-            s = np.array([f.s_hat for f in fits], dtype=float)
-        return TunedBatch(
-            s_hat=s,
-            theta_hat=np.vstack([f.theta_hat for f in fits]),
-            sure_min=np.array([f.sure_min for f in fits]),
-            naive_df_at_shat=np.array([f.naive_df_at_shat for f in fits]),
-            discrete=discrete,
-        )
 
     def model(self, theta0):
         """Convenience: a GaussianModel with this family's noise level."""
@@ -368,9 +413,6 @@ def sure(family, s, y, *, noise=None):
 
 def tune_by_sure(family, y):
     """Minimize SURE over the family's tuning domain at a single y."""
-    y = _check_data(family, y)
-    if y.ndim != 1:
-        raise ShapeError("tune_by_sure expects a single data vector")
     return family.tune(y)
 
 

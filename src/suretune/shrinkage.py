@@ -23,8 +23,9 @@ from .core import (
     OracleTuning,
     ShapeError,
     TunedBatch,
-    TunedFit,
     TuningDomain,
+    _check_batch,
+    _rank_basis,
 )
 
 __all__ = [
@@ -71,6 +72,19 @@ def _project_positive_part(y2, b, y):
     return np.clip(1.0 - frac, 0.0, None)[..., None] * y
 
 
+def _tuned_shrink(a, m, sigma, target):
+    """SURE-tuned target/(1+s) per row, from a = ||target||^2 and m = df at s = 0."""
+    b = m * sigma**2
+    finite = a > b
+    safe_a = np.where(a > 0, a, 1.0)
+    return TunedBatch(
+        s_hat=np.where(finite, b / np.where(finite, a - b, 1.0), np.inf),
+        theta_hat=_project_positive_part(a, b, target),
+        sure_min=np.where(finite, 2.0 * b - b**2 / safe_a, a),
+        naive_df_at_shat=np.where(finite, m * (1.0 - b / safe_a), 0.0),
+    )
+
+
 class ShrinkMeansFamily(EstimatorFamily):
     """theta_s(y) = y/(1+s) in the homoskedastic means model."""
 
@@ -93,30 +107,9 @@ class ShrinkMeansFamily(EstimatorFamily):
             return 0.0
         return self.n / (1.0 + s)
 
-    def tune(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise ShapeError(f"expected a length-{self.n} vector")
-        batch = self.tune_batch(y[None, :])
-        return TunedFit(
-            s_hat=float(batch.s_hat[0]),
-            theta_hat=batch.theta_hat[0],
-            sure_min=float(batch.sure_min[0]),
-            naive_df_at_shat=float(batch.naive_df_at_shat[0]),
-        )
-
     def tune_batch(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim != 2 or Y.shape[1] != self.n:
-            raise ShapeError(f"expected a (reps, {self.n}) array")
-        b = self.n * self.sigma**2
-        a = np.sum(Y**2, axis=1)
-        finite = a > b
-        s = np.where(finite, b / np.where(finite, a - b, 1.0), np.inf)
-        theta = _project_positive_part(a, b, Y)
-        sure_min = np.where(finite, 2.0 * b - b**2 / np.where(a > 0, a, 1.0), a)
-        df = np.where(finite, self.n * (1.0 - b / np.where(a > 0, a, 1.0)), 0.0)
-        return TunedBatch(s_hat=s, theta_hat=theta, sure_min=sure_min, naive_df_at_shat=df)
+        Y = _check_batch(Y, self.n)
+        return _tuned_shrink(np.sum(Y**2, axis=1), self.n, self.sigma, Y)
 
     def oracle(self, model):
         """Closed-form oracle tuning against a known mean vector."""
@@ -143,13 +136,10 @@ class ShrinkRegressionFamily(EstimatorFamily):
             raise ShapeError("X must be a 2-d design matrix")
         self.n = X.shape[0]
         self._set_noise(sigma=sigma)
-        col_norms = np.linalg.norm(X, axis=0)
-        tol = 1e-10 * (col_norms.max() if col_norms.size else 0.0)
-        U, d, _ = np.linalg.svd(X, full_matrices=False)
-        self.rank = int(np.sum(d > tol))
+        self._basis = _rank_basis(X)[0]
+        self.rank = self._basis.shape[1]
         if self.rank == 0:
             raise DomainError("design matrix has rank zero")
-        self._basis = U[:, : self.rank]
         self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
 
     def project(self, y):
@@ -167,38 +157,13 @@ class ShrinkRegressionFamily(EstimatorFamily):
             return 0.0
         return self.rank / (1.0 + s)
 
-    def tune(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise ShapeError(f"expected a length-{self.n} vector")
-        batch = self.tune_batch(y[None, :])
-        return TunedFit(
-            s_hat=float(batch.s_hat[0]),
-            theta_hat=batch.theta_hat[0],
-            sure_min=float(batch.sure_min[0]),
-            naive_df_at_shat=float(batch.naive_df_at_shat[0]),
-        )
-
     def tune_batch(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim != 2 or Y.shape[1] != self.n:
-            raise ShapeError(f"expected a (reps, {self.n}) array")
-        b = self.rank * self.sigma**2
+        Y = _check_batch(Y, self.n)
         coords = Y @ self._basis
         a = np.sum(coords**2, axis=1)
-        resid2 = np.sum(Y**2, axis=1) - a
-        finite = a > b
-        s = np.where(finite, b / np.where(finite, a - b, 1.0), np.inf)
-        py = coords @ self._basis.T
-        theta = _project_positive_part(a, b, py)
-        shrink_part = np.where(finite, 2.0 * b - b**2 / np.where(a > 0, a, 1.0), a)
-        df = np.where(finite, self.rank * (1.0 - b / np.where(a > 0, a, 1.0)), 0.0)
-        return TunedBatch(
-            s_hat=s,
-            theta_hat=theta,
-            sure_min=resid2 + shrink_part,
-            naive_df_at_shat=df,
-        )
+        fit = _tuned_shrink(a, self.rank, self.sigma, coords @ self._basis.T)
+        fit.sure_min = np.sum(Y**2, axis=1) - a + fit.sure_min
+        return fit
 
     def oracle(self, model):
         """Closed-form oracle tuning; the off-span bias is irreducible."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import BootstrapConfig, _bootstrap_stats
-from .core import DomainError, GaussianModel, TunedFit, TuningDomain, _df_stats
+from .core import DomainError, GaussianModel, TunedBatch, TuningDomain, _check_batch, _df_stats
 from .shrinkage import ShrinkMeansFamily
 from .softthresh import SoftThreshFamily
 from .stein import edf_implicit_diff, shrink_means_hooks
@@ -69,21 +69,9 @@ class SingletonShrinkFamily(ShrinkMeansFamily):
         self.s_fixed = float(s)
         self.domain = TuningDomain(kind="continuous", lower=self.s_fixed, upper=self.s_fixed)
 
-    def tune(self, y):
-        y = np.asarray(y, dtype=float)
-        s = self.s_fixed
-        return TunedFit(
-            s_hat=s,
-            theta_hat=self.estimate(s, y),
-            sure_min=float(self.sure(s, y)),
-            naive_df_at_shat=self.naive_df(s, y),
-        )
-
     def tune_batch(self, Y):
-        Y = np.asarray(Y, dtype=float)
+        Y = _check_batch(Y, self.n)
         s = self.s_fixed
-        from .core import TunedBatch
-
         return TunedBatch(
             s_hat=np.full(Y.shape[0], s),
             theta_hat=self.estimate(s, Y),

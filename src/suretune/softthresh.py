@@ -18,10 +18,9 @@ from .core import (
     DomainError,
     EstimatorFamily,
     OracleTuning,
-    ShapeError,
     TunedBatch,
-    TunedFit,
     TuningDomain,
+    _check_batch,
     _normal_pdf,
     mc_edf,
 )
@@ -66,18 +65,6 @@ class SoftThreshFamily(EstimatorFamily):
         count = np.sum(np.abs(y) > s, axis=-1)
         return float(count) if count.ndim == 0 else count.astype(float)
 
-    def tune(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise ShapeError(f"expected a length-{self.n} vector")
-        batch = self.tune_batch(y[None, :])
-        return TunedFit(
-            s_hat=float(batch.s_hat[0]),
-            theta_hat=batch.theta_hat[0],
-            sure_min=float(batch.sure_min[0]),
-            naive_df_at_shat=float(batch.naive_df_at_shat[0]),
-        )
-
     def tune_batch(self, Y):
         # Candidate thresholds per row: the absolute values sorted in
         # descending order, then 0.  With a(1) >= ... >= a(n) >= a(n+1) := 0,
@@ -87,9 +74,7 @@ class SoftThreshFamily(EstimatorFamily):
         # group; within a tie group F increases by 2 sigma^2 per step, so
         # taking the first argmin both resolves ties toward the larger
         # threshold and keeps the strict-count bookkeeping exact.
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim != 2 or Y.shape[1] != self.n:
-            raise ShapeError(f"expected a (reps, {self.n}) array")
+        Y = _check_batch(Y, self.n)
         reps, n = Y.shape
         a = np.sort(np.abs(Y), axis=1)[:, ::-1]
         a = np.concatenate([a, np.zeros((reps, 1))], axis=1)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .core import (
     DomainError,
@@ -37,8 +37,10 @@ from .core import (
     EstimatorFamily,
     OracleTuning,
     ShapeError,
-    TunedFit,
+    TunedBatch,
     TuningDomain,
+    _check_batch,
+    _rank_basis,
 )
 
 __all__ = [
@@ -225,6 +227,21 @@ def shrink_means_hooks(n, sigma):
     )
 
 
+def _hetero_sure(s, Y2, sig2, order=0):
+    """Scaled SURE of per-coordinate shrinkage (order 0) or its first or
+    second derivative in s, at s[p] for squared data Y2[p]; shape (len(s),).
+    """
+    s = s[:, None]
+    u = sig2 * s
+    if order == 0:
+        return (np.sum(Y2 * sig2 * s**2 / (1.0 + u) ** 2, axis=1)
+                + 2.0 * np.sum(1.0 / (1.0 + u), axis=1))
+    if order == 1:
+        return np.sum(2.0 * Y2 * sig2 * s / (1.0 + u) ** 3 - 2.0 * sig2 / (1.0 + u) ** 2, axis=1)
+    return (np.sum(2.0 * Y2 * sig2 * (1.0 - 2.0 * u) / (1.0 + u) ** 4, axis=1)
+            + np.sum(4.0 * sig2**2 / (1.0 + u) ** 3, axis=1))
+
+
 def hetero_shrink_hooks(sigmas):
     """Closed-form hooks for theta_s(y)_i = y_i/(1 + sigma_i^2 s).
 
@@ -238,23 +255,12 @@ def hetero_shrink_hooks(sigmas):
     def theta(s, y):
         return np.asarray(y, dtype=float) / (1.0 + sig2 * s)
 
-    def g(s, y):
-        y = np.asarray(y, dtype=float)
-        u = sig2 * s
-        return float(np.sum(y**2 * sig2 * s**2 / (1.0 + u) ** 2) + 2.0 * np.sum(1.0 / (1.0 + u)))
+    def at(order):
+        return lambda s, y: float(
+            _hetero_sure(np.array([s], dtype=float), np.asarray(y, dtype=float)[None] ** 2,
+                         sig2, order)[0])
 
-    def dg_ds(s, y):
-        y = np.asarray(y, dtype=float)
-        u = sig2 * s
-        return float(np.sum(2.0 * y**2 * sig2 * s / (1.0 + u) ** 3 - 2.0 * sig2 / (1.0 + u) ** 2))
-
-    def d2g_ds2(s, y):
-        y = np.asarray(y, dtype=float)
-        u = sig2 * s
-        return float(
-            np.sum(2.0 * y**2 * sig2 * (1.0 - 2.0 * u) / (1.0 + u) ** 4)
-            + np.sum(4.0 * sig2**2 / (1.0 + u) ** 3)
-        )
+    g, dg_ds, d2g_ds2 = at(0), at(1), at(2)
 
     def d2g_dyds(s, y):
         u = sig2 * s
@@ -283,6 +289,7 @@ class HeteroShrinkFamily(EstimatorFamily):
         self._set_noise(sigmas=sigmas, n=self.n)
         self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
         self._sig2 = sigmas**2
+        self._grid = 1.0 / float(np.mean(self._sig2)) * np.geomspace(1e-4, 1e8, 64)
 
     def estimate(self, s, y):
         y = np.asarray(y, dtype=float)
@@ -295,12 +302,69 @@ class HeteroShrinkFamily(EstimatorFamily):
             return 0.0
         return float(np.sum(1.0 / (1.0 + self._sig2 * s)))
 
-    def tune(self, y):
-        return tune_hetero_shrink(y, self.sigmas)
-
     def tune_batch(self, Y):
-        # No closed-form batch minimizer here; fall back to the row loop.
-        return super().tune_batch(Y)
+        """Minimize scaled SURE on every row of Y, tracking modality.
+
+        The criterion always slopes downward at s = 0, so the search covers
+        a 64-point log grid spanning [1e-4, 1e8] around 1/mean(sigma_i^2).
+        Each grid local minimum brackets a refinement: safeguarded Newton on
+        the closed-form slope where it changes sign, golden-section search
+        in log1p(s) otherwise.  Refinements within 1e-6 in log1p(s) count as
+        one minimum; `multimodal` flags rows with more than one.  Walking the
+        minima in increasing s, the first at or below the s = +inf value
+        replaces it, later ones only when lower by 1e-12 relative, so ties
+        go to the smallest finite s.
+        """
+        Y = _check_batch(Y, self.n)
+        sig2, grid = self._sig2, self._grid
+        reps, n = Y.shape
+        Y2 = Y**2
+        u = grid[:, None] * sig2
+        weights = sig2 * grid[:, None] ** 2 / (1.0 + u) ** 2
+        vals = Y2 @ weights.T + 2.0 * np.sum(1.0 / (1.0 + u), axis=1)
+        g_inf = np.sum(Y2 / sig2, axis=1)
+
+        # Grid local minima; the edges compare against s = 0 (value 2n,
+        # slope strictly negative) and s = +inf.
+        left = np.concatenate([np.full((reps, 1), 2.0 * n), vals[:, :-1]], axis=1)
+        right = np.concatenate([vals[:, 1:], g_inf[:, None]], axis=1)
+        rows, k = np.nonzero((vals <= left) & (vals <= right))
+        edges = np.concatenate([[grid[0] * 1e-2], grid, [grid[-1] * 1e2]])
+        lo, hi, Y2 = edges[k], edges[k + 2], Y2[rows]
+        s_star = np.empty(rows.size)
+        root = (_hetero_sure(lo, Y2, sig2, 1) < 0.0) & (_hetero_sure(hi, Y2, sig2, 1) > 0.0)
+        s_star[root] = _slope_root(lo[root], hi[root], Y2[root], sig2)
+        far = ~root
+        if far.any():
+            s_star[far] = np.expm1(_golden_log1p(np.log1p(lo[far]), np.log1p(hi[far]),
+                                                 Y2[far], sig2))
+        val = _hetero_sure(s_star, Y2, sig2)
+
+        # Walk each row's candidates in increasing (s, value) order.
+        order = np.lexsort((val, s_star, rows))
+        rows, s_star, val = rows[order], s_star[order], val[order]
+        slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+        best_s, best_val = np.full(reps, math.inf), g_inf
+        kept, last_log = np.zeros(reps, dtype=int), np.zeros(reps)
+        for j in range(int(slot.max(initial=-1)) + 1):
+            r, sj, vj = rows[slot == j], s_star[slot == j], val[slot == j]
+            lj = np.log1p(sj)
+            new = (kept[r] == 0) | (np.abs(lj - last_log[r]) > 1e-6)
+            last_log[r[new]] = lj[new]
+            r, sj, vj = r[new], sj[new], vj[new]
+            kept[r] += 1
+            bv = best_val[r]
+            take = ((vj < bv - 1e-12 * np.maximum(1.0, np.abs(bv)))
+                    | (np.isinf(best_s[r]) & (vj <= bv)))
+            best_s[r[take]], best_val[r[take]] = sj[take], vj[take]
+
+        shrunk = np.isinf(best_s)
+        shrink = 1.0 + sig2 * np.where(shrunk, 0.0, best_s)[:, None]
+        theta = Y / shrink
+        theta[shrunk] = 0.0
+        df = np.where(shrunk, 0.0, np.sum(1.0 / shrink, axis=1))
+        return TunedBatch(s_hat=best_s, theta_hat=theta, sure_min=best_val,
+                          naive_df_at_shat=df, multimodal=kept > 1)
 
     def scaled_risk(self, theta0, s):
         """Exact sum_i E(theta_i - theta0_i)^2 / sigma_i^2 at fixed s."""
@@ -322,8 +386,7 @@ class HeteroShrinkFamily(EstimatorFamily):
         def err(s):
             return self.n + self.scaled_risk(theta0, s)
 
-        scale = 1.0 / float(np.mean(self._sig2))
-        grid = np.concatenate([[0.0], scale * np.geomspace(1e-4, 1e8, 64)])
+        grid = np.concatenate([[0.0], self._grid])
         vals = np.array([err(s) for s in grid])
         k = int(np.argmin(vals))
         lo = grid[max(k - 1, 0)]
@@ -340,78 +403,61 @@ class HeteroShrinkFamily(EstimatorFamily):
         return OracleTuning(s0=best_s, err=best_err)
 
 
-def _hetero_g_batch(y, sig2, s_values):
-    """Scaled SURE at many s values for one y: shape (len(s_values),)."""
-    u = sig2[None, :] * s_values[:, None]
-    resid = np.sum(y[None, :] ** 2 * sig2[None, :] * s_values[:, None] ** 2 / (1.0 + u) ** 2, axis=1)
-    return resid + 2.0 * np.sum(1.0 / (1.0 + u), axis=1)
+def _slope_root(a, b, Y2, sig2):
+    """Root of the slope in each bracket (a, b) where it goes from - to +.
+
+    Newton steps, bisecting whenever a step leaves the bracket or fails to
+    halve the previous one.  The slope stays negative at the left end, so
+    the root found is a local minimum of the criterion.  Pairs leave the
+    iteration as they converge.
+    """
+    x, step_old, live = 0.5 * (a + b), b - a, np.arange(a.size)
+    root = x.copy()
+    for _ in range(200):
+        f, fp = _hetero_sure(x, Y2, sig2, 1), _hetero_sure(x, Y2, sig2, 2)
+        a, b = np.where(f < 0.0, x, a), np.where(f > 0.0, x, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - f / fp
+        ok = (newton >= a) & (newton <= b) & (np.abs(newton - x) <= 0.5 * step_old)
+        nxt = np.where(f == 0.0, x, np.where(ok, newton, 0.5 * (a + b)))
+        step_old = np.abs(nxt - x)
+        root[live] = x = nxt
+        go = np.minimum(step_old, b - a) > 4.0 * np.finfo(float).eps * x
+        if not go.any():
+            break
+        live, x, a, b, step_old, Y2 = live[go], x[go], a[go], b[go], step_old[go], Y2[go]
+    return root
+
+
+def _golden_log1p(a, b, Y2, sig2):
+    """Golden-section minimum of v -> G(expm1(v)) on each [a, b], to 1e-14."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    steps = max(0, math.ceil(math.log(np.max(b - a) / 1e-14) / -math.log(shrink)))
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = _hetero_sure(np.expm1(c), Y2, sig2), _hetero_sure(np.expm1(d), Y2, sig2)
+    for _ in range(steps):
+        keep_left = fc <= fd
+        a, b = np.where(keep_left, a, c), np.where(keep_left, d, b)
+        probe = np.where(keep_left, b - shrink * (b - a), a + shrink * (b - a))
+        fp = _hetero_sure(np.expm1(probe), Y2, sig2)
+        c, d, fc, fd = (np.where(keep_left, probe, d), np.where(keep_left, c, probe),
+                        np.where(keep_left, fp, fd), np.where(keep_left, fc, fp))
+    return np.where(fc <= fd, c, d)
 
 
 def tune_hetero_shrink(y, sigmas):
-    """Minimize scaled SURE for per-coordinate shrinkage, tracking modality.
+    """Minimize scaled SURE for per-coordinate shrinkage at one data vector.
 
-    The criterion always slopes downward at s = 0, so the search covers a
-    64-point log grid spanning [1e-4, 1e8] around 1/mean(sigma_i^2), refines
-    every bracketed interior minimum (root of the closed-form slope when it
-    changes sign, bounded golden search otherwise), and compares against the
-    fully shrunk endpoint s = +inf.  Ties resolve to the smallest s.  The
-    returned fit has `multimodal=True` when more than one distinct interior
-    local minimum was found.
+    The single-vector form of `HeteroShrinkFamily(sigmas).tune_batch`, which
+    describes the search and the tie rule.  The returned fit has
+    `multimodal=True` when more than one distinct interior local minimum
+    was found.
     """
     y = np.asarray(y, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
     if y.shape != sigmas.shape or y.ndim != 1:
         raise ShapeError("y and sigmas must be matching vectors")
-    hooks = hetero_shrink_hooks(sigmas)
-    sig2 = sigmas**2
-    scale = 1.0 / float(np.mean(sig2))
-    grid = scale * np.geomspace(1e-4, 1e8, 64)
-    vals = _hetero_g_batch(y, sig2, grid)
-    g_inf = float(np.sum(y**2 / sig2))
-
-    # Interior local minima on the grid; compare the edges against s=0
-    # (criterion value there is 2n, slope strictly negative) and s=inf.
-    left = np.concatenate([[2.0 * y.shape[0]], vals[:-1]])
-    right = np.concatenate([vals[1:], [g_inf]])
-    is_min = (vals <= left) & (vals <= right)
-    candidates = []
-    for k in np.nonzero(is_min)[0]:
-        lo = grid[k - 1] if k > 0 else grid[0] * 1e-2
-        hi = grid[k + 1] if k + 1 < len(grid) else grid[-1] * 1e2
-        d_lo, d_hi = hooks.dg_ds(lo, y), hooks.dg_ds(hi, y)
-        if d_lo < 0.0 < d_hi:
-            s_star = brentq(lambda s: hooks.dg_ds(s, y), lo, hi, xtol=1e-14 * max(1.0, hi))
-        else:
-            res = minimize_scalar(
-                lambda u: hooks.g(math.expm1(u), y),
-                bounds=(math.log1p(lo), math.log1p(hi)),
-                method="bounded",
-                options={"xatol": 1e-14},
-            )
-            s_star = math.expm1(res.x)
-        candidates.append((float(s_star), hooks.g(float(s_star), y)))
-
-    # Deduplicate refinements that converged to the same point.
-    distinct = []
-    for s_star, val in sorted(candidates):
-        if not distinct or abs(math.log1p(s_star) - math.log1p(distinct[-1][0])) > 1e-6:
-            distinct.append((s_star, val))
-    multimodal = len(distinct) > 1
-
-    best_s, best_val = math.inf, g_inf
-    for s_star, val in distinct:
-        if val < best_val - 1e-12 * max(1.0, abs(best_val)) or (
-            math.isinf(best_s) and val <= best_val
-        ):
-            best_s, best_val = s_star, val
-    fam = HeteroShrinkFamily(sigmas)
-    return TunedFit(
-        s_hat=best_s,
-        theta_hat=fam.estimate(best_s, y),
-        sure_min=float(best_val),
-        naive_df_at_shat=fam.naive_df(best_s, y),
-        multimodal=multimodal,
-    )
+    return HeteroShrinkFamily(sigmas).tune(y)
 
 
 def exopt_hetero_shrink(y, sigmas, s_hat):
@@ -459,14 +505,10 @@ class RidgeRotation:
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or y.shape != (X.shape[0],):
             raise ShapeError("X must be 2-d with rows matching y")
-        col_norms = np.linalg.norm(X, axis=0)
-        tol = 1e-10 * (col_norms.max() if col_norms.size else 0.0)
-        U, d, Vt = np.linalg.svd(X, full_matrices=False)
-        keep = d > tol
-        if not np.any(keep):
+        self.U, self.d, self.Vt = _rank_basis(X)
+        if self.d.size == 0:
             raise DomainError("design matrix has rank zero")
         self.X, self.y, self.sigma = X, y, float(sigma)
-        self.U, self.d, self.Vt = U[:, keep], d[keep], Vt[keep]
         self.w = (self.U.T @ y) / self.d
         self.family = HeteroShrinkFamily(self.sigma / self.d)
 
@@ -488,7 +530,7 @@ class RidgeRotation:
 
     def tune(self):
         """Scaled-SURE tuning of the rotated problem."""
-        return tune_hetero_shrink(self.w, self.family.sigmas)
+        return self.family.tune(self.w)
 
 
 def ridge_as_hetero(X, y, sigma=1.0):

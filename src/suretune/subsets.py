@@ -27,9 +27,11 @@ from .core import (
     OracleTuning,
     ShapeError,
     TunedBatch,
-    TunedFit,
     TuningDomain,
+    _RANK_TOL,
+    _check_batch,
     _normal_pdf,
+    _rank_basis,
 )
 
 __all__ = [
@@ -44,22 +46,8 @@ __all__ = [
     "best_subset_lagrangian",
 ]
 
-_RANK_TOL_FACTOR = 1e-10
-
-
 class DegenerateDesignError(DomainError):
     """A design submatrix adds no new direction where one is required."""
-
-
-def _orthonormal_basis(X_sub):
-    """Thin orthonormal basis of the column span, with its rank."""
-    if X_sub.shape[1] == 0:
-        return np.zeros((X_sub.shape[0], 0)), 0
-    col_norms = np.linalg.norm(X_sub, axis=0)
-    tol = _RANK_TOL_FACTOR * col_norms.max()
-    U, d, _ = np.linalg.svd(X_sub, full_matrices=False)
-    rank = int(np.sum(d > tol))
-    return U[:, :rank], rank
 
 
 def _normalize_subset(subset, p):
@@ -91,9 +79,9 @@ class SubsetCollection(EstimatorFamily):
         self._bases = []
         self.ranks = np.empty(len(labels), dtype=int)
         for k, cols in enumerate(labels):
-            Q, r = _orthonormal_basis(X[:, cols])
+            Q = _rank_basis(X[:, cols])[0]
             self._bases.append(Q)
-            self.ranks[k] = r
+            self.ranks[k] = Q.shape[1]
         # Evaluation order for argmin tie breaking: smaller rank first, then
         # lexicographic column indices.
         self._tie_order = sorted(range(len(labels)), key=lambda k: (self.ranks[k], labels[k]))
@@ -123,9 +111,9 @@ class SubsetCollection(EstimatorFamily):
 
     def criterion_matrix(self, Y):
         """Cp values for every subset: shape (reps, n_subsets)."""
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim != 2 or Y.shape[1] != self.n:
-            raise ShapeError(f"expected a (reps, {self.n}) array")
+        return self._cp(_check_batch(Y, self.n))
+
+    def _cp(self, Y):
         total = np.sum(Y**2, axis=1)
         out = np.empty((Y.shape[0], len(self.domain.labels)))
         for k, Q in enumerate(self._bases):
@@ -133,22 +121,9 @@ class SubsetCollection(EstimatorFamily):
             out[:, k] = total - fitted2 + 2.0 * self.sigma**2 * self.ranks[k]
         return out
 
-    def tune(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise ShapeError(f"expected a length-{self.n} vector")
-        batch = self.tune_batch(y[None, :])
-        k = int(batch.s_hat[0])
-        return TunedFit(
-            s_hat=self.domain.labels[k],
-            theta_hat=batch.theta_hat[0],
-            sure_min=float(batch.sure_min[0]),
-            naive_df_at_shat=float(batch.naive_df_at_shat[0]),
-        )
-
     def tune_batch(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        cp = self.criterion_matrix(Y)
+        Y = _check_batch(Y, self.n)
+        cp = self._cp(Y)
         order = np.array(self._tie_order)
         pick = order[np.argmin(cp[:, order], axis=1)]
         theta = np.empty_like(Y)
@@ -250,11 +225,11 @@ def edf_two_model_exact(X, theta0, sigma):
     theta0 = np.asarray(theta0, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ShapeError("X must be a 2-d design with at least one column")
-    Q_small, _ = _orthonormal_basis(X[:, :-1])
+    Q_small = _rank_basis(X[:, :-1])[0]
     last = X[:, -1]
     v = last - Q_small @ (Q_small.T @ last)
     norm = np.linalg.norm(v)
-    if norm <= _RANK_TOL_FACTOR * max(np.linalg.norm(last), 1e-300):
+    if norm <= _RANK_TOL * max(np.linalg.norm(last), 1e-300):
         raise DegenerateDesignError("last column lies in the span of the others")
     m = float(v @ theta0) / (norm * sigma)
     root2 = math.sqrt(2.0)
@@ -292,7 +267,8 @@ def best_subset_lagrangian(X, y, lam):
         raise DomainError("best-subset enumeration limited to 25 columns")
     best = None
     for cols in make_all_subsets(p):
-        Q, r = _orthonormal_basis(X[:, cols])
+        Q = _rank_basis(X[:, cols])[0]
+        r = Q.shape[1]
         fitted = Q @ (Q.T @ y)
         crit = float(np.sum((y - fitted) ** 2)) + lam * r
         key = (crit, r, cols)

@@ -8,7 +8,7 @@ from suretune import (
     DomainError,
     EstimatorFamily,
     HeteroShrinkFamily,
-    TunedFit,
+    TunedBatch,
     TuningDomain,
     bootstrap_df,
     bootstrap_edf,
@@ -32,10 +32,11 @@ class ZeroRuleFamily(EstimatorFamily):
     def naive_df(self, s, y):
         return 0.0
 
-    def tune(self, y):
-        y = np.asarray(y, dtype=float)
-        return TunedFit(s_hat=0.0, theta_hat=np.zeros_like(y),
-                        sure_min=float(y @ y), naive_df_at_shat=0.0)
+    def tune_batch(self, Y):
+        Y = np.asarray(Y, dtype=float)
+        reps = Y.shape[0]
+        return TunedBatch(s_hat=np.zeros(reps), theta_hat=np.zeros_like(Y),
+                          sure_min=np.sum(Y**2, axis=1), naive_df_at_shat=np.zeros(reps))
 
 
 class TestBootstrapConfig:

@@ -43,6 +43,19 @@ class TestTune:
         assert float(kv["s_hat"]) == 0.0
         assert float(kv["sure_min"]) == 2.0
 
+    @pytest.mark.parametrize("family", [
+        ["--family", "shrink-means"],
+        ["--family", "soft-threshold"],
+        ["--family", "hetero-shrink", "--sigmas", "1,2,3,4"],
+    ])
+    def test_non_finite_data_exits_1_naming_the_index(self, family, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("3,1,nan,1\n")
+        assert main(["tune", *family, "--data", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "column 2" in captured.err
+        assert "s_hat" not in captured.out
+
     def test_out_writes_estimate(self, data_file, tmp_path, capsys):
         dest = tmp_path / "theta.txt"
         rc = main(["--out", str(dest), "tune", "--data", data_file])

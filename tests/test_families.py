@@ -1,0 +1,190 @@
+"""The batch-first tuning contract, checked across every family.
+
+Each family writes only `tune_batch`; `EstimatorFamily.tune` is row 0 of a
+one-row batch.  The property tests compare the tuned SURE minimum with the
+criterion written out independently on a dense grid, and the non-finite
+tests pin the one validation boundary every `tune_batch` goes through.
+"""
+
+import importlib
+import inspect
+import math
+import pkgutil
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import suretune
+from suretune import (
+    DomainError,
+    EstimatorFamily,
+    HeteroShrinkFamily,
+    ShapeError,
+    ShrinkMeansFamily,
+    ShrinkRegressionFamily,
+    SoftThreshFamily,
+    cp_criterion,
+    make_nested,
+)
+from suretune.simulate import SingletonShrinkFamily
+
+
+def _family_classes():
+    seen = set()
+    for info in pkgutil.iter_modules(suretune.__path__):
+        module = importlib.import_module(f"suretune.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, EstimatorFamily) and cls.__module__ == module.__name__:
+                seen.add(cls)
+    return sorted(seen, key=lambda c: (c.__module__, c.__name__))
+
+
+def test_only_the_base_class_defines_tune():
+    classes = _family_classes()
+    concrete = [c for c in classes if not inspect.isabstract(c)]
+    assert EstimatorFamily in classes
+    assert len(concrete) >= 6
+    assert inspect.isabstract(EstimatorFamily)
+    assert "tune_batch" in EstimatorFamily.__abstractmethods__
+    for cls in concrete:
+        assert "tune_batch" in vars(cls), f"{cls.__name__} must define tune_batch"
+    for cls in classes:
+        if cls is not EstimatorFamily:
+            assert "tune" not in vars(cls), f"{cls.__name__} redefines tune"
+
+
+def _every_family(n=6):
+    X = np.random.default_rng(0).standard_normal((n, 3))
+    return [
+        ShrinkMeansFamily(n, 1.0),
+        ShrinkRegressionFamily(X, 1.0),
+        SoftThreshFamily(n, 1.0),
+        make_nested(X, 1.0),
+        HeteroShrinkFamily(np.linspace(0.5, 2.0, n)),
+        SingletonShrinkFamily(n, 1.0),
+    ]
+
+
+@pytest.mark.parametrize("family", _every_family(), ids=lambda f: type(f).__name__)
+class TestNonFiniteData:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_batch_names_first_bad_entry(self, family, bad, order):
+        Y = np.ones((4, family.n), order=order)
+        Y[2, 3] = bad
+        Y[3, 1] = bad
+        with pytest.raises(DomainError, match=r"row 2, column 3"):
+            family.tune_batch(Y)
+
+    def test_single_vector(self, family):
+        y = np.ones(family.n)
+        y[4] = math.nan
+        with pytest.raises(DomainError, match=r"column 4"):
+            family.tune(y)
+
+    def test_squared_norm_overflow(self, family):
+        Y = np.ones((2, family.n))
+        Y[1, 5] = 1e200
+        with pytest.raises(DomainError, match=r"row 1 overflows.*column 5"):
+            family.tune_batch(Y)
+
+    def test_rows_are_checked_one_by_one(self, family):
+        # every row's squared norm is finite although their total is not
+        Y = np.ones((400, family.n))
+        Y[:, 0] = 1e153
+        assert family.tune_batch(Y).theta_hat.shape == Y.shape
+
+    def test_wrong_shape(self, family):
+        with pytest.raises(ShapeError):
+            family.tune_batch(np.ones((2, family.n + 1)))
+        with pytest.raises(ShapeError):
+            family.tune_batch(np.ones(family.n))
+        with pytest.raises(ShapeError):
+            family.tune(np.ones(family.n + 1))
+
+
+# Each family with its SURE written out independently: the family and the
+# criterion at every point of a dense grid of tuning values, 0 and +inf
+# included (every subset for the nested chain).
+
+def _shrink_means(y, sigma):
+    s = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 4001)])
+    y2 = np.sum(y**2)
+    grid = y2 * s**2 / (1 + s) ** 2 + 2 * y.size * sigma**2 / (1 + s)
+    return ShrinkMeansFamily(y.size, sigma), np.append(grid, y2)
+
+
+def _shrink_regression(y, sigma, X):
+    fam = ShrinkRegressionFamily(X, sigma)
+    py = X @ np.linalg.lstsq(X, y, rcond=None)[0]
+    a, off = np.sum(py**2), np.sum((y - py) ** 2)
+    s = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 4001)])
+    grid = off + a * s**2 / (1 + s) ** 2 + 2 * fam.rank * sigma**2 / (1 + s)
+    return fam, np.append(grid, off + a)
+
+
+def _soft_threshold(y, sigma):
+    s = np.linspace(0.0, 1.01 * np.abs(y).max(), 4001)
+    grid = (np.sum(np.minimum(y**2, s[:, None] ** 2), axis=1)
+            + 2 * sigma**2 * np.sum(np.abs(y) > s[:, None], axis=1))
+    return SoftThreshFamily(y.size, sigma), np.append(grid, np.sum(y**2))
+
+
+def _nested(y, sigma, X):
+    fam = make_nested(X, sigma)
+    return fam, cp_criterion(fam, y)
+
+
+def _hetero(y, sigmas):
+    sig2 = sigmas**2
+    s = np.concatenate([[0.0], np.geomspace(1e-8 / sig2.max(), 1e8 / sig2.min(), 4001)])
+    u = s[:, None] * sig2
+    grid = (np.sum(y**2 * sig2 * s[:, None] ** 2 / (1 + u) ** 2, axis=1)
+            + 2 * np.sum(1 / (1 + u), axis=1))
+    return HeteroShrinkFamily(sigmas), np.append(grid, np.sum(y**2 / sig2))
+
+
+def _floats(draw, n, lo, hi):
+    return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+
+@st.composite
+def _cases(draw):
+    """(family, criterion on a dense grid, data vector)."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["means", "regression", "soft", "nested", "hetero"]))
+    z = _floats(draw, n, -30.0, 30.0)
+    if kind == "hetero":
+        # standard deviations spanning up to six decades
+        sigmas = 10.0 ** _floats(draw, n, -3.0, 3.0)
+        return (*_hetero(z * sigmas, sigmas), z * sigmas)
+    sigma = 10.0 ** draw(st.floats(-2.0, 2.0))
+    y = sigma * z
+    if kind == "means":
+        return (*_shrink_means(y, sigma), y)
+    if kind == "soft":
+        return (*_soft_threshold(y, sigma), y)
+    X = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(
+        (n, draw(st.integers(1, n))))
+    build = _shrink_regression if kind == "regression" else _nested
+    return (*build(y, sigma, X), y)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cases())
+def test_tuned_minimum_beats_dense_grid_and_tune_is_row_zero(case):
+    fam, grid, y = case
+    batch = fam.tune_batch(y[None, :])
+    best = float(np.min(grid))
+    assert batch.sure_min[0] <= best + 1e-9 * max(1.0, abs(best))
+
+    fit = fam.tune(y)
+    s0 = batch.s_hat[0]
+    assert fit.s_hat == (fam.domain.labels[int(s0)] if batch.discrete else s0)
+    assert np.array_equal(fit.theta_hat, batch.theta_hat[0])
+    assert fit.sure_min == batch.sure_min[0]
+    assert fit.naive_df_at_shat == batch.naive_df_at_shat[0]
+    flag = None if batch.multimodal is None else bool(batch.multimodal[0])
+    assert fit.multimodal == flag

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import suretune.stein as stein
 from suretune import (
     CurvatureError,
     DomainError,
@@ -149,6 +150,75 @@ class TestTuneHeteroShrink:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             tune_hetero_shrink(np.zeros(3), np.ones(4))
+
+    # Two noise levels a hundredfold apart give the criterion two interior
+    # local minima; the one at small s is the lower.
+    BIMODAL_SIGMAS = np.array([0.1, 0.1, 10.0, 10.0])
+    BIMODAL_Y = np.array([0.3, 0.3, 30.0, 30.0])
+
+    def test_bimodal_criterion_is_flagged(self):
+        fit = tune_hetero_shrink(self.BIMODAL_Y, self.BIMODAL_SIGMAS)
+        assert fit.multimodal is True
+        assert fit.s_hat == pytest.approx(0.00125017796249, rel=1e-10)
+        batch = HeteroShrinkFamily(self.BIMODAL_SIGMAS).tune_batch(
+            np.vstack([np.zeros(4), self.BIMODAL_Y]))
+        assert batch.multimodal.tolist() == [False, True]
+        assert batch.s_hat[1] == pytest.approx(0.00125017796249, rel=1e-10)
+        assert batch.sure_min[1] == pytest.approx(fit.sure_min, rel=1e-12, abs=0)
+
+    def test_near_tie_with_full_shrinkage_keeps_the_interior_minimum(self):
+        # n = 1 with y^2 = 1 + 1e-7: the interior minimum at s = 1e7 lies
+        # about 1e-14 below the s = +inf value, inside the 1e-12 tolerance;
+        # ties against s = +inf go to the finite minimizer.
+        y = np.array([math.sqrt(1.0 + 1e-7)])
+        fit = tune_hetero_shrink(y, np.ones(1))
+        assert fit.s_hat == pytest.approx(1e7, rel=1e-6)
+        assert fit.sure_min <= y[0] ** 2
+
+    def test_bounded_search_branch_beats_dense_grid(self):
+        # Noise levels five decades apart: one grid minimum has no sign
+        # change of the slope across its bracket, so the bounded search in
+        # log1p(s) refines it instead of the Newton root.
+        sigmas = np.array([0.837031249, 0.110452757, 323.19962, 0.0101713622, 0.00151931723])
+        y = np.array([0.300610787, 0.0292383534, 338.586015, 0.0186707036, 0.00172917578])
+        fit = tune_hetero_shrink(y, sigmas)
+        sig2 = sigmas**2
+        s = np.geomspace(1e-8 / sig2.max(), 1e8 / sig2.min(), 40_001)[:, None]
+        grid = (np.sum(y**2 * sig2 * s**2 / (1 + sig2 * s) ** 2, axis=1)
+                + 2 * np.sum(1 / (1 + sig2 * s), axis=1))
+        assert fit.multimodal is True
+        assert fit.sure_min <= grid.min() + 1e-9
+        assert fit.s_hat == pytest.approx(4803.8035, rel=1e-6)
+
+    def test_refinements_at_one_point_count_once(self, monkeypatch):
+        # Force both brackets of the bimodal row onto the same point (and a
+        # second copy 1e-7 away in log1p(s)): one minimum, not two.
+        fam = HeteroShrinkFamily(self.BIMODAL_SIGMAS)
+        target = tune_hetero_shrink(self.BIMODAL_Y, self.BIMODAL_SIGMAS).s_hat
+        monkeypatch.setattr(
+            stein, "_slope_root",
+            lambda a, b, Y2, sig2: np.expm1(np.log1p(target) + 1e-7 * np.arange(a.size)))
+        fit = fam.tune(self.BIMODAL_Y)
+        assert fit.multimodal is False
+        assert fit.s_hat == target
+
+    def test_batch_rows_match_rows_tuned_one_at_a_time(self):
+        rng = np.random.default_rng(15)
+        fam = HeteroShrinkFamily(self.BIMODAL_SIGMAS)
+        scales = np.exp(rng.uniform(-3.0, 4.0, (38, 1)))
+        Y = np.vstack([self.BIMODAL_Y, np.zeros(4),
+                       scales * rng.standard_normal((38, 4)) * self.BIMODAL_SIGMAS])
+        batch = fam.tune_batch(Y)
+        assert batch.multimodal.any() and not batch.multimodal.all()
+        assert np.isinf(batch.s_hat).any() and np.isfinite(batch.s_hat).any()
+        for r, y in enumerate(Y):
+            fit = fam.tune(y)
+            assert fit.multimodal == batch.multimodal[r]
+            assert fit.s_hat == pytest.approx(batch.s_hat[r], rel=1e-12, abs=0)
+            assert fit.sure_min == pytest.approx(batch.sure_min[r], rel=1e-12, abs=0)
+            assert fit.naive_df_at_shat == pytest.approx(batch.naive_df_at_shat[r],
+                                                         rel=1e-12, abs=0)
+            assert np.allclose(fit.theta_hat, batch.theta_hat[r], rtol=1e-12, atol=0)
 
 
 class TestExoptHetero:
