@@ -25,11 +25,12 @@ from suretune import (
     GaussianModel,
     ShrinkMeansFamily,
     bootstrap_edf,
-    edf_implicit_diff,
+    edf_unbiased_shrink,
     mc_edf,
     shrink_means_hooks,
     theta0_for,
 )
+from suretune.stein import _implicit_diff_stats
 
 
 def main():
@@ -45,21 +46,18 @@ def main():
     theta0 = theta0_for(args.setting, n)
     model = GaussianModel(theta0, sigma=1.0)
     family = ShrinkMeansFamily(n, 1.0)
-    hooks = shrink_means_hooks(n, 1.0)
     rng = np.random.default_rng(args.seed)
     Y = model.draw(rng, args.datasets)
     fit = family.tune_batch(Y)
 
-    analytic = np.zeros(args.datasets)
-    implicit = np.zeros(args.datasets)
-    boot = np.zeros(args.datasets)
-    for i in range(args.datasets):
-        s = fit.s_hat[i]
-        if np.isfinite(s):
-            analytic[i] = 2.0 * s / (1.0 + s)
-            implicit[i] = edf_implicit_diff(hooks, Y[i], s).value
-        cfg = BootstrapConfig(B=400, sampler="parametric", seed=1000 + i)
-        boot[i] = bootstrap_edf(family, Y[i], cfg).value
+    # Datasets tuned to s_hat = +inf contribute 0 to both per-dataset statistics.
+    analytic = edf_unbiased_shrink(fit.s_hat)
+    implicit = _implicit_diff_stats(shrink_means_hooks(n, 1.0), Y, fit.s_hat)
+    # Each dataset's bootstrap has its own replicate stream.
+    boot = np.array([
+        bootstrap_edf(family, y, BootstrapConfig(B=400, sampler="parametric", seed=1000 + i)).value
+        for i, y in enumerate(Y)
+    ])
 
     mc = mc_edf(family, model, reps=4000, seed=args.seed + 1)
 

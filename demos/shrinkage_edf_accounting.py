@@ -22,7 +22,7 @@ import argparse
 
 import numpy as np
 
-from suretune import GaussianModel, ShrinkMeansFamily, mc_df
+from suretune import GaussianModel, ShrinkMeansFamily, edf_unbiased_shrink, mc_df
 
 
 def account(theta0, sigma, reps, seed):
@@ -34,12 +34,8 @@ def account(theta0, sigma, reps, seed):
     Ystar = model.draw(rng, reps)
     fit = family.tune_batch(Y)
 
-    # 2 s / (1 + s) per draw (edf_unbiased_shrink, vectorized by hand);
-    # boundary fits at s = inf contribute nothing
-    finite = np.isfinite(fit.s_hat)
-    sf = fit.s_hat[finite]
-    excess = np.zeros(reps)
-    excess[finite] = 2.0 * sf / (1.0 + sf)
+    # 2 s / (1 + s) per draw; boundary fits at s = inf contribute nothing
+    excess = edf_unbiased_shrink(fit.s_hat)
 
     cov_df = mc_df(lambda Z: family.tune_batch(Z).theta_hat, model,
                    reps=reps, seed=seed + 1)

@@ -71,36 +71,35 @@ def _replicates(family, y, theta_hat, config, rng):
     return theta_hat + resid[idx]
 
 
-def _bootstrap_stats(family, y, config):
-    """Per-replicate covariance-form df and plug-in df after retuning."""
+def _bootstrap_stats(family, y, theta_hat, config):
+    """Per-replicate covariance-form df and plug-in df after retuning,
+    drawing around theta_hat, the family's tuned fit at the data vector y.
+    """
     y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise DomainError("bootstrap operates on a single data vector")
-    fit = family.tune(y)
     rng = np.random.default_rng(config.seed)
-    Ystar = _replicates(family, y, fit.theta_hat, config, rng)
+    Ystar = _replicates(family, y, theta_hat, config, rng)
     refit = family.tune_batch(Ystar)
     center = Ystar.mean(axis=0)
     scale = family.sigmas**2 if family.is_heteroskedastic else family.sigma**2
     cov_form = np.sum(refit.theta_hat * (Ystar - center) / scale, axis=1)
-    return fit, cov_form, refit.naive_df_at_shat
+    return cov_form, refit.naive_df_at_shat
 
 
-def _se(values, B):
-    return float(np.std(values, ddof=1) / math.sqrt(B))
+def _report(stats, config, shift=0.0):
+    """Mean of per-replicate statistics (plus shift) with its standard error."""
+    return EdfReport(
+        method=f"bootstrap_{config.sampler}",
+        value=shift + float(stats.mean()),
+        std_error=float(np.std(stats, ddof=1) / math.sqrt(config.B)),
+        reps=config.B,
+    )
 
 
 def bootstrap_edf(family, y, config=None):
     """Bootstrap excess degrees of freedom of the SURE-tuned rule at y."""
     config = config or BootstrapConfig()
-    _, cov_form, plugin = _bootstrap_stats(family, y, config)
-    stats = cov_form - plugin
-    return EdfReport(
-        method=f"bootstrap_{config.sampler}",
-        value=float(stats.mean()),
-        std_error=_se(stats, config.B),
-        reps=config.B,
-    )
+    cov_form, plugin = _bootstrap_stats(family, y, family.tune(y).theta_hat, config)
+    return _report(cov_form - plugin, config)
 
 
 def bootstrap_df(family, y, config=None, *, naive=False):
@@ -111,21 +110,11 @@ def bootstrap_df(family, y, config=None, *, naive=False):
     bootstrap term is returned, with no plug-in anchoring.
     """
     config = config or BootstrapConfig()
-    fit, cov_form, plugin = _bootstrap_stats(family, y, config)
+    fit = family.tune(y)
+    cov_form, plugin = _bootstrap_stats(family, y, fit.theta_hat, config)
     if naive:
-        return EdfReport(
-            method=f"bootstrap_{config.sampler}",
-            value=float(cov_form.mean()),
-            std_error=_se(cov_form, config.B),
-            reps=config.B,
-        )
-    stats = cov_form - plugin
-    return EdfReport(
-        method=f"bootstrap_{config.sampler}",
-        value=fit.naive_df_at_shat + float(stats.mean()),
-        std_error=_se(stats, config.B),
-        reps=config.B,
-    )
+        return _report(cov_form, config)
+    return _report(cov_form - plugin, config, fit.naive_df_at_shat)
 
 
 @dataclass(frozen=True)
@@ -146,13 +135,9 @@ def corrected_error_estimate(family, y, config=None):
     where the correction is 2 * edf with no variance factor.
     """
     config = config or BootstrapConfig()
-    fit, cov_form, plugin = _bootstrap_stats(family, y, config)
-    edf = EdfReport(
-        method=f"bootstrap_{config.sampler}",
-        value=float((cov_form - plugin).mean()),
-        std_error=_se(cov_form - plugin, config.B),
-        reps=config.B,
-    )
+    fit = family.tune(y)
+    cov_form, plugin = _bootstrap_stats(family, y, fit.theta_hat, config)
+    edf = _report(cov_form - plugin, config)
     factor = 2.0 if family.is_heteroskedastic else 2.0 * family.sigma**2
     return CorrectedError(
         estimate=fit.sure_min + factor * edf.value,

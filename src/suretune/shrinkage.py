@@ -109,7 +109,7 @@ class ShrinkMeansFamily(EstimatorFamily):
 
     def tune_batch(self, Y):
         Y = _check_batch(Y, self.n)
-        return _tuned_shrink(np.sum(Y**2, axis=1), self.n, self.sigma, Y)
+        return _tuned_shrink(np.einsum("ij,ij->i", Y, Y), self.n, self.sigma, Y)
 
     def oracle(self, model):
         """Closed-form oracle tuning against a known mean vector."""
@@ -221,13 +221,15 @@ def edf_unbiased_shrink(s_hat):
     Equals 2 s_hat / (1 + s_hat) on the smooth branch and 0 at s_hat = +inf
     (where the tuned rule is locally constant zero).  Averaging this over
     draws estimates the excess degrees of freedom, which therefore never
-    exceeds 2 for these families.
+    exceeds 2 for these families.  Broadcasts over an array of tuned
+    values; a scalar gives a float.
     """
-    if math.isinf(s_hat):
-        return 0.0
-    if s_hat < 0:
+    s = np.asarray(s_hat, dtype=float)
+    if np.any(s < 0):
         raise DomainError("s_hat must be nonnegative")
-    return 2.0 * s_hat / (1.0 + s_hat)
+    s = np.where(s == math.inf, 0.0, s)
+    out = 2.0 * s / (1.0 + s)
+    return float(out) if out.ndim == 0 else out
 
 
 def james_stein_positive(y, sigma):

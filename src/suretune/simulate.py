@@ -32,9 +32,9 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, _bootstrap_stats
 from .core import DomainError, GaussianModel, TunedBatch, TuningDomain, _check_batch, _df_stats
-from .shrinkage import ShrinkMeansFamily
+from .shrinkage import ShrinkMeansFamily, edf_unbiased_shrink
 from .softthresh import SoftThreshFamily
-from .stein import edf_implicit_diff, shrink_means_hooks
+from .stein import _implicit_diff_stats, shrink_means_hooks
 
 __all__ = [
     "SETTINGS",
@@ -174,23 +174,6 @@ class SimRow:
     status: str = "ok"
 
 
-def _implicit_diff_stats(family, Y, fit):
-    """Per-rep implicit-diff excess-df statistics for smooth shrinkage.
-
-    Repetitions tuned to the boundary (s_hat = +inf) contribute 0: the
-    tuned rule is locally constant there, so the selection adds no
-    divergence.
-    """
-    hooks = shrink_means_hooks(family.n, family.sigma)
-    out = np.zeros(Y.shape[0])
-    for r in range(Y.shape[0]):
-        s = fit.s_hat[r]
-        if math.isinf(s):
-            continue
-        out[r] = edf_implicit_diff(hooks, Y[r], s).value
-    return out
-
-
 def run_simulation(spec):
     """Execute the grid and return the long-format result rows."""
     rows = []
@@ -213,11 +196,9 @@ def run_simulation(spec):
             scaled_exopt = (test_err - fit.sure_min) / (2.0 * spec.sigma**2)
 
             if tuned_shrink:
-                finite = np.isfinite(fit.s_hat)
-                unbiased_edf = np.zeros(R)
-                sf = fit.s_hat[finite]
-                unbiased_edf[finite] = 2.0 * sf / (1.0 + sf)
-                implicit_edf = _implicit_diff_stats(family, Y, fit)
+                unbiased_edf = edf_unbiased_shrink(fit.s_hat)
+                implicit_edf = _implicit_diff_stats(shrink_means_hooks(n, spec.sigma), Y,
+                                                    fit.s_hat)
             elif fixed_rule:
                 # Nothing is tuned, so the plug-in df is already unbiased
                 # and there is no stationarity condition to differentiate.
@@ -237,7 +218,7 @@ def run_simulation(spec):
                         c=spec.bootstrap_c,
                         seed=int(child.generate_state(1)[0]),
                     )
-                    _, cov_form, plugin = _bootstrap_stats(family, Y[r], cfg)
+                    cov_form, plugin = _bootstrap_stats(family, Y[r], fit.theta_hat[r], cfg)
                     boot_edf[r] = float((cov_form - plugin).mean())
                     boot_df_naive[r] = float(cov_form.mean())
             else:

@@ -16,10 +16,13 @@ all evaluated at (s_hat, y).  Averaged over draws this estimates the excess
 degrees of freedom of the tuned rule.
 
 `SmoothFamilyHooks` packages the required callables; any derivative hook
-left unset falls back to central differences with a relative step.  Closed
-form hooks are provided for homoskedastic shrinkage, for per-coordinate
-shrinkage under heteroskedastic noise, and (through the singular value
-rotation) for ridge regression.
+left unset falls back to central differences with a relative step.  Hooks
+take tuning values of shape (reps,) with data of shape (reps, n), so
+`_implicit_diff_stats` prices a whole batch of draws in a few array
+evaluations; `edf_implicit_diff` is its one-row case.  Closed form hooks
+are provided for homoskedastic shrinkage, for per-coordinate shrinkage
+under heteroskedastic noise, and (through the singular value rotation) for
+ridge regression.
 """
 
 from __future__ import annotations
@@ -73,15 +76,20 @@ class CurvatureError(DomainError):
 class SmoothFamilyHooks:
     """Callables describing a smooth family and its SURE criterion.
 
+    Every callable broadcasts over a batch: it takes tuning values s of
+    shape (...) and data y of shape (..., n), one row per tuning value (a
+    scalar s with a single vector y is the one-row case).
+
     Parameters
     ----------
     theta : callable
-        ``theta(s, y) -> (n,) array``, the estimate at tuning value s.
+        ``theta(s, y) -> (..., n) array``, the estimate at tuning value s.
     g : callable
-        ``g(s, y) -> float``, the SURE criterion being minimized.
+        ``g(s, y) -> (...) array``, the SURE criterion being minimized.
     dtheta_ds, dg_ds, d2g_ds2, d2g_dyds : callable, optional
-        Closed-form derivatives.  Any left as None is replaced by a
-        central difference of `theta` or `g` with step
+        Closed-form derivatives, of shape (..., n) for `dtheta_ds` and
+        `d2g_dyds` and (...) for the others.  Any left as None is replaced
+        by a central difference of `theta` or `g` with step
         1e-5 * (1 + |value|) in the differenced argument.
     """
 
@@ -92,48 +100,89 @@ class SmoothFamilyHooks:
     d2g_ds2: Callable = None
     d2g_dyds: Callable = None
 
-    def _hs(self, s):
-        return _REL_STEP * (1.0 + abs(s))
-
     def eval_dtheta_ds(self, s, y):
         if self.dtheta_ds is not None:
             return np.asarray(self.dtheta_ds(s, y), dtype=float)
-        h = self._hs(s)
+        s, h = _step(s)
         return (np.asarray(self.theta(s + h, y), dtype=float)
-                - np.asarray(self.theta(s - h, y), dtype=float)) / (2.0 * h)
+                - np.asarray(self.theta(s - h, y), dtype=float)) / (2.0 * h[..., None])
 
     def eval_dg_ds(self, s, y):
         if self.dg_ds is not None:
-            return float(self.dg_ds(s, y))
-        h = self._hs(s)
+            return np.asarray(self.dg_ds(s, y), dtype=float)
+        s, h = _step(s)
         return (self.g(s + h, y) - self.g(s - h, y)) / (2.0 * h)
 
     def eval_d2g_ds2(self, s, y):
         if self.d2g_ds2 is not None:
-            return float(self.d2g_ds2(s, y))
-        h = self._hs(s)
+            return np.asarray(self.d2g_ds2(s, y), dtype=float)
+        s, h = _step(s)
         return (self.g(s + h, y) - 2.0 * self.g(s, y) + self.g(s - h, y)) / h**2
 
     def eval_d2g_dyds(self, s, y):
         if self.d2g_dyds is not None:
             return np.asarray(self.d2g_dyds(s, y), dtype=float)
         y = np.asarray(y, dtype=float)
-        hs = self._hs(s)
-        out = np.empty(y.shape[0])
-        for i in range(y.shape[0]):
-            hy = _REL_STEP * (1.0 + abs(y[i]))
-            yp, ym = y.copy(), y.copy()
-            yp[i] += hy
-            ym[i] -= hy
-            out[i] = (
-                self.g(s + hs, yp) - self.g(s - hs, yp)
-                - self.g(s + hs, ym) + self.g(s - hs, ym)
-            ) / (4.0 * hs * hy)
+        s, hs = _step(s)
+        out = np.empty(np.broadcast_shapes(s.shape + (1,), y.shape))
+        work = y.copy()
+        # One column of the whole batch at a time.
+        for i in range(y.shape[-1]):
+            col = y[..., i]
+            hy = _REL_STEP * (1.0 + np.abs(col))
+            work[..., i] = col + hy
+            pp, pm = self.g(s + hs, work), self.g(s - hs, work)
+            work[..., i] = col - hy
+            mp, mm = self.g(s + hs, work), self.g(s - hs, work)
+            work[..., i] = col
+            out[..., i] = (pp - pm - mp + mm) / (4.0 * hs * hy)
         return out
+
+
+def _step(s):
+    """Tuning values as an array, and their central-difference steps."""
+    s = np.asarray(s, dtype=float)
+    return s, _REL_STEP * (1.0 + np.abs(s))
+
+
+def _implicit_diff_stats(hooks, Y, s_hat):
+    """Implicit-diff excess-df statistic for every row of Y; shape (reps,).
+
+    Rows tuned to the boundary (s_hat = +inf) give 0: the tuned rule is
+    locally constant there, so the selection adds no divergence.  Every
+    other row must be a stationary point, |dG/ds| <= 1e-6 * max(1, |G|),
+    with d2G/ds2 > 0; the first row that is not raises `StationarityError`
+    or `CurvatureError` naming it.
+    """
+    Y = np.asarray(Y, dtype=float)
+    s_hat = np.asarray(s_hat, dtype=float)
+    finite, boundary = np.isfinite(s_hat), s_hat == math.inf
+    # Non-finite rows are evaluated at s = 0 and masked out, so Y is never copied.
+    s = np.where(finite, s_hat, 0.0)
+    slope = np.where(finite, hooks.eval_dg_ds(s, Y), math.nan)
+    scale = np.maximum(1.0, np.abs(hooks.g(s, Y)))
+    stuck = ~boundary & ~(np.abs(slope) <= 1e-6 * scale)
+    if stuck.any():
+        r = int(np.argmax(stuck))
+        raise StationarityError(
+            f"row {r}: dG/ds = {slope[r]:.3e} at s_hat = {s_hat[r]:.6g}; not a stationary point"
+        )
+    curv = hooks.eval_d2g_ds2(s, Y)
+    flat = ~boundary & ~(curv > 0)
+    if flat.any():
+        r = int(np.argmax(flat))
+        raise CurvatureError(f"row {r}: d2G/ds2 = {curv[r]:.3e} at s_hat = {s_hat[r]:.6g}")
+    cross = hooks.eval_d2g_dyds(s, Y)
+    dtheta = hooks.eval_dtheta_ds(s, Y)
+    # Boundary rows skipped the curvature check, so it may be zero there.
+    value = -np.sum(dtheta * cross, axis=-1) / np.where(boundary, 1.0, curv)
+    return np.where(boundary, 0.0, value)
 
 
 def edf_implicit_diff(hooks, y, s_hat):
     """Excess-df statistic at one realization, by implicit differentiation.
+
+    Row 0 of `_implicit_diff_stats` on the one-row batch ``y[None]``.
 
     Parameters
     ----------
@@ -159,22 +208,10 @@ def edf_implicit_diff(hooks, y, s_hat):
     CurvatureError
         If d2G/ds2 is not strictly positive there.
     """
-    y = np.asarray(y, dtype=float)
     if not math.isfinite(s_hat):
         raise StationarityError("implicit differentiation needs a finite interior s_hat")
-    slope = hooks.eval_dg_ds(s_hat, y)
-    scale = max(1.0, abs(hooks.g(s_hat, y)))
-    if abs(slope) > 1e-6 * scale:
-        raise StationarityError(
-            f"dG/ds = {slope:.3e} at s_hat = {s_hat:.6g}; not a stationary point"
-        )
-    curv = hooks.eval_d2g_ds2(s_hat, y)
-    if not curv > 0:
-        raise CurvatureError(f"d2G/ds2 = {curv:.3e} at s_hat = {s_hat:.6g}")
-    cross = hooks.eval_d2g_dyds(s_hat, y)
-    dtheta = hooks.eval_dtheta_ds(s_hat, y)
-    value = -float(np.dot(dtheta, cross)) / curv
-    return EdfReport(method="implicit_diff", value=value, std_error=0.0, reps=1)
+    value = _implicit_diff_stats(hooks, np.asarray(y, dtype=float)[None], [s_hat])[0]
+    return EdfReport(method="implicit_diff", value=float(value), std_error=0.0, reps=1)
 
 
 def numeric_divergence(rule, y, *, sigma=1.0, step=None):
@@ -201,25 +238,26 @@ def shrink_means_hooks(n, sigma):
     """Closed-form hooks for theta_s(y) = y/(1+s) under constant noise."""
 
     def theta(s, y):
-        return np.asarray(y, dtype=float) / (1.0 + s)
+        return y / (1.0 + np.asarray(s, dtype=float)[..., None])
 
     def g(s, y):
-        y = np.asarray(y, dtype=float)
-        return float(np.sum(y**2) * s**2 / (1.0 + s) ** 2 + 2.0 * sigma**2 * n / (1.0 + s))
+        y2 = np.sum(np.square(y), axis=-1)
+        return y2 * s**2 / (1.0 + s) ** 2 + 2.0 * sigma**2 * n / (1.0 + s)
 
     def dg_ds(s, y):
-        y2 = float(np.sum(np.asarray(y, dtype=float) ** 2))
+        y2 = np.sum(np.square(y), axis=-1)
         return 2.0 * s * y2 / (1.0 + s) ** 3 - 2.0 * sigma**2 * n / (1.0 + s) ** 2
 
     def d2g_ds2(s, y):
-        y2 = float(np.sum(np.asarray(y, dtype=float) ** 2))
+        y2 = np.sum(np.square(y), axis=-1)
         return y2 * (2.0 - 4.0 * s) / (1.0 + s) ** 4 + 4.0 * sigma**2 * n / (1.0 + s) ** 3
 
     def d2g_dyds(s, y):
+        s = np.asarray(s, dtype=float)[..., None]
         return 4.0 * np.asarray(y, dtype=float) * s / (1.0 + s) ** 3
 
     def dtheta_ds(s, y):
-        return -np.asarray(y, dtype=float) / (1.0 + s) ** 2
+        return -np.asarray(y, dtype=float) / (1.0 + np.asarray(s, dtype=float)[..., None]) ** 2
 
     return SmoothFamilyHooks(
         theta=theta, g=g, dtheta_ds=dtheta_ds, dg_ds=dg_ds,
@@ -229,17 +267,18 @@ def shrink_means_hooks(n, sigma):
 
 def _hetero_sure(s, Y2, sig2, order=0):
     """Scaled SURE of per-coordinate shrinkage (order 0) or its first or
-    second derivative in s, at s[p] for squared data Y2[p]; shape (len(s),).
+    second derivative in s, at s of shape (...) for squared data Y2 of
+    shape (..., n); shape (...).
     """
-    s = s[:, None]
+    s = np.asarray(s, dtype=float)[..., None]
     u = sig2 * s
     if order == 0:
-        return (np.sum(Y2 * sig2 * s**2 / (1.0 + u) ** 2, axis=1)
-                + 2.0 * np.sum(1.0 / (1.0 + u), axis=1))
+        return (np.sum(Y2 * sig2 * s**2 / (1.0 + u) ** 2, axis=-1)
+                + 2.0 * np.sum(1.0 / (1.0 + u), axis=-1))
     if order == 1:
-        return np.sum(2.0 * Y2 * sig2 * s / (1.0 + u) ** 3 - 2.0 * sig2 / (1.0 + u) ** 2, axis=1)
-    return (np.sum(2.0 * Y2 * sig2 * (1.0 - 2.0 * u) / (1.0 + u) ** 4, axis=1)
-            + np.sum(4.0 * sig2**2 / (1.0 + u) ** 3, axis=1))
+        return np.sum(2.0 * Y2 * sig2 * s / (1.0 + u) ** 3 - 2.0 * sig2 / (1.0 + u) ** 2, axis=-1)
+    return (np.sum(2.0 * Y2 * sig2 * (1.0 - 2.0 * u) / (1.0 + u) ** 4, axis=-1)
+            + np.sum(4.0 * sig2**2 / (1.0 + u) ** 3, axis=-1))
 
 
 def hetero_shrink_hooks(sigmas):
@@ -252,27 +291,21 @@ def hetero_shrink_hooks(sigmas):
     if np.any(sig2 <= 0):
         raise DomainError("sigmas must be positive")
 
-    def theta(s, y):
-        return np.asarray(y, dtype=float) / (1.0 + sig2 * s)
-
-    def at(order):
-        return lambda s, y: float(
-            _hetero_sure(np.array([s], dtype=float), np.asarray(y, dtype=float)[None] ** 2,
-                         sig2, order)[0])
-
-    g, dg_ds, d2g_ds2 = at(0), at(1), at(2)
-
     def d2g_dyds(s, y):
-        u = sig2 * s
-        return 4.0 * np.asarray(y, dtype=float) * sig2 * s / (1.0 + u) ** 3
+        s = np.asarray(s, dtype=float)[..., None]
+        return 4.0 * np.asarray(y, dtype=float) * sig2 * s / (1.0 + sig2 * s) ** 3
 
     def dtheta_ds(s, y):
-        u = sig2 * s
+        u = sig2 * np.asarray(s, dtype=float)[..., None]
         return -np.asarray(y, dtype=float) * sig2 / (1.0 + u) ** 2
 
     return SmoothFamilyHooks(
-        theta=theta, g=g, dtheta_ds=dtheta_ds, dg_ds=dg_ds,
-        d2g_ds2=d2g_ds2, d2g_dyds=d2g_dyds,
+        theta=lambda s, y: y / (1.0 + sig2 * np.asarray(s, dtype=float)[..., None]),
+        g=lambda s, y: _hetero_sure(s, np.square(y), sig2),
+        dg_ds=lambda s, y: _hetero_sure(s, np.square(y), sig2, 1),
+        d2g_ds2=lambda s, y: _hetero_sure(s, np.square(y), sig2, 2),
+        dtheta_ds=dtheta_ds,
+        d2g_dyds=d2g_dyds,
     )
 
 
@@ -289,7 +322,9 @@ class HeteroShrinkFamily(EstimatorFamily):
         self._set_noise(sigmas=sigmas, n=self.n)
         self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
         self._sig2 = sigmas**2
-        self._grid = 1.0 / float(np.mean(self._sig2)) * np.geomspace(1e-4, 1e8, 64)
+        lo, hi = 1e-4 / float(np.mean(self._sig2)), 1e8 / float(np.min(self._sig2))
+        points = 1 + math.ceil(63.0 / 12.0 * math.log10(hi / lo))
+        self._grid = np.concatenate([[0.0], np.geomspace(lo, hi, points)])
 
     def estimate(self, s, y):
         y = np.asarray(y, dtype=float)
@@ -305,13 +340,13 @@ class HeteroShrinkFamily(EstimatorFamily):
     def tune_batch(self, Y):
         """Minimize scaled SURE on every row of Y, tracking modality.
 
-        The criterion always slopes downward at s = 0, so the search covers
-        a 64-point log grid spanning [1e-4, 1e8] around 1/mean(sigma_i^2).
-        Each grid local minimum brackets a refinement: safeguarded Newton on
-        the closed-form slope where it changes sign, golden-section search
-        in log1p(s) otherwise.  Refinements within 1e-6 in log1p(s) count as
-        one minimum; `multimodal` flags rows with more than one.  Walking the
-        minima in increasing s, the first at or below the s = +inf value
+        The search grid is s = 0 and a log grid from 1e-4/mean(sigma_i^2)
+        to 1e8/min(sigma_i^2) at 63 intervals per 12 decades.  Each grid
+        local minimum brackets a refinement: safeguarded Newton on the
+        closed-form slope where it changes sign, golden-section search in
+        log1p(s) otherwise.  Refinements within 1e-6 in log1p(s) count as
+        one minimum; `multimodal` flags rows with more than one.  Walking
+        the minima in increasing s, the first at or below the s = +inf value
         replaces it, later ones only when lower by 1e-12 relative, so ties
         go to the smallest finite s.
         """
@@ -324,12 +359,13 @@ class HeteroShrinkFamily(EstimatorFamily):
         vals = Y2 @ weights.T + 2.0 * np.sum(1.0 / (1.0 + u), axis=1)
         g_inf = np.sum(Y2 / sig2, axis=1)
 
-        # Grid local minima; the edges compare against s = 0 (value 2n,
-        # slope strictly negative) and s = +inf.
-        left = np.concatenate([np.full((reps, 1), 2.0 * n), vals[:, :-1]], axis=1)
+        # Grid local minima.  Left of s = 0 counts as +inf (the slope there is
+        # strictly negative, so no minimum sits at s = 0 itself); right of
+        # the last point is s = +inf.
+        left = np.concatenate([np.full((reps, 1), math.inf), vals[:, :-1]], axis=1)
         right = np.concatenate([vals[:, 1:], g_inf[:, None]], axis=1)
         rows, k = np.nonzero((vals <= left) & (vals <= right))
-        edges = np.concatenate([[grid[0] * 1e-2], grid, [grid[-1] * 1e2]])
+        edges = np.concatenate([[0.0], grid, [grid[-1] * 1e2]])
         lo, hi, Y2 = edges[k], edges[k + 2], Y2[rows]
         s_star = np.empty(rows.size)
         root = (_hetero_sure(lo, Y2, sig2, 1) < 0.0) & (_hetero_sure(hi, Y2, sig2, 1) > 0.0)
@@ -386,7 +422,7 @@ class HeteroShrinkFamily(EstimatorFamily):
         def err(s):
             return self.n + self.scaled_risk(theta0, s)
 
-        grid = np.concatenate([[0.0], self._grid])
+        grid = self._grid
         vals = np.array([err(s) for s in grid])
         k = int(np.argmin(vals))
         lo = grid[max(k - 1, 0)]

@@ -157,8 +157,14 @@ def _cases(draw):
     kind = draw(st.sampled_from(["means", "regression", "soft", "nested", "hetero"]))
     z = _floats(draw, n, -30.0, 30.0)
     if kind == "hetero":
-        # standard deviations spanning up to six decades
+        # standard deviations spanning up to six decades, with data within
+        # 30 sigma, up to 3e5 sigma, or Cauchy-tailed
         sigmas = 10.0 ** _floats(draw, n, -3.0, 3.0)
+        tail = draw(st.sampled_from(["normal", "large", "cauchy"]))
+        if tail == "large":
+            z = z * 10.0 ** draw(st.floats(1.0, 4.0))
+        elif tail == "cauchy":
+            z = np.tan(_floats(draw, n, -1.5707, 1.5707))
         return (*_hetero(z * sigmas, sigmas), z * sigmas)
     sigma = 10.0 ** draw(st.floats(-2.0, 2.0))
     y = sigma * z

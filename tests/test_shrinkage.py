@@ -94,6 +94,14 @@ def test_edf_statistic_branches():
         edf_unbiased_shrink(-0.5)
 
 
+def test_edf_statistic_broadcasts():
+    got = edf_unbiased_shrink(np.array([0.0, 1.0, math.inf, 3.0]))
+    assert got.tolist() == [0.0, 1.0, 0.0, 1.5]
+    assert type(edf_unbiased_shrink(3.0)) is float
+    with pytest.raises(DomainError):
+        edf_unbiased_shrink(np.array([1.0, -0.5, math.inf]))
+
+
 def test_unbiased_risk_estimate_branches():
     n, sigma = 10, 1.0
     y = np.full(n, 2.0)  # ||y||^2 = 40 >= n sigma^2

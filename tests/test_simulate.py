@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from suretune import BootstrapConfig, GaussianModel, ShrinkMeansFamily, bootstrap_edf
 from suretune.core import DomainError
 from suretune.simulate import (
     PRESETS,
@@ -161,6 +162,34 @@ class TestRunSimulation:
             whole = by_key[("err", method)]
             perc = by_key[("err_over_n", method)]
             assert perc.value == pytest.approx(whole.value / 8.0, rel=1e-12)
+
+    def test_smoke_implicit_diff_equals_unbiased_to_printed_digits(self):
+        # For shrink-means the implicit-diff statistic is 2 s/(1 + s) exactly,
+        # so both rows print the same mean and standard error in every cell.
+        printed = {}
+        for r in run_simulation(PRESETS["smoke"]):
+            if r.quantity == "edf" and r.method in ("implicit_diff", "unbiased"):
+                assert r.status == "ok"
+                printed.setdefault((r.setting, r.n), {})[r.method] = (
+                    f"{r.value:.12g}", f"{r.std_error:.12g}")
+        assert len(printed) == 2
+        for cell in printed.values():
+            assert cell["implicit_diff"] == cell["unbiased"]
+
+    def test_bootstrap_row_averages_bootstrap_edf_over_reps(self):
+        # Each rep's bootstrap draws around that rep's fit from the stream
+        # SeedSequence([seed, j, i, rep]); bootstrap_edf tunes the rep itself.
+        rows = {(r.quantity, r.method): r
+                for r in run_simulation(_smoke_spec(setting=("weak_sparsity",)))}
+        model = GaussianModel(theta0_for("weak_sparsity", 8), sigma=1.0)
+        Y = model.draw(np.random.default_rng(np.random.SeedSequence([0, 0, 0])), 30)
+        per_rep = [
+            bootstrap_edf(ShrinkMeansFamily(8, 1.0), y, BootstrapConfig(
+                B=8, seed=int(np.random.SeedSequence([0, 0, 0, r]).generate_state(1)[0]))).value
+            for r, y in enumerate(Y)
+        ]
+        assert rows[("edf", "bootstrap")].value == pytest.approx(np.mean(per_rep),
+                                                                 rel=1e-12, abs=0)
 
     def test_df_unbiased_is_naive_plus_edf_unbiased(self):
         rows = {(r.quantity, r.method): r for r in run_simulation(_smoke_spec())}

@@ -82,12 +82,86 @@ class TestImplicitDiff:
     def test_fallback_derivatives_match_closed_forms(self):
         closed = hetero_shrink_hooks(np.array([0.5, 1.0, 2.0]))
         bare = SmoothFamilyHooks(theta=closed.theta, g=closed.g)
-        y = np.array([1.2, -0.7, 3.0])
-        s = 0.9
-        assert bare.eval_dg_ds(s, y) == pytest.approx(closed.eval_dg_ds(s, y), rel=1e-4)
-        assert bare.eval_d2g_ds2(s, y) == pytest.approx(closed.eval_d2g_ds2(s, y), rel=1e-3)
-        assert np.allclose(bare.eval_d2g_dyds(s, y), closed.eval_d2g_dyds(s, y), rtol=1e-4)
-        assert np.allclose(bare.eval_dtheta_ds(s, y), closed.eval_dtheta_ds(s, y), rtol=1e-4)
+        one = (0.9, np.array([1.2, -0.7, 3.0]))
+        batch = (np.array([0.9, 0.02, 40.0]),
+                 np.array([[1.2, -0.7, 3.0], [0.1, 5.0, -2.0], [-3.0, 0.4, 0.0]]))
+        for s, y in (one, batch):
+            for name, rtol in (("dg_ds", 1e-4), ("d2g_ds2", 1e-3)):
+                got, want = (getattr(h, f"eval_{name}")(s, y) for h in (bare, closed))
+                assert np.shape(got) == np.shape(want) == np.shape(s)
+                assert np.allclose(got, want, rtol=rtol, atol=0)
+            # The cross derivative divides rounding error of order 1e-16 |G|
+            # by two steps of order 1e-5, hence the absolute tolerance.
+            for name in ("d2g_dyds", "dtheta_ds"):
+                got, want = (getattr(h, f"eval_{name}")(s, y) for h in (bare, closed))
+                assert got.shape == want.shape == y.shape
+                assert np.allclose(got, want, rtol=1e-4, atol=1e-5)
+
+    @staticmethod
+    def _hooks(kind):
+        """(hooks, family, sigmas or None) for one of four hook sets."""
+        sigmas = None
+        if kind.startswith("shrink"):
+            hooks, fam = shrink_means_hooks(6, 1.0), ShrinkMeansFamily(6, 1.0)
+        else:
+            sigmas = np.array([0.5, 0.8, 1.0, 1.3, 2.0, 3.0])
+            hooks, fam = hetero_shrink_hooks(sigmas), HeteroShrinkFamily(sigmas)
+        if kind.endswith("fallback"):
+            hooks = SmoothFamilyHooks(theta=hooks.theta, g=hooks.g)
+        return hooks, fam, sigmas
+
+    @pytest.mark.parametrize("kind", ["shrink", "shrink fallback", "hetero", "hetero fallback"])
+    def test_batch_statistic_is_the_per_vector_statistic_row_by_row(self, kind):
+        hooks, fam, sigmas = self._hooks(kind)
+        rng = np.random.default_rng(18)
+        Y = rng.normal(1.0, 1.0, (30, 6)) * rng.uniform(0.2, 3.0, (30, 1))
+        Y[4] = 0.0
+        s_hat = fam.tune_batch(Y).s_hat
+        boundary = np.isinf(s_hat)
+        assert 0 < boundary.sum() < 30
+        batch = stein._implicit_diff_stats(hooks, Y, s_hat)
+        assert batch.shape == (30,)
+        assert np.all(batch[boundary] == 0.0)
+        fallback = kind.endswith("fallback")
+        for y, s, got in zip(Y[~boundary], s_hat[~boundary], batch[~boundary]):
+            # The statistic of one vector, evaluated with scalar hook calls.
+            loop = -float(np.dot(hooks.eval_dtheta_ds(s, y), hooks.eval_d2g_dyds(s, y))
+                          / hooks.eval_d2g_ds2(s, y))
+            assert got == pytest.approx(loop, rel=1e-12, abs=0)
+            assert got == pytest.approx(edf_implicit_diff(hooks, y, s).value, rel=1e-12, abs=0)
+            exact = (2.0 * s / (1.0 + s) if sigmas is None
+                     else exopt_hetero_shrink(y, sigmas, s) / 2.0)
+            assert got == pytest.approx(exact, rel=1e-3 if fallback else 1e-9, abs=0)
+
+    @pytest.mark.parametrize("kind", ["shrink", "shrink fallback", "hetero", "hetero fallback"])
+    def test_batch_names_the_first_bad_row(self, kind):
+        hooks, fam, _ = self._hooks(kind)
+        Y = np.vstack([np.zeros(6), np.full((5, 6), 2.0)])
+        s_hat = fam.tune_batch(Y).s_hat
+        assert math.isinf(s_hat[0]) and np.isfinite(s_hat[1:]).all()
+        stats = stein._implicit_diff_stats(hooks, Y, s_hat)
+        assert stats[0] == 0.0 and np.all(stats[1:] > 0.0)
+        for bad in (2.0 * s_hat[3] + 1.0, math.nan, -math.inf):
+            moved = s_hat.copy()
+            moved[[3, 5]] = bad
+            with pytest.raises(StationarityError, match=r"^row 3: "):
+                stein._implicit_diff_stats(hooks, Y, moved)
+
+    def test_batch_curvature_error_names_the_row(self):
+        # G(s) = c (s - 1)^2 is stationary at s = 1 with curvature 2c: the
+        # row with c = 1 passes, the rows with c = 0 and c = -1 fail.
+        hooks = SmoothFamilyHooks(
+            theta=lambda s, y: np.zeros_like(y),
+            g=lambda s, y: y[..., 0] * (s - 1.0) ** 2,
+        )
+        Y = np.array([[1.0], [1.0], [0.0], [-1.0]])
+        with pytest.raises(CurvatureError, match=r"^row 2: "):
+            stein._implicit_diff_stats(hooks, Y, np.array([math.inf, 1.0, 1.0, 1.0]))
+        with pytest.raises(CurvatureError, match=r"^row 3: "):
+            stein._implicit_diff_stats(hooks, Y, np.array([1.0, 1.0, math.inf, 1.0]))
+        assert np.array_equal(
+            stein._implicit_diff_stats(hooks, Y, np.array([1.0, 1.0, math.inf, math.inf])),
+            np.zeros(4))
 
     def test_infinite_s_hat_rejected(self):
         hooks = shrink_means_hooks(4, 1.0)
@@ -137,7 +211,7 @@ class TestTuneHeteroShrink:
             fit = tune_hetero_shrink(y, sigmas)
             hooks = hetero_shrink_hooks(sigmas)
             grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 20_001)])
-            best = min(hooks.g(s, y) for s in grid)
+            best = hooks.g(grid, y).min()
             assert fit.sure_min <= best + 1e-9
 
     def test_family_tune_delegates(self):
@@ -175,20 +249,54 @@ class TestTuneHeteroShrink:
         assert fit.s_hat == pytest.approx(1e7, rel=1e-6)
         assert fit.sure_min <= y[0] ** 2
 
-    def test_bounded_search_branch_beats_dense_grid(self):
-        # Noise levels five decades apart: one grid minimum has no sign
-        # change of the slope across its bracket, so the bounded search in
-        # log1p(s) refines it instead of the Newton root.
-        sigmas = np.array([0.837031249, 0.110452757, 323.19962, 0.0101713622, 0.00151931723])
-        y = np.array([0.300610787, 0.0292383534, 338.586015, 0.0186707036, 0.00172917578])
+    def test_bounded_search_branch_beats_dense_grid(self, monkeypatch):
+        # One grid minimum has no sign change of the slope across its
+        # bracket, so the golden-section search in log1p(s) refines it
+        # instead of the Newton root.
+        sigmas = np.array([0.200797869, 0.009457346, 0.028094444])
+        y = np.array([0.692984939, -0.019823277, -0.027261288])
+        golden, search = [], stein._golden_log1p
+
+        def spy(*args):
+            golden.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(stein, "_golden_log1p", spy)
         fit = tune_hetero_shrink(y, sigmas)
-        sig2 = sigmas**2
-        s = np.geomspace(1e-8 / sig2.max(), 1e8 / sig2.min(), 40_001)[:, None]
-        grid = (np.sum(y**2 * sig2 * s**2 / (1 + sig2 * s) ** 2, axis=1)
-                + 2 * np.sum(1 / (1 + sig2 * s), axis=1))
+        assert golden
         assert fit.multimodal is True
-        assert fit.sure_min <= grid.min() + 1e-9
-        assert fit.s_hat == pytest.approx(4803.8035, rel=1e-6)
+        assert fit.sure_min <= _dense_grid_min(y, sigmas) + 1e-9
+        assert fit.s_hat == pytest.approx(2.33779093839, rel=1e-9)
+
+    # Rows the search grid once missed, as (sigmas, y, s_hat, multimodal).
+    HARD_ROWS = {
+        # noise levels five decades apart: two interior minima
+        "five decades": ([0.837031249, 0.110452757, 323.19962, 0.0101713622, 0.00151931723],
+                         [0.300610787, 0.0292383534, 338.586015, 0.0186707036, 0.00172917578],
+                         4803.8035, True),
+        # the minimum lies near 1e10 / mean(sigma^2), past a grid that ended
+        # at 1e8 / mean(sigma^2); the smallest sigma sets it
+        "top": ([633.096737, 0.00308381481], [-7.60694319, 0.00525183677], 55334.5994, False),
+        # |y|/sigma = 1000: SURE dips below SURE(0) = 2n only for s < 2e-6,
+        # before a grid that started at 1e-4 / mean(sigma^2)
+        "bottom": ([1.0, 1.0, 1.0], [1000.0, 1000.0, 1000.0], 1.000001000001e-6, False),
+    }
+
+    @pytest.mark.parametrize("row", HARD_ROWS, ids=str)
+    def test_hard_rows_beat_dense_grid(self, row):
+        sigmas, y, s_hat, multimodal = self.HARD_ROWS[row]
+        fit = tune_hetero_shrink(np.array(y), np.array(sigmas))
+        best = _dense_grid_min(np.array(y), np.array(sigmas))
+        assert fit.sure_min <= best + 1e-9 * max(1.0, best)
+        assert fit.s_hat == pytest.approx(s_hat, rel=1e-6)
+        assert fit.multimodal is multimodal
+
+    def test_large_data_matches_means_shrinkage(self):
+        y = np.full(3, 1000.0)
+        het = tune_hetero_shrink(y, np.ones(3))
+        hom = ShrinkMeansFamily(3, 1.0).tune(y)
+        assert het.s_hat == pytest.approx(hom.s_hat, rel=1e-9, abs=0)
+        assert het.sure_min == pytest.approx(hom.sure_min, rel=1e-12, abs=0)
 
     def test_refinements_at_one_point_count_once(self, monkeypatch):
         # Force both brackets of the bimodal row onto the same point (and a
@@ -219,6 +327,14 @@ class TestTuneHeteroShrink:
             assert fit.naive_df_at_shat == pytest.approx(batch.naive_df_at_shat[r],
                                                          rel=1e-12, abs=0)
             assert np.allclose(fit.theta_hat, batch.theta_hat[r], rtol=1e-12, atol=0)
+
+
+def _dense_grid_min(y, sigmas):
+    """Scaled SURE minimized over 40 001 log-spaced s spanning the noise levels."""
+    sig2 = sigmas**2
+    s = np.geomspace(1e-8 / sig2.max(), 1e8 / sig2.min(), 40_001)[:, None]
+    return float(np.min(np.sum(y**2 * sig2 * s**2 / (1 + sig2 * s) ** 2, axis=1)
+                        + 2 * np.sum(1 / (1 + sig2 * s), axis=1)))
 
 
 class TestExoptHetero:
