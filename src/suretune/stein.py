@@ -77,8 +77,9 @@ class SmoothFamilyHooks:
     """Callables describing a smooth family and its SURE criterion.
 
     Every callable broadcasts over a batch: it takes tuning values s of
-    shape (...) and data y of shape (..., n), one row per tuning value (a
-    scalar s with a single vector y is the one-row case).
+    shape (...) and data y of shape (..., n), one row per tuning value
+    (a scalar s with one vector y also works).  `edf_implicit_diff` too
+    passes a one-row batch, so reduce over the last axis, not ``len(y)``.
 
     Parameters
     ----------
@@ -206,7 +207,7 @@ def edf_implicit_diff(hooks, y, s_hat):
     StationarityError
         If s_hat is infinite or dG/ds is not ~0 there.
     CurvatureError
-        If d2G/ds2 is not strictly positive there.
+        If d2G/ds2 is not strictly positive there.  Failed checks name row 0.
     """
     if not math.isfinite(s_hat):
         raise StationarityError("implicit differentiation needs a finite interior s_hat")
@@ -241,15 +242,15 @@ def shrink_means_hooks(n, sigma):
         return y / (1.0 + np.asarray(s, dtype=float)[..., None])
 
     def g(s, y):
-        y2 = np.sum(np.square(y), axis=-1)
+        y2 = np.einsum("...i,...i->...", y, y)
         return y2 * s**2 / (1.0 + s) ** 2 + 2.0 * sigma**2 * n / (1.0 + s)
 
     def dg_ds(s, y):
-        y2 = np.sum(np.square(y), axis=-1)
+        y2 = np.einsum("...i,...i->...", y, y)
         return 2.0 * s * y2 / (1.0 + s) ** 3 - 2.0 * sigma**2 * n / (1.0 + s) ** 2
 
     def d2g_ds2(s, y):
-        y2 = np.sum(np.square(y), axis=-1)
+        y2 = np.einsum("...i,...i->...", y, y)
         return y2 * (2.0 - 4.0 * s) / (1.0 + s) ** 4 + 4.0 * sigma**2 * n / (1.0 + s) ** 3
 
     def d2g_dyds(s, y):
