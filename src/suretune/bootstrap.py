@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, EdfReport
+from .core import DomainError, EdfReport, _mean_se
 
 __all__ = [
     "SAMPLERS",
@@ -87,12 +87,9 @@ def _bootstrap_stats(family, y, theta_hat, config):
 
 def _report(stats, config, shift=0.0):
     """Mean of per-replicate statistics (plus shift) with its standard error."""
-    return EdfReport(
-        method=f"bootstrap_{config.sampler}",
-        value=shift + float(stats.mean()),
-        std_error=float(np.std(stats, ddof=1) / math.sqrt(config.B)),
-        reps=config.B,
-    )
+    value, se, reps = _mean_se(stats)
+    return EdfReport(method=f"bootstrap_{config.sampler}", value=shift + value,
+                     std_error=se, reps=reps)
 
 
 def bootstrap_edf(family, y, config=None):

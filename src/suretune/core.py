@@ -197,12 +197,13 @@ def _check_batch(Y, n):
     return Y
 
 
-def _rank_basis(X):
-    """Thin SVD (U, d, Vt) of X without singular values <= 1e-10 * max column norm."""
+def _rank_basis(X, tol=None):
+    """Thin SVD (U, d, Vt) of X without singular values <= tol (1e-10 * max column norm)."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] == 0:
         return np.zeros((X.shape[0], 0)), np.zeros(0), np.zeros((0, 0))
-    tol = _RANK_TOL * np.linalg.norm(X, axis=0).max()
+    if tol is None:
+        tol = _RANK_TOL * np.linalg.norm(X, axis=0).max()
     U, d, Vt = np.linalg.svd(X, full_matrices=False)
     rank = int(np.sum(d > tol))
     return U[:, :rank], d[:rank], Vt[:rank]
@@ -372,43 +373,27 @@ class EstimatorFamily(ABC):
 
         return rule
 
-    def model(self, theta0):
-        """Convenience: a GaussianModel with this family's noise level."""
-        if self.is_heteroskedastic:
-            return GaussianModel(theta0, sigmas=self.sigmas)
-        return GaussianModel(theta0, sigma=self.sigma)
 
-
-def _check_data(family, y):
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != family.n:
-        raise ShapeError(
-            f"data has trailing dimension {y.shape[-1]}, family expects {family.n}"
-        )
-    return y
-
-
-def sure(family, s, y, *, noise=None):
+def sure(family, s, y):
     """Unbiased prediction-error estimate of theta_s at y.
 
     Homoskedastic: ||y - theta_s(y)||^2 + 2 sigma^2 naive_df(s, y).
     Heteroskedastic: sum_i (y_i - theta_i)^2 / sigma_i^2 + 2 naive_df(s, y).
 
-    `noise` overrides the family's own noise level (scalar or length-n
-    vector, matching the family's kind).  Raises DomainError for s outside
-    the family's tuning domain and ShapeError for mismatched data.
+    Raises DomainError for s outside the family's tuning domain and
+    ShapeError for mismatched data.
     """
-    y = _check_data(family, y)
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1] != family.n:
+        raise ShapeError(f"data has trailing dimension {y.shape[-1]}, family expects {family.n}")
     if not family.domain.contains(s):
         raise DomainError(f"tuning value {s!r} is outside the family domain")
     theta = family.estimate(s, y)
     df = family.naive_df(s, y)
     resid = y - theta
     if family.is_heteroskedastic:
-        sigmas = family.sigmas if noise is None else _as_float_vector(noise, "noise", family.n)
-        return np.sum((resid / sigmas) ** 2, axis=-1) + 2.0 * df
-    sig = family.sigma if noise is None else float(noise)
-    return np.sum(resid**2, axis=-1) + 2.0 * sig**2 * df
+        return np.sum((resid / family.sigmas) ** 2, axis=-1) + 2.0 * df
+    return np.sum(resid**2, axis=-1) + 2.0 * family.sigma**2 * df
 
 
 def tune_by_sure(family, y):

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import BootstrapConfig, _bootstrap_stats
-from .core import DomainError, GaussianModel, TunedBatch, TuningDomain, _check_batch, _df_stats
+from .core import (DomainError, GaussianModel, TunedBatch, TuningDomain, _check_batch,
+                   _df_stats, _mean_se)
 from .shrinkage import ShrinkMeansFamily, edf_unbiased_shrink
 from .softthresh import SoftThreshFamily
 from .stein import _implicit_diff_stats, shrink_means_hooks
@@ -229,10 +230,9 @@ def run_simulation(spec):
                     rows.append(SimRow(spec.family, setting, n, quantity, method,
                                        status="skipped"))
                     return
-                stats = np.asarray(stats, dtype=float) * scale
-                se = float(stats.std(ddof=1) / math.sqrt(R))
+                value, se, reps = _mean_se(np.asarray(stats, dtype=float) * scale)
                 rows.append(SimRow(spec.family, setting, n, quantity, method,
-                                   value=float(stats.mean()), std_error=se, reps=R))
+                                   value=value, std_error=se, reps=reps))
 
             add("edf", "monte_carlo", mc_edf_stats)
             add("edf", "unbiased", unbiased_edf)

@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _REL_STEP = 1e-5
+_CURV_STEP = np.finfo(float).eps ** 0.25  # balances rounding eps/h^2 against truncation h^2
 
 
 class StationarityError(DomainError):
@@ -90,8 +91,9 @@ class SmoothFamilyHooks:
     dtheta_ds, dg_ds, d2g_ds2, d2g_dyds : callable, optional
         Closed-form derivatives, of shape (..., n) for `dtheta_ds` and
         `d2g_dyds` and (...) for the others.  Any left as None is replaced
-        by a central difference of `theta` or `g` with step
-        1e-5 * (1 + |value|) in the differenced argument.
+        by a central difference of `theta` or `g` with step h * (1 + |value|)
+        in each differenced argument: h = 1e-5 for first derivatives and
+        eps**0.25 ~ 1.2e-4 for the second derivatives of `g`.
     """
 
     theta: Callable
@@ -117,20 +119,20 @@ class SmoothFamilyHooks:
     def eval_d2g_ds2(self, s, y):
         if self.d2g_ds2 is not None:
             return np.asarray(self.d2g_ds2(s, y), dtype=float)
-        s, h = _step(s)
+        s, h = _step(s, _CURV_STEP)
         return (self.g(s + h, y) - 2.0 * self.g(s, y) + self.g(s - h, y)) / h**2
 
     def eval_d2g_dyds(self, s, y):
         if self.d2g_dyds is not None:
             return np.asarray(self.d2g_dyds(s, y), dtype=float)
         y = np.asarray(y, dtype=float)
-        s, hs = _step(s)
+        s, hs = _step(s, _CURV_STEP)
         out = np.empty(np.broadcast_shapes(s.shape + (1,), y.shape))
         work = y.copy()
         # One column of the whole batch at a time.
         for i in range(y.shape[-1]):
             col = y[..., i]
-            hy = _REL_STEP * (1.0 + np.abs(col))
+            hy = _CURV_STEP * (1.0 + np.abs(col))
             work[..., i] = col + hy
             pp, pm = self.g(s + hs, work), self.g(s - hs, work)
             work[..., i] = col - hy
@@ -140,10 +142,10 @@ class SmoothFamilyHooks:
         return out
 
 
-def _step(s):
+def _step(s, rel=_REL_STEP):
     """Tuning values as an array, and their central-difference steps."""
     s = np.asarray(s, dtype=float)
-    return s, _REL_STEP * (1.0 + np.abs(s))
+    return s, rel * (1.0 + np.abs(s))
 
 
 def _implicit_diff_stats(hooks, Y, s_hat):

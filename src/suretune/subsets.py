@@ -61,8 +61,14 @@ def _normalize_subset(subset, p):
 class SubsetCollection(EstimatorFamily):
     """A finite family of least squares fits, one per column subset.
 
-    Orthonormal bases for every subset are factored once at construction;
-    tuning a (reps, n) batch then costs one matrix product per subset.
+    Every subset's orthonormal basis is a set of columns of one factor `Q`,
+    built smallest subset first.  A subset that is another subset of the
+    collection plus one column reuses that subset's columns and adds the new
+    column orthogonalized against them (two Gram-Schmidt passes), unless its
+    norm is at most 1e-10 times the subset's largest column norm; any other
+    subset adds the rank-revealing basis of its own columns.  The chain of
+    all p + 1 prefixes thus stores at most p directions.  A (reps, n) batch
+    costs one product Y @ Q, from which every subset reads its coordinates.
     """
 
     def __init__(self, X, subsets, sigma):
@@ -76,20 +82,28 @@ class SubsetCollection(EstimatorFamily):
         if not labels:
             raise DomainError("need at least one candidate subset")
         self.domain = TuningDomain(kind="discrete", labels=labels)
-        self._bases = []
-        self.ranks = np.empty(len(labels), dtype=int)
-        for k, cols in enumerate(labels):
-            Q = _rank_basis(X[:, cols])[0]
-            self._bases.append(Q)
-            self.ranks[k] = Q.shape[1]
+        position = {cols: k for k, cols in enumerate(labels)}
+        norms, dirs, self._qcols = np.linalg.norm(X, axis=0), [], [None] * len(labels)
+        for k in sorted(range(len(labels)), key=lambda k: len(labels[k])):
+            cols = labels[k]
+            parent, j = _grown_from(cols, position)
+            if parent is None:
+                own, new = [], _rank_basis(X[:, cols])[0]
+            else:
+                own, v = self._qcols[parent], X[:, j]
+                basis = np.reshape([dirs[i] for i in own], (len(own), self.n))
+                for _ in range(2):
+                    v = v - basis.T @ (basis @ v)
+                new = _rank_basis(v[:, None], _RANK_TOL * norms[list(cols)].max())[0]
+            self._qcols[k] = own + list(range(len(dirs), len(dirs) + new.shape[1]))
+            dirs.extend(new.T)
+        self.Q = np.reshape(dirs, (len(dirs), self.n)).T
+        self.ranks = np.array([len(idx) for idx in self._qcols], dtype=int)
         # Evaluation order for argmin tie breaking: smaller rank first, then
         # lexicographic column indices.
         self._tie_order = sorted(range(len(labels)), key=lambda k: (self.ranks[k], labels[k]))
-        self.is_nested = self._check_nested()
-
-    def _check_nested(self):
-        chain = [set(self.domain.labels[k]) for k in self._tie_order]
-        return all(a <= b for a, b in zip(chain, chain[1:]))
+        chain = [set(labels[k]) for k in self._tie_order]
+        self.is_nested = all(a <= b for a, b in zip(chain, chain[1:]))
 
     @property
     def subsets(self):
@@ -102,7 +116,7 @@ class SubsetCollection(EstimatorFamily):
             raise DomainError(f"subset {s!r} is not in the collection") from None
 
     def estimate(self, s, y):
-        Q = self._bases[self._index(s)]
+        Q = self.Q[:, self._qcols[self._index(s)]]
         y = np.asarray(y, dtype=float)
         return (y @ Q) @ Q.T
 
@@ -111,26 +125,25 @@ class SubsetCollection(EstimatorFamily):
 
     def criterion_matrix(self, Y):
         """Cp values for every subset: shape (reps, n_subsets)."""
-        return self._cp(_check_batch(Y, self.n))
+        Y = _check_batch(Y, self.n)
+        return self._cp(Y, Y @ self.Q)
 
-    def _cp(self, Y):
-        total = np.sum(Y**2, axis=1)
-        out = np.empty((Y.shape[0], len(self.domain.labels)))
-        for k, Q in enumerate(self._bases):
-            fitted2 = np.sum((Y @ Q) ** 2, axis=1)
-            out[:, k] = total - fitted2 + 2.0 * self.sigma**2 * self.ranks[k]
-        return out
+    def _cp(self, Y, C):
+        """Cp for every subset from the coordinates C = Y @ Q."""
+        C2 = C**2
+        fitted2 = np.column_stack([C2[:, idx].sum(axis=1) for idx in self._qcols])
+        return np.sum(Y**2, axis=1)[:, None] - fitted2 + 2.0 * self.sigma**2 * self.ranks
 
     def tune_batch(self, Y):
         Y = _check_batch(Y, self.n)
-        cp = self._cp(Y)
+        C = Y @ self.Q
+        cp = self._cp(Y, C)
         order = np.array(self._tie_order)
         pick = order[np.argmin(cp[:, order], axis=1)]
         theta = np.empty_like(Y)
         for k in np.unique(pick):
-            rows = pick == k
-            Q = self._bases[k]
-            theta[rows] = (Y[rows] @ Q) @ Q.T
+            rows, idx = pick == k, self._qcols[k]
+            theta[rows] = C[np.ix_(rows, idx)] @ self.Q[:, idx].T
         return TunedBatch(
             s_hat=pick.astype(float),
             theta_hat=theta,
@@ -148,15 +161,25 @@ class SubsetCollection(EstimatorFamily):
         if model.is_heteroskedastic or model.n != self.n:
             raise DomainError("model does not match this collection")
         base = model.n * model.sigma**2
+        coords = model.theta0 @ self.Q
         best_k, best_err = None, math.inf
         for k in self._tie_order:
-            Q = self._bases[k]
-            proj = (model.theta0 @ Q) @ Q.T
+            idx = self._qcols[k]
+            proj = coords[idx] @ self.Q[:, idx].T
             bias2 = float(np.sum((model.theta0 - proj) ** 2))
             err = base + bias2 + self.ranks[k] * model.sigma**2
             if err < best_err:
                 best_k, best_err = k, err
         return OracleTuning(s0=self.domain.labels[best_k], err=best_err)
+
+
+def _grown_from(cols, position):
+    """(position of cols less one column, that column), or (None, None)."""
+    for i in reversed(range(len(cols))):
+        k = position.get(cols[:i] + cols[i + 1:])
+        if k is not None:
+            return k, cols[i]
+    return None, None
 
 
 def cp_criterion(collection, y):
@@ -182,20 +205,14 @@ def make_nested(X, sigma, order=None, sizes=None):
     """
     X = np.asarray(X, dtype=float)
     p = X.shape[1]
-    if order is None:
-        order = tuple(range(p))
-    else:
-        order = tuple(int(j) for j in order)
-        if sorted(order) != list(range(p)):
-            raise DomainError("order must be a permutation of the column indices")
-    if sizes is None:
-        sizes = range(p + 1)
-    subsets = []
+    order = tuple(range(p)) if order is None else tuple(int(j) for j in order)
+    if sorted(order) != list(range(p)):
+        raise DomainError("order must be a permutation of the column indices")
+    sizes = range(p + 1) if sizes is None else tuple(sizes)
     for k in sizes:
         if not 0 <= k <= p:
             raise DomainError(f"prefix size {k} outside 0..{p}")
-        subsets.append(order[:k])
-    return SubsetCollection(X, subsets, sigma)
+    return SubsetCollection(X, [order[:k] for k in sizes], sigma)
 
 
 def make_all_subsets(p):
@@ -222,16 +239,12 @@ def edf_two_model_exact(X, theta0, sigma):
     the last column adds no direction beyond the first p-1.
     """
     X = np.asarray(X, dtype=float)
-    theta0 = np.asarray(theta0, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ShapeError("X must be a 2-d design with at least one column")
-    Q_small = _rank_basis(X[:, :-1])[0]
-    last = X[:, -1]
-    v = last - Q_small @ (Q_small.T @ last)
-    norm = np.linalg.norm(v)
-    if norm <= _RANK_TOL * max(np.linalg.norm(last), 1e-300):
+    pair = make_nested(X, sigma, sizes=(X.shape[1] - 1, X.shape[1]))
+    if pair.ranks[1] == pair.ranks[0]:
         raise DegenerateDesignError("last column lies in the span of the others")
-    m = float(v @ theta0) / (norm * sigma)
+    m = float(pair.Q[:, pair._qcols[1][-1]] @ np.asarray(theta0, dtype=float)) / sigma
     root2 = math.sqrt(2.0)
     return float(root2 * (_normal_pdf(root2 - m) + _normal_pdf(root2 + m)))
 

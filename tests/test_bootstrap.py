@@ -14,7 +14,7 @@ from suretune import (
     bootstrap_edf,
     corrected_error_estimate,
 )
-from suretune.bootstrap import _replicates
+from suretune.bootstrap import _bootstrap_stats, _replicates
 from suretune.simulate import SingletonShrinkFamily
 
 
@@ -68,6 +68,17 @@ def test_seed_determinism():
     assert a.value == b.value
     assert a.std_error == b.std_error
     assert a.value != c.value
+
+
+def test_report_is_the_mean_and_standard_error_of_the_replicates():
+    y = np.random.default_rng(11).normal(0.0, 1.0, 12)
+    fam = SingletonShrinkFamily(12, 1.0, s=0.5)
+    cfg = BootstrapConfig(B=40, seed=2)
+    cov_form, plugin = _bootstrap_stats(fam, y, fam.tune(y).theta_hat, cfg)
+    report = bootstrap_edf(fam, y, cfg)
+    assert report.value == float(np.mean(cov_form - plugin))
+    assert report.std_error == float(np.std(cov_form - plugin, ddof=1) / math.sqrt(40))
+    assert report.reps == 40
 
 
 def test_zero_rule_has_exactly_zero_excess():

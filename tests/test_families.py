@@ -194,3 +194,51 @@ def test_tuned_minimum_beats_dense_grid_and_tune_is_row_zero(case):
     assert fit.naive_df_at_shat == batch.naive_df_at_shat[0]
     flag = None if batch.multimodal is None else bool(batch.multimodal[0])
     assert fit.multimodal == flag
+
+
+def _rel_close(a, b, rtol):
+    return a == b or abs(a - b) <= rtol * max(abs(a), abs(b))
+
+
+@st.composite
+def _scaled_cases(draw):
+    """(kind, family at noise level sigma, the same family at c sigma, y, c)."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["means", "regression", "soft", "subsets", "hetero"]))
+    c = 2.0 ** draw(st.integers(-12, 12))
+    z = _floats(draw, n, -30.0, 30.0)
+    X = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(
+        (n, draw(st.integers(1, n))))
+    if kind == "hetero":
+        sigma = 10.0 ** _floats(draw, n, -3.0, 3.0)
+    else:
+        sigma = 10.0 ** draw(st.floats(-2.0, 2.0))
+    build = {
+        "means": lambda noise: ShrinkMeansFamily(n, noise),
+        "regression": lambda noise: ShrinkRegressionFamily(X, noise),
+        "soft": lambda noise: SoftThreshFamily(n, noise),
+        "subsets": lambda noise: make_nested(X, noise),
+        "hetero": HeteroShrinkFamily,
+    }[kind]
+    return kind, build(sigma), build(c * sigma), z * sigma, c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_scaled_cases())
+def test_scaling_data_and_noise_together_rescales_the_fit(case):
+    # (y, sigma) -> (c y, c sigma) with c a power of two: SURE scales by c^2
+    # (by 1 for the variance-scaled heteroskedastic SURE), so the tuned
+    # value is unchanged, scaled by c (soft threshold) or by 1/c^2
+    # (heteroskedastic), and the fit is scaled by c.
+    kind, fam, scaled, y, c = case
+    a, b = fam.tune_batch(y[None, :]), scaled.tune_batch(c * y[None, :])
+    if kind == "hetero":
+        assert _rel_close(c**2 * b.s_hat[0], a.s_hat[0], 1e-9)
+        assert _rel_close(b.sure_min[0], a.sure_min[0], 1e-9)
+        assert np.allclose(b.theta_hat, c * a.theta_hat, rtol=1e-9, atol=0.0)
+        return
+    assert b.s_hat[0] == (c * a.s_hat[0] if kind == "soft" else a.s_hat[0])
+    # exact, apart from rounding in the subnormal range (below c^k * tiny)
+    tiny = np.finfo(float).tiny
+    assert np.allclose(b.sure_min, c**2 * a.sure_min, rtol=0.0, atol=c**2 * tiny)
+    assert np.allclose(b.theta_hat, c * a.theta_hat, rtol=0.0, atol=c * tiny)

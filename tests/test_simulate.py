@@ -190,6 +190,8 @@ class TestRunSimulation:
         ]
         assert rows[("edf", "bootstrap")].value == pytest.approx(np.mean(per_rep),
                                                                  rel=1e-12, abs=0)
+        assert rows[("edf", "bootstrap")].std_error == pytest.approx(
+            np.std(per_rep, ddof=1) / math.sqrt(30), rel=1e-12, abs=0)
 
     def test_df_unbiased_is_naive_plus_edf_unbiased(self):
         rows = {(r.quantity, r.method): r for r in run_simulation(_smoke_spec())}

@@ -98,6 +98,23 @@ class TestImplicitDiff:
                 assert got.shape == want.shape == y.shape
                 assert np.allclose(got, want, rtol=1e-4, atol=atol)
 
+    def test_fallback_statistic_is_accurate_on_wide_data(self):
+        # Second differences lose about eps |G| / h^2 to rounding, which the
+        # fallbacks' eps**0.25 steps keep small on data of scale 4 sigma.
+        closed = shrink_means_hooks(6, 1.0)
+        bare = SmoothFamilyHooks(theta=closed.theta, g=closed.g)
+        Y = np.random.default_rng(0).normal(0.0, 4.0, (4000, 6))
+        s_hat = ShrinkMeansFamily(6, 1.0).tune_batch(Y).s_hat
+        inner = np.isfinite(s_hat)
+        Y, s_hat = Y[inner], s_hat[inner]
+        assert inner.sum() > 3900
+        stats = stein._implicit_diff_stats(bare, Y, s_hat)
+        assert np.max(np.abs(stats - 2.0 * s_hat / (1.0 + s_hat))) <= 2e-5
+        curv, want = bare.eval_d2g_ds2(s_hat, Y), closed.eval_d2g_ds2(s_hat, Y)
+        assert np.max(np.abs(curv / want - 1.0)) <= 1e-5
+        cross, want = bare.eval_d2g_dyds(s_hat, Y), closed.eval_d2g_dyds(s_hat, Y)
+        assert np.max(np.abs(cross - want).max(axis=1) / np.abs(want).max(axis=1)) <= 3e-6
+
     @staticmethod
     def _hooks(kind):
         """(hooks, family, sigmas or None) for one of four hook sets."""
