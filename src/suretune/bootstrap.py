@@ -20,14 +20,38 @@ Three replicate samplers are available:
 
 Heteroskedastic families scale both the noise and the covariance form per
 coordinate.
+
+Batch contract: `_bootstrap_stats(family, Y, theta_hat, config, seeds)` runs
+the recipe for every row of a (R, n) batch.  Row r draws its B replicates
+from its own stream `default_rng(seeds[r])`, so its result depends on nothing
+else in the batch, and it comes back as four length-R arrays (mean and
+standard error of the excess df and of the covariance form), never as (R, B)
+arrays.  Replicates are built in place in one reused buffer with the same
+floating-point operations, center and reduction axes as a fresh (B, n)
+array, so a row's bytes do not depend on R or on the blocking below.  The
+public functions pass a one-row batch; `simulate` passes a whole grid cell.
+
+Blocking and threads: reps whose B * n fits in `_BLOCK_VALUES` share one
+`tune_batch` call; a larger rep is retuned in row chunks after its center
+is taken.  Blocks of reps go to min(os.cpu_count(), blocks) threads, each
+with its own buffers, allocated by the caller and reused across its blocks.
+A single block runs inline.  Families must therefore tune re-entrantly (see
+`EstimatorFamily`), and an exception raised in a worker reaches the caller
+unchanged.  A family whose `tune_batch` multiplies matrices through BLAS
+may round a row chunk in the last place differently from the whole (B, n)
+batch; families without BLAS calls give the same bytes either way.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, EdfReport, _mean_se
+from .core import DomainError, EdfReport
 
 __all__ = [
     "SAMPLERS",
@@ -39,6 +63,10 @@ __all__ = [
 ]
 
 SAMPLERS = ("parametric", "bigmodel", "residual")
+
+# float64 values per retuning block (512 KiB).  Reps with B * n at most this
+# share one tune_batch call; a larger rep is retuned in row chunks this big.
+_BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,44 +87,121 @@ class BootstrapConfig:
             raise DomainError("bigmodel scale c must lie in (0, 1]")
 
 
-def _replicates(family, y, theta_hat, config, rng):
+def _replicates(family, y, theta_hat, config, rng, out=None):
+    """Fill `out`, a (B, n) array (new if None), with B replicates of y."""
     n = y.shape[0]
+    if out is None:
+        out = np.empty((config.B, n))
     sd = family.sigmas if family.is_heteroskedastic else family.sigma
     if config.sampler == "parametric":
-        return theta_hat + sd * rng.standard_normal((config.B, n))
-    if config.sampler == "bigmodel":
-        return y + math.sqrt(config.c) * sd * rng.standard_normal((config.B, n))
-    resid = y - theta_hat
-    idx = rng.integers(0, n, size=(config.B, n))
-    return theta_hat + resid[idx]
+        rng.standard_normal(out=out)
+        out *= sd
+        out += theta_hat
+    elif config.sampler == "bigmodel":
+        rng.standard_normal(out=out)
+        out *= math.sqrt(config.c) * sd
+        out += y
+    else:
+        resid = y - theta_hat
+        np.add(theta_hat, resid[rng.integers(0, n, size=out.shape)], out=out)
+    return out
 
 
-def _bootstrap_stats(family, y, theta_hat, config):
-    """Per-replicate covariance-form df and plug-in df after retuning,
-    drawing around theta_hat, the family's tuned fit at the data vector y.
+class _Stats(NamedTuple):
+    """Per-row mean and standard error over B replicates of two statistics."""
+
+    edf: np.ndarray
+    edf_se: np.ndarray
+    cov_form: np.ndarray
+    cov_form_se: np.ndarray
+
+
+def _bootstrap_stats(family, Y, theta_hat, config, seeds):
+    """Bootstrap summaries for each row of a (R, n) batch of data vectors.
+
+    Row r draws B replicates around theta_hat[r], the family's tuned fit at
+    Y[r], from `np.random.default_rng(seeds[r])`, retunes every replicate,
+    and summarizes two per-replicate statistics by their mean and standard
+    error: the covariance form and its excess over the plug-in df.  `seeds`
+    is a sequence of R integers; `config.seed` is not used here.
     """
-    y = np.asarray(y, dtype=float)
-    rng = np.random.default_rng(config.seed)
-    Ystar = _replicates(family, y, theta_hat, config, rng)
-    refit = family.tune_batch(Ystar)
-    center = Ystar.mean(axis=0)
+    Y = np.asarray(Y, dtype=float)
+    R, n = Y.shape
+    B = config.B
+    per_block = max(1, _BLOCK_VALUES // (B * n))
+    step = per_block * B if B * n <= _BLOCK_VALUES else max(1, _BLOCK_VALUES // n)
+    blocks = range(0, R, per_block)
+    workers = min(os.cpu_count() or 1, len(blocks))
+    out = np.empty((4, R))
+    buffers = [(np.empty((per_block * B, n)), np.empty((step, n))) for _ in range(workers)]
+
+    def run(w):
+        Ystar, work = buffers[w]
+        for r0 in blocks[w::workers]:
+            rows = slice(r0, r0 + per_block)
+            _block(family, Y[rows], theta_hat[rows], config, seeds[rows], Ystar, work,
+                   out[:, rows])
+
+    # The calling thread is worker 0, so one block needs no pool at all.
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        futures = [pool.submit(run, w) for w in range(1, workers)]
+        run(0)
+        for future in futures:
+            future.result()
+    return _Stats(*out)
+
+
+def _block(family, Y, theta_hat, config, seeds, Ystar, work, out):
+    # Draw each rep's replicates into its slice of Ystar and take their
+    # center, then retune in chunks of len(work) rows (all the block's reps,
+    # or a row range of its one rep) and write the summaries into out.
+    B, (reps, n) = config.B, Y.shape
+    total = reps * B
+    Ystar = Ystar[:total]
+    centers = np.empty((reps, n))
+    for i in range(reps):
+        rep = _replicates(family, Y[i], theta_hat[i], config,
+                          np.random.default_rng(seeds[i]), out=Ystar[i * B:(i + 1) * B])
+        centers[i] = rep.mean(axis=0)
     scale = family.sigmas**2 if family.is_heteroskedastic else family.sigma**2
-    cov_form = np.sum(refit.theta_hat * (Ystar - center) / scale, axis=1)
-    return cov_form, refit.naive_df_at_shat
+    cov_form = np.empty(total)
+    plugin = np.empty(total)
+    step = work.shape[0]
+    for a in range(0, total, step):
+        b = min(a + step, total)
+        refit = family.tune_batch(Ystar[a:b])
+        c = centers[a // B:(b - 1) // B + 1]
+        w = work[:b - a]
+        np.subtract(Ystar[a:b].reshape(len(c), -1, n), c[:, None, :],
+                    out=w.reshape(len(c), -1, n))
+        np.multiply(refit.theta_hat, w, out=w)
+        np.divide(w, scale, out=w)
+        np.sum(w, axis=1, out=cov_form[a:b])
+        plugin[a:b] = refit.naive_df_at_shat
+    for k, stats in enumerate((cov_form - plugin, cov_form)):
+        stats = stats.reshape(reps, B)
+        out[2 * k] = stats.mean(axis=1)
+        out[2 * k + 1] = stats.std(axis=1, ddof=1) / math.sqrt(B)
 
 
-def _report(stats, config, shift=0.0):
-    """Mean of per-replicate statistics (plus shift) with its standard error."""
-    value, se, reps = _mean_se(stats)
-    return EdfReport(method=f"bootstrap_{config.sampler}", value=shift + value,
-                     std_error=se, reps=reps)
+def _report(value, se, config, shift=0.0):
+    """An EdfReport of a bootstrap mean (plus shift) and its standard error."""
+    return EdfReport(method=f"bootstrap_{config.sampler}", value=shift + float(value),
+                     std_error=float(se), reps=config.B)
+
+
+def _one(family, y, config):
+    # The tuned fit at y and the bootstrap summaries of that one row.
+    y = np.asarray(y, dtype=float)
+    fit = family.tune(y)
+    return fit, _bootstrap_stats(family, y[None], fit.theta_hat[None], config, [config.seed])
 
 
 def bootstrap_edf(family, y, config=None):
     """Bootstrap excess degrees of freedom of the SURE-tuned rule at y."""
     config = config or BootstrapConfig()
-    cov_form, plugin = _bootstrap_stats(family, y, family.tune(y).theta_hat, config)
-    return _report(cov_form - plugin, config)
+    _, stats = _one(family, y, config)
+    return _report(stats.edf[0], stats.edf_se[0], config)
 
 
 def bootstrap_df(family, y, config=None, *, naive=False):
@@ -107,11 +212,10 @@ def bootstrap_df(family, y, config=None, *, naive=False):
     bootstrap term is returned, with no plug-in anchoring.
     """
     config = config or BootstrapConfig()
-    fit = family.tune(y)
-    cov_form, plugin = _bootstrap_stats(family, y, fit.theta_hat, config)
+    fit, stats = _one(family, y, config)
     if naive:
-        return _report(cov_form, config)
-    return _report(cov_form - plugin, config, fit.naive_df_at_shat)
+        return _report(stats.cov_form[0], stats.cov_form_se[0], config)
+    return _report(stats.edf[0], stats.edf_se[0], config, fit.naive_df_at_shat)
 
 
 @dataclass(frozen=True)
@@ -132,9 +236,8 @@ def corrected_error_estimate(family, y, config=None):
     where the correction is 2 * edf with no variance factor.
     """
     config = config or BootstrapConfig()
-    fit = family.tune(y)
-    cov_form, plugin = _bootstrap_stats(family, y, fit.theta_hat, config)
-    edf = _report(cov_form - plugin, config)
+    fit, stats = _one(family, y, config)
+    edf = _report(stats.edf[0], stats.edf_se[0], config)
     factor = 2.0 if family.is_heteroskedastic else 2.0 * family.sigma**2
     return CorrectedError(
         estimate=fit.sure_min + factor * edf.value,

@@ -178,13 +178,19 @@ def _check_batch(Y, n):
 
     Raises ShapeError for any other shape and DomainError naming the first
     offending (row, column).  Sums of squares catch NaN, inf and rows whose
-    squared norm overflows without a temporary the size of Y: one BLAS dot
-    clears the common case, per-row sums locate a bad row.
+    squared norm overflows without a temporary the size of Y: one total sum
+    clears the common case, per-row sums locate a bad row.  The total is an
+    einsum, which makes no BLAS call: `np.vdot` wakes the BLAS thread pool,
+    whose threads then spin on the other cores after the dot returns.  This
+    check runs once per tune_batch, so from the bootstrap's worker threads
+    those spinning threads would take the cores the workers need (a loop of
+    normal draws with one 200 x 200 check each used 2.0 s of CPU per second
+    of wall time with `np.vdot` on two cores, 1.0 s with the einsum).
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != n:
         raise ShapeError(f"expected a (reps, {n}) array, got shape {Y.shape}")
-    if Y.flags.c_contiguous and math.isfinite(np.vdot(Y, Y)):
+    if math.isfinite(np.einsum("ij,ij->", Y, Y)):
         return Y
     finite = np.isfinite(np.einsum("ij,ij->i", Y, Y))
     if not finite.all():
@@ -305,6 +311,10 @@ class EstimatorFamily(ABC):
     every row of a (reps, n) batch at once and first validates the batch
     with `_check_batch`.  `tune` is derived here, once, from `tune_batch`.
     Each family carries its own noise level because tuning needs it.
+
+    `tune_batch` must be re-entrant: the bootstrap calls it from several
+    threads at once on one family, so it may read but never write the
+    family's attributes.  Every family in the package only reads them.
     """
 
     domain: TuningDomain

@@ -66,9 +66,11 @@ def minimize_quadratic_sure(a, b):
 
 
 def _project_positive_part(y2, b, y):
-    # (1 - b/||y||^2)_+ y, with the 0/0 at y = 0 resolved to the zero vector.
+    # (1 - b/||y||^2)_+ y.  Rows with ||y||^2 <= max(b, 0) keep frac = 1 and
+    # so shrink to zero without dividing: that resolves the 0/0 at y = 0 and
+    # the b/||y||^2 overflow at a subnormal squared norm.
     y2 = np.asarray(y2, dtype=float)
-    frac = np.divide(b, y2, out=np.ones_like(y2), where=y2 > 0)
+    frac = np.divide(b, y2, out=np.ones_like(y2), where=y2 > np.maximum(b, 0.0))
     return np.clip(1.0 - frac, 0.0, None)[..., None] * y
 
 
@@ -76,7 +78,8 @@ def _tuned_shrink(a, m, sigma, target):
     """SURE-tuned target/(1+s) per row, from a = ||target||^2 and m = df at s = 0."""
     b = m * sigma**2
     finite = a > b
-    safe_a = np.where(a > 0, a, 1.0)
+    # Dividing by a only where a > b keeps a subnormal a from overflowing.
+    safe_a = np.where(finite, a, 1.0)
     return TunedBatch(
         s_hat=np.where(finite, b / np.where(finite, a - b, 1.0), np.inf),
         theta_hat=_project_positive_part(a, b, target),

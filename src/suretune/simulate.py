@@ -209,19 +209,12 @@ def run_simulation(spec):
                 unbiased_edf = implicit_edf = None
 
             if spec.bootstrap_B:
-                boot_edf = np.empty(R)
-                boot_df_naive = np.empty(R)
-                for r in range(R):
-                    child = np.random.SeedSequence([spec.seed, j_size, i_setting, r])
-                    cfg = BootstrapConfig(
-                        B=spec.bootstrap_B,
-                        sampler=spec.bootstrap_sampler,
-                        c=spec.bootstrap_c,
-                        seed=int(child.generate_state(1)[0]),
-                    )
-                    cov_form, plugin = _bootstrap_stats(family, Y[r], fit.theta_hat[r], cfg)
-                    boot_edf[r] = float((cov_form - plugin).mean())
-                    boot_df_naive[r] = float(cov_form.mean())
+                cfg = BootstrapConfig(B=spec.bootstrap_B, sampler=spec.bootstrap_sampler,
+                                      c=spec.bootstrap_c)
+                seeds = [int(np.random.SeedSequence([spec.seed, j_size, i_setting, r])
+                             .generate_state(1)[0]) for r in range(R)]
+                boot = _bootstrap_stats(family, Y, fit.theta_hat, cfg, seeds)
+                boot_edf, boot_df_naive = boot.edf, boot.cov_form
             else:
                 boot_edf = boot_df_naive = None
 

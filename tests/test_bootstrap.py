@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from suretune import (
     DomainError,
     EstimatorFamily,
     HeteroShrinkFamily,
+    ShrinkMeansFamily,
     TunedBatch,
     TuningDomain,
     bootstrap_df,
     bootstrap_edf,
     corrected_error_estimate,
 )
+from suretune import bootstrap
 from suretune.bootstrap import _bootstrap_stats, _replicates
 from suretune.simulate import SingletonShrinkFamily
 
@@ -70,15 +74,30 @@ def test_seed_determinism():
     assert a.value != c.value
 
 
+def _replicate_stats(fam, y, theta_hat, cfg, seed):
+    # The covariance form and plug-in df of each replicate, recomputed from
+    # one (B, n) draw and one retune with the array expressions spelled out.
+    Ystar = _replicates(fam, y, theta_hat, cfg, np.random.default_rng(seed))
+    refit = fam.tune_batch(Ystar)
+    scale = fam.sigmas**2 if fam.is_heteroskedastic else fam.sigma**2
+    cov_form = np.sum(refit.theta_hat * (Ystar - Ystar.mean(axis=0)) / scale, axis=1)
+    return cov_form, refit.naive_df_at_shat
+
+
 def test_report_is_the_mean_and_standard_error_of_the_replicates():
     y = np.random.default_rng(11).normal(0.0, 1.0, 12)
     fam = SingletonShrinkFamily(12, 1.0, s=0.5)
     cfg = BootstrapConfig(B=40, seed=2)
-    cov_form, plugin = _bootstrap_stats(fam, y, fam.tune(y).theta_hat, cfg)
+    theta = fam.tune(y).theta_hat
+    cov_form, plugin = _replicate_stats(fam, y, theta, cfg, cfg.seed)
+    stats = _bootstrap_stats(fam, y[None], theta[None], cfg, [cfg.seed])
     report = bootstrap_edf(fam, y, cfg)
     assert report.value == float(np.mean(cov_form - plugin))
     assert report.std_error == float(np.std(cov_form - plugin, ddof=1) / math.sqrt(40))
     assert report.reps == 40
+    assert (report.value, report.std_error) == (stats.edf[0], stats.edf_se[0])
+    assert stats.cov_form[0] == float(np.mean(cov_form))
+    assert stats.cov_form_se[0] == float(np.std(cov_form, ddof=1) / math.sqrt(40))
 
 
 def test_zero_rule_has_exactly_zero_excess():
@@ -191,3 +210,125 @@ def test_heteroskedastic_bootstrap_runs_in_scaled_units():
     assert report.reps == 64
     assert math.isfinite(report.value)
     assert report.std_error > 0.0
+
+
+class IdentityFamily(SingletonShrinkFamily):
+    """theta_hat is the replicate batch itself, not a copy of it."""
+
+    def tune_batch(self, Y):
+        Y = np.asarray(Y, dtype=float)
+        reps = Y.shape[0]
+        return TunedBatch(s_hat=np.zeros(reps), theta_hat=Y, sure_min=np.full(reps, 2.0 * self.n),
+                          naive_df_at_shat=np.full(reps, float(self.n)))
+
+
+class FailingFamily(SingletonShrinkFamily):
+    """Raises, and records, a DomainError on any batch with a value above 50."""
+
+    def __init__(self, n):
+        super().__init__(n, 1.0, s=1.0)
+        self.raised = []
+
+    def tune_batch(self, Y):
+        if np.max(Y) > 50.0:
+            self.raised.append(DomainError("replicate out of range"))
+            raise self.raised[-1]
+        return super().tune_batch(Y)
+
+
+def _batch(fam, R, seed=20):
+    Y = np.random.default_rng(seed).normal(0.5, 1.5, (R, fam.n))
+    if fam.is_heteroskedastic:
+        Y *= fam.sigmas
+    seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(R)]
+    return Y, fam.tune_batch(Y).theta_hat, seeds
+
+
+def _bits(stats):
+    return [field.tobytes() for field in stats]
+
+
+def _family(name, n):
+    if name == "hetero":
+        return HeteroShrinkFamily(np.geomspace(0.5, 3.0, n))
+    return SingletonShrinkFamily(n, 1.3, s=0.7) if name == "singleton" else \
+        ShrinkMeansFamily(n, 1.3)
+
+
+# With a 64-value block, (n, B) = (5, 4) puts three reps in a block and
+# (n, B) = (20, 8) retunes each rep in chunks of three rows.
+SMALL_BLOCKS = [(5, 4), (20, 8), (1, 7)]
+
+
+@pytest.mark.parametrize("sampler", ["parametric", "bigmodel", "residual"])
+@pytest.mark.parametrize("name", ["shrink", "singleton", "hetero"])
+@pytest.mark.parametrize("n, B", SMALL_BLOCKS)
+def test_batch_call_equals_one_row_calls(monkeypatch, sampler, name, n, B):
+    monkeypatch.setattr(bootstrap, "_BLOCK_VALUES", 64)
+    fam = _family(name, n)
+    cfg = BootstrapConfig(B=B, sampler=sampler, c=0.4)
+    Y, theta, seeds = _batch(fam, 7)
+    got = _bootstrap_stats(fam, Y, theta, cfg, seeds)
+    for r in range(7):
+        one = _bootstrap_stats(fam, Y[r:r + 1], theta[r:r + 1], cfg, seeds[r:r + 1])
+        assert _bits(one) == [field[r:r + 1].tobytes() for field in got]
+
+
+@pytest.mark.parametrize("sampler", ["parametric", "bigmodel", "residual"])
+@pytest.mark.parametrize("n, B", SMALL_BLOCKS)
+def test_blocked_stats_match_one_unblocked_retune(monkeypatch, sampler, n, B):
+    # Blocking and chunking change no bit against one (B, n) draw and retune.
+    monkeypatch.setattr(bootstrap, "_BLOCK_VALUES", 64)
+    fam = _family("shrink", n)
+    cfg = BootstrapConfig(B=B, sampler=sampler, c=0.4)
+    Y, theta, seeds = _batch(fam, 7)
+    got = _bootstrap_stats(fam, Y, theta, cfg, seeds)
+    for r in range(7):
+        cov_form, plugin = _replicate_stats(fam, Y[r], theta[r], cfg, seeds[r])
+        assert got.edf[r] == np.mean(cov_form - plugin)
+        assert got.edf_se[r] == np.std(cov_form - plugin, ddof=1) / math.sqrt(B)
+        assert got.cov_form[r] == np.mean(cov_form)
+        assert got.cov_form_se[r] == np.std(cov_form, ddof=1) / math.sqrt(B)
+
+
+@pytest.mark.parametrize("n, B", SMALL_BLOCKS)
+def test_worker_count_does_not_change_results(monkeypatch, n, B):
+    # Eight workers on fewer cores, switching threads every microsecond,
+    # write their disjoint blocks of the output without losing one.
+    monkeypatch.setattr(bootstrap, "_BLOCK_VALUES", 64)
+    fam = _family("shrink", n)
+    cfg = BootstrapConfig(B=B)
+    Y, theta, seeds = _batch(fam, 40)
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            runs.append(_bits(_bootstrap_stats(fam, Y, theta, cfg, seeds)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_domain_error_in_a_worker_surfaces_unchanged(monkeypatch):
+    monkeypatch.setattr(bootstrap, "_BLOCK_VALUES", 64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fam = FailingFamily(5)
+    Y, theta, seeds = _batch(fam, 8)
+    theta[5] += 1000.0  # rep 5 sits in the second of three blocks
+    with pytest.raises(DomainError, match="replicate out of range") as caught:
+        _bootstrap_stats(fam, Y, theta, BootstrapConfig(B=4), seeds)
+    assert caught.value is fam.raised[0]
+
+
+@pytest.mark.parametrize("n, B", SMALL_BLOCKS)
+def test_theta_hat_that_is_the_input_batch(monkeypatch, n, B):
+    # The identity rule gives the same statistics whether its fit is the
+    # replicate buffer itself or a copy (s = 0 shrinkage divides by 1).
+    monkeypatch.setattr(bootstrap, "_BLOCK_VALUES", 64)
+    same, copy = IdentityFamily(n, 1.0, s=0.0), SingletonShrinkFamily(n, 1.0, s=0.0)
+    Y, theta, seeds = _batch(copy, 7)
+    cfg = BootstrapConfig(B=B)
+    assert _bits(_bootstrap_stats(same, Y, theta, cfg, seeds)) == \
+        _bits(_bootstrap_stats(copy, Y, theta, cfg, seeds))

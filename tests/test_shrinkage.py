@@ -127,6 +127,27 @@ def test_unbiased_risk_estimate_mean_matches_true_risk():
     assert abs(diff.mean()) <= 4 * diff.std(ddof=1) / math.sqrt(reps)
 
 
+@pytest.mark.parametrize("y", [[7.4e-159], [1e-160, 0.0, 0.0]])
+def test_subnormal_squared_norm_shrinks_to_zero_without_warning(y):
+    normal = [3.0, -1.0, 2.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = ShrinkMeansFamily(len(y), 1.0).tune_batch(np.array([y]))
+        alone = ShrinkMeansFamily(3, 1.0).tune_batch(np.array([normal]))
+    a = float(np.sum(np.square(y)))
+    assert 0.0 < a < 1e-300
+    assert fit.s_hat[0] == math.inf
+    assert np.array_equal(fit.theta_hat, np.zeros((1, len(y))))
+    assert fit.sure_min[0] == a
+    assert fit.naive_df_at_shat[0] == 0.0
+    # A row with a normal squared norm keeps the closed form, bit for bit.
+    a, b = 16.25, 3.0
+    assert alone.s_hat[0] == b / (a - b)
+    assert np.array_equal(alone.theta_hat[0], (1.0 - b / a) * np.array(normal))
+    assert alone.sure_min[0] == 2.0 * b - b**2 / a
+    assert alone.naive_df_at_shat[0] == 3.0 * (1.0 - b / a)
+
+
 def test_james_stein_warns_below_three_dims():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

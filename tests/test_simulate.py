@@ -1,5 +1,6 @@
 """Simulation harness: grid layout, determinism, config parsing, presets."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -234,6 +235,32 @@ class TestDeterminism:
                 continue
             for field in fields[5:7]:
                 assert field == f"{float(field):.12g}"
+
+
+# sha256 of the CSV of each family x sampler grid below, as produced by the
+# per-rep bootstrap loop that predates blocked retuning.  At sizes 1, 40 and
+# 700 with B = 100 the bootstrap puts 655 reps, 16 reps and a 93-row chunk of
+# one rep into each retuning block, so every blocking path is pinned.
+GOLDEN_SHA256 = {
+    ("shrink_means", "parametric"): "505fa00bf845edc5fc9720d53a869f65fef496d2d0d38066bc6014e7db2c8294",
+    ("shrink_means", "bigmodel"): "293a1b87ec885bd33b843e827df21e96e0c9253be25f3e06a65909eec00fb02a",
+    ("shrink_means", "residual"): "ef9d1f07b072c3b33b326c566e18e6c83003fbbea30d083701f7b67d354e4502",
+    ("soft_threshold", "parametric"): "fc58be779f757d9d86adf1c373eb5aefc7c12bde888683ab7c10586630a1e973",
+    ("soft_threshold", "bigmodel"): "1f8c2551013b30e19f07a89b27fe138af150ab64778f2863202d44c530e7652d",
+    ("soft_threshold", "residual"): "57b137be2ac030382d8ba64335766a61f53c11502099446bc9662057ee93c7ad",
+    ("singleton_shrink", "parametric"): "ec3b811872dbacdd117db4de59c63e713d48321edee4951812066324abde6d9f",
+    ("singleton_shrink", "bigmodel"): "328b015864cfe88460d644af313d6e210116b28ae23a948f670b4cef5a6263b7",
+    ("singleton_shrink", "residual"): "d9c3d16a3f4be7e2197200880965764242d484514e2df9641c1851d43f80196b",
+}
+
+
+@pytest.mark.parametrize("family, sampler", sorted(GOLDEN_SHA256))
+def test_bootstrap_grid_bytes_are_pinned(family, sampler):
+    spec = SimSpec(family=family, setting=("null", "weak_sparsity"), sizes=(1, 40, 700),
+                   outer_reps=20, bootstrap_B=100, bootstrap_sampler=sampler,
+                   bootstrap_c=0.5 if sampler == "bigmodel" else 1.0, seed=0)
+    text = rows_to_csv_text(run_simulation(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[family, sampler]
 
 
 class TestParseConfig:
