@@ -23,9 +23,6 @@ from .core import (
     mc_prediction_error,
     oracle_gap_check,
     oracle_tuning,
-    sure,
-    tune_by_sure,
-    vectorize_rows,
 )
 from .shrinkage import (
     ShrinkMeansFamily,
@@ -36,19 +33,15 @@ from .shrinkage import (
     minimize_quadratic_sure,
     risk_bounds_shrink,
     shrink_means_positive_part,
-    tune_shrink_means,
-    tune_shrink_regression,
     unbiased_risk_sure_tuned_shrink,
 )
 from .subsets import (
     DegenerateDesignError,
     SubsetCollection,
     best_subset_lagrangian,
-    cp_criterion,
     edf_two_model_exact,
     make_all_subsets,
     make_nested,
-    tune_cp,
 )
 from .softthresh import (
     SoftThreshFamily,
@@ -56,7 +49,6 @@ from .softthresh import (
     scan_jumps,
     soft_threshold,
     soft_threshold_risk,
-    tune_soft_threshold,
 )
 from .stein import (
     CurvatureError,

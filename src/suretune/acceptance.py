@@ -65,8 +65,6 @@ def _prediction_error_stats(family, s, Y, Ystar):
 
 def c01_sure_unbiased():
     """SURE matches Monte Carlo prediction error at fixed tuning values."""
-    from .core import sure
-
     n, reps = 50, 2000
     rng = np.random.default_rng(1001)
     Xr = rng.standard_normal((n, 4))
@@ -89,7 +87,7 @@ def c01_sure_unbiased():
         Y = model.draw(np.random.default_rng((1001, idx)), reps)
         Ystar = model.draw(np.random.default_rng((1002, idx)), reps)
         for s in svals:
-            diff = np.asarray(sure(family, s, Y)) - _prediction_error_stats(family, s, Y, Ystar)
+            diff = np.asarray(family.sure(s, Y)) - _prediction_error_stats(family, s, Y, Ystar)
             mean, se, _ = _mean_se(diff)
             z = abs(mean) / se
             if z > worst_z:
@@ -108,10 +106,8 @@ def c02_shrinkage_edf():
     rng = np.random.default_rng(1003)
     Y = model.draw(rng, reps)
     fit = family.tune_batch(Y)
-    stats_mc = _df_stats(fit.theta_hat, Y, model, "theta0") - fit.naive_df_at_shat
-    finite = np.isfinite(fit.s_hat)
-    stats_an = np.zeros(reps)
-    stats_an[finite] = 2.0 * fit.s_hat[finite] / (1.0 + fit.s_hat[finite])
+    stats_mc = _df_stats(fit.theta_hat, Y, model) - fit.naive_df_at_shat
+    stats_an = edf_unbiased_shrink(fit.s_hat)
     mc_mean, mc_se, _ = _mean_se(stats_mc)
     dmean, dse, _ = _mean_se(stats_mc - stats_an)
     in_range = 0.0 <= mc_mean <= 2.0
@@ -391,7 +387,7 @@ def c11_bootstrap():
     # Known weakness, recorded without a tolerance: under weak sparsity the
     # bootstrap df runs below the Monte Carlo df of the tuned rule.
     model_w = GaussianModel(theta0_for("weak_sparsity", n), sigma=1.0)
-    df_mc = mc_df(family.tuned_rule(), model_w, reps=4000, seed=1023)
+    df_mc = mc_df(lambda Y: family.tune_batch(Y).theta_hat, model_w, reps=4000, seed=1023)
     Yw = model_w.draw(np.random.default_rng(1024), 100)
     wvals = np.empty(100)
     for r in range(100):

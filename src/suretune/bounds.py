@@ -194,8 +194,8 @@ def nested_null_edf_bound(p):
     2 (1 + 1/d) d^{d/2} e^{-d} / Gamma(d/2).  Nondecreasing in p and below
     10 for every p.
     """
-    if p < 1:
-        raise DomainError("p must be at least 1")
+    if not (p >= 1 and float(p).is_integer()):
+        raise DomainError(f"p must be an integer at least 1, got {p!r}")
     d = np.arange(1, int(p) + 1, dtype=float)
     log_terms = (
         math.log(2.0) + np.log1p(1.0 / d) + (d / 2.0) * np.log(d) - d - gammaln(d / 2.0)

@@ -34,9 +34,9 @@ vectors in `tune_batch`, the one tuner it writes; `EstimatorFamily.tune`
 fits a single vector as row 0 of a one-row batch.  Every excess-df estimate
 (Monte Carlo, bootstrap, simulation grid) retunes thousands of vectors, so
 they all go through `tune_batch`.  Estimator rules and family methods
-operate on arrays of shape (..., n), broadcasting over leading axes; a
-single-vector rule handed to `mc_df` or `mc_prediction_error` can be
-batched with `vectorize_rows`.
+operate on arrays of shape (..., n), broadcasting over leading axes, and
+`mc_df` and `mc_prediction_error` call a rule once on the whole (reps, n)
+batch.
 """
 
 import math
@@ -58,9 +58,6 @@ __all__ = [
     "OracleTuning",
     "OracleGapReport",
     "EstimatorFamily",
-    "sure",
-    "tune_by_sure",
-    "vectorize_rows",
     "mc_prediction_error",
     "mc_df",
     "mc_edf",
@@ -370,57 +367,25 @@ class EstimatorFamily(ABC):
         )
 
     def sure(self, s, y):
-        return sure(self, s, y)
+        """Unbiased prediction-error estimate of theta_s at y (or each row of y).
 
-    def tuned_rule(self):
-        """The data-driven rule y -> theta_{s_hat(y)}(y) as a batch callable."""
+        Homoskedastic: ||y - theta_s(y)||^2 + 2 sigma^2 naive_df(s, y).
+        Heteroskedastic: sum_i (y_i - theta_i)^2 / sigma_i^2 + 2 naive_df(s, y).
 
-        def rule(Y):
-            Y = np.asarray(Y, dtype=float)
-            if Y.ndim == 1:
-                return self.tune(Y).theta_hat
-            return self.tune_batch(Y).theta_hat
-
-        return rule
-
-
-def sure(family, s, y):
-    """Unbiased prediction-error estimate of theta_s at y.
-
-    Homoskedastic: ||y - theta_s(y)||^2 + 2 sigma^2 naive_df(s, y).
-    Heteroskedastic: sum_i (y_i - theta_i)^2 / sigma_i^2 + 2 naive_df(s, y).
-
-    Raises DomainError for s outside the family's tuning domain and
-    ShapeError for mismatched data.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != family.n:
-        raise ShapeError(f"data has trailing dimension {y.shape[-1]}, family expects {family.n}")
-    if not family.domain.contains(s):
-        raise DomainError(f"tuning value {s!r} is outside the family domain")
-    theta = family.estimate(s, y)
-    df = family.naive_df(s, y)
-    resid = y - theta
-    if family.is_heteroskedastic:
-        return np.sum((resid / family.sigmas) ** 2, axis=-1) + 2.0 * df
-    return np.sum(resid**2, axis=-1) + 2.0 * family.sigma**2 * df
-
-
-def tune_by_sure(family, y):
-    """Minimize SURE over the family's tuning domain at a single y."""
-    return family.tune(y)
-
-
-def vectorize_rows(rule):
-    """Wrap a single-vector rule so it maps (reps, n) -> (reps, n)."""
-
-    def batched(Y):
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim == 1:
-            return np.asarray(rule(Y), dtype=float)
-        return np.stack([np.asarray(rule(row), dtype=float) for row in Y])
-
-    return batched
+        Raises DomainError for s outside the family's tuning domain and
+        ShapeError for mismatched data.
+        """
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 0 or y.shape[-1] != self.n:
+            raise ShapeError(f"data has shape {y.shape}, family expects trailing dimension {self.n}")
+        if not self.domain.contains(s):
+            raise DomainError(f"tuning value {s!r} is outside the family domain")
+        theta = self.estimate(s, y)
+        df = self.naive_df(s, y)
+        resid = y - theta
+        if self.is_heteroskedastic:
+            return np.sum((resid / self.sigmas) ** 2, axis=-1) + 2.0 * df
+        return np.sum(resid**2, axis=-1) + 2.0 * self.sigma**2 * df
 
 
 def _normal_pdf(t):
@@ -451,33 +416,26 @@ def mc_prediction_error(rule, model, *, reps=1000, seed=0):
     return MCEstimate(value, se, r)
 
 
-def _df_stats(theta, Y, model, center):
+def _df_stats(theta, Y, model):
     """Per-replication covariance-form df statistics for a batch."""
-    if center == "theta0":
-        dev = Y - model.theta0
-    elif center == "sample":
-        dev = Y - Y.mean(axis=0)
-    else:
-        raise DomainError(f"unknown centering {center!r}")
     scale = model.sigmas**2 if model.is_heteroskedastic else model.sigma**2
-    return np.sum(theta * dev / scale, axis=-1)
+    return np.sum(theta * (Y - model.theta0) / scale, axis=-1)
 
 
-def mc_df(rule, model, *, reps=1000, seed=0, center="theta0"):
+def mc_df(rule, model, *, reps=1000, seed=0):
     """Monte Carlo degrees of freedom of a rule via the covariance form.
 
     Uses df = sum_i Cov(rule_i(Y), Y_i) / sigma^2 (per-coordinate variances
-    in the heteroskedastic case).  With the default `center="theta0"` each
-    replication contributes sum_i rule_i(Y)(Y_i - theta0_i) / sigma^2, which
-    is exactly unbiased; `center="sample"` substitutes the across-replication
-    mean of Y when one prefers not to use the known mean.
+    in the heteroskedastic case).  Each replication contributes
+    sum_i rule_i(Y)(Y_i - theta0_i) / sigma^2, which is exactly unbiased.
+    `rule` maps the whole (reps, n) batch to its (reps, n) estimates.
     """
     rng = np.random.default_rng(seed)
     Y = model.draw(rng, reps)
     theta = np.asarray(rule(Y), dtype=float)
     if theta.shape != Y.shape:
         raise ShapeError("rule must map the (reps, n) batch to (reps, n) estimates")
-    value, se, r = _mean_se(_df_stats(theta, Y, model, center))
+    value, se, r = _mean_se(_df_stats(theta, Y, model))
     return MCEstimate(value, se, r)
 
 
@@ -495,7 +453,7 @@ def mc_edf(family, model, *, reps=1000, seed=0):
     rng = np.random.default_rng(seed)
     Y = model.draw(rng, reps)
     fit = family.tune_batch(Y)
-    stats = _df_stats(fit.theta_hat, Y, model, "theta0") - fit.naive_df_at_shat
+    stats = _df_stats(fit.theta_hat, Y, model) - fit.naive_df_at_shat
     value, se, r = _mean_se(stats)
     return EdfReport(method="monte_carlo", value=value, std_error=se, reps=r)
 
@@ -509,10 +467,7 @@ def oracle_tuning(family, model):
     """
     if not hasattr(family, "oracle"):
         raise DomainError(f"{type(family).__name__} provides no oracle tuning")
-    out = family.oracle(model)
-    if not isinstance(out, OracleTuning):
-        out = OracleTuning(*out)
-    return out
+    return family.oracle(model)
 
 
 @dataclass(frozen=True)
@@ -545,14 +500,13 @@ def oracle_gap_check(family, model, *, reps=2000, seed=0, se_mult=4.0):
     fit = family.tune_batch(Y)
 
     resid = Ystar - fit.theta_hat
+    unit = 1.0
     if model.is_heteroskedastic:
-        err_r = np.sum((resid / model.sigmas) ** 2, axis=-1)
-        exopt_r = 2.0 * (_df_stats(fit.theta_hat, Y, model, "theta0") - fit.naive_df_at_shat)
+        resid = resid / model.sigmas
     else:
-        err_r = np.sum(resid**2, axis=-1)
-        exopt_r = 2.0 * model.sigma**2 * (
-            _df_stats(fit.theta_hat, Y, model, "theta0") - fit.naive_df_at_shat
-        )
+        unit = model.sigma**2
+    err_r = np.sum(resid**2, axis=-1)
+    exopt_r = 2.0 * unit * (_df_stats(fit.theta_hat, Y, model) - fit.naive_df_at_shat)
 
     oracle = oracle_tuning(family, model)
     err = MCEstimate(*_mean_se(err_r))

@@ -32,8 +32,6 @@ __all__ = [
     "minimize_quadratic_sure",
     "ShrinkMeansFamily",
     "ShrinkRegressionFamily",
-    "tune_shrink_means",
-    "tune_shrink_regression",
     "shrink_means_positive_part",
     "edf_unbiased_shrink",
     "james_stein_positive",
@@ -188,22 +186,6 @@ def _check_model(family, model):
         raise DomainError("this family assumes homoskedastic noise")
     if model.n != family.n or model.sigma != family.sigma:
         raise DomainError("model does not match the family's dimensions or noise")
-
-
-def tune_shrink_means(Y, sigma):
-    """SURE-tune the means shrinkage family on a vector or (reps, n) batch."""
-    Y = np.asarray(Y, dtype=float)
-    single = Y.ndim == 1
-    fam = ShrinkMeansFamily(Y.shape[-1], sigma)
-    return fam.tune(Y) if single else fam.tune_batch(Y)
-
-
-def tune_shrink_regression(X, Y, sigma):
-    """SURE-tune the regression shrinkage family on a vector or batch."""
-    Y = np.asarray(Y, dtype=float)
-    single = Y.ndim == 1
-    fam = ShrinkRegressionFamily(X, sigma)
-    return fam.tune(Y) if single else fam.tune_batch(Y)
 
 
 def shrink_means_positive_part(y, sigma):

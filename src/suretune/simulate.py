@@ -111,8 +111,8 @@ class SimSpec:
             raise DomainError("sizes must be positive")
         if self.outer_reps < 2:
             raise DomainError("outer_reps must be at least 2")
-        if self.sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise DomainError("sigma must be positive and finite")
         if self.bootstrap_B < 0:
             raise DomainError("bootstrap_B must be nonnegative (0 disables)")
         if self.bootstrap_B:
@@ -123,6 +123,8 @@ class SimSpec:
             if self.theta0 is None:
                 raise DomainError("setting=custom requires theta0")
             theta0 = tuple(float(v) for v in self.theta0)
+            if not all(map(math.isfinite, theta0)):
+                raise DomainError("custom theta0 must be finite")
             object.__setattr__(self, "theta0", theta0)
             bad = [n for n in sizes if n != len(theta0)]
             if bad:
@@ -191,7 +193,7 @@ def run_simulation(spec):
             Ystar = model.draw(rng, R)
             fit = family.tune_batch(Y)
 
-            cov_stats = _df_stats(fit.theta_hat, Y, model, "theta0")
+            cov_stats = _df_stats(fit.theta_hat, Y, model)
             mc_edf_stats = cov_stats - fit.naive_df_at_shat
             test_err = np.sum((Ystar - fit.theta_hat) ** 2, axis=1)
             scaled_exopt = (test_err - fit.sure_min) / (2.0 * spec.sigma**2)

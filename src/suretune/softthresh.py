@@ -28,7 +28,6 @@ from .core import (
 __all__ = [
     "soft_threshold",
     "SoftThreshFamily",
-    "tune_soft_threshold",
     "soft_threshold_risk",
     "Jump",
     "JumpScan",
@@ -123,13 +122,6 @@ class SoftThreshFamily(EstimatorFamily):
         if err_inf < best:
             return OracleTuning(s0=math.inf, err=err_inf)
         return OracleTuning(s0=s0, err=best)
-
-
-def tune_soft_threshold(Y, sigma):
-    """SURE-tune soft thresholding on a vector or a (reps, n) batch."""
-    Y = np.asarray(Y, dtype=float)
-    fam = SoftThreshFamily(Y.shape[-1], sigma)
-    return fam.tune(Y) if Y.ndim == 1 else fam.tune_batch(Y)
 
 
 def soft_threshold_risk(theta0, sigma, s):

@@ -37,8 +37,6 @@ from .core import (
 __all__ = [
     "DegenerateDesignError",
     "SubsetCollection",
-    "cp_criterion",
-    "tune_cp",
     "make_nested",
     "make_all_subsets",
     "edf_two_model_exact",
@@ -182,20 +180,6 @@ def _grown_from(cols, position):
     return None, None
 
 
-def cp_criterion(collection, y):
-    """Cp values over the collection's subsets, for one vector or a batch."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        return collection.criterion_matrix(y[None, :])[0]
-    return collection.criterion_matrix(y)
-
-
-def tune_cp(collection, y):
-    """Select the Cp-minimizing subset; batch rows independently."""
-    y = np.asarray(y, dtype=float)
-    return collection.tune(y) if y.ndim == 1 else collection.tune_batch(y)
-
-
 def make_nested(X, sigma, order=None, sizes=None):
     """Nested chain of prefix subsets, including the empty model by default.
 
@@ -273,8 +257,10 @@ def best_subset_lagrangian(X, y, lam):
         raise ShapeError("X must be a 2-d design matrix")
     if y.shape != (X.shape[0],):
         raise ShapeError("y length must match the number of rows of X")
-    if lam < 0:
-        raise DomainError("lam must be nonnegative")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("y must be finite")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise DomainError("lam must be finite and nonnegative")
     p = X.shape[1]
     if p > 25:
         raise DomainError("best-subset enumeration limited to 25 columns")

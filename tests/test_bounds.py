@@ -264,6 +264,14 @@ class TestNestedNullBound:
         with pytest.raises(DomainError):
             nested_null_edf_bound(0)
 
+    @pytest.mark.parametrize("p", [2.5, math.nan, math.inf])
+    def test_non_integer_p_rejected(self, p):
+        with pytest.raises(DomainError, match="integer"):
+            nested_null_edf_bound(p)
+
+    def test_integral_float_and_numpy_p_accepted(self):
+        assert nested_null_edf_bound(3.0) == nested_null_edf_bound(np.int64(3))
+
 
 class TestNestedTailSplit:
     def test_reference_decomposition(self):

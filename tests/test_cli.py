@@ -225,6 +225,16 @@ class TestSimulate:
         assert rc == 2
         assert "config error: line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "sizes = 3\nsigma = nan\n",
+        "setting = custom\nsizes = 3\ntheta0 = 1,nan,2\n",
+    ])
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["simulate"]) == 2
         cfg = tmp_path / "run.cfg"

@@ -25,7 +25,6 @@ from suretune import (
     ShrinkMeansFamily,
     ShrinkRegressionFamily,
     SoftThreshFamily,
-    cp_criterion,
     make_nested,
 )
 from suretune.simulate import SingletonShrinkFamily
@@ -134,7 +133,7 @@ def _soft_threshold(y, sigma):
 
 def _nested(y, sigma, X):
     fam = make_nested(X, sigma)
-    return fam, cp_criterion(fam, y)
+    return fam, fam.criterion_matrix(y[None, :])[0]
 
 
 def _hetero(y, sigmas):

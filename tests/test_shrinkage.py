@@ -15,9 +15,6 @@ from suretune import (
     minimize_quadratic_sure,
     risk_bounds_shrink,
     shrink_means_positive_part,
-    sure,
-    tune_shrink_means,
-    tune_shrink_regression,
     unbiased_risk_sure_tuned_shrink,
 )
 
@@ -73,7 +70,7 @@ def test_sure_min_equals_sure_at_s_hat():
     y = np.random.default_rng(8).normal(1.0, 1.0, 25)
     family = ShrinkMeansFamily(25, 1.0)
     fit = family.tune(y)
-    assert fit.sure_min == pytest.approx(float(sure(family, fit.s_hat, y)), rel=1e-12)
+    assert fit.sure_min == pytest.approx(float(family.sure(fit.s_hat, y)), rel=1e-12)
 
 
 def test_small_data_tunes_to_full_shrinkage():
@@ -176,8 +173,9 @@ def test_risk_bounds_fields():
 def test_tune_shrink_means_dispatches_batch_and_vector():
     rng = np.random.default_rng(10)
     y = rng.normal(1.0, 1.0, 7)
-    single = tune_shrink_means(y, 1.0)
-    batch = tune_shrink_means(np.stack([y, y]), 1.0)
+    family = ShrinkMeansFamily(7, 1.0)
+    single = family.tune(y)
+    batch = family.tune_batch(np.stack([y, y]))
     assert batch.s_hat[0] == batch.s_hat[1]
     assert single.sure_min == pytest.approx(batch.sure_min[0])
 
@@ -205,12 +203,12 @@ class TestRegressionShrinkage:
         s = 1.3
         in_span = float(np.sum((py - self.family.estimate(s, y)) ** 2))
         df = self.family.naive_df(s, y)
-        assert float(sure(self.family, s, y)) == pytest.approx(
+        assert float(self.family.sure(s, y)) == pytest.approx(
             off + in_span + 2.0 * df)
 
     def test_tuning_reduces_to_projected_means_problem(self):
         y = np.random.default_rng(15).standard_normal(30) + self.X @ np.ones(4)
-        fit = tune_shrink_regression(self.X, y, 1.0)
+        fit = self.family.tune(y)
         # the optimal s depends only on ||Py||^2 and the rank
         py2 = float(np.sum(self.family.project(y) ** 2))
         expected_s = minimize_quadratic_sure(py2, 4.0)

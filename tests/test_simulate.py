@@ -313,6 +313,17 @@ class TestParseConfig:
             parse_config("outer_reps = 1\n")
         assert info.value.line == 0
 
+    @pytest.mark.parametrize("text, message", [
+        ("sigma = nan\n", "sigma must be positive and finite"),
+        ("sigma = inf\n", "sigma must be positive and finite"),
+        ("setting = custom\nsizes = 3\ntheta0 = 1, nan, 2\n", "theta0 must be finite"),
+        ("setting = custom\nsizes = 2\ntheta0 = -inf, 0\n", "theta0 must be finite"),
+    ])
+    def test_non_finite_values_are_config_errors(self, text, message):
+        with pytest.raises(ConfigError, match=message) as info:
+            parse_config(text)
+        assert info.value.line == 0
+
     def test_theta0_list(self):
         text = "setting = custom\nsizes = 3\ntheta0 = 1.5, -2, 0\n"
         spec = parse_config(text)

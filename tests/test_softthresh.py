@@ -12,8 +12,6 @@ from suretune import (
     scan_jumps,
     soft_threshold,
     soft_threshold_risk,
-    sure,
-    tune_soft_threshold,
 )
 
 
@@ -28,19 +26,19 @@ def test_soft_threshold_elementwise():
 
 class TestTuneSoftThreshold:
     def test_single_large_value_is_kept(self):
-        fit = tune_soft_threshold(np.array([3.0]), 1.0)
+        fit = SoftThreshFamily(1, 1.0).tune(np.array([3.0]))
         assert fit.s_hat == 0.0
         assert fit.theta_hat[0] == pytest.approx(3.0)
         assert fit.sure_min == pytest.approx(2.0)
 
     def test_single_small_value_is_killed(self):
-        fit = tune_soft_threshold(np.array([0.5]), 1.0)
+        fit = SoftThreshFamily(1, 1.0).tune(np.array([0.5]))
         assert fit.s_hat == pytest.approx(0.5)
         assert fit.theta_hat[0] == 0.0
         assert fit.sure_min == pytest.approx(0.25)
 
     def test_all_zero_data_collapses(self):
-        fit = tune_soft_threshold(np.zeros(5), 1.0)
+        fit = SoftThreshFamily(5, 1.0).tune(np.zeros(5))
         assert fit.s_hat == 0.0
         assert np.all(fit.theta_hat == 0.0)
         assert fit.sure_min == 0.0
@@ -49,9 +47,10 @@ class TestTuneSoftThreshold:
     def test_candidates_suffice_against_dense_grid(self):
         rng = np.random.default_rng(31)
         sigma = 1.0
+        fam = SoftThreshFamily(12, sigma)
         for _ in range(100):
             y = rng.normal(0.0, 2.0, 12)
-            fit = tune_soft_threshold(y, sigma)
+            fit = fam.tune(y)
             grid = np.linspace(0.0, np.max(np.abs(y)), 10_001)
             mins = np.minimum(y[None, :] ** 2, grid[:, None] ** 2).sum(axis=1)
             counts = (np.abs(y)[None, :] > grid[:, None]).sum(axis=1)
@@ -70,13 +69,13 @@ class TestTuneSoftThreshold:
                 + 2.0 * sigma**2 * np.sum(np.abs(y) > fit.s_hat)
             )
             assert abs(fit.sure_min - direct) < 1e-10
-            assert fit.sure_min == pytest.approx(sure(fam, fit.s_hat, y), abs=1e-10)
+            assert fit.sure_min == pytest.approx(fam.sure(fit.s_hat, y), abs=1e-10)
 
     def test_sure_min_with_engineered_ties(self):
         # two coordinates tied in absolute value: the strict count still
         # matches the sorted-form criterion at the selected candidate
         y = np.array([1.2, -1.2, 0.3])
-        fit = tune_soft_threshold(y, 1.0)
+        fit = SoftThreshFamily(3, 1.0).tune(y)
         direct = float(
             np.sum(np.minimum(y**2, fit.s_hat**2))
             + 2.0 * np.sum(np.abs(y) > fit.s_hat)

@@ -11,13 +11,11 @@ from suretune import (
     ShapeError,
     SubsetCollection,
     best_subset_lagrangian,
-    cp_criterion,
     edf_two_model_exact,
     make_all_subsets,
     make_nested,
     mc_edf,
     oracle_tuning,
-    tune_cp,
 )
 
 TWO_MODEL_NULL_EDF = 0.41510749742059466
@@ -34,24 +32,24 @@ class TestCpCriterion:
 
     def test_hand_enumeration(self):
         # identity design, y = (3, 0.1): residuals are read off directly
-        vals = dict(zip(self.coll.subsets, cp_criterion(self.coll, self.y)))
+        vals = dict(zip(self.coll.subsets, self.coll.criterion_matrix(self.y[None, :])[0]))
         assert vals[()] == pytest.approx(9.01)
         assert vals[(0,)] == pytest.approx(2.01)
         assert vals[(1,)] == pytest.approx(11.0)
         assert vals[(0, 1)] == pytest.approx(4.0)
 
     def test_empty_subset_is_total_sum_of_squares(self):
-        assert cp_criterion(self.coll, self.y)[0] == pytest.approx(float(self.y @ self.y))
+        assert self.coll.criterion_matrix(self.y[None, :])[0, 0] == pytest.approx(float(self.y @ self.y))
 
     def test_full_invertible_square_design(self):
         sigma = 1.3
         coll = SubsetCollection(np.eye(4), [(0, 1, 2, 3)], sigma)
         y = np.array([0.4, -2.0, 1.1, 0.0])
         expected = 2.0 * sigma**2 * 4
-        assert cp_criterion(coll, y)[0] == pytest.approx(expected)
+        assert coll.criterion_matrix(y[None, :])[0, 0] == pytest.approx(expected)
 
     def test_minimizer_and_fit(self):
-        fit = tune_cp(self.coll, self.y)
+        fit = self.coll.tune(self.y)
         assert fit.s_hat == (0,)
         assert np.allclose(fit.theta_hat, [3.0, 0.0])
         assert fit.sure_min == pytest.approx(2.01)
@@ -69,7 +67,7 @@ def test_tie_break_prefers_smaller_rank_then_lexicographic():
     X = np.column_stack([np.ones(3), np.ones(3)])
     coll = SubsetCollection(X, [(), (1,), (0,), (0, 1)], 1.0)
     y = np.ones(3) * 5.0
-    fit = tune_cp(coll, y)
+    fit = coll.tune(y)
     assert fit.s_hat == (0,)
     # rank beats size: the two-column subset has rank 1 as well, but the
     # lexicographically smaller label wins among equal ranks
@@ -78,7 +76,7 @@ def test_tie_break_prefers_smaller_rank_then_lexicographic():
 
 def test_singleton_collection_returns_its_only_subset():
     coll = SubsetCollection(np.eye(3), [(0, 2)], 1.0)
-    fit = tune_cp(coll, np.array([1.0, 2.0, 3.0]))
+    fit = coll.tune(np.array([1.0, 2.0, 3.0]))
     assert fit.s_hat == (0, 2)
 
 
@@ -102,7 +100,7 @@ def test_rank_deficient_subset_uses_actual_rank():
     # both columns are the same direction, rank 1, so the penalty is 2 sigma^2
     fitted = np.full(4, y.mean())
     expected = float(np.sum((y - fitted) ** 2)) + 2.0 * 4.0 * 1
-    assert cp_criterion(coll, y)[0] == pytest.approx(expected)
+    assert coll.criterion_matrix(y[None, :])[0, 0] == pytest.approx(expected)
     assert coll.naive_df((0, 1), y) == 1.0
 
 
@@ -232,7 +230,7 @@ class TestBestSubsetLagrangian:
     def test_matches_cp_selection_at_lambda_two_sigma_sq(self):
         sigma = 0.8
         coll = SubsetCollection(self.X, make_all_subsets(4), sigma)
-        cp_fit = tune_cp(coll, self.y)
+        cp_fit = coll.tune(self.y)
         fit = best_subset_lagrangian(self.X, self.y, 2.0 * sigma**2)
         assert fit.support == cp_fit.s_hat
         assert np.allclose(fit.fitted, cp_fit.theta_hat, atol=1e-10)
@@ -245,6 +243,20 @@ class TestBestSubsetLagrangian:
             best_subset_lagrangian(self.X, self.y, -1.0)
         with pytest.raises(ShapeError):
             best_subset_lagrangian(self.X, self.y[:-1], 1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_penalty_rejected(self, lam):
+        # inf * rank 0 is nan, so every criterion would be nan and the
+        # empty support would look like an answer
+        with pytest.raises(DomainError, match="lam"):
+            best_subset_lagrangian(self.X, self.y, lam)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_data_rejected(self, bad):
+        y = self.y.copy()
+        y[3] = bad
+        with pytest.raises(DomainError, match="y must be finite"):
+            best_subset_lagrangian(self.X, y, 1.0)
 
 
 def test_oracle_enumeration_matches_direct_risk():
