@@ -8,17 +8,18 @@ surface areas of spheres and the chi-squared guard probabilities of the
 nested-chain bounds come from the noncentral chi-squared distribution
 (Johnson, Kotz & Balakrishnan, Continuous Univariate Distributions vol. 2,
 ch. 29), evaluated with `scipy.special` alone: importing `scipy.stats`
-would add about half a second to `import suretune`.  Nothing in this
-module draws random numbers; these are the deterministic reference
-quantities the rest of the package is checked against.
+would add about half a second to the first bound evaluated.  Each
+function imports the scipy names it uses when it runs, so `import
+suretune` loads numpy only and scipy loads on the first call that needs
+it.  Nothing in this module draws random numbers; these are the
+deterministic reference quantities the rest of the package is checked
+against.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import chdtr, chdtrc, chndtr, gammaln, ive, logsumexp
 
 from .core import DomainError, ShapeError, _normal_pdf
 
@@ -65,6 +66,8 @@ def chi_sq_max_bound(sizes, delta):
     Evaluated via logsumexp.  At delta = 0 the bound is +inf as soon as any
     p_s is positive.
     """
+    from scipy.special import logsumexp
+
     sizes = _check_sizes(sizes)
     delta = _check_delta(delta)
     if delta == 0.0:
@@ -94,6 +97,8 @@ def edf_upper_bound_simplified(sizes, delta):
 
 def _log_surface_origin(d, r):
     # Ball's closed form: r^{d-1} e^{-r^2/2} / (2^{d/2 - 1} Gamma(d/2)).
+    from scipy.special import gammaln
+
     return (d - 1) * math.log(r) - 0.5 * r**2 - (d / 2.0 - 1.0) * math.log(2.0) - gammaln(d / 2.0)
 
 
@@ -105,6 +110,8 @@ _BESSEL_FLOOR = 1e-280
 
 def _log_surface_off_center(d, a, r):
     """log of 2 r f(r^2) for the chi2_d(a^2) density f, d >= 2 and a > 0."""
+    from scipy.special import gammaln, ive, logsumexp
+
     nu = d / 2.0 - 1.0
     bessel = float(ive(nu, r * a))
     if bessel >= _BESSEL_FLOOR:
@@ -196,6 +203,8 @@ def nested_null_edf_bound(p):
     """
     if not (p >= 1 and float(p).is_integer()):
         raise DomainError(f"p must be an integer at least 1, got {p!r}")
+    from scipy.special import gammaln
+
     d = np.arange(1, int(p) + 1, dtype=float)
     log_terms = (
         math.log(2.0) + np.log1p(1.0 / d) + (d / 2.0) * np.log(d) - d - gammaln(d / 2.0)
@@ -261,6 +270,8 @@ class GeneralThetaBound:
 
 def _chi2_prob(df, nonc, threshold, upper):
     """P(W > threshold) for W ~ chi2_df(nonc), or P(W < threshold) if not upper."""
+    from scipy.special import chdtr, chdtrc, chndtr
+
     if df == 0:
         # No coordinates left to constrain; the event is vacuous.
         return 1.0
@@ -340,6 +351,8 @@ class BestSubsetConstant:
 
 def best_subset_constant():
     """Minimize the per-predictor search-df penalty curve over delta."""
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         best_subset_penalty_curve,
         bounds=(1e-6, 1.0 - 1e-6),

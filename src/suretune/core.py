@@ -200,9 +200,25 @@ def _check_batch(Y, n):
     return Y
 
 
+def _check_design(X):
+    """X as a float 2-d array of finite entries.
+
+    Raises ShapeError for any other shape and DomainError naming the first
+    non-finite (row, column): a NaN or inf would otherwise reach the SVD and
+    come back as numpy's "SVD did not converge".
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ShapeError(f"X must be a 2-d design matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise DomainError(f"design X is not finite at (row {row}, column {col})")
+    return X
+
+
 def _rank_basis(X, tol=None):
     """Thin SVD (U, d, Vt) of X without singular values <= tol (1e-10 * max column norm)."""
-    X = np.asarray(X, dtype=float)
+    X = _check_design(X)
     if X.shape[1] == 0:
         return np.zeros((X.shape[0], 0)), np.zeros(0), np.zeros((0, 0))
     if tol is None:

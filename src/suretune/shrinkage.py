@@ -21,10 +21,10 @@ from .core import (
     EstimatorFamily,
     GaussianModel,
     OracleTuning,
-    ShapeError,
     TunedBatch,
     TuningDomain,
     _check_batch,
+    _check_design,
     _rank_basis,
 )
 
@@ -132,9 +132,7 @@ class ShrinkRegressionFamily(EstimatorFamily):
     """
 
     def __init__(self, X, sigma):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ShapeError("X must be a 2-d design matrix")
+        X = _check_design(X)
         self.n = X.shape[0]
         self._set_noise(sigma=sigma)
         self._basis = _rank_basis(X)[0]
@@ -207,11 +205,12 @@ def edf_unbiased_shrink(s_hat):
     (where the tuned rule is locally constant zero).  Averaging this over
     draws estimates the excess degrees of freedom, which therefore never
     exceeds 2 for these families.  Broadcasts over an array of tuned
-    values; a scalar gives a float.
+    values; a scalar gives a float.  Raises DomainError on a negative or
+    NaN s_hat.
     """
     s = np.asarray(s_hat, dtype=float)
-    if np.any(s < 0):
-        raise DomainError("s_hat must be nonnegative")
+    if not np.all(s >= 0):
+        raise DomainError("s_hat must be nonnegative (+inf allowed), not NaN")
     s = np.where(s == math.inf, 0.0, s)
     out = 2.0 * s / (1.0 + s)
     return float(out) if out.ndim == 0 else out

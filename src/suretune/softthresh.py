@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import ndtr
 
 from .core import (
     DomainError,
@@ -102,6 +100,8 @@ class SoftThreshFamily(EstimatorFamily):
         golden-section refinement; the fully-shrunk endpoint s = +inf is
         compared explicitly.
         """
+        from scipy.optimize import minimize_scalar
+
         if model.is_heteroskedastic or model.n != self.n or model.sigma != self.sigma:
             raise DomainError("model does not match this family")
         theta0, sigma = model.theta0, model.sigma
@@ -133,10 +133,18 @@ def soft_threshold_risk(theta0, sigma, s):
                          - (lam + m) phi(lam - m) - (lam - m) phi(lam + m),
 
     D = Phi(lam - m) - Phi(-lam - m).  Returns an array matching theta0.
+    Raises DomainError on a non-finite theta0, a sigma that is not positive
+    and finite, or a negative or NaN s (s = +inf is allowed).
     """
+    from scipy.special import ndtr
+
     theta0 = np.asarray(theta0, dtype=float)
-    if s < 0:
-        raise DomainError("threshold must be nonnegative")
+    if not np.all(np.isfinite(theta0)):
+        raise DomainError("theta0 must be finite")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise DomainError("sigma must be positive and finite")
+    if not s >= 0:
+        raise DomainError("threshold must be nonnegative (+inf allowed), not NaN")
     if math.isinf(s):
         return theta0**2
     lam = s / sigma

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     DomainError,
@@ -416,6 +415,8 @@ class HeteroShrinkFamily(EstimatorFamily):
         return float(np.sum((bias2 + var) / self._sig2))
 
     def oracle(self, model):
+        from scipy.optimize import minimize_scalar
+
         if not model.is_heteroskedastic or model.n != self.n:
             raise DomainError("model does not match this family")
         if not np.array_equal(model.sigmas, self.sigmas):

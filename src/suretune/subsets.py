@@ -29,7 +29,9 @@ from .core import (
     TunedBatch,
     TuningDomain,
     _RANK_TOL,
+    _as_float_vector,
     _check_batch,
+    _check_design,
     _normal_pdf,
     _rank_basis,
 )
@@ -70,9 +72,7 @@ class SubsetCollection(EstimatorFamily):
     """
 
     def __init__(self, X, subsets, sigma):
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise ShapeError("X must be a 2-d design matrix")
+        X = _check_design(X)
         self.X = X
         self.n = X.shape[0]
         self._set_noise(sigma=sigma)
@@ -187,7 +187,7 @@ def make_nested(X, sigma, order=None, sizes=None):
     which prefix lengths participate (e.g. sizes=(p-1, p) gives the
     drop-or-keep-last two-model family).
     """
-    X = np.asarray(X, dtype=float)
+    X = _check_design(X)
     p = X.shape[1]
     order = tuple(range(p)) if order is None else tuple(int(j) for j in order)
     if sorted(order) != list(range(p)):
@@ -220,15 +220,19 @@ def edf_two_model_exact(X, theta0, sigma):
 
     where phi is the standard normal density.  At theta0 = 0 this is
     2 sqrt(2) phi(sqrt(2)) ~ 0.41511.  Raises DegenerateDesignError when
-    the last column adds no direction beyond the first p-1.
+    the last column adds no direction beyond the first p-1, and DomainError
+    on a non-finite design or theta0.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] < 1:
+    X = _check_design(X)
+    if X.shape[1] < 1:
         raise ShapeError("X must be a 2-d design with at least one column")
+    theta0 = _as_float_vector(theta0, "theta0", X.shape[0])
+    if not np.all(np.isfinite(theta0)):
+        raise DomainError("theta0 must be finite")
     pair = make_nested(X, sigma, sizes=(X.shape[1] - 1, X.shape[1]))
     if pair.ranks[1] == pair.ranks[0]:
         raise DegenerateDesignError("last column lies in the span of the others")
-    m = float(pair.Q[:, pair._qcols[1][-1]] @ np.asarray(theta0, dtype=float)) / sigma
+    m = float(pair.Q[:, pair._qcols[1][-1]] @ theta0) / sigma
     root2 = math.sqrt(2.0)
     return float(root2 * (_normal_pdf(root2 - m) + _normal_pdf(root2 + m)))
 
@@ -251,10 +255,8 @@ def best_subset_lagrangian(X, y, lam):
     the smaller rank, then lexicographic column indices.  lam = 0 returns a
     full least squares fit.
     """
-    X = np.asarray(X, dtype=float)
+    X = _check_design(X)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise ShapeError("X must be a 2-d design matrix")
     if y.shape != (X.shape[0],):
         raise ShapeError("y length must match the number of rows of X")
     if not np.all(np.isfinite(y)):

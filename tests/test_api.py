@@ -5,9 +5,11 @@ A family is used through its methods (`tune`, `tune_batch`, `sure`,
 exports no module-level wrapper that only forwards to one of them.
 """
 
+import ast
 import importlib
 import inspect
 import types
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +73,31 @@ def test_deleted_forwarders_are_unreachable(module_name, name):
 def test_no_tuned_rule_or_centering_option():
     assert not hasattr(EstimatorFamily, "tuned_rule")
     assert "center" not in inspect.signature(mc_df).parameters
+
+
+def _load_time_imports(tree):
+    """Modules imported by statements that run when the module loads."""
+    nodes, names = list(tree.body), []
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue  # a function body runs only when it is called
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append((node.lineno, node.module))
+        nodes.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_module_imports_scipy_at_load_time():
+    # A numpy-only workload must not pay for scipy's import; the functions
+    # that need scipy import it where they call it.
+    package = Path(suretune.__file__).resolve().parent
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(package.glob("*.py"))
+        for line, name in _load_time_imports(ast.parse(path.read_text()))
+        if name == "scipy" or name.startswith("scipy.")
+    ]
+    assert not found

@@ -400,6 +400,37 @@ def test_bounds_never_import_scipy_stats():
     assert done.returncode == 0, done.stderr
 
 
+def test_import_and_smoke_simulation_leave_scipy_unloaded(tmp_path):
+    # scipy loads on the first call that needs it, so a numpy-only workload
+    # never pays its import; the calls that do need it give the same values.
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy as np\n"
+        "import suretune, suretune.cli\n"
+        f"argv = ['--out', {str(tmp_path / 'smoke.csv')!r}, 'simulate', '--preset', 'smoke']\n"
+        "assert suretune.cli.main(argv) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, f'{len(loaded)} scipy modules loaded, first {loaded[:3]}'\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    assert suretune.cli.main(['bounds', 'best-subset-constant']) == 0\n"
+        "print(out.getvalue(), end='')\n"
+        "model = suretune.GaussianModel(theta0=np.array([3.0, 0.0, -1.5, 0.25]), sigma=1.0)\n"
+        "print(repr(suretune.SoftThreshFamily(4, 1.0).oracle(model)))\n"
+    )
+    src = str(Path(suretune.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-4:] == [
+        "value=2.28914865057",
+        "delta=0.206751744196",
+        "half_value=1.14457432529",
+        "OracleTuning(s0=0.557724016697408, err=7.046402841124485)",
+    ]
+
+
 class TestBestSubsetConstant:
     def test_curve_reference_point(self):
         assert best_subset_penalty_curve(0.5) == pytest.approx(

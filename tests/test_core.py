@@ -7,16 +7,23 @@ from suretune import (
     DomainError,
     EdfReport,
     GaussianModel,
+    RidgeRotation,
     ShapeError,
     ShrinkMeansFamily,
+    ShrinkRegressionFamily,
+    SubsetCollection,
     TuningDomain,
+    best_subset_lagrangian,
+    edf_two_model_exact,
+    make_nested,
     mc_df,
     mc_edf,
     mc_prediction_error,
     oracle_gap_check,
     oracle_tuning,
+    ridge_as_hetero,
 )
-from suretune.core import _df_stats
+from suretune.core import _df_stats, _rank_basis
 
 
 def test_model_requires_exactly_one_noise_spec():
@@ -156,3 +163,25 @@ def test_oracle_gap_check_holds_for_shrinkage():
     assert report.minsure_holds
     # excess optimism for this family never exceeds 4 sigma^2
     assert report.exopt.value <= 4.0 + 4.0 * report.exopt.std_error
+
+
+DESIGN_ENTRIES = {
+    "_rank_basis": _rank_basis,
+    "SubsetCollection": lambda X: SubsetCollection(X, [(), (0,), (0, 1), (0, 1, 2)], 1.0),
+    "make_nested": lambda X: make_nested(X, 1.0),
+    "ShrinkRegressionFamily": lambda X: ShrinkRegressionFamily(X, 1.0),
+    "RidgeRotation": lambda X: RidgeRotation(X, np.ones(6)),
+    "ridge_as_hetero": lambda X: ridge_as_hetero(X, np.ones(6)),
+    "best_subset_lagrangian": lambda X: best_subset_lagrangian(X, np.ones(6), 2.0),
+    "edf_two_model_exact": lambda X: edf_two_model_exact(X, np.zeros(6), 1.0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(DESIGN_ENTRIES))
+def test_non_finite_design_is_refused_before_any_arithmetic(entry, bad):
+    X = np.arange(18.0).reshape(6, 3) / 7.0 + np.eye(6, 3)
+    X[4, 2] = bad
+    with pytest.raises(DomainError, match=r"design X is not finite at \(row 4, column 2\)"):
+        DESIGN_ENTRIES[entry](X)

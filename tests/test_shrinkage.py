@@ -99,6 +99,13 @@ def test_edf_statistic_broadcasts():
         edf_unbiased_shrink(np.array([1.0, -0.5, math.inf]))
 
 
+def test_edf_statistic_rejects_nan():
+    with pytest.raises(DomainError, match="not NaN"):
+        edf_unbiased_shrink(math.nan)
+    with pytest.raises(DomainError, match="not NaN"):
+        edf_unbiased_shrink(np.array([1.0, math.nan, math.inf]))
+
+
 def test_unbiased_risk_estimate_branches():
     n, sigma = 10, 1.0
     y = np.full(n, 2.0)  # ||y||^2 = 40 >= n sigma^2

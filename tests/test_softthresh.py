@@ -118,6 +118,18 @@ class TestSoftThresholdRisk:
         with pytest.raises(DomainError):
             soft_threshold_risk(np.zeros(2), 1.0, -1.0)
 
+    @pytest.mark.parametrize("theta0, sigma, s, message", [
+        ([math.nan], 1.0, 1.0, "theta0 must be finite"),
+        ([0.5, math.inf], 1.0, 1.0, "theta0 must be finite"),
+        ([0.5], 1.0, math.nan, "threshold must be nonnegative"),
+        ([0.5], math.nan, 1.0, "sigma must be positive and finite"),
+        ([0.5], math.inf, 1.0, "sigma must be positive and finite"),
+        ([0.5], 0.0, 1.0, "sigma must be positive and finite"),
+    ])
+    def test_non_finite_arguments_rejected(self, theta0, sigma, s, message):
+        with pytest.raises(DomainError, match=message):
+            soft_threshold_risk(np.array(theta0), sigma, s)
+
 
 def test_oracle_beats_fixed_thresholds():
     fam = SoftThreshFamily(6, 1.0)

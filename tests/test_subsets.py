@@ -172,6 +172,13 @@ class TestTwoModelExact:
         shifted = theta0 + Q @ np.array([5.0, -3.0, 2.0])
         assert edf_two_model_exact(X, shifted, 1.0) == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_theta0_rejected(self, bad):
+        theta0 = np.zeros(3)
+        theta0[1] = bad
+        with pytest.raises(DomainError, match="theta0 must be finite"):
+            edf_two_model_exact(np.eye(3)[:, :2], theta0, 1.0)
+
     def test_degenerate_last_column(self):
         X = np.column_stack([np.ones(4), 2.0 * np.ones(4)])
         with pytest.raises(DegenerateDesignError):
