@@ -22,7 +22,6 @@ from .core import (
     mc_edf,
     mc_prediction_error,
     oracle_gap_check,
-    oracle_tuning,
 )
 from .shrinkage import (
     ShrinkMeansFamily,
@@ -38,7 +37,6 @@ from .shrinkage import (
 from .subsets import (
     DegenerateDesignError,
     SubsetCollection,
-    best_subset_lagrangian,
     edf_two_model_exact,
     make_all_subsets,
     make_nested,
@@ -59,7 +57,6 @@ from .stein import (
     edf_implicit_diff,
     exopt_hetero_shrink,
     hetero_shrink_hooks,
-    numeric_divergence,
     ridge_as_hetero,
     shrink_means_hooks,
     tune_hetero_shrink,

@@ -22,7 +22,7 @@ from .bounds import (
     gas_stations_rotation,
     nested_null_edf_bound,
 )
-from .core import DomainError, GaussianModel, _df_stats, _mean_se, mc_df, mc_edf
+from .core import DomainError, GaussianModel, _df_stats, _mean_se, _sq_error, mc_df, mc_edf
 from .shrinkage import (
     ShrinkMeansFamily,
     ShrinkRegressionFamily,
@@ -39,7 +39,6 @@ from .stein import (
     _implicit_diff_stats,
     exopt_hetero_shrink,
     shrink_means_hooks,
-    tune_hetero_shrink,
 )
 from .subsets import SubsetCollection, edf_two_model_exact, make_all_subsets, make_nested
 
@@ -52,15 +51,6 @@ class CriterionResult:
     description: str
     passed: bool
     detail: str
-
-
-def _prediction_error_stats(family, s, Y, Ystar):
-    """Per-rep squared prediction error of the fixed-s fit, family units."""
-    theta = family.estimate(s, Y)
-    resid = Ystar - theta
-    if family.is_heteroskedastic:
-        return np.sum((resid / family.sigmas) ** 2, axis=-1)
-    return np.sum(resid**2, axis=-1)
 
 
 def c01_sure_unbiased():
@@ -87,7 +77,8 @@ def c01_sure_unbiased():
         Y = model.draw(np.random.default_rng((1001, idx)), reps)
         Ystar = model.draw(np.random.default_rng((1002, idx)), reps)
         for s in svals:
-            diff = np.asarray(family.sure(s, Y)) - _prediction_error_stats(family, s, Y, Ystar)
+            err = _sq_error(Ystar - family.estimate(s, Y), family)
+            diff = np.asarray(family.sure(s, Y)) - err
             mean, se, _ = _mean_se(diff)
             z = abs(mean) / se
             if z > worst_z:
@@ -331,7 +322,7 @@ def c09_implicit_diff():
         sc = 0.7 + rng.random()
         sigmas = np.full(12, sc)
         y = rng.normal(1.0, sc, 12)
-        fit = tune_hetero_shrink(y, sigmas)
+        fit = HeteroShrinkFamily(sigmas).tune(y)
         if not math.isfinite(fit.s_hat) or fit.s_hat <= 0:
             continue
         edf_h = exopt_hetero_shrink(y, sigmas, fit.s_hat) / 2.0

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, EdfReport
+from .core import DomainError, EdfReport, _df_unit, _noise_sd
 
 __all__ = [
     "SAMPLERS",
@@ -92,7 +92,7 @@ def _replicates(family, y, theta_hat, config, rng, out=None):
     n = y.shape[0]
     if out is None:
         out = np.empty((config.B, n))
-    sd = family.sigmas if family.is_heteroskedastic else family.sigma
+    sd = _noise_sd(family)
     if config.sampler == "parametric":
         rng.standard_normal(out=out)
         out *= sd
@@ -163,7 +163,7 @@ def _block(family, Y, theta_hat, config, seeds, Ystar, work, out):
         rep = _replicates(family, Y[i], theta_hat[i], config,
                           np.random.default_rng(seeds[i]), out=Ystar[i * B:(i + 1) * B])
         centers[i] = rep.mean(axis=0)
-    scale = family.sigmas**2 if family.is_heteroskedastic else family.sigma**2
+    scale = _noise_sd(family) ** 2
     cov_form = np.empty(total)
     plugin = np.empty(total)
     step = work.shape[0]
@@ -238,9 +238,8 @@ def corrected_error_estimate(family, y, config=None):
     config = config or BootstrapConfig()
     fit, stats = _one(family, y, config)
     edf = _report(stats.edf[0], stats.edf_se[0], config)
-    factor = 2.0 if family.is_heteroskedastic else 2.0 * family.sigma**2
     return CorrectedError(
-        estimate=fit.sure_min + factor * edf.value,
+        estimate=fit.sure_min + 2.0 * _df_unit(family) * edf.value,
         sure_min=fit.sure_min,
         edf=edf,
     )

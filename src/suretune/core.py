@@ -26,8 +26,9 @@ Heteroskedastic convention: with unequal variances the error metric is scaled
 per coordinate, Err = E sum_i (Y*_i - theta_i(Y))^2 / sigma_i^2, the optimism
 is 2 sum_i Cov(theta_i, Y_i) / sigma_i^2, and the plug-in `naive_df` reported
 by a heteroskedastic family is the bare divergence sum_i d theta_i / d Y_i,
-so that sure = scaled residual + 2 * naive_df.  All routines in this module
-dispatch on the model's noise specification and apply the matching scaling.
+so that sure = scaled residual + 2 * naive_df.  The private helpers
+`_noise_sd`, `_df_unit` and `_sq_error` hold this convention; every routine
+in the package that scales by the noise goes through them.
 
 Batch-first tuning contract: a family tunes a whole (reps, n) batch of data
 vectors in `tune_batch`, the one tuner it writes; `EstimatorFamily.tune`
@@ -61,7 +62,6 @@ __all__ = [
     "mc_prediction_error",
     "mc_df",
     "mc_edf",
-    "oracle_tuning",
     "oracle_gap_check",
 ]
 
@@ -86,6 +86,35 @@ def _as_float_vector(x, name, n=None):
     return arr
 
 
+def _check_noise(sigma, sigmas, n=None):
+    """(float sigma, None) or (None, length-n sigmas); exactly one, positive and finite."""
+    if (sigma is None) == (sigmas is None):
+        raise DomainError("specify exactly one of sigma and sigmas")
+    if sigma is not None:
+        if not np.isfinite(sigma) or sigma <= 0:
+            raise DomainError("sigma must be positive and finite")
+        return float(sigma), None
+    sigmas = _as_float_vector(sigmas, "sigmas", n)
+    if not np.all(np.isfinite(sigmas)) or np.any(sigmas <= 0):
+        raise DomainError("sigmas must be positive and finite")
+    return None, sigmas
+
+
+def _noise_sd(noise):
+    """sigma, or the vector of sigma_i, of a model or a family."""
+    return noise.sigma if noise.sigmas is None else noise.sigmas
+
+
+def _df_unit(noise):
+    """Error per degree of freedom: sigma^2, or 1 in scaled units."""
+    return noise.sigma**2 if noise.sigmas is None else 1.0
+
+
+def _sq_error(resid, noise):
+    """Squared norm of each residual row, in scaled units under sigmas."""
+    return np.sum((resid if noise.sigmas is None else resid / noise.sigmas) ** 2, axis=-1)
+
+
 @dataclass(frozen=True)
 class GaussianModel:
     """Mean vector plus Gaussian noise, homoskedastic or per-coordinate.
@@ -101,17 +130,9 @@ class GaussianModel:
     def __post_init__(self):
         theta0 = _as_float_vector(self.theta0, "theta0")
         object.__setattr__(self, "theta0", theta0)
-        if (self.sigma is None) == (self.sigmas is None):
-            raise DomainError("specify exactly one of sigma and sigmas")
-        if self.sigma is not None:
-            if not np.isfinite(self.sigma) or self.sigma <= 0:
-                raise DomainError("sigma must be positive and finite")
-            object.__setattr__(self, "sigma", float(self.sigma))
-        else:
-            sigmas = _as_float_vector(self.sigmas, "sigmas", theta0.shape[0])
-            if not np.all(np.isfinite(sigmas)) or np.any(sigmas <= 0):
-                raise DomainError("sigmas must be positive and finite")
-            object.__setattr__(self, "sigmas", sigmas)
+        sigma, sigmas = _check_noise(self.sigma, self.sigmas, theta0.shape[0])
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigmas", sigmas)
 
     @property
     def n(self):
@@ -216,13 +237,20 @@ def _check_design(X):
     return X
 
 
+def _column_norms(X):
+    """Column norms of X, each column scaled by its largest entry so none overflows."""
+    top = np.max(np.abs(X), axis=0, initial=0.0)
+    safe = np.where(top > 0.0, top, 1.0)
+    return top * np.linalg.norm(X / safe, axis=0)
+
+
 def _rank_basis(X, tol=None):
     """Thin SVD (U, d, Vt) of X without singular values <= tol (1e-10 * max column norm)."""
     X = _check_design(X)
     if X.shape[1] == 0:
         return np.zeros((X.shape[0], 0)), np.zeros(0), np.zeros((0, 0))
     if tol is None:
-        tol = _RANK_TOL * np.linalg.norm(X, axis=0).max()
+        tol = _RANK_TOL * _column_norms(X).max()
     U, d, Vt = np.linalg.svd(X, full_matrices=False)
     rank = int(np.sum(d > tol))
     return U[:, :rank], d[:rank], Vt[:rank]
@@ -334,18 +362,14 @@ class EstimatorFamily(ABC):
     n: int
 
     def _set_noise(self, sigma=None, sigmas=None, n=None):
-        if (sigma is None) == (sigmas is None):
-            raise DomainError("specify exactly one of sigma and sigmas")
-        if sigma is not None:
-            if not np.isfinite(sigma) or sigma <= 0:
-                raise DomainError("sigma must be positive and finite")
-            self.sigma = float(sigma)
-            self.sigmas = None
-        else:
-            self.sigmas = _as_float_vector(sigmas, "sigmas", n)
-            if not np.all(np.isfinite(self.sigmas)) or np.any(self.sigmas <= 0):
-                raise DomainError("sigmas must be positive and finite")
-            self.sigma = None
+        self.sigma, self.sigmas = _check_noise(sigma, sigmas, n)
+
+    def _check_model(self, model):
+        """DomainError unless `model` is a GaussianModel with this n and noise."""
+        if not (isinstance(model, GaussianModel) and model.n == self.n
+                and model.sigma == self.sigma and np.array_equal(model.sigmas, self.sigmas)):
+            raise DomainError(f"model does not match {type(self).__name__}: oracle tuning "
+                              "needs a GaussianModel with the family's n and noise")
 
     @property
     def is_heteroskedastic(self):
@@ -398,10 +422,13 @@ class EstimatorFamily(ABC):
             raise DomainError(f"tuning value {s!r} is outside the family domain")
         theta = self.estimate(s, y)
         df = self.naive_df(s, y)
-        resid = y - theta
-        if self.is_heteroskedastic:
-            return np.sum((resid / self.sigmas) ** 2, axis=-1) + 2.0 * df
-        return np.sum(resid**2, axis=-1) + 2.0 * self.sigma**2 * df
+        return _sq_error(y - theta, self) + 2.0 * _df_unit(self) * df
+
+    def oracle(self, model):
+        """`OracleTuning`: the s minimizing the exact prediction error at the
+        mean of `model` (see `_check_model`), and that error.  Families with
+        a closed form or an exact search override this base, which raises."""
+        raise DomainError(f"{type(self).__name__} provides no oracle tuning")
 
 
 def _normal_pdf(t):
@@ -425,17 +452,13 @@ def mc_prediction_error(rule, model, *, reps=1000, seed=0):
     rng = np.random.default_rng(seed)
     Y = model.draw(rng, reps)
     Ystar = model.draw(rng, reps)
-    resid = Ystar - rule(Y)
-    if model.is_heteroskedastic:
-        resid = resid / model.sigmas
-    value, se, r = _mean_se(np.sum(resid**2, axis=-1))
+    value, se, r = _mean_se(_sq_error(Ystar - rule(Y), model))
     return MCEstimate(value, se, r)
 
 
 def _df_stats(theta, Y, model):
     """Per-replication covariance-form df statistics for a batch."""
-    scale = model.sigmas**2 if model.is_heteroskedastic else model.sigma**2
-    return np.sum(theta * (Y - model.theta0) / scale, axis=-1)
+    return np.sum(theta * (Y - model.theta0) / _noise_sd(model) ** 2, axis=-1)
 
 
 def mc_df(rule, model, *, reps=1000, seed=0):
@@ -474,18 +497,6 @@ def mc_edf(family, model, *, reps=1000, seed=0):
     return EdfReport(method="monte_carlo", value=value, std_error=se, reps=r)
 
 
-def oracle_tuning(family, model):
-    """Tuning value minimizing the exact prediction error, and that error.
-
-    Delegates to the family's own `oracle` hook (closed forms for the
-    shrinkage families, exhaustive exact-risk enumeration for discrete
-    families, quadrature plus search for soft thresholding).
-    """
-    if not hasattr(family, "oracle"):
-        raise DomainError(f"{type(family).__name__} provides no oracle tuning")
-    return family.oracle(model)
-
-
 @dataclass(frozen=True)
 class OracleGapReport:
     """Monte Carlo check of the tuned rule against the oracle benchmark.
@@ -515,16 +526,10 @@ def oracle_gap_check(family, model, *, reps=2000, seed=0, se_mult=4.0):
     Ystar = model.draw(rng, reps)
     fit = family.tune_batch(Y)
 
-    resid = Ystar - fit.theta_hat
-    unit = 1.0
-    if model.is_heteroskedastic:
-        resid = resid / model.sigmas
-    else:
-        unit = model.sigma**2
-    err_r = np.sum(resid**2, axis=-1)
-    exopt_r = 2.0 * unit * (_df_stats(fit.theta_hat, Y, model) - fit.naive_df_at_shat)
+    err_r = _sq_error(Ystar - fit.theta_hat, model)
+    exopt_r = 2.0 * _df_unit(model) * (_df_stats(fit.theta_hat, Y, model) - fit.naive_df_at_shat)
 
-    oracle = oracle_tuning(family, model)
+    oracle = family.oracle(model)
     err = MCEstimate(*_mean_se(err_r))
     exopt = MCEstimate(*_mean_se(exopt_r))
     min_sure = MCEstimate(*_mean_se(fit.sure_min))

@@ -19,7 +19,6 @@ import numpy as np
 from .core import (
     DomainError,
     EstimatorFamily,
-    GaussianModel,
     OracleTuning,
     TunedBatch,
     TuningDomain,
@@ -114,7 +113,7 @@ class ShrinkMeansFamily(EstimatorFamily):
 
     def oracle(self, model):
         """Closed-form oracle tuning against a known mean vector."""
-        _check_model(self, model)
+        self._check_model(model)
         t2 = float(np.sum(model.theta0**2))
         b = self.n * self.sigma**2
         if t2 == 0.0:
@@ -166,7 +165,7 @@ class ShrinkRegressionFamily(EstimatorFamily):
 
     def oracle(self, model):
         """Closed-form oracle tuning; the off-span bias is irreducible."""
-        _check_model(self, model)
+        self._check_model(model)
         p0 = self.project(model.theta0)
         a0 = float(np.sum(p0**2))
         off = float(np.sum(model.theta0**2)) - a0
@@ -175,15 +174,6 @@ class ShrinkRegressionFamily(EstimatorFamily):
         if a0 == 0.0:
             return OracleTuning(s0=math.inf, err=n_sig2 + off)
         return OracleTuning(s0=b / a0, err=n_sig2 + off + b * a0 / (b + a0))
-
-
-def _check_model(family, model):
-    if not isinstance(model, GaussianModel):
-        raise DomainError("oracle tuning needs a GaussianModel")
-    if model.is_heteroskedastic:
-        raise DomainError("this family assumes homoskedastic noise")
-    if model.n != family.n or model.sigma != family.sigma:
-        raise DomainError("model does not match the family's dimensions or noise")
 
 
 def shrink_means_positive_part(y, sigma):

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import BootstrapConfig, _bootstrap_stats
-from .core import (DomainError, GaussianModel, TunedBatch, TuningDomain, _check_batch,
-                   _df_stats, _mean_se)
+from .core import (DomainError, GaussianModel, OracleTuning, TunedBatch, TuningDomain,
+                   _check_batch, _df_stats, _mean_se)
 from .shrinkage import ShrinkMeansFamily, edf_unbiased_shrink
 from .softthresh import SoftThreshFamily
 from .stein import _implicit_diff_stats, shrink_means_hooks
@@ -79,6 +79,13 @@ class SingletonShrinkFamily(ShrinkMeansFamily):
             sure_min=np.asarray(self.sure(s, Y), dtype=float),
             naive_df_at_shat=np.full(Y.shape[0], self.naive_df(s, Y)),
         )
+
+    def oracle(self, model):
+        """s_fixed and its error n sigma^2 + (||theta0||^2 s^2 + n sigma^2)/(1+s)^2."""
+        self._check_model(model)
+        s, b = self.s_fixed, self.n * self.sigma**2
+        t2 = float(np.sum(model.theta0**2))
+        return OracleTuning(s0=s, err=b + (t2 * s**2 + b) / (1.0 + s) ** 2)
 
 
 @dataclass(frozen=True)

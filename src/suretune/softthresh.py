@@ -102,8 +102,7 @@ class SoftThreshFamily(EstimatorFamily):
         """
         from scipy.optimize import minimize_scalar
 
-        if model.is_heteroskedastic or model.n != self.n or model.sigma != self.sigma:
-            raise DomainError("model does not match this family")
+        self._check_model(model)
         theta0, sigma = model.theta0, model.sigma
         base = self.n * sigma**2
 

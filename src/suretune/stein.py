@@ -50,7 +50,6 @@ __all__ = [
     "StationarityError",
     "SmoothFamilyHooks",
     "edf_implicit_diff",
-    "numeric_divergence",
     "shrink_means_hooks",
     "hetero_shrink_hooks",
     "HeteroShrinkFamily",
@@ -214,26 +213,6 @@ def edf_implicit_diff(hooks, y, s_hat):
         raise StationarityError("implicit differentiation needs a finite interior s_hat")
     value = _implicit_diff_stats(hooks, np.asarray(y, dtype=float)[None], [s_hat])[0]
     return EdfReport(method="implicit_diff", value=float(value), std_error=0.0, reps=1)
-
-
-def numeric_divergence(rule, y, *, sigma=1.0, step=None):
-    """Central-difference divergence sum_i d rule_i / d y_i at y.
-
-    The rule must accept a (2n, n) batch; all perturbed evaluations are done
-    in one call.  Default step is 1e-5 * sigma.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ShapeError("numeric_divergence expects a single data vector")
-    h = _REL_STEP * sigma if step is None else float(step)
-    n = y.shape[0]
-    shifts = np.concatenate([np.eye(n) * h, -np.eye(n) * h])
-    values = np.asarray(rule(y + shifts), dtype=float)
-    if values.shape != (2 * n, n):
-        raise ShapeError("rule must map a (2n, n) batch to (2n, n) estimates")
-    diag_plus = values[:n][np.diag_indices(n)]
-    diag_minus = values[n:][np.diag_indices(n)]
-    return float(np.sum(diag_plus - diag_minus) / (2.0 * h))
 
 
 def shrink_means_hooks(n, sigma):
@@ -417,10 +396,7 @@ class HeteroShrinkFamily(EstimatorFamily):
     def oracle(self, model):
         from scipy.optimize import minimize_scalar
 
-        if not model.is_heteroskedastic or model.n != self.n:
-            raise DomainError("model does not match this family")
-        if not np.array_equal(model.sigmas, self.sigmas):
-            raise DomainError("model noise levels differ from the family's")
+        self._check_model(model)
         theta0 = model.theta0
 
         def err(s):

@@ -8,7 +8,9 @@ submatrix.  SURE for this family is the Cp criterion
     cp(s, y) = ||y - P_s y||^2 + 2 sigma^2 rank(X_s).
 
 Ties are broken toward the smaller rank and then lexicographically by column
-indices, so the selection is deterministic.
+indices, so the selection is deterministic.  Over `make_all_subsets(p)` this
+is the best-subset fit with penalty lam * rank at lam = 2 sigma^2, computed
+from one shared factor rather than one decomposition per subset.
 
 For the two-model nested chain (drop or keep the last column) the excess
 degrees of freedom of the Cp-tuned rule has a closed form, implemented in
@@ -32,6 +34,7 @@ from .core import (
     _as_float_vector,
     _check_batch,
     _check_design,
+    _column_norms,
     _normal_pdf,
     _rank_basis,
 )
@@ -42,8 +45,6 @@ __all__ = [
     "make_nested",
     "make_all_subsets",
     "edf_two_model_exact",
-    "BestSubsetFit",
-    "best_subset_lagrangian",
 ]
 
 class DegenerateDesignError(DomainError):
@@ -81,7 +82,7 @@ class SubsetCollection(EstimatorFamily):
             raise DomainError("need at least one candidate subset")
         self.domain = TuningDomain(kind="discrete", labels=labels)
         position = {cols: k for k, cols in enumerate(labels)}
-        norms, dirs, self._qcols = np.linalg.norm(X, axis=0), [], [None] * len(labels)
+        norms, dirs, self._qcols = _column_norms(X), [], [None] * len(labels)
         for k in sorted(range(len(labels)), key=lambda k: len(labels[k])):
             cols = labels[k]
             parent, j = _grown_from(cols, position)
@@ -156,8 +157,7 @@ class SubsetCollection(EstimatorFamily):
         For fixed s, Err(theta_s) = n sigma^2 + ||(I - P_s) theta0||^2
         + rank_s sigma^2; enumeration is exact, no simulation involved.
         """
-        if model.is_heteroskedastic or model.n != self.n:
-            raise DomainError("model does not match this collection")
+        self._check_model(model)
         base = model.n * model.sigma**2
         coords = model.theta0 @ self.Q
         best_k, best_err = None, math.inf
@@ -235,49 +235,3 @@ def edf_two_model_exact(X, theta0, sigma):
     m = float(pair.Q[:, pair._qcols[1][-1]] @ theta0) / sigma
     root2 = math.sqrt(2.0)
     return float(root2 * (_normal_pdf(root2 - m) + _normal_pdf(root2 + m)))
-
-
-class BestSubsetFit:
-    """Support, coefficients, fitted values and criterion of a subset fit."""
-
-    def __init__(self, support, beta, fitted, criterion):
-        self.support = support
-        self.beta = beta
-        self.fitted = fitted
-        self.criterion = criterion
-
-
-def best_subset_lagrangian(X, y, lam):
-    """Exhaustive best-subset fit minimizing ||y - X_s b||^2 + lam * rank_s.
-
-    At lam = 2 sigma^2 this is exactly Cp selection over all subsets.  Cost
-    grows as 2^p; designs with more than 25 columns are refused.  Ties go to
-    the smaller rank, then lexicographic column indices.  lam = 0 returns a
-    full least squares fit.
-    """
-    X = _check_design(X)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (X.shape[0],):
-        raise ShapeError("y length must match the number of rows of X")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("y must be finite")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise DomainError("lam must be finite and nonnegative")
-    p = X.shape[1]
-    if p > 25:
-        raise DomainError("best-subset enumeration limited to 25 columns")
-    best = None
-    for cols in make_all_subsets(p):
-        Q = _rank_basis(X[:, cols])[0]
-        r = Q.shape[1]
-        fitted = Q @ (Q.T @ y)
-        crit = float(np.sum((y - fitted) ** 2)) + lam * r
-        key = (crit, r, cols)
-        if best is None or key < best[0]:
-            best = (key, cols, fitted, r, crit)
-    _, cols, fitted, r, crit = best
-    beta = np.zeros(p)
-    if cols:
-        coef, *_ = np.linalg.lstsq(X[:, cols], y, rcond=None)
-        beta[list(cols)] = coef
-    return BestSubsetFit(support=cols, beta=beta, fitted=fitted, criterion=crit)

@@ -28,12 +28,16 @@ LIBRARY_MODULES = (
     "subsets",
 )
 
-# Forwarders to a family method, deleted in favour of the method itself.
+# Forwarders to a family method and duplicate or unused paths, deleted in
+# favour of the one path that remains: `family.oracle(model)` for
+# `oracle_tuning`, `SubsetCollection(X, make_all_subsets(p), sigma)` for the
+# exhaustive best-subset fit.
 DELETED = {
-    "core": ("sure", "tune_by_sure", "vectorize_rows"),
+    "core": ("sure", "tune_by_sure", "vectorize_rows", "oracle_tuning"),
     "shrinkage": ("tune_shrink_means", "tune_shrink_regression"),
     "softthresh": ("tune_soft_threshold",),
-    "subsets": ("tune_cp", "cp_criterion"),
+    "stein": ("numeric_divergence",),
+    "subsets": ("tune_cp", "cp_criterion", "best_subset_lagrangian", "BestSubsetFit"),
 }
 
 

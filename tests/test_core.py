@@ -6,6 +6,7 @@ import pytest
 from suretune import (
     DomainError,
     EdfReport,
+    EstimatorFamily,
     GaussianModel,
     RidgeRotation,
     ShapeError,
@@ -13,14 +14,12 @@ from suretune import (
     ShrinkRegressionFamily,
     SubsetCollection,
     TuningDomain,
-    best_subset_lagrangian,
     edf_two_model_exact,
     make_nested,
     mc_df,
     mc_edf,
     mc_prediction_error,
     oracle_gap_check,
-    oracle_tuning,
     ridge_as_hetero,
 )
 from suretune.core import _df_stats, _rank_basis
@@ -147,7 +146,7 @@ def test_oracle_tuning_matches_family_oracle():
     n = 20
     model = GaussianModel(np.full(n, 1.2), sigma=1.0)
     family = ShrinkMeansFamily(n, 1.0)
-    ora = oracle_tuning(family, model)
+    ora = family.oracle(model)
     norm2 = n * 1.2**2
     expected_risk = n * norm2 / (n + norm2)
     assert ora.err == pytest.approx(n + expected_risk, rel=1e-12)
@@ -165,6 +164,16 @@ def test_oracle_gap_check_holds_for_shrinkage():
     assert report.exopt.value <= 4.0 + 4.0 * report.exopt.std_error
 
 
+class _NoOracleFamily(ShrinkMeansFamily):
+    oracle = EstimatorFamily.oracle
+
+
+def test_oracle_gap_check_needs_a_family_oracle():
+    model = GaussianModel(np.zeros(5), sigma=1.0)
+    with pytest.raises(DomainError, match="_NoOracleFamily provides no oracle tuning"):
+        oracle_gap_check(_NoOracleFamily(5, 1.0), model, reps=10)
+
+
 DESIGN_ENTRIES = {
     "_rank_basis": _rank_basis,
     "SubsetCollection": lambda X: SubsetCollection(X, [(), (0,), (0, 1), (0, 1, 2)], 1.0),
@@ -172,7 +181,6 @@ DESIGN_ENTRIES = {
     "ShrinkRegressionFamily": lambda X: ShrinkRegressionFamily(X, 1.0),
     "RidgeRotation": lambda X: RidgeRotation(X, np.ones(6)),
     "ridge_as_hetero": lambda X: ridge_as_hetero(X, np.ones(6)),
-    "best_subset_lagrangian": lambda X: best_subset_lagrangian(X, np.ones(6), 2.0),
     "edf_two_model_exact": lambda X: edf_two_model_exact(X, np.zeros(6), 1.0),
 }
 

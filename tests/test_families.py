@@ -10,6 +10,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import suretune
 from suretune import (
     DomainError,
     EstimatorFamily,
+    GaussianModel,
     HeteroShrinkFamily,
     ShapeError,
     ShrinkMeansFamily,
@@ -64,6 +66,30 @@ def _every_family(n=6):
         HeteroShrinkFamily(np.linspace(0.5, 2.0, n)),
         SingletonShrinkFamily(n, 1.0),
     ]
+
+
+def _mismatched_models(family):
+    """Models that differ from the family in type, size, noise level or noise kind."""
+    n, sigma, sigmas = family.n, family.sigma, family.sigmas
+    if sigmas is None:
+        models = {"n": GaussianModel(np.zeros(n + 1), sigma=sigma),
+                  "sigma": GaussianModel(np.zeros(n), sigma=2.0 * sigma),
+                  "kind": GaussianModel(np.zeros(n), sigmas=np.full(n, sigma))}
+    else:
+        models = {"n": GaussianModel(np.zeros(n + 1), sigmas=np.append(sigmas, 1.0)),
+                  "sigma": GaussianModel(np.zeros(n), sigmas=2.0 * sigmas),
+                  "kind": GaussianModel(np.zeros(n), sigma=1.0)}
+    models["type"] = SimpleNamespace(theta0=np.zeros(n), n=n, sigma=sigma, sigmas=sigmas)
+    return models
+
+
+@pytest.mark.parametrize("mismatch", ["type", "n", "sigma", "kind"])
+@pytest.mark.parametrize("family", _every_family(), ids=lambda f: type(f).__name__)
+def test_oracle_refuses_a_model_that_does_not_match(family, mismatch):
+    noise = {"sigma": family.sigma} if family.sigmas is None else {"sigmas": family.sigmas}
+    assert family.oracle(GaussianModel(np.ones(family.n), **noise)).err > 0.0
+    with pytest.raises(DomainError, match="does not match"):
+        family.oracle(_mismatched_models(family)[mismatch])
 
 
 @pytest.mark.parametrize("family", _every_family(), ids=lambda f: type(f).__name__)

@@ -6,12 +6,20 @@ import math
 import numpy as np
 import pytest
 
-from suretune import BootstrapConfig, GaussianModel, ShrinkMeansFamily, bootstrap_edf
+from suretune import (
+    BootstrapConfig,
+    GaussianModel,
+    ShrinkMeansFamily,
+    bootstrap_edf,
+    mc_prediction_error,
+    oracle_gap_check,
+)
 from suretune.core import DomainError
 from suretune.simulate import (
     PRESETS,
     ConfigError,
     SimSpec,
+    SingletonShrinkFamily,
     parse_config,
     rows_to_csv_text,
     run_simulation,
@@ -355,3 +363,16 @@ class TestPresets:
         assert spec.sizes == (10, 25)
         assert spec.outer_reps == 40
         assert spec.bootstrap_B == 16
+
+
+def test_singleton_oracle_is_the_fixed_value_and_its_exact_error():
+    # n sigma^2 + (||theta0||^2 s^2 + n sigma^2) / (1 + s)^2 = 10 + 100 / 4
+    family = SingletonShrinkFamily(10, 1.0, s=1.0)
+    model = GaussianModel(np.full(10, 3.0), sigma=1.0)
+    ora = family.oracle(model)
+    assert ora.s0 == 1.0 and family.domain.contains(ora.s0)
+    assert ora.err == 35.0
+    mc = mc_prediction_error(lambda Y: family.estimate(1.0, Y), model, reps=20000, seed=41)
+    assert abs(mc.value - ora.err) <= 4.0 * mc.std_error
+    report = oracle_gap_check(family, model, reps=4000, seed=42)
+    assert report.bound_holds and report.minsure_holds

@@ -18,37 +18,10 @@ from suretune import (
     edf_implicit_diff,
     exopt_hetero_shrink,
     hetero_shrink_hooks,
-    numeric_divergence,
     ridge_as_hetero,
     shrink_means_hooks,
     tune_hetero_shrink,
 )
-
-
-class TestNumericDivergence:
-    def test_identity_rule(self):
-        y = np.linspace(-2.0, 2.0, 9)
-        assert numeric_divergence(lambda Y: Y, y) == pytest.approx(9.0, abs=1e-6)
-
-    def test_projection_rule_gives_rank(self):
-        rng = np.random.default_rng(3)
-        Q, _ = np.linalg.qr(rng.standard_normal((10, 3)))
-        P = Q @ Q.T
-        y = rng.standard_normal(10)
-        div = numeric_divergence(lambda Y: Y @ P.T, y)
-        assert div == pytest.approx(3.0, abs=1e-6)
-
-    def test_fixed_shrinkage_rule(self):
-        s = 0.7
-        y = np.arange(1.0, 13.0)
-        div = numeric_divergence(lambda Y: Y / (1.0 + s), y)
-        assert div == pytest.approx(12.0 / (1.0 + s), abs=1e-6)
-
-    def test_shape_checks(self):
-        with pytest.raises(ShapeError):
-            numeric_divergence(lambda Y: Y, np.zeros((2, 3)))
-        with pytest.raises(ShapeError):
-            numeric_divergence(lambda Y: Y[:, :2], np.zeros(3))
 
 
 class TestImplicitDiff:

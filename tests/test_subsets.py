@@ -9,13 +9,12 @@ from suretune import (
     DomainError,
     GaussianModel,
     ShapeError,
+    ShrinkRegressionFamily,
     SubsetCollection,
-    best_subset_lagrangian,
     edf_two_model_exact,
     make_all_subsets,
     make_nested,
     mc_edf,
-    oracle_tuning,
 )
 
 TWO_MODEL_NULL_EDF = 0.41510749742059466
@@ -216,54 +215,62 @@ def test_mc_edf_nonnegative_for_subset_selection():
 
 
 class TestBestSubsetLagrangian:
+    """Best subset under the penalty lam * rank is Cp over all subsets at
+    sigma = sqrt(lam / 2); each subset solved on its own is the reference."""
+
     def setup_method(self):
         rng = np.random.default_rng(9)
         self.X = rng.standard_normal((15, 4))
         self.y = rng.standard_normal(15) + self.X[:, 1]
 
+    def _tune(self, lam, y=None):
+        coll = SubsetCollection(self.X, make_all_subsets(4), math.sqrt(lam / 2.0))
+        return coll.tune(self.y if y is None else y)
+
     def test_zero_penalty_is_least_squares(self):
-        fit = best_subset_lagrangian(self.X, self.y, 0.0)
+        # sigma must be positive, so a penalty of 1e-12 stands in for zero
+        fit = self._tune(1e-12)
         coef, *_ = np.linalg.lstsq(self.X, self.y, rcond=None)
-        assert fit.support == (0, 1, 2, 3)
-        assert np.allclose(fit.beta, coef)
-        assert np.allclose(fit.fitted, self.X @ coef)
+        assert fit.s_hat == (0, 1, 2, 3)
+        assert np.allclose(fit.theta_hat, self.X @ coef)
 
     def test_huge_penalty_selects_nothing(self):
-        fit = best_subset_lagrangian(self.X, self.y, 1e9)
-        assert fit.support == ()
-        assert np.all(fit.beta == 0.0)
-        assert np.all(fit.fitted == 0.0)
+        fit = self._tune(1e9)
+        assert fit.s_hat == ()
+        assert fit.naive_df_at_shat == 0.0
+        assert np.all(fit.theta_hat == 0.0)
 
     def test_matches_cp_selection_at_lambda_two_sigma_sq(self):
         sigma = 0.8
-        coll = SubsetCollection(self.X, make_all_subsets(4), sigma)
-        cp_fit = coll.tune(self.y)
-        fit = best_subset_lagrangian(self.X, self.y, 2.0 * sigma**2)
-        assert fit.support == cp_fit.s_hat
-        assert np.allclose(fit.fitted, cp_fit.theta_hat, atol=1e-10)
-        assert fit.criterion == pytest.approx(cp_fit.sure_min)
+        subsets = make_all_subsets(4)
+        ranks, crit, fits = _lstsq_reference(self.X, subsets, sigma, self.y[None])
+        best = min(range(len(subsets)), key=lambda k: (crit[0, k], ranks[k], subsets[k]))
+        fit = self._tune(2.0 * sigma**2)
+        assert fit.s_hat == subsets[best]
+        assert np.allclose(fit.theta_hat, fits[best][0], atol=1e-10)
+        assert fit.sure_min == pytest.approx(crit[0, best])
 
     def test_guard_and_validation(self):
         with pytest.raises(DomainError):
-            best_subset_lagrangian(np.ones((2, 26)), np.ones(2), 1.0)
+            make_all_subsets(26)
         with pytest.raises(DomainError):
-            best_subset_lagrangian(self.X, self.y, -1.0)
+            SubsetCollection(self.X, make_all_subsets(4), -1.0)
         with pytest.raises(ShapeError):
-            best_subset_lagrangian(self.X, self.y[:-1], 1.0)
+            self._tune(1.0, self.y[:-1])
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_non_finite_penalty_rejected(self, lam):
         # inf * rank 0 is nan, so every criterion would be nan and the
         # empty support would look like an answer
-        with pytest.raises(DomainError, match="lam"):
-            best_subset_lagrangian(self.X, self.y, lam)
+        with pytest.raises(DomainError, match="sigma"):
+            self._tune(lam)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_data_rejected(self, bad):
         y = self.y.copy()
         y[3] = bad
-        with pytest.raises(DomainError, match="y must be finite"):
-            best_subset_lagrangian(self.X, y, 1.0)
+        with pytest.raises(DomainError, match=r"data is not finite at \(row 0, column 3\)"):
+            self._tune(1.0, y)
 
 
 def test_oracle_enumeration_matches_direct_risk():
@@ -273,7 +280,7 @@ def test_oracle_enumeration_matches_direct_risk():
     coll = SubsetCollection(X, make_all_subsets(3), sigma)
     theta0 = X[:, 0] * 1.5
     model = GaussianModel(theta0, sigma=sigma)
-    oracle = oracle_tuning(coll, model)
+    oracle = coll.oracle(model)
 
     def exact_err(cols):
         Q, _ = np.linalg.qr(X[:, cols]) if cols else (np.zeros((10, 0)), None)
@@ -284,6 +291,29 @@ def test_oracle_enumeration_matches_direct_risk():
     errs = {cols: exact_err(cols) for cols in coll.subsets}
     assert oracle.err == pytest.approx(min(errs.values()))
     assert errs[oracle.s0] == pytest.approx(oracle.err)
+
+
+@pytest.mark.filterwarnings("error")
+def test_column_norms_of_huge_finite_entries_do_not_overflow():
+    # Every squared column norm overflows here; norms of the columns scaled
+    # by their largest entries do not, and every direction is kept.
+    X = (np.arange(18.0).reshape(6, 3) / 7.0 + np.eye(6, 3)) * 1e300
+    coll = make_nested(X, 1.0)
+    assert coll.ranks.tolist() == [0, 1, 2, 3]
+    assert np.allclose(coll.Q.T @ coll.Q, np.eye(3), atol=1e-12)
+    assert ShrinkRegressionFamily(X, 1.0).rank == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_huge_column_keeps_its_direction():
+    # Column 0 holds two entries of 1e300.  Its norm used to overflow to
+    # inf, which dropped every direction; now column 0 is one direction, and
+    # columns 1 and 2 (norms about 3) fall under the rank tolerance of 1e-10
+    # times the largest column norm.
+    X = np.arange(18.0).reshape(6, 3) / 7.0 + np.eye(6, 3)
+    X[[1, 4], 0] = 1e300
+    assert make_nested(X, 1.0).ranks.tolist() == [0, 1, 1, 1]
+    assert ShrinkRegressionFamily(X, 1.0).rank == 1
 
 
 def _lstsq_reference(X, subsets, sigma, Y):
