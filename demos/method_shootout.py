@@ -25,9 +25,7 @@ from suretune import (
     GaussianModel,
     ShrinkMeansFamily,
     bootstrap_edf,
-    edf_unbiased_shrink,
     mc_edf,
-    shrink_means_hooks,
     theta0_for,
 )
 from suretune.stein import _implicit_diff_stats
@@ -51,8 +49,8 @@ def main():
     fit = family.tune_batch(Y)
 
     # Datasets tuned to s_hat = +inf contribute 0 to both per-dataset statistics.
-    analytic = edf_unbiased_shrink(fit.s_hat)
-    implicit = _implicit_diff_stats(shrink_means_hooks(n, 1.0), Y, fit.s_hat)
+    analytic = family.edf_unbiased(fit)
+    implicit = _implicit_diff_stats(family.hooks, Y, fit.s_hat)
     # Each dataset's bootstrap has its own replicate stream.
     boot = np.array([
         bootstrap_edf(family, y, BootstrapConfig(B=400, sampler="parametric", seed=1000 + i)).value

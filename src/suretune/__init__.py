@@ -56,9 +56,7 @@ from .stein import (
     StationarityError,
     edf_implicit_diff,
     exopt_hetero_shrink,
-    hetero_shrink_hooks,
     ridge_as_hetero,
-    shrink_means_hooks,
     tune_hetero_shrink,
 )
 from .bootstrap import (

@@ -38,7 +38,6 @@ from .stein import (
     SmoothFamilyHooks,
     _implicit_diff_stats,
     exopt_hetero_shrink,
-    shrink_means_hooks,
 )
 from .subsets import SubsetCollection, edf_two_model_exact, make_all_subsets, make_nested
 
@@ -314,7 +313,7 @@ def c09_implicit_diff():
     used = int(np.isfinite(fit.s_hat).sum())
     target = edf_unbiased_shrink(fit.s_hat)
     worst = max(float(np.max(np.abs(_implicit_diff_stats(hooks, Y, fit.s_hat) - target)))
-                for hooks in (shrink_means_hooks(n, sigma), numeric_hooks))
+                for hooks in (family.hooks, numeric_hooks))
     homo_ok = used >= 95 and worst <= 1e-4
 
     worst_h = 0.0

@@ -37,10 +37,10 @@ from .bounds import (
     nested_null_edf_bound,
 )
 from .core import DomainError, EdfReport, GaussianModel, ShapeError, mc_edf
-from .shrinkage import ShrinkMeansFamily, ShrinkRegressionFamily, edf_unbiased_shrink
+from .shrinkage import ShrinkMeansFamily, ShrinkRegressionFamily
 from .simulate import PRESETS, ConfigError, parse_config, run_simulation, write_csv
 from .softthresh import SoftThreshFamily
-from .stein import HeteroShrinkFamily, edf_implicit_diff, hetero_shrink_hooks, shrink_means_hooks
+from .stein import HeteroShrinkFamily, edf_implicit_diff
 
 CLI_FAMILIES = ("shrink-means", "shrink-regression", "soft-threshold", "hetero-shrink")
 
@@ -81,11 +81,11 @@ def _build_family(args, n=None):
     name = args.family
     if name == "shrink-means":
         if n is None:
-            raise DomainError("shrink-means needs data or --n")
+            raise DomainError("shrink-means needs --theta0 or --n to size the model")
         return ShrinkMeansFamily(n, args.sigma)
     if name == "soft-threshold":
         if n is None:
-            raise DomainError("soft-threshold needs data or --n")
+            raise DomainError("soft-threshold needs --theta0 or --n to size the model")
         return SoftThreshFamily(n, args.sigma)
     if name == "shrink-regression":
         if not getattr(args, "design", None):
@@ -124,19 +124,11 @@ def _cmd_tune(args):
 def _edf_monte_carlo(args):
     if args.theta0 is not None:
         theta0 = _vector_option(args.theta0, "theta0")
-        n = theta0.shape[0]
-    elif args.n:
-        theta0, n = np.zeros(args.n), args.n
-    elif args.family == "hetero-shrink" and args.sigmas:
-        n = _vector_option(args.sigmas, "sigmas").shape[0]
-        theta0 = np.zeros(n)
+        family = _build_family(args, n=theta0.shape[0])
     else:
-        raise DomainError("monte-carlo needs --theta0 or --n to size the model")
-    family = _build_family(args, n=n)
-    if args.family == "hetero-shrink":
-        model = GaussianModel(theta0, sigmas=family.sigmas)
-    else:
-        model = GaussianModel(theta0, sigma=args.sigma)
+        family = _build_family(args, n=args.n or None)
+        theta0 = np.zeros(args.n or family.n)
+    model = GaussianModel(theta0, sigma=family.sigma, sigmas=family.sigmas)
     return mc_edf(family, model, reps=args.reps, seed=args.seed or 0)
 
 
@@ -150,18 +142,14 @@ def _cmd_edf(args):
             raise DomainError(f"method {method} needs --data FILE")
         family = _build_family(args, n=y.shape[0])
         if method == "analytic":
-            if args.family not in ("shrink-means", "shrink-regression"):
-                raise DomainError("analytic excess df exists only for the shrinkage families")
-            stat = edf_unbiased_shrink(family.tune(y).s_hat)
-            report = EdfReport(method="analytic_unbiased", value=stat,
-                               std_error=0.0, reps=1)
+            stat = family.edf_unbiased(family.tune_batch(y[None, :]))
+            if stat is None:
+                raise DomainError(f"{args.family} has no analytic excess df statistic")
+            report = EdfReport("analytic_unbiased", float(stat[0]), std_error=0.0, reps=1)
         elif method == "implicit-diff":
-            if args.family == "shrink-means":
-                hooks = shrink_means_hooks(y.shape[0], args.sigma)
-            elif args.family == "hetero-shrink":
-                hooks = hetero_shrink_hooks(family.sigmas)
-            else:
-                raise DomainError("implicit-diff applies to shrink-means and hetero-shrink")
+            hooks = family.hooks
+            if hooks is None:
+                raise DomainError(f"{args.family} has no hooks for implicit-diff")
             report = edf_implicit_diff(hooks, y, family.tune(y).s_hat)
         else:
             sampler = method.removeprefix("bootstrap-")

@@ -356,10 +356,15 @@ class EstimatorFamily(ABC):
     `tune_batch` must be re-entrant: the bootstrap calls it from several
     threads at once on one family, so it may read but never write the
     family's attributes.  Every family in the package only reads them.
+
+    A family's own excess-df statistics, None where it has none (`simulate`
+    then writes "skipped" rows): `hooks`, its `stein.SmoothFamilyHooks` for
+    implicit differentiation, and `edf_unbiased(fit)`, a per-row statistic.
     """
 
     domain: TuningDomain
     n: int
+    hooks = None
 
     def _set_noise(self, sigma=None, sigmas=None, n=None):
         self.sigma, self.sigmas = _check_noise(sigma, sigmas, n)
@@ -423,6 +428,10 @@ class EstimatorFamily(ABC):
         theta = self.estimate(s, y)
         df = self.naive_df(s, y)
         return _sq_error(y - theta, self) + 2.0 * _df_unit(self) * df
+
+    def edf_unbiased(self, fit):
+        """Unbiased excess-df statistic of each row of the TunedBatch `fit`, or None."""
+        return None
 
     def oracle(self, model):
         """`OracleTuning`: the s minimizing the exact prediction error at the

@@ -20,12 +20,15 @@ from .core import (
     DomainError,
     EstimatorFamily,
     OracleTuning,
+    ShapeError,
     TunedBatch,
     TuningDomain,
     _check_batch,
     _check_design,
+    _check_noise,
     _rank_basis,
 )
+from .stein import SmoothFamilyHooks
 
 __all__ = [
     "minimize_quadratic_sure",
@@ -89,11 +92,40 @@ class ShrinkMeansFamily(EstimatorFamily):
     """theta_s(y) = y/(1+s) in the homoskedastic means model."""
 
     def __init__(self, n, sigma):
-        if n < 1:
-            raise DomainError("n must be at least 1")
+        if not (n >= 1 and float(n).is_integer()):
+            raise DomainError(f"n must be an integer at least 1, got {n!r}")
         self.n = int(n)
         self._set_noise(sigma=sigma)
         self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
+
+    @property
+    def hooks(self):
+        """Closed-form hooks for theta_s(y) = y/(1+s) and its SURE."""
+        n, sigma = self.n, self.sigma
+
+        def y2(y):
+            return np.einsum("...i,...i->...", y, y)
+
+        def d2g_dyds(s, y):
+            s = np.asarray(s, dtype=float)[..., None]
+            return 4.0 * np.asarray(y, dtype=float) * s / (1.0 + s) ** 3
+
+        def dtheta_ds(s, y):
+            return -np.asarray(y, dtype=float) / (1.0 + np.asarray(s, dtype=float)[..., None]) ** 2
+
+        return SmoothFamilyHooks(
+            theta=lambda s, y: y / (1.0 + np.asarray(s, dtype=float)[..., None]),
+            g=lambda s, y: y2(y) * s**2 / (1.0 + s) ** 2 + 2.0 * sigma**2 * n / (1.0 + s),
+            dg_ds=lambda s, y: (2.0 * s * y2(y) / (1.0 + s) ** 3
+                                - 2.0 * sigma**2 * n / (1.0 + s) ** 2),
+            d2g_ds2=lambda s, y: (y2(y) * (2.0 - 4.0 * s) / (1.0 + s) ** 4
+                                  + 4.0 * sigma**2 * n / (1.0 + s) ** 3),
+            dtheta_ds=dtheta_ds,
+            d2g_dyds=d2g_dyds,
+        )
+
+    def edf_unbiased(self, fit):
+        return edf_unbiased_shrink(fit.s_hat)
 
     def estimate(self, s, y):
         y = np.asarray(y, dtype=float)
@@ -163,6 +195,8 @@ class ShrinkRegressionFamily(EstimatorFamily):
         fit.sure_min = np.sum(Y**2, axis=1) - a + fit.sure_min
         return fit
 
+    edf_unbiased = ShrinkMeansFamily.edf_unbiased
+
     def oracle(self, model):
         """Closed-form oracle tuning; the off-span bias is irreducible."""
         self._check_model(model)
@@ -176,6 +210,16 @@ class ShrinkRegressionFamily(EstimatorFamily):
         return OracleTuning(s0=b / a0, err=n_sig2 + off + b * a0 / (b + a0))
 
 
+def _checked(y, sigma):
+    """(y, sigma) as floats; DomainError for a bad sigma or non-finite data rows."""
+    sigma = _check_noise(sigma, None)[0]
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 0 or y.shape[-1] == 0:
+        raise ShapeError(f"data must have a nonempty last axis, got shape {y.shape}")
+    _check_batch(y.reshape(-1, y.shape[-1]), y.shape[-1])
+    return y, sigma
+
+
 def shrink_means_positive_part(y, sigma):
     """The SURE-tuned means shrinkage rule written directly.
 
@@ -183,7 +227,7 @@ def shrink_means_positive_part(y, sigma):
     machinery.  Kept as an independent code path so tests can confirm the
     tuner lands on exactly this rule.
     """
-    y = np.asarray(y, dtype=float)
+    y, sigma = _checked(y, sigma)
     n = y.shape[-1]
     return _project_positive_part(np.sum(y**2, axis=-1), n * sigma**2, y)
 
@@ -208,7 +252,7 @@ def edf_unbiased_shrink(s_hat):
 
 def james_stein_positive(y, sigma):
     """Positive-part James-Stein estimate (1 - (n-2) sigma^2/||y||^2)_+ y."""
-    y = np.asarray(y, dtype=float)
+    y, sigma = _checked(y, sigma)
     n = y.shape[-1]
     if n < 3:
         warnings.warn("positive-part James-Stein needs n >= 3 to dominate", stacklevel=2)
@@ -220,7 +264,7 @@ def james_stein_positive_regression(X, y, sigma):
     fam = ShrinkRegressionFamily(X, sigma)
     if fam.rank < 3:
         warnings.warn("positive-part James-Stein needs rank >= 3 to dominate", stacklevel=2)
-    py = fam.project(np.asarray(y, dtype=float))
+    py = fam.project(_checked(y, fam.sigma)[0])
     return _project_positive_part(np.sum(py**2, axis=-1), (fam.rank - 2) * sigma**2, py)
 
 
@@ -232,7 +276,7 @@ def unbiased_risk_sure_tuned_shrink(y, sigma):
     expectation equals E||theta_hat - theta0||^2 for the tuned rule
     (1 - n sigma^2/||y||^2)_+ y.
     """
-    y = np.asarray(y, dtype=float)
+    y, sigma = _checked(y, sigma)
     n = y.shape[-1]
     b = n * sigma**2
     y2 = np.sum(y**2, axis=-1)

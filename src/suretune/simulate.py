@@ -13,7 +13,9 @@ per estimator/quantity pairing:
                    debiased), test (independent draw)
 
 plus `err_over_n` copies of the error rows normalized by the sample size.
-Pairings a family does not support (and bootstrap rows when B = 0) are
+The family answers for its own statistics: the unbiased rows come from
+`family.edf_unbiased(fit)` and the implicit_diff row from `family.hooks`.
+Where that member is None (and for bootstrap rows when B = 0) the rows are
 emitted with status="skipped" rather than dropped, so the output shape is
 config-independent.
 
@@ -32,10 +34,10 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, _bootstrap_stats
 from .core import (DomainError, GaussianModel, OracleTuning, TunedBatch, TuningDomain,
-                   _check_batch, _df_stats, _mean_se)
-from .shrinkage import ShrinkMeansFamily, edf_unbiased_shrink
+                   _check_batch, _df_stats, _df_unit, _mean_se, _sq_error)
+from .shrinkage import ShrinkMeansFamily
 from .softthresh import SoftThreshFamily
-from .stein import _implicit_diff_stats, shrink_means_hooks
+from .stein import _implicit_diff_stats
 
 __all__ = [
     "SETTINGS",
@@ -51,7 +53,6 @@ __all__ = [
 ]
 
 SETTINGS = ("null", "weak_sparsity", "strong_sparsity", "custom")
-FAMILIES = ("shrink_means", "soft_threshold", "singleton_shrink")
 
 
 class SingletonShrinkFamily(ShrinkMeansFamily):
@@ -60,8 +61,11 @@ class SingletonShrinkFamily(ShrinkMeansFamily):
     Useful as a degenerate reference: with nothing tuned the true excess df
     is zero, so the unbiased statistic is identically 0 and the Monte Carlo
     and bootstrap estimates straddle 0 (the bootstrap one carries a small
-    -df/B centering bias at tiny B).
+    -df/B centering bias at tiny B).  There is no stationarity condition to
+    differentiate, so it has no hooks.
     """
+
+    hooks = None
 
     def __init__(self, n, sigma, s=1.0):
         super().__init__(n, sigma)
@@ -80,12 +84,20 @@ class SingletonShrinkFamily(ShrinkMeansFamily):
             naive_df_at_shat=np.full(Y.shape[0], self.naive_df(s, Y)),
         )
 
+    def edf_unbiased(self, fit):
+        return np.zeros(fit.s_hat.shape[0])
+
     def oracle(self, model):
         """s_fixed and its error n sigma^2 + (||theta0||^2 s^2 + n sigma^2)/(1+s)^2."""
         self._check_model(model)
         s, b = self.s_fixed, self.n * self.sigma**2
         t2 = float(np.sum(model.theta0**2))
         return OracleTuning(s0=s, err=b + (t2 * s**2 + b) / (1.0 + s) ** 2)
+
+
+_FAMILY_CLASSES = {"shrink_means": ShrinkMeansFamily, "soft_threshold": SoftThreshFamily,
+                   "singleton_shrink": SingletonShrinkFamily}
+FAMILIES = tuple(_FAMILY_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -163,14 +175,6 @@ def theta0_for(setting, n, custom=None):
     raise DomainError(f"unknown setting {setting!r}")
 
 
-def _make_family(spec, n):
-    if spec.family == "shrink_means":
-        return ShrinkMeansFamily(n, spec.sigma)
-    if spec.family == "soft_threshold":
-        return SoftThreshFamily(n, spec.sigma)
-    return SingletonShrinkFamily(n, spec.sigma)
-
-
 @dataclass
 class SimRow:
     family: str
@@ -187,11 +191,9 @@ class SimRow:
 def run_simulation(spec):
     """Execute the grid and return the long-format result rows."""
     rows = []
-    tuned_shrink = spec.family == "shrink_means"
-    fixed_rule = spec.family == "singleton_shrink"
     for i_setting, setting in enumerate(spec.setting):
         for j_size, n in enumerate(spec.sizes):
-            family = _make_family(spec, n)
+            family = _FAMILY_CLASSES[spec.family](n, spec.sigma)
             theta0 = theta0_for(setting, n, custom=spec.theta0)
             model = GaussianModel(theta0, sigma=spec.sigma)
             rng = np.random.default_rng(np.random.SeedSequence([spec.seed, j_size, i_setting]))
@@ -202,20 +204,11 @@ def run_simulation(spec):
 
             cov_stats = _df_stats(fit.theta_hat, Y, model)
             mc_edf_stats = cov_stats - fit.naive_df_at_shat
-            test_err = np.sum((Ystar - fit.theta_hat) ** 2, axis=1)
-            scaled_exopt = (test_err - fit.sure_min) / (2.0 * spec.sigma**2)
-
-            if tuned_shrink:
-                unbiased_edf = edf_unbiased_shrink(fit.s_hat)
-                implicit_edf = _implicit_diff_stats(shrink_means_hooks(n, spec.sigma), Y,
-                                                    fit.s_hat)
-            elif fixed_rule:
-                # Nothing is tuned, so the plug-in df is already unbiased
-                # and there is no stationarity condition to differentiate.
-                unbiased_edf = np.zeros(R)
-                implicit_edf = None
-            else:
-                unbiased_edf = implicit_edf = None
+            test_err = _sq_error(Ystar - fit.theta_hat, model)
+            scaled_exopt = (test_err - fit.sure_min) / (2.0 * _df_unit(model))
+            unbiased_edf = family.edf_unbiased(fit)
+            hooks = family.hooks
+            implicit_edf = None if hooks is None else _implicit_diff_stats(hooks, Y, fit.s_hat)
 
             if spec.bootstrap_B:
                 cfg = BootstrapConfig(B=spec.bootstrap_B, sampler=spec.bootstrap_sampler,
@@ -251,7 +244,7 @@ def run_simulation(spec):
             add("df", "naive_bootstrap", boot_df_naive)
 
             corrected = (
-                fit.sure_min + 2.0 * spec.sigma**2 * boot_edf if boot_edf is not None else None
+                fit.sure_min + 2.0 * _df_unit(model) * boot_edf if boot_edf is not None else None
             )
             for quantity, scale in (("err", 1.0), ("err_over_n", 1.0 / n)):
                 add(quantity, "naive", fit.sure_min, scale)

@@ -48,8 +48,8 @@ class SoftThreshFamily(EstimatorFamily):
     """theta_s(y)_i = sign(y_i)(|y_i| - s)_+ in the homoskedastic means model."""
 
     def __init__(self, n, sigma):
-        if n < 1:
-            raise DomainError("n must be at least 1")
+        if not (n >= 1 and float(n).is_integer()):
+            raise DomainError(f"n must be an integer at least 1, got {n!r}")
         self.n = int(n)
         self._set_noise(sigma=sigma)
         self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)

@@ -19,10 +19,11 @@ degrees of freedom of the tuned rule.
 left unset falls back to central differences with a relative step.  Hooks
 take tuning values of shape (reps,) with data of shape (reps, n), so
 `_implicit_diff_stats` prices a whole batch of draws in a few array
-evaluations; `edf_implicit_diff` is its one-row case.  Closed form hooks
-are provided for homoskedastic shrinkage, for per-coordinate shrinkage
-under heteroskedastic noise, and (through the singular value rotation) for
-ridge regression.
+evaluations; `edf_implicit_diff` is its one-row case.  A smooth family
+carries its closed-form hooks as `family.hooks`: `ShrinkMeansFamily` for
+homoskedastic shrinkage, `HeteroShrinkFamily` for per-coordinate shrinkage
+under heteroskedastic noise, and, through the singular value rotation,
+`RidgeRotation(X, y).family` for ridge regression.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .core import (
     TunedBatch,
     TuningDomain,
     _check_batch,
+    _check_noise,
     _rank_basis,
 )
 
@@ -50,8 +52,6 @@ __all__ = [
     "StationarityError",
     "SmoothFamilyHooks",
     "edf_implicit_diff",
-    "shrink_means_hooks",
-    "hetero_shrink_hooks",
     "HeteroShrinkFamily",
     "tune_hetero_shrink",
     "exopt_hetero_shrink",
@@ -215,37 +215,6 @@ def edf_implicit_diff(hooks, y, s_hat):
     return EdfReport(method="implicit_diff", value=float(value), std_error=0.0, reps=1)
 
 
-def shrink_means_hooks(n, sigma):
-    """Closed-form hooks for theta_s(y) = y/(1+s) under constant noise."""
-
-    def theta(s, y):
-        return y / (1.0 + np.asarray(s, dtype=float)[..., None])
-
-    def g(s, y):
-        y2 = np.einsum("...i,...i->...", y, y)
-        return y2 * s**2 / (1.0 + s) ** 2 + 2.0 * sigma**2 * n / (1.0 + s)
-
-    def dg_ds(s, y):
-        y2 = np.einsum("...i,...i->...", y, y)
-        return 2.0 * s * y2 / (1.0 + s) ** 3 - 2.0 * sigma**2 * n / (1.0 + s) ** 2
-
-    def d2g_ds2(s, y):
-        y2 = np.einsum("...i,...i->...", y, y)
-        return y2 * (2.0 - 4.0 * s) / (1.0 + s) ** 4 + 4.0 * sigma**2 * n / (1.0 + s) ** 3
-
-    def d2g_dyds(s, y):
-        s = np.asarray(s, dtype=float)[..., None]
-        return 4.0 * np.asarray(y, dtype=float) * s / (1.0 + s) ** 3
-
-    def dtheta_ds(s, y):
-        return -np.asarray(y, dtype=float) / (1.0 + np.asarray(s, dtype=float)[..., None]) ** 2
-
-    return SmoothFamilyHooks(
-        theta=theta, g=g, dtheta_ds=dtheta_ds, dg_ds=dg_ds,
-        d2g_ds2=d2g_ds2, d2g_dyds=d2g_dyds,
-    )
-
-
 def _hetero_sure(s, Y2, sig2, order=0):
     """Scaled SURE of per-coordinate shrinkage (order 0) or its first or
     second derivative in s, at s of shape (...) for squared data Y2 of
@@ -262,34 +231,6 @@ def _hetero_sure(s, Y2, sig2, order=0):
             + np.sum(4.0 * sig2**2 / (1.0 + u) ** 3, axis=-1))
 
 
-def hetero_shrink_hooks(sigmas):
-    """Closed-form hooks for theta_s(y)_i = y_i/(1 + sigma_i^2 s).
-
-    The criterion is the variance-scaled SURE
-    sum_i (y_i - theta_i)^2/sigma_i^2 + 2 sum_i 1/(1 + sigma_i^2 s).
-    """
-    sig2 = np.asarray(sigmas, dtype=float) ** 2
-    if np.any(sig2 <= 0):
-        raise DomainError("sigmas must be positive")
-
-    def d2g_dyds(s, y):
-        s = np.asarray(s, dtype=float)[..., None]
-        return 4.0 * np.asarray(y, dtype=float) * sig2 * s / (1.0 + sig2 * s) ** 3
-
-    def dtheta_ds(s, y):
-        u = sig2 * np.asarray(s, dtype=float)[..., None]
-        return -np.asarray(y, dtype=float) * sig2 / (1.0 + u) ** 2
-
-    return SmoothFamilyHooks(
-        theta=lambda s, y: y / (1.0 + sig2 * np.asarray(s, dtype=float)[..., None]),
-        g=lambda s, y: _hetero_sure(s, np.square(y), sig2),
-        dg_ds=lambda s, y: _hetero_sure(s, np.square(y), sig2, 1),
-        d2g_ds2=lambda s, y: _hetero_sure(s, np.square(y), sig2, 2),
-        dtheta_ds=dtheta_ds,
-        d2g_dyds=d2g_dyds,
-    )
-
-
 class HeteroShrinkFamily(EstimatorFamily):
     """Per-coordinate shrinkage y_i/(1 + sigma_i^2 s) with scaled SURE.
 
@@ -298,14 +239,37 @@ class HeteroShrinkFamily(EstimatorFamily):
     """
 
     def __init__(self, sigmas):
-        sigmas = np.asarray(sigmas, dtype=float)
-        self.n = sigmas.shape[0]
-        self._set_noise(sigmas=sigmas, n=self.n)
+        self._set_noise(sigmas=sigmas)
+        self.n = self.sigmas.shape[0]
+        if self.n < 1:
+            raise DomainError("n must be at least 1")
         self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
-        self._sig2 = sigmas**2
+        self._sig2 = self.sigmas**2
         lo, hi = 1e-4 / float(np.mean(self._sig2)), 1e8 / float(np.min(self._sig2))
         points = 1 + math.ceil(63.0 / 12.0 * math.log10(hi / lo))
         self._grid = np.concatenate([[0.0], np.geomspace(lo, hi, points)])
+
+    @property
+    def hooks(self):
+        """Closed-form hooks for y_i/(1 + sigma_i^2 s) and its scaled SURE."""
+        sig2 = self._sig2
+
+        def d2g_dyds(s, y):
+            s = np.asarray(s, dtype=float)[..., None]
+            return 4.0 * np.asarray(y, dtype=float) * sig2 * s / (1.0 + sig2 * s) ** 3
+
+        def dtheta_ds(s, y):
+            u = sig2 * np.asarray(s, dtype=float)[..., None]
+            return -np.asarray(y, dtype=float) * sig2 / (1.0 + u) ** 2
+
+        return SmoothFamilyHooks(
+            theta=lambda s, y: y / (1.0 + sig2 * np.asarray(s, dtype=float)[..., None]),
+            g=lambda s, y: _hetero_sure(s, np.square(y), sig2),
+            dg_ds=lambda s, y: _hetero_sure(s, np.square(y), sig2, 1),
+            d2g_ds2=lambda s, y: _hetero_sure(s, np.square(y), sig2, 2),
+            dtheta_ds=dtheta_ds,
+            d2g_dyds=d2g_dyds,
+        )
 
     def estimate(self, s, y):
         y = np.asarray(y, dtype=float)
@@ -491,6 +455,8 @@ def exopt_hetero_shrink(y, sigmas, s_hat):
     """
     y = np.asarray(y, dtype=float)
     sig2 = np.asarray(sigmas, dtype=float) ** 2
+    if y.shape != sig2.shape or y.ndim != 1:
+        raise ShapeError("y and sigmas must be matching vectors")
     if not math.isfinite(s_hat) or s_hat <= 0:
         raise StationarityError("the ratio form needs a finite positive s_hat")
     u = sig2 * s_hat
@@ -517,14 +483,16 @@ class RidgeRotation:
     """
 
     def __init__(self, X, y, sigma=1.0):
+        self.sigma = _check_noise(sigma, None)[0]
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         if X.ndim != 2 or y.shape != (X.shape[0],):
             raise ShapeError("X must be 2-d with rows matching y")
+        _check_batch(y[None, :], y.shape[0])
         self.U, self.d, self.Vt = _rank_basis(X)
         if self.d.size == 0:
             raise DomainError("design matrix has rank zero")
-        self.X, self.y, self.sigma = X, y, float(sigma)
+        self.X, self.y = X, y
         self.w = (self.U.T @ y) / self.d
         self.family = HeteroShrinkFamily(self.sigma / self.d)
 

@@ -8,13 +8,14 @@ exports no module-level wrapper that only forwards to one of them.
 import ast
 import importlib
 import inspect
+import textwrap
 import types
 from pathlib import Path
 
 import pytest
 
 import suretune
-from suretune import EstimatorFamily, mc_df
+from suretune import EstimatorFamily, cli, mc_df, simulate
 
 LIBRARY_MODULES = (
     "acceptance",
@@ -31,12 +32,12 @@ LIBRARY_MODULES = (
 # Forwarders to a family method and duplicate or unused paths, deleted in
 # favour of the one path that remains: `family.oracle(model)` for
 # `oracle_tuning`, `SubsetCollection(X, make_all_subsets(p), sigma)` for the
-# exhaustive best-subset fit.
+# exhaustive best-subset fit, `family.hooks` for the free hook builders.
 DELETED = {
     "core": ("sure", "tune_by_sure", "vectorize_rows", "oracle_tuning"),
     "shrinkage": ("tune_shrink_means", "tune_shrink_regression"),
     "softthresh": ("tune_soft_threshold",),
-    "stein": ("numeric_divergence",),
+    "stein": ("numeric_divergence", "shrink_means_hooks", "hetero_shrink_hooks"),
     "subsets": ("tune_cp", "cp_criterion", "best_subset_lagrangian", "BestSubsetFit"),
 }
 
@@ -77,6 +78,31 @@ def test_deleted_forwarders_are_unreachable(module_name, name):
 def test_no_tuned_rule_or_centering_option():
     assert not hasattr(EstimatorFamily, "tuned_rule")
     assert "center" not in inspect.signature(mc_df).parameters
+
+
+def _strings(node):
+    """String constants of an expression, inside a tuple, list or set too."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return [value for elt in node.elts for value in _strings(elt)]
+    return []
+
+
+@pytest.mark.parametrize("func", [simulate.run_simulation, cli._cmd_edf],
+                         ids=lambda f: f.__name__)
+def test_no_branch_on_the_family_name(func):
+    # A family answers for its own excess-df statistics (`edf_unbiased`,
+    # `hooks`), so the code that reports them never asks which family it has.
+    names = set(simulate.FAMILIES) | set(cli.CLI_FAMILIES)
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    found = [
+        (node.lineno, value)
+        for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for value in _strings(operand) if value in names
+    ]
+    assert found == []
 
 
 def _load_time_imports(tree):

@@ -1,5 +1,7 @@
 """End-to-end command line checks, run in process through main(argv)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -105,10 +107,48 @@ class TestEdf:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_implicit_diff_rejects_soft_threshold(self, data_file, capsys):
+        rc = main(["edf", "--method", "implicit-diff", "--family", "soft-threshold",
+                   "--data", data_file])
+        assert rc == 1
+        assert "soft-threshold has no hooks" in capsys.readouterr().err
+
     def test_monte_carlo_needs_a_size(self, capsys):
         rc = main(["edf", "--method", "monte-carlo"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+# sha256 of stdout for edf runs whose bytes must not change.  {y} is
+# 3,1,1,1; {X} is a 4 x 2 design; {yh} is 4,1,-2,1 with sigmas 0.5,1,1.5,2.
+EDF_SHA256 = {
+    "analytic-shrink-means": (
+        "edf --method analytic --family shrink-means --data {y}",
+        "b6eef859e538f91d9071c38fa4aed31c3d42fb666e4c66737f7cd44e8298c461"),
+    "analytic-shrink-regression": (
+        "edf --method analytic --family shrink-regression --design {X} --data {y}",
+        "2d15668320fa01f9d0cf9df4dc4b8d886ad515b6e69423ae15db029586abe0c1"),
+    "implicit-diff-shrink-means": (
+        "edf --method implicit-diff --family shrink-means --data {y}",
+        "99a32c891dd0facbceee4d9ff70cab1be683e6718d250350a351eb2a3bc1c119"),
+    "implicit-diff-hetero-shrink": (
+        "edf --method implicit-diff --family hetero-shrink --sigmas 0.5,1,1.5,2 --data {yh}",
+        "c79a9177f98a64cb43bc4e65c07f117ef7c70b5c49fdcbf337475b43fff90b09"),
+    "monte-carlo-hetero-shrink": (
+        "edf --method monte-carlo --family hetero-shrink --sigmas 0.5,1,1.5,2 --reps 500",
+        "41b8e8c69847aaf288ad0548a429be361e0e85eda94db7b9864654513064f6a4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDF_SHA256))
+def test_edf_stdout_bytes_are_pinned(case, tmp_path, capsys):
+    paths = {"y": "3,1,1,1\n", "X": "1 0\n0 1\n1 1\n1 -1\n", "yh": "4,1,-2,1\n"}
+    for name, text in paths.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    command, digest = EDF_SHA256[case]
+    argv = command.format(**{name: str(tmp_path / f"{name}.txt") for name in paths}).split()
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestBounds:

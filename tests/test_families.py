@@ -27,9 +27,13 @@ from suretune import (
     ShrinkMeansFamily,
     ShrinkRegressionFamily,
     SoftThreshFamily,
+    exopt_hetero_shrink,
     make_nested,
+    mc_edf,
 )
+from suretune.core import _df_stats
 from suretune.simulate import SingletonShrinkFamily
+from suretune.stein import _implicit_diff_stats
 
 
 def _family_classes():
@@ -267,3 +271,87 @@ def test_scaling_data_and_noise_together_rescales_the_fit(case):
     tiny = np.finfo(float).tiny
     assert np.allclose(b.sure_min, c**2 * a.sure_min, rtol=0.0, atol=c**2 * tiny)
     assert np.allclose(b.theta_hat, c * a.theta_hat, rtol=0.0, atol=c * tiny)
+
+
+# Each family's own excess-df statistics: (edf_unbiased, hooks).  "statistic"
+# is a per-row unbiased statistic, "zeros" the exact 0 of an untuned rule.
+CAPABILITIES = {
+    "ShrinkMeansFamily": ("statistic", True),
+    "ShrinkRegressionFamily": ("statistic", False),
+    "SingletonShrinkFamily": ("zeros", False),
+    "SoftThreshFamily": (None, False),
+    "HeteroShrinkFamily": (None, True),
+    "SubsetCollection": (None, False),
+}
+
+
+def _model(family):
+    """A nonnull mean with the family's n and noise."""
+    theta0 = np.linspace(-1.5, 2.5, family.n)
+    if family.sigmas is None:
+        return GaussianModel(theta0, sigma=family.sigma)
+    return GaussianModel(theta0, sigmas=family.sigmas)
+
+
+def test_capability_table_names_every_family():
+    concrete = {c.__name__ for c in _family_classes() if not inspect.isabstract(c)}
+    assert concrete == set(CAPABILITIES)
+    assert {type(f).__name__ for f in _every_family()} == set(CAPABILITIES)
+
+
+@pytest.mark.parametrize("family", _every_family(), ids=lambda f: type(f).__name__)
+def test_family_declares_its_excess_df_statistics(family):
+    unbiased, has_hooks = CAPABILITIES[type(family).__name__]
+    stat = family.edf_unbiased(family.tune_batch(np.ones((3, family.n))))
+    assert (stat is None) == (unbiased is None)
+    assert (family.hooks is not None) == has_hooks
+
+
+@pytest.mark.parametrize("family", [f for f in _every_family()
+                                    if CAPABILITIES[type(f).__name__][0]],
+                         ids=lambda f: type(f).__name__)
+def test_unbiased_statistic_matches_monte_carlo_on_the_same_draws(family):
+    model, reps, seed = _model(family), 4000, 3
+    mc = mc_edf(family, model, reps=reps, seed=seed)
+    Y = model.draw(np.random.default_rng(seed), reps)
+    fit = family.tune_batch(Y)
+    stat = family.edf_unbiased(fit)
+    assert stat.shape == (reps,)
+    if CAPABILITIES[type(family).__name__][0] == "zeros":
+        assert np.all(stat == 0.0)
+    mc_stats = _df_stats(fit.theta_hat, Y, model) - fit.naive_df_at_shat
+    assert np.mean(mc_stats) == mc.value
+    paired = mc_stats - stat
+    assert abs(paired.mean()) <= 4.0 * paired.std(ddof=1) / math.sqrt(reps)
+
+
+@pytest.mark.parametrize("family", [f for f in _every_family()
+                                    if CAPABILITIES[type(f).__name__][1]],
+                         ids=lambda f: type(f).__name__)
+def test_hooks_give_the_closed_form_statistic(family):
+    Y = _model(family).draw(np.random.default_rng(4), 400)
+    fit = family.tune_batch(Y)
+    interior = np.isfinite(fit.s_hat) & (fit.s_hat > 0)
+    assert interior.sum() > 100
+    Y, s_hat = Y[interior], fit.s_hat[interior]
+    got = _implicit_diff_stats(family.hooks, Y, s_hat)
+    if family.sigmas is None:
+        want = family.edf_unbiased(fit)[interior]
+    else:
+        want = np.array([exopt_hetero_shrink(y, family.sigmas, s) / 2.0
+                         for y, s in zip(Y, s_hat)])
+    assert np.allclose(got, want, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: HeteroShrinkFamily(1.0), ShapeError, "one-dimensional"),
+    (lambda: HeteroShrinkFamily([]), DomainError, "n must be at least 1"),
+    (lambda: ShrinkMeansFamily(2.5, 1.0), DomainError, "integer at least 1, got 2.5"),
+    (lambda: SoftThreshFamily(2.5, 1.0), DomainError, "integer at least 1, got 2.5"),
+    (lambda: SingletonShrinkFamily(math.nan, 1.0), DomainError, "integer at least 1"),
+    (lambda: ShrinkMeansFamily(0, 1.0), DomainError, "integer at least 1"),
+], ids=["hetero-scalar", "hetero-empty", "means-fraction", "soft-fraction", "singleton-nan",
+        "means-zero"])
+def test_constructor_refuses_a_bad_size(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -248,3 +248,25 @@ def test_oracle_risk_closed_form_beats_every_fixed_s():
     for s in (0.1, 0.5, 1.0, 2.0, 10.0):
         risk_s = norm2 * (s / (1 + s)) ** 2 + n / (1 + s) ** 2
         assert ora.err <= n + risk_s + 1e-9
+
+
+# Each closed form checks sigma and every data row before computing: a bad
+# sigma or a non-finite entry used to come back as a plausible number.
+@pytest.mark.parametrize("call, match", [
+    (lambda: james_stein_positive([1.0, 2.0, 3.0], math.nan), "sigma must be positive"),
+    (lambda: shrink_means_positive_part([1.0, 2.0, 3.0], math.nan), "sigma must be positive"),
+    (lambda: james_stein_positive([1.0, 2.0, 3.0], -1.0), "sigma must be positive"),
+    (lambda: unbiased_risk_sure_tuned_shrink([1.0, 2.0], 0.0), "sigma must be positive"),
+    (lambda: james_stein_positive([math.nan, 1.0, 2.0], 1.0), r"row 0, column 0"),
+    (lambda: shrink_means_positive_part([math.inf, 1.0], 1.0), r"row 0, column 0"),
+    (lambda: unbiased_risk_sure_tuned_shrink([math.nan, 1.0], 1.0), r"row 0, column 0"),
+    (lambda: james_stein_positive_regression(np.eye(3), [1.0, 2.0, math.nan], 1.0),
+     r"row 0, column 2"),
+    (lambda: james_stein_positive(np.array([[1.0, 2.0, 3.0], [4.0, math.nan, 6.0]]), 1.0),
+     r"row 1, column 1"),
+], ids=["js-nan-sigma", "positive-part-nan-sigma", "js-negative-sigma", "risk-zero-sigma",
+        "js-nan-data", "positive-part-inf-data", "risk-nan-data", "js-regression-nan-data",
+        "js-batch-row"])
+def test_closed_forms_refuse_bad_sigma_or_data(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()

@@ -17,9 +17,7 @@ from suretune import (
     StationarityError,
     edf_implicit_diff,
     exopt_hetero_shrink,
-    hetero_shrink_hooks,
     ridge_as_hetero,
-    shrink_means_hooks,
     tune_hetero_shrink,
 )
 
@@ -27,8 +25,8 @@ from suretune import (
 class TestImplicitDiff:
     def test_shrinkage_closed_hooks_match_analytic_statistic(self):
         rng = np.random.default_rng(5)
-        hooks = shrink_means_hooks(15, 1.0)
         fam = ShrinkMeansFamily(15, 1.0)
+        hooks = fam.hooks
         for _ in range(20):
             y = rng.normal(1.5, 1.0, 15)
             fit = fam.tune(y)
@@ -43,7 +41,7 @@ class TestImplicitDiff:
     def test_numeric_fallback_hooks_agree_with_closed(self):
         sigma = 1.0
         n = 12
-        closed = shrink_means_hooks(n, sigma)
+        closed = ShrinkMeansFamily(n, sigma).hooks
         bare = SmoothFamilyHooks(theta=closed.theta, g=closed.g)
         rng = np.random.default_rng(6)
         y = rng.normal(2.0, 1.0, n)
@@ -53,7 +51,7 @@ class TestImplicitDiff:
         assert b == pytest.approx(a, abs=1e-4)
 
     def test_fallback_derivatives_match_closed_forms(self):
-        closed = hetero_shrink_hooks(np.array([0.5, 1.0, 2.0]))
+        closed = HeteroShrinkFamily(np.array([0.5, 1.0, 2.0])).hooks
         bare = SmoothFamilyHooks(theta=closed.theta, g=closed.g)
         one = (0.9, np.array([1.2, -0.7, 3.0]))
         batch = (np.array([0.9, 0.02, 40.0]),
@@ -74,7 +72,7 @@ class TestImplicitDiff:
     def test_fallback_statistic_is_accurate_on_wide_data(self):
         # Second differences lose about eps |G| / h^2 to rounding, which the
         # fallbacks' eps**0.25 steps keep small on data of scale 4 sigma.
-        closed = shrink_means_hooks(6, 1.0)
+        closed = ShrinkMeansFamily(6, 1.0).hooks
         bare = SmoothFamilyHooks(theta=closed.theta, g=closed.g)
         Y = np.random.default_rng(0).normal(0.0, 4.0, (4000, 6))
         s_hat = ShrinkMeansFamily(6, 1.0).tune_batch(Y).s_hat
@@ -93,10 +91,11 @@ class TestImplicitDiff:
         """(hooks, family, sigmas or None) for one of four hook sets."""
         sigmas = None
         if kind.startswith("shrink"):
-            hooks, fam = shrink_means_hooks(6, 1.0), ShrinkMeansFamily(6, 1.0)
+            fam = ShrinkMeansFamily(6, 1.0)
         else:
             sigmas = np.array([0.5, 0.8, 1.0, 1.3, 2.0, 3.0])
-            hooks, fam = hetero_shrink_hooks(sigmas), HeteroShrinkFamily(sigmas)
+            fam = HeteroShrinkFamily(sigmas)
+        hooks = fam.hooks
         if kind.endswith("fallback"):
             hooks = SmoothFamilyHooks(theta=hooks.theta, g=hooks.g)
         return hooks, fam, sigmas
@@ -155,16 +154,16 @@ class TestImplicitDiff:
             np.zeros(4))
 
     def test_infinite_s_hat_rejected(self):
-        hooks = shrink_means_hooks(4, 1.0)
+        hooks = ShrinkMeansFamily(4, 1.0).hooks
         with pytest.raises(StationarityError):
             edf_implicit_diff(hooks, np.ones(4), math.inf)
 
     def test_nonstationary_point_rejected(self):
-        hooks = shrink_means_hooks(10, 1.0)
+        fam = ShrinkMeansFamily(10, 1.0)
         y = np.full(10, 2.0)
-        fit = ShrinkMeansFamily(10, 1.0).tune(y)
+        fit = fam.tune(y)
         with pytest.raises(StationarityError):
-            edf_implicit_diff(hooks, y, 2.0 * fit.s_hat + 1.0)
+            edf_implicit_diff(fam.hooks, y, 2.0 * fit.s_hat + 1.0)
 
     def test_negative_curvature_rejected(self):
         hooks = SmoothFamilyHooks(
@@ -200,7 +199,7 @@ class TestTuneHeteroShrink:
             sigmas = np.exp(rng.normal(0.0, 0.7, n))
             y = rng.normal(0.0, 2.0, n) * sigmas
             fit = tune_hetero_shrink(y, sigmas)
-            hooks = hetero_shrink_hooks(sigmas)
+            hooks = HeteroShrinkFamily(sigmas).hooks
             grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 20_001)])
             best = hooks.g(grid, y).min()
             assert fit.sure_min <= best + 1e-9
@@ -337,7 +336,7 @@ class TestExoptHetero:
             fit = tune_hetero_shrink(y, sigmas)
             if not math.isfinite(fit.s_hat) or fit.s_hat <= 0:
                 continue
-            hooks = hetero_shrink_hooks(sigmas)
+            hooks = HeteroShrinkFamily(sigmas).hooks
             edf = edf_implicit_diff(hooks, y, fit.s_hat).value
             assert exopt_hetero_shrink(y, sigmas, fit.s_hat) == pytest.approx(
                 2.0 * edf, rel=1e-6, abs=1e-10
@@ -345,6 +344,10 @@ class TestExoptHetero:
 
     def test_zero_data_gives_zero(self):
         assert exopt_hetero_shrink(np.zeros(4), np.ones(4), 0.7) == 0.0
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            exopt_hetero_shrink([1.0, 2.0], [1.0, 1.0, 1.0], 1.0)
 
     def test_requires_finite_positive_s(self):
         with pytest.raises(StationarityError):
@@ -425,6 +428,14 @@ class TestRidgeRotation:
     def test_zero_rank_rejected(self):
         with pytest.raises(DomainError):
             RidgeRotation(np.zeros((4, 2)), np.ones(4))
+
+    def test_non_finite_response_is_named(self):
+        with pytest.raises(DomainError, match=r"column 2"):
+            RidgeRotation(np.eye(3), np.array([1.0, 2.0, math.nan]))
+
+    def test_sigma_is_checked_before_the_design(self):
+        with pytest.raises(DomainError, match=r"^sigma must be positive and finite"):
+            RidgeRotation(np.eye(3), np.ones(3), sigma=0)
 
     def test_tuned_fit_is_a_ridge_solution(self):
         rng = np.random.default_rng(17)
