@@ -31,15 +31,16 @@ floating-point operations, center and reduction axes as a fresh (B, n)
 array, so a row's bytes do not depend on R or on the blocking below.  The
 public functions pass a one-row batch; `simulate` passes a whole grid cell.
 
-Blocking and threads: reps whose B * n fits in `_BLOCK_VALUES` share one
-`tune_batch` call; a larger rep is retuned in row chunks after its center
-is taken.  Blocks of reps go to min(os.cpu_count(), blocks) threads, each
-with its own buffers, allocated by the caller and reused across its blocks.
-A single block runs inline.  Families must therefore tune re-entrantly (see
-`EstimatorFamily`), and an exception raised in a worker reaches the caller
-unchanged.  A family whose `tune_batch` multiplies matrices through BLAS
-may round a row chunk in the last place differently from the whole (B, n)
-batch; families without BLAS calls give the same bytes either way.
+Blocking and threads: `core._row_blocks` sets both block sizes.  Reps whose
+B * n fits in `core._BLOCK_VALUES` share one `tune_batch` call; a larger rep
+is retuned in row chunks after its center is taken.  Blocks of reps go to
+min(os.cpu_count(), blocks) threads, each with its own buffers, allocated
+by the caller and reused across its blocks.  A single block runs inline.
+Families must therefore tune re-entrantly (see `EstimatorFamily`), and an
+exception raised in a worker reaches the caller unchanged.  A family whose
+`tune_batch` multiplies matrices through BLAS may round a row chunk in the
+last place differently from the whole (B, n) batch; families without BLAS
+calls give the same bytes either way.
 """
 
 import math
@@ -51,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, EdfReport, _df_unit, _noise_sd
+from .core import DomainError, EdfReport, _df_unit, _noise_sd, _row_blocks
 
 __all__ = [
     "SAMPLERS",
@@ -63,11 +64,6 @@ __all__ = [
 ]
 
 SAMPLERS = ("parametric", "bigmodel", "residual")
-
-# float64 values per retuning block (512 KiB).  Reps with B * n at most this
-# share one tune_batch call; a larger rep is retuned in row chunks this big.
-_BLOCK_VALUES = 1 << 16
-
 
 @dataclass(frozen=True)
 class BootstrapConfig:
@@ -128,17 +124,18 @@ def _bootstrap_stats(family, Y, theta_hat, config, seeds):
     Y = np.asarray(Y, dtype=float)
     R, n = Y.shape
     B = config.B
-    per_block = max(1, _BLOCK_VALUES // (B * n))
-    step = per_block * B if B * n <= _BLOCK_VALUES else max(1, _BLOCK_VALUES // n)
-    blocks = range(0, R, per_block)
+    # Blocks of reps, each B * n values a row, and each worker's buffers: the
+    # replicates of its largest block and that block's largest retuning chunk.
+    blocks = list(_row_blocks(R, B * n))
     workers = min(os.cpu_count() or 1, len(blocks))
     out = np.empty((4, R))
-    buffers = [(np.empty((per_block * B, n)), np.empty((step, n))) for _ in range(workers)]
+    total = blocks[0].stop * B
+    step = next(_row_blocks(total, n)).stop
+    buffers = [(np.empty((total, n)), np.empty((step, n))) for _ in range(workers)]
 
     def run(w):
         Ystar, work = buffers[w]
-        for r0 in blocks[w::workers]:
-            rows = slice(r0, r0 + per_block)
+        for rows in blocks[w::workers]:
             _block(family, Y[rows], theta_hat[rows], config, seeds[rows], Ystar, work,
                    out[:, rows])
 
@@ -153,8 +150,8 @@ def _bootstrap_stats(family, Y, theta_hat, config, seeds):
 
 def _block(family, Y, theta_hat, config, seeds, Ystar, work, out):
     # Draw each rep's replicates into its slice of Ystar and take their
-    # center, then retune in chunks of len(work) rows (all the block's reps,
-    # or a row range of its one rep) and write the summaries into out.
+    # center, then retune in the row chunks of `_row_blocks` (all the block's
+    # reps, or a row range of its one rep) and write the summaries into out.
     B, (reps, n) = config.B, Y.shape
     total = reps * B
     Ystar = Ystar[:total]
@@ -166,9 +163,8 @@ def _block(family, Y, theta_hat, config, seeds, Ystar, work, out):
     scale = _noise_sd(family) ** 2
     cov_form = np.empty(total)
     plugin = np.empty(total)
-    step = work.shape[0]
-    for a in range(0, total, step):
-        b = min(a + step, total)
+    for chunk in _row_blocks(total, n):
+        a, b = chunk.start, chunk.stop
         refit = family.tune_batch(Ystar[a:b])
         c = centers[a // B:(b - 1) // B + 1]
         w = work[:b - a]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ShapeError, _normal_pdf
+from .core import DomainError, ShapeError, _check_count, _normal_pdf
 
 __all__ = [
     "chi_sq_max_bound",
@@ -201,11 +201,10 @@ def nested_null_edf_bound(p):
     2 (1 + 1/d) d^{d/2} e^{-d} / Gamma(d/2).  Nondecreasing in p and below
     10 for every p.
     """
-    if not (p >= 1 and float(p).is_integer()):
-        raise DomainError(f"p must be an integer at least 1, got {p!r}")
+    p = _check_count(p, "p", 1)
     from scipy.special import gammaln
 
-    d = np.arange(1, int(p) + 1, dtype=float)
+    d = np.arange(1, p + 1, dtype=float)
     log_terms = (
         math.log(2.0) + np.log1p(1.0 / d) + (d / 2.0) * np.log(d) - d - gammaln(d / 2.0)
     )

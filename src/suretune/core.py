@@ -35,9 +35,15 @@ vectors in `tune_batch`, the one tuner it writes; `EstimatorFamily.tune`
 fits a single vector as row 0 of a one-row batch.  Every excess-df estimate
 (Monte Carlo, bootstrap, simulation grid) retunes thousands of vectors, so
 they all go through `tune_batch`.  Estimator rules and family methods
-operate on arrays of shape (..., n), broadcasting over leading axes, and
-`mc_df` and `mc_prediction_error` call a rule once on the whole (reps, n)
-batch.
+operate on arrays of shape (..., n), broadcasting over leading axes.
+
+Row blocks: `mc_edf` and `mc_df` draw, tune and reduce their batch in
+consecutive blocks of at most max(1, `_BLOCK_VALUES` // n) rows, keeping
+only one statistic per row, so their memory is bounded by one block.
+`Generator.standard_normal` fills in C order, so the blocks hold exactly
+the values of one (reps, n) draw, and every later step acts row by row.
+`mc_prediction_error` and `oracle_gap_check` still draw all of Y and then
+all of Y*, and call a rule once on the whole (reps, n) batch.
 """
 
 import math
@@ -75,6 +81,31 @@ class ShapeError(ValueError):
 
 
 _RANK_TOL = 1e-10
+
+# float64 values per block of rows (512 KiB): the Monte Carlo routines draw,
+# tune and reduce in row blocks this big, and the bootstrap retunes in them.
+_BLOCK_VALUES = 1 << 16
+
+
+def _row_blocks(reps, n):
+    """Consecutive slices of range(reps), each of max(1, _BLOCK_VALUES // n) rows
+    except possibly the last."""
+    step = max(1, _BLOCK_VALUES // n)
+    for a in range(0, reps, step):
+        yield slice(a, min(a + step, reps))
+
+
+def _check_count(value, name, least):
+    """value as an int; DomainError unless it is an integer of at least `least`."""
+    if not (value >= least and float(value).is_integer()):
+        raise DomainError(f"{name} must be an integer at least {least}, got {value!r}")
+    return int(value)
+
+
+def _check_reps(reps):
+    # A Monte Carlo standard error needs two replications: one would report
+    # std_error 0, which `EdfReport` reserves for deterministic methods.
+    return _check_count(reps, "reps", 2)
 
 
 def _as_float_vector(x, name, n=None):
@@ -373,8 +404,8 @@ class EstimatorFamily(ABC):
         """DomainError unless `model` is a GaussianModel with this n and noise."""
         if not (isinstance(model, GaussianModel) and model.n == self.n
                 and model.sigma == self.sigma and np.array_equal(model.sigmas, self.sigmas)):
-            raise DomainError(f"model does not match {type(self).__name__}: oracle tuning "
-                              "needs a GaussianModel with the family's n and noise")
+            raise DomainError(f"model does not match {type(self).__name__}: expected a "
+                              "GaussianModel with the family's n and noise")
 
     @property
     def is_heteroskedastic(self):
@@ -458,6 +489,7 @@ def mc_prediction_error(rule, model, *, reps=1000, seed=0):
     Draws independent (Y, Y*) pairs from the model.  Under a
     heteroskedastic model the summands are scaled by 1/sigma_i^2.
     """
+    reps = _check_reps(reps)
     rng = np.random.default_rng(seed)
     Y = model.draw(rng, reps)
     Ystar = model.draw(rng, reps)
@@ -476,14 +508,23 @@ def mc_df(rule, model, *, reps=1000, seed=0):
     Uses df = sum_i Cov(rule_i(Y), Y_i) / sigma^2 (per-coordinate variances
     in the heteroskedastic case).  Each replication contributes
     sum_i rule_i(Y)(Y_i - theta0_i) / sigma^2, which is exactly unbiased.
-    `rule` maps the whole (reps, n) batch to its (reps, n) estimates.
+
+    `rule` maps a (k, n) block of data rows to its (k, n) estimates and must
+    act row by row: it is called once per row block (see the module
+    docstring), so memory is bounded by one block whatever `reps` is.  A
+    rule that multiplies matrices through BLAS may round a row in the last
+    place differently from a single call on the whole batch.
     """
+    reps = _check_reps(reps)
     rng = np.random.default_rng(seed)
-    Y = model.draw(rng, reps)
-    theta = np.asarray(rule(Y), dtype=float)
-    if theta.shape != Y.shape:
-        raise ShapeError("rule must map the (reps, n) batch to (reps, n) estimates")
-    value, se, r = _mean_se(_df_stats(theta, Y, model))
+    stats = np.empty(reps)
+    for rows in _row_blocks(reps, model.n):
+        Y = model.draw(rng, rows.stop - rows.start)
+        theta = np.asarray(rule(Y), dtype=float)
+        if theta.shape != Y.shape:
+            raise ShapeError("rule must map a (k, n) block of rows to (k, n) estimates")
+        stats[rows] = _df_stats(theta, Y, model)
+    value, se, r = _mean_se(stats)
     return MCEstimate(value, se, r)
 
 
@@ -496,12 +537,23 @@ def mc_edf(family, model, *, reps=1000, seed=0):
 
     whose mean over replications estimates df(theta_shat) - E[naive df].
     Pairing the two terms this way keeps the variance of the difference far
-    below that of either term alone.
+    below that of either term alone.  `model` must match the family (see
+    `EstimatorFamily._check_model`).
+
+    The draws are tuned by `family.tune_batch` one row block at a time (see
+    the module docstring), so memory is bounded by one block whatever `reps`
+    is.  A family whose `tune_batch` multiplies matrices through BLAS may
+    round a row in the last place differently from a single call on the
+    whole batch; the other families give the same bytes either way.
     """
+    family._check_model(model)
+    reps = _check_reps(reps)
     rng = np.random.default_rng(seed)
-    Y = model.draw(rng, reps)
-    fit = family.tune_batch(Y)
-    stats = _df_stats(fit.theta_hat, Y, model) - fit.naive_df_at_shat
+    stats = np.empty(reps)
+    for rows in _row_blocks(reps, model.n):
+        Y = model.draw(rng, rows.stop - rows.start)
+        fit = family.tune_batch(Y)
+        stats[rows] = _df_stats(fit.theta_hat, Y, model) - fit.naive_df_at_shat
     value, se, r = _mean_se(stats)
     return EdfReport(method="monte_carlo", value=value, std_error=se, reps=r)
 
@@ -530,6 +582,7 @@ class OracleGapReport:
 
 def oracle_gap_check(family, model, *, reps=2000, seed=0, se_mult=4.0):
     """Verify the oracle inequality for the SURE-tuned rule by simulation."""
+    reps = _check_reps(reps)
     rng = np.random.default_rng(seed)
     Y = model.draw(rng, reps)
     Ystar = model.draw(rng, reps)

@@ -24,6 +24,7 @@ from .core import (
     TunedBatch,
     TuningDomain,
     _check_batch,
+    _check_count,
     _check_design,
     _check_noise,
     _rank_basis,
@@ -92,9 +93,7 @@ class ShrinkMeansFamily(EstimatorFamily):
     """theta_s(y) = y/(1+s) in the homoskedastic means model."""
 
     def __init__(self, n, sigma):
-        if not (n >= 1 and float(n).is_integer()):
-            raise DomainError(f"n must be an integer at least 1, got {n!r}")
-        self.n = int(n)
+        self.n = _check_count(n, "n", 1)
         self._set_noise(sigma=sigma)
         self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
 

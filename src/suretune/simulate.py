@@ -34,7 +34,7 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, _bootstrap_stats
 from .core import (DomainError, GaussianModel, OracleTuning, TunedBatch, TuningDomain,
-                   _check_batch, _df_stats, _df_unit, _mean_se, _sq_error)
+                   _check_batch, _check_count, _df_stats, _df_unit, _mean_se, _sq_error)
 from .shrinkage import ShrinkMeansFamily
 from .softthresh import SoftThreshFamily
 from .stein import _implicit_diff_stats
@@ -124,10 +124,10 @@ class SimSpec:
         for s in settings:
             if s not in SETTINGS:
                 raise DomainError(f"setting {s!r} not among {SETTINGS}")
-        sizes = tuple(int(n) for n in self.sizes)
+        sizes = tuple(_check_count(n, "every size", 1) for n in self.sizes)
+        if not sizes:
+            raise DomainError("sizes must be nonempty")
         object.__setattr__(self, "sizes", sizes)
-        if not sizes or any(n < 1 for n in sizes):
-            raise DomainError("sizes must be positive")
         if self.outer_reps < 2:
             raise DomainError("outer_reps must be at least 2")
         if not (math.isfinite(self.sigma) and self.sigma > 0):

@@ -19,6 +19,7 @@ from .core import (
     TunedBatch,
     TuningDomain,
     _check_batch,
+    _check_count,
     _normal_pdf,
     mc_edf,
 )
@@ -48,9 +49,7 @@ class SoftThreshFamily(EstimatorFamily):
     """theta_s(y)_i = sign(y_i)(|y_i| - s)_+ in the homoskedastic means model."""
 
     def __init__(self, n, sigma):
-        if not (n >= 1 and float(n).is_integer()):
-            raise DomainError(f"n must be an integer at least 1, got {n!r}")
-        self.n = int(n)
+        self.n = _check_count(n, "n", 1)
         self._set_noise(sigma=sigma)
         self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
 

@@ -454,9 +454,12 @@ def exopt_hetero_shrink(y, sigmas, s_hat):
     independent code path for cross-checking.
     """
     y = np.asarray(y, dtype=float)
-    sig2 = np.asarray(sigmas, dtype=float) ** 2
-    if y.shape != sig2.shape or y.ndim != 1:
+    sigmas = np.asarray(sigmas, dtype=float)
+    if y.shape != sigmas.shape or y.ndim != 1:
         raise ShapeError("y and sigmas must be matching vectors")
+    if not np.isfinite(y).all():
+        raise DomainError("y must be finite")
+    sig2 = _check_noise(None, sigmas)[1] ** 2
     if not math.isfinite(s_hat) or s_hat <= 0:
         raise StationarityError("the ratio form needs a finite positive s_hat")
     u = sig2 * s_hat

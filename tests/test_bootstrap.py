@@ -17,7 +17,7 @@ from suretune import (
     bootstrap_edf,
     corrected_error_estimate,
 )
-from suretune import bootstrap
+from suretune import core
 from suretune.bootstrap import _bootstrap_stats, _replicates
 from suretune.simulate import SingletonShrinkFamily
 
@@ -264,7 +264,7 @@ SMALL_BLOCKS = [(5, 4), (20, 8), (1, 7)]
 @pytest.mark.parametrize("name", ["shrink", "singleton", "hetero"])
 @pytest.mark.parametrize("n, B", SMALL_BLOCKS)
 def test_batch_call_equals_one_row_calls(monkeypatch, sampler, name, n, B):
-    monkeypatch.setattr(bootstrap, "_BLOCK_VALUES", 64)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
     fam = _family(name, n)
     cfg = BootstrapConfig(B=B, sampler=sampler, c=0.4)
     Y, theta, seeds = _batch(fam, 7)
@@ -278,7 +278,7 @@ def test_batch_call_equals_one_row_calls(monkeypatch, sampler, name, n, B):
 @pytest.mark.parametrize("n, B", SMALL_BLOCKS)
 def test_blocked_stats_match_one_unblocked_retune(monkeypatch, sampler, n, B):
     # Blocking and chunking change no bit against one (B, n) draw and retune.
-    monkeypatch.setattr(bootstrap, "_BLOCK_VALUES", 64)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
     fam = _family("shrink", n)
     cfg = BootstrapConfig(B=B, sampler=sampler, c=0.4)
     Y, theta, seeds = _batch(fam, 7)
@@ -295,7 +295,7 @@ def test_blocked_stats_match_one_unblocked_retune(monkeypatch, sampler, n, B):
 def test_worker_count_does_not_change_results(monkeypatch, n, B):
     # Eight workers on fewer cores, switching threads every microsecond,
     # write their disjoint blocks of the output without losing one.
-    monkeypatch.setattr(bootstrap, "_BLOCK_VALUES", 64)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
     fam = _family("shrink", n)
     cfg = BootstrapConfig(B=B)
     Y, theta, seeds = _batch(fam, 40)
@@ -312,7 +312,7 @@ def test_worker_count_does_not_change_results(monkeypatch, n, B):
 
 
 def test_domain_error_in_a_worker_surfaces_unchanged(monkeypatch):
-    monkeypatch.setattr(bootstrap, "_BLOCK_VALUES", 64)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     fam = FailingFamily(5)
     Y, theta, seeds = _batch(fam, 8)
@@ -326,7 +326,7 @@ def test_domain_error_in_a_worker_surfaces_unchanged(monkeypatch):
 def test_theta_hat_that_is_the_input_batch(monkeypatch, n, B):
     # The identity rule gives the same statistics whether its fit is the
     # replicate buffer itself or a copy (s = 0 shrinkage divides by 1).
-    monkeypatch.setattr(bootstrap, "_BLOCK_VALUES", 64)
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
     same, copy = IdentityFamily(n, 1.0, s=0.0), SingletonShrinkFamily(n, 1.0, s=0.0)
     Y, theta, seeds = _batch(copy, 7)
     cfg = BootstrapConfig(B=B)

@@ -113,6 +113,12 @@ class TestEdf:
         assert rc == 1
         assert "soft-threshold has no hooks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reps", ["1", "0"])
+    def test_monte_carlo_needs_two_reps(self, reps, capsys):
+        rc = main(["edf", "--method", "monte-carlo", "--n", "5", "--reps", reps])
+        assert rc == 1
+        assert "reps must be an integer at least 2" in capsys.readouterr().err
+
     def test_monte_carlo_needs_a_size(self, capsys):
         rc = main(["edf", "--method", "monte-carlo"])
         assert rc == 1

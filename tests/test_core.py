@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from suretune import (
     EdfReport,
     EstimatorFamily,
     GaussianModel,
+    HeteroShrinkFamily,
     RidgeRotation,
     ShapeError,
     ShrinkMeansFamily,
     ShrinkRegressionFamily,
+    SoftThreshFamily,
     SubsetCollection,
     TuningDomain,
     edf_two_model_exact,
@@ -22,7 +25,9 @@ from suretune import (
     oracle_gap_check,
     ridge_as_hetero,
 )
+from suretune import core
 from suretune.core import _df_stats, _rank_basis
+from suretune.simulate import SingletonShrinkFamily
 
 
 def test_model_requires_exactly_one_noise_spec():
@@ -172,6 +177,102 @@ def test_oracle_gap_check_needs_a_family_oracle():
     model = GaussianModel(np.zeros(5), sigma=1.0)
     with pytest.raises(DomainError, match="_NoOracleFamily provides no oracle tuning"):
         oracle_gap_check(_NoOracleFamily(5, 1.0), model, reps=10)
+
+
+def test_mc_edf_refuses_a_model_with_other_noise():
+    with pytest.raises(DomainError, match="model does not match ShrinkMeansFamily"):
+        mc_edf(ShrinkMeansFamily(3, 1.0), GaussianModel(np.zeros(3), sigma=2.0), reps=10)
+
+
+@pytest.mark.parametrize("reps", [1, 0, -4, 2.5, math.inf, math.nan])
+def test_monte_carlo_needs_an_integer_reps_of_at_least_two(reps):
+    # One replication would report std_error 0, which EdfReport reserves
+    # for deterministic methods; none would average nothing.
+    family = ShrinkMeansFamily(4, 1.0)
+    model = GaussianModel(np.ones(4), sigma=1.0)
+    calls = (
+        lambda: mc_edf(family, model, reps=reps),
+        lambda: mc_df(lambda Y: Y, model, reps=reps),
+        lambda: mc_prediction_error(lambda Y: Y, model, reps=reps),
+        lambda: oracle_gap_check(family, model, reps=reps),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="reps must be an integer at least 2"):
+            call()
+
+
+def test_monte_carlo_accepts_two_reps_of_any_integer_type():
+    model = GaussianModel(np.ones(4), sigma=1.0)
+    for reps in (2, np.int64(2), 2.0):
+        report = mc_edf(ShrinkMeansFamily(4, 1.0), model, reps=reps)
+        assert report.reps == 2 and report.std_error > 0.0
+
+
+def _mc_reports(family, model, reps, seed):
+    return (mc_edf(family, model, reps=reps, seed=seed),
+            mc_df(lambda Y: family.tune_batch(Y).theta_hat, model, reps=reps, seed=seed))
+
+
+def _blocked_and_whole(monkeypatch, family, model, reps=50, seed=3):
+    """mc_edf and mc_df reports in 64-value row blocks, then in one block."""
+    runs = []
+    for values in (64, 1 << 40):
+        monkeypatch.setattr(core, "_BLOCK_VALUES", values)
+        runs.append(_mc_reports(family, model, reps, seed))
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
+    assert len(list(core._row_blocks(reps, model.n))) > 1
+    return runs
+
+
+@pytest.mark.parametrize("family, model", [
+    (ShrinkMeansFamily(7, 1.3), GaussianModel(np.linspace(-2.0, 2.0, 7), sigma=1.3)),
+    (SoftThreshFamily(10, 1.0), GaussianModel(3.0 / np.sqrt(np.arange(1, 11)), sigma=1.0)),
+    (SingletonShrinkFamily(5, 0.7, s=0.4), GaussianModel(np.ones(5), sigma=0.7)),
+], ids=lambda x: type(x).__name__)
+def test_row_blocks_give_the_one_block_bytes(monkeypatch, family, model):
+    # The blocks draw the same normals in the same order and every later
+    # step acts row by row, so these BLAS-free families match bit for bit.
+    blocked, whole = _blocked_and_whole(monkeypatch, family, model)
+    assert blocked == whole
+
+
+def test_row_blocks_of_blas_families_agree_to_rounding(monkeypatch):
+    sigmas = np.geomspace(0.5, 3.0, 6)
+    X = np.random.default_rng(4).standard_normal((30, 6))
+    coll = make_nested(X, 1.0)
+    cases = [(HeteroShrinkFamily(sigmas), GaussianModel(np.linspace(0.0, 3.0, 6), sigmas=sigmas)),
+             (coll, GaussianModel(np.zeros(coll.n), sigma=1.0))]
+    for family, model in cases:
+        blocked, whole = _blocked_and_whole(monkeypatch, family, model)
+        for got, want in zip(blocked, whole):
+            assert got.reps == want.reps == 50
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+            assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
+
+
+def test_mc_edf_memory_is_bounded_by_one_block():
+    # Holding the whole 5000 x 1000 batch and tune_batch's temporaries on it
+    # peaked at about 320 MB; one 65 x 1000 block at a time stays near 5 MB.
+    # The value and standard error are those of the one-batch computation.
+    model = GaussianModel(4.0 / np.sqrt(np.arange(1, 1001)), sigma=1.0)
+    family = SoftThreshFamily(1000, 1.0)
+    tracemalloc.start()
+    try:
+        report = mc_edf(family, model, reps=5000, seed=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert (report.value, report.std_error, report.reps) == \
+        (9.097907553886174, 0.14130403144059367, 5000)
+
+
+def test_mc_df_of_a_tuned_rule_is_pinned():
+    # 1500 rows of 200 run in five blocks; the pin is the one-batch result.
+    family = ShrinkMeansFamily(200, 1.0)
+    est = mc_df(lambda Y: family.tune_batch(Y).theta_hat,
+                GaussianModel(np.full(200, 0.3), sigma=1.0), reps=1500, seed=19)
+    assert (est.value, est.std_error, est.reps) == (18.20816851199489, 0.435199327881327, 1500)
 
 
 DESIGN_ENTRIES = {

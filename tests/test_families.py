@@ -96,6 +96,15 @@ def test_oracle_refuses_a_model_that_does_not_match(family, mismatch):
         family.oracle(_mismatched_models(family)[mismatch])
 
 
+@pytest.mark.parametrize("mismatch", ["type", "n", "sigma", "kind"])
+@pytest.mark.parametrize("family", _every_family(), ids=lambda f: type(f).__name__)
+def test_mc_edf_refuses_a_model_that_does_not_match(family, mismatch):
+    # A model whose noise differs from the family's would otherwise mix the
+    # two into a plausible number.
+    with pytest.raises(DomainError, match="does not match"):
+        mc_edf(family, _mismatched_models(family)[mismatch], reps=10)
+
+
 @pytest.mark.parametrize("family", _every_family(), ids=lambda f: type(f).__name__)
 class TestNonFiniteData:
     @pytest.mark.parametrize("order", ["C", "F"])

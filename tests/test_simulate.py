@@ -86,6 +86,11 @@ class TestSimSpecValidation:
         with pytest.raises(DomainError):
             SimSpec(bootstrap_B=-1)
 
+    @pytest.mark.parametrize("sizes", [(2.5,), (10, 7.5), (math.inf,), (math.nan,)])
+    def test_non_integer_sizes_rejected(self, sizes):
+        with pytest.raises(DomainError, match="every size must be an integer at least 1"):
+            SimSpec(sizes=sizes)
+
     def test_bootstrap_options_checked_up_front(self):
         with pytest.raises(DomainError):
             SimSpec(bootstrap_B=10, bootstrap_sampler="jackknife")

@@ -349,6 +349,18 @@ class TestExoptHetero:
         with pytest.raises(ShapeError):
             exopt_hetero_shrink([1.0, 2.0], [1.0, 1.0, 1.0], 1.0)
 
+    @pytest.mark.parametrize("y, sigmas", [
+        ([1.0, math.nan], [1.0, 1.0]),
+        ([1.0, math.inf], [1.0, 1.0]),
+        ([1.0, 2.0], [1.0, math.nan]),
+        ([1.0, 2.0], [1.0, math.inf]),
+        ([1.0, 2.0], [1.0, 0.0]),
+        ([1.0, 2.0], [-1.0, 1.0]),
+    ])
+    def test_non_finite_data_and_bad_sigmas_rejected(self, y, sigmas):
+        with pytest.raises(DomainError):
+            exopt_hetero_shrink(y, sigmas, 0.5)
+
     def test_requires_finite_positive_s(self):
         with pytest.raises(StationarityError):
             exopt_hetero_shrink(np.ones(3), np.ones(3), math.inf)
