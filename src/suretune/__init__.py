@@ -29,9 +29,7 @@ from .shrinkage import (
     edf_unbiased_shrink,
     james_stein_positive,
     james_stein_positive_regression,
-    minimize_quadratic_sure,
     risk_bounds_shrink,
-    shrink_means_positive_part,
     unbiased_risk_sure_tuned_shrink,
 )
 from .subsets import (

@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DomainError, EdfReport, _df_unit, _noise_sd, _row_blocks
+from .core import DomainError, EdfReport, _check_count, _df_unit, _noise_sd, _row_blocks
 
 __all__ = [
     "SAMPLERS",
@@ -75,8 +75,7 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.B < 2:
-            raise DomainError("bootstrap needs B >= 2 replicates")
+        object.__setattr__(self, "B", _check_count(self.B, "bootstrap B", 2))
         if self.sampler not in SAMPLERS:
             raise DomainError(f"sampler must be one of {SAMPLERS}")
         if not 0.0 < self.c <= 1.0:

@@ -231,8 +231,7 @@ class NestedBoundSplit:
 
 def nested_bound_tail_split(n_terms=1000):
     """Head-plus-tail certification of the < 10 nested-chain constant."""
-    if n_terms < 1:
-        raise DomainError("n_terms must be at least 1")
+    n_terms = _check_count(n_terms, "n_terms", 1)
     x = math.sqrt(2.0 / math.e)
     d = np.arange(1, n_terms + 1, dtype=float)
     powers = np.exp(d * math.log(x))

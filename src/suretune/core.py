@@ -467,7 +467,15 @@ class EstimatorFamily(ABC):
     def oracle(self, model):
         """`OracleTuning`: the s minimizing the exact prediction error at the
         mean of `model` (see `_check_model`), and that error.  Families with
-        a closed form or an exact search override this base, which raises."""
+        a closed form or an exact search override this base, which raises.
+
+        SURE is unbiased for the prediction error at every fixed s.  Where it
+        depends on the data only through squares (||y||^2, ||P y||^2, y_i^2
+        or the squared coordinates (y @ Q)^2), its expectation is SURE at the
+        expected squares, theta0^2 + sigma^2 coordinatewise.  Such a family's
+        oracle is therefore its own tuning core run at those statistics, and
+        the SURE minimum it reports is the exact error.
+        """
         raise DomainError(f"{type(self).__name__} provides no oracle tuning")
 
 
@@ -483,17 +491,26 @@ def _mean_se(values):
     return float(values.mean()), se, r
 
 
+def _apply_rule(rule, Y):
+    """rule(Y) as floats; ShapeError unless it has Y's shape (a (k, n) block)."""
+    theta = np.asarray(rule(Y), dtype=float)
+    if theta.shape != Y.shape:
+        raise ShapeError("rule must map a (k, n) block of rows to (k, n) estimates")
+    return theta
+
+
 def mc_prediction_error(rule, model, *, reps=1000, seed=0):
     """Monte Carlo prediction error E||Y* - rule(Y)||^2 of a fixed rule.
 
-    Draws independent (Y, Y*) pairs from the model.  Under a
+    Draws independent (Y, Y*) pairs from the model; `rule` maps the
+    (reps, n) batch Y to its (reps, n) estimates.  Under a
     heteroskedastic model the summands are scaled by 1/sigma_i^2.
     """
     reps = _check_reps(reps)
     rng = np.random.default_rng(seed)
     Y = model.draw(rng, reps)
     Ystar = model.draw(rng, reps)
-    value, se, r = _mean_se(_sq_error(Ystar - rule(Y), model))
+    value, se, r = _mean_se(_sq_error(Ystar - _apply_rule(rule, Y), model))
     return MCEstimate(value, se, r)
 
 
@@ -520,10 +537,7 @@ def mc_df(rule, model, *, reps=1000, seed=0):
     stats = np.empty(reps)
     for rows in _row_blocks(reps, model.n):
         Y = model.draw(rng, rows.stop - rows.start)
-        theta = np.asarray(rule(Y), dtype=float)
-        if theta.shape != Y.shape:
-            raise ShapeError("rule must map a (k, n) block of rows to (k, n) estimates")
-        stats[rows] = _df_stats(theta, Y, model)
+        stats[rows] = _df_stats(_apply_rule(rule, Y), Y, model)
     value, se, r = _mean_se(stats)
     return MCEstimate(value, se, r)
 

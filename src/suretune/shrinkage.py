@@ -32,10 +32,8 @@ from .core import (
 from .stein import SmoothFamilyHooks
 
 __all__ = [
-    "minimize_quadratic_sure",
     "ShrinkMeansFamily",
     "ShrinkRegressionFamily",
-    "shrink_means_positive_part",
     "edf_unbiased_shrink",
     "james_stein_positive",
     "james_stein_positive_regression",
@@ -43,27 +41,6 @@ __all__ = [
     "ShrinkRiskBounds",
     "risk_bounds_shrink",
 ]
-
-
-def minimize_quadratic_sure(a, b):
-    """Minimize a*s^2/(1+s)^2 + 2*b/(1+s) over s in [0, +inf].
-
-    Args:
-        a: coefficient of the squared-shrinkage term; must be positive.
-           For the means family a = ||y||^2, for regression a = ||Py||^2.
-        b: coefficient of the linear term; must be positive (n sigma^2 or
-           r sigma^2).
-
-    Returns:
-        The minimizer: b / (a - b) when a > b, else +inf.  The a = b case
-        is folded into +inf; the criterion value is identical (= a) at both
-        endpoints of the flat stretch, and +inf is the canonical choice.
-    """
-    if not (a > 0) or not (b > 0):
-        raise DomainError("minimize_quadratic_sure requires a > 0 and b > 0")
-    if a > b:
-        return b / (a - b)
-    return math.inf
 
 
 def _project_positive_part(y2, b, y):
@@ -87,6 +64,12 @@ def _tuned_shrink(a, m, sigma, target):
         sure_min=np.where(finite, 2.0 * b - b**2 / safe_a, a),
         naive_df_at_shat=np.where(finite, m * (1.0 - b / safe_a), 0.0),
     )
+
+
+def _oracle(fit):
+    """OracleTuning from a fit run at the expected statistics (see
+    `EstimatorFamily.oracle`); such a fit shrinks an empty target."""
+    return OracleTuning(s0=float(fit.s_hat), err=float(fit.sure_min))
 
 
 class ShrinkMeansFamily(EstimatorFamily):
@@ -143,14 +126,10 @@ class ShrinkMeansFamily(EstimatorFamily):
         return _tuned_shrink(np.einsum("ij,ij->i", Y, Y), self.n, self.sigma, Y)
 
     def oracle(self, model):
-        """Closed-form oracle tuning against a known mean vector."""
         self._check_model(model)
-        t2 = float(np.sum(model.theta0**2))
-        b = self.n * self.sigma**2
-        if t2 == 0.0:
-            return OracleTuning(s0=math.inf, err=b)
-        risk = b * t2 / (b + t2)
-        return OracleTuning(s0=b / t2, err=b + risk)
+        theta0 = model.theta0
+        return _oracle(_tuned_shrink(theta0 @ theta0 + self.n * self.sigma**2,
+                                     self.n, self.sigma, np.zeros(0)))
 
 
 class ShrinkRegressionFamily(EstimatorFamily):
@@ -189,24 +168,22 @@ class ShrinkRegressionFamily(EstimatorFamily):
     def tune_batch(self, Y):
         Y = _check_batch(Y, self.n)
         coords = Y @ self._basis
-        a = np.sum(coords**2, axis=1)
-        fit = _tuned_shrink(a, self.rank, self.sigma, coords @ self._basis.T)
-        fit.sure_min = np.sum(Y**2, axis=1) - a + fit.sure_min
+        return self._tuned(np.sum(Y**2, axis=1), np.sum(coords**2, axis=1),
+                           coords @ self._basis.T)
+
+    def _tuned(self, y2, a, target):
+        """The tuned fit from ||y||^2, a = ||P y||^2 and target = P y."""
+        fit = _tuned_shrink(a, self.rank, self.sigma, target)
+        fit.sure_min = y2 - a + fit.sure_min
         return fit
 
     edf_unbiased = ShrinkMeansFamily.edf_unbiased
 
     def oracle(self, model):
-        """Closed-form oracle tuning; the off-span bias is irreducible."""
         self._check_model(model)
-        p0 = self.project(model.theta0)
-        a0 = float(np.sum(p0**2))
-        off = float(np.sum(model.theta0**2)) - a0
-        b = self.rank * self.sigma**2
-        n_sig2 = self.n * self.sigma**2
-        if a0 == 0.0:
-            return OracleTuning(s0=math.inf, err=n_sig2 + off)
-        return OracleTuning(s0=b / a0, err=n_sig2 + off + b * a0 / (b + a0))
+        theta0, coords = model.theta0, model.theta0 @ self._basis
+        return _oracle(self._tuned(theta0 @ theta0 + self.n * self.sigma**2,
+                                   coords @ coords + self.rank * self.sigma**2, np.zeros(0)))
 
 
 def _checked(y, sigma):
@@ -217,18 +194,6 @@ def _checked(y, sigma):
         raise ShapeError(f"data must have a nonempty last axis, got shape {y.shape}")
     _check_batch(y.reshape(-1, y.shape[-1]), y.shape[-1])
     return y, sigma
-
-
-def shrink_means_positive_part(y, sigma):
-    """The SURE-tuned means shrinkage rule written directly.
-
-    Computes (1 - n sigma^2 / ||y||^2)_+ y without going through the tuning
-    machinery.  Kept as an independent code path so tests can confirm the
-    tuner lands on exactly this rule.
-    """
-    y, sigma = _checked(y, sigma)
-    n = y.shape[-1]
-    return _project_positive_part(np.sum(y**2, axis=-1), n * sigma**2, y)
 
 
 def edf_unbiased_shrink(s_hat):

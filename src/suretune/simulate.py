@@ -128,13 +128,12 @@ class SimSpec:
         if not sizes:
             raise DomainError("sizes must be nonempty")
         object.__setattr__(self, "sizes", sizes)
-        if self.outer_reps < 2:
-            raise DomainError("outer_reps must be at least 2")
+        object.__setattr__(self, "outer_reps", _check_count(self.outer_reps, "outer_reps", 2))
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise DomainError("sigma must be positive and finite")
-        if self.bootstrap_B < 0:
-            raise DomainError("bootstrap_B must be nonnegative (0 disables)")
-        if self.bootstrap_B:
+        if self.bootstrap_B != 0:
+            object.__setattr__(self, "bootstrap_B",
+                               _check_count(self.bootstrap_B, "bootstrap_B other than 0", 2))
             # Fail now on a sampler/scale combination bootstrap would reject.
             BootstrapConfig(B=self.bootstrap_B, sampler=self.bootstrap_sampler,
                             c=self.bootstrap_c, seed=0)

@@ -296,9 +296,20 @@ class HeteroShrinkFamily(EstimatorFamily):
         go to the smallest finite s.
         """
         Y = _check_batch(Y, self.n)
+        best_s, best_val, kept = self._minimize(Y**2)
+        shrunk = np.isinf(best_s)
+        shrink = 1.0 + self._sig2 * np.where(shrunk, 0.0, best_s)[:, None]
+        theta = Y / shrink
+        theta[shrunk] = 0.0
+        df = np.where(shrunk, 0.0, np.sum(1.0 / shrink, axis=1))
+        return TunedBatch(s_hat=best_s, theta_hat=theta, sure_min=best_val,
+                          naive_df_at_shat=df, multimodal=kept > 1)
+
+    def _minimize(self, Y2):
+        """(s_hat, SURE minimum, number of distinct minima) of every row of
+        squared data Y2, by the search `tune_batch` describes."""
         sig2, grid = self._sig2, self._grid
-        reps, n = Y.shape
-        Y2 = Y**2
+        reps = Y2.shape[0]
         u = grid[:, None] * sig2
         weights = sig2 * grid[:, None] ** 2 / (1.0 + u) ** 2
         vals = Y2 @ weights.T + 2.0 * np.sum(1.0 / (1.0 + u), axis=1)
@@ -338,49 +349,12 @@ class HeteroShrinkFamily(EstimatorFamily):
             take = ((vj < bv - 1e-12 * np.maximum(1.0, np.abs(bv)))
                     | (np.isinf(best_s[r]) & (vj <= bv)))
             best_s[r[take]], best_val[r[take]] = sj[take], vj[take]
-
-        shrunk = np.isinf(best_s)
-        shrink = 1.0 + sig2 * np.where(shrunk, 0.0, best_s)[:, None]
-        theta = Y / shrink
-        theta[shrunk] = 0.0
-        df = np.where(shrunk, 0.0, np.sum(1.0 / shrink, axis=1))
-        return TunedBatch(s_hat=best_s, theta_hat=theta, sure_min=best_val,
-                          naive_df_at_shat=df, multimodal=kept > 1)
-
-    def scaled_risk(self, theta0, s):
-        """Exact sum_i E(theta_i - theta0_i)^2 / sigma_i^2 at fixed s."""
-        theta0 = np.asarray(theta0, dtype=float)
-        if math.isinf(s):
-            return float(np.sum(theta0**2 / self._sig2))
-        u = self._sig2 * s
-        bias2 = theta0**2 * (u / (1.0 + u)) ** 2
-        var = self._sig2 / (1.0 + u) ** 2
-        return float(np.sum((bias2 + var) / self._sig2))
+        return best_s, best_val, kept
 
     def oracle(self, model):
-        from scipy.optimize import minimize_scalar
-
         self._check_model(model)
-        theta0 = model.theta0
-
-        def err(s):
-            return self.n + self.scaled_risk(theta0, s)
-
-        grid = self._grid
-        vals = np.array([err(s) for s in grid])
-        k = int(np.argmin(vals))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, len(grid) - 1)]
-        best_s, best_err = float(grid[k]), float(vals[k])
-        if hi > lo:
-            res = minimize_scalar(err, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-12 * max(1.0, hi)})
-            if res.fun < best_err:
-                best_s, best_err = float(res.x), float(res.fun)
-        err_inf = err(math.inf)
-        if err_inf < best_err:
-            return OracleTuning(s0=math.inf, err=err_inf)
-        return OracleTuning(s0=best_s, err=best_err)
+        s0, err, _ = self._minimize((model.theta0**2 + self._sig2)[None])
+        return OracleTuning(s0=float(s0[0]), err=float(err[0]))
 
 
 def _slope_root(a, b, Y2, sig2):

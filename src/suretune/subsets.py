@@ -125,20 +125,23 @@ class SubsetCollection(EstimatorFamily):
     def criterion_matrix(self, Y):
         """Cp values for every subset: shape (reps, n_subsets)."""
         Y = _check_batch(Y, self.n)
-        return self._cp(Y, Y @ self.Q)
+        return self._cp(np.sum(Y**2, axis=1), (Y @ self.Q) ** 2)
 
-    def _cp(self, Y, C):
-        """Cp for every subset from the coordinates C = Y @ Q."""
-        C2 = C**2
+    def _cp(self, y2, C2):
+        """Cp for every subset from ||y||^2 and the squared coordinates C2 = (Y @ Q)^2."""
         fitted2 = np.column_stack([C2[:, idx].sum(axis=1) for idx in self._qcols])
-        return np.sum(Y**2, axis=1)[:, None] - fitted2 + 2.0 * self.sigma**2 * self.ranks
+        return y2[:, None] - fitted2 + 2.0 * self.sigma**2 * self.ranks
+
+    def _pick(self, cp):
+        """Each row's argmin of the Cp matrix, ties going first in `_tie_order`."""
+        order = np.array(self._tie_order)
+        return order[np.argmin(cp[:, order], axis=1)]
 
     def tune_batch(self, Y):
         Y = _check_batch(Y, self.n)
         C = Y @ self.Q
-        cp = self._cp(Y, C)
-        order = np.array(self._tie_order)
-        pick = order[np.argmin(cp[:, order], axis=1)]
+        cp = self._cp(np.sum(Y**2, axis=1), C**2)
+        pick = self._pick(cp)
         theta = np.empty_like(Y)
         for k in np.unique(pick):
             rows, idx = pick == k, self._qcols[k]
@@ -152,23 +155,12 @@ class SubsetCollection(EstimatorFamily):
         )
 
     def oracle(self, model):
-        """Exact-risk minimizer over the collection (fixed, untuned fits).
-
-        For fixed s, Err(theta_s) = n sigma^2 + ||(I - P_s) theta0||^2
-        + rank_s sigma^2; enumeration is exact, no simulation involved.
-        """
         self._check_model(model)
-        base = model.n * model.sigma**2
-        coords = model.theta0 @ self.Q
-        best_k, best_err = None, math.inf
-        for k in self._tie_order:
-            idx = self._qcols[k]
-            proj = coords[idx] @ self.Q[:, idx].T
-            bias2 = float(np.sum((model.theta0 - proj) ** 2))
-            err = base + bias2 + self.ranks[k] * model.sigma**2
-            if err < best_err:
-                best_k, best_err = k, err
-        return OracleTuning(s0=self.domain.labels[best_k], err=best_err)
+        theta0 = model.theta0
+        cp = self._cp(np.array([theta0 @ theta0 + self.n * self.sigma**2]),
+                      (theta0 @ self.Q)[None] ** 2 + self.sigma**2)
+        k = self._pick(cp)[0]
+        return OracleTuning(s0=self.domain.labels[k], err=float(cp[0, k]))
 
 
 def _grown_from(cols, position):

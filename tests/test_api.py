@@ -33,9 +33,12 @@ LIBRARY_MODULES = (
 # favour of the one path that remains: `family.oracle(model)` for
 # `oracle_tuning`, `SubsetCollection(X, make_all_subsets(p), sigma)` for the
 # exhaustive best-subset fit, `family.hooks` for the free hook builders.
+# `ShrinkMeansFamily(n, sigma).tune` replaces the quadratic minimizer and the
+# positive-part rule.
 DELETED = {
     "core": ("sure", "tune_by_sure", "vectorize_rows", "oracle_tuning"),
-    "shrinkage": ("tune_shrink_means", "tune_shrink_regression"),
+    "shrinkage": ("tune_shrink_means", "tune_shrink_regression", "minimize_quadratic_sure",
+                  "shrink_means_positive_part"),
     "softthresh": ("tune_soft_threshold",),
     "stein": ("numeric_divergence", "shrink_means_hooks", "hetero_shrink_hooks"),
     "subsets": ("tune_cp", "cp_criterion", "best_subset_lagrangian", "BestSubsetFit"),

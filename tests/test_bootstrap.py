@@ -61,6 +61,11 @@ class TestBootstrapConfig:
             BootstrapConfig(sampler="bigmodel", c=1.5)
         BootstrapConfig(sampler="bigmodel", c=1.0)  # boundary is allowed
 
+    def test_fractional_B_rejected(self):
+        # A fraction would otherwise fail later, deep in numpy, with a TypeError.
+        with pytest.raises(DomainError, match="B must be an integer at least 2, got 2.5"):
+            BootstrapConfig(B=2.5)
+
 
 def test_seed_determinism():
     rng = np.random.default_rng(1)

@@ -294,6 +294,11 @@ class TestNestedTailSplit:
         with pytest.raises(DomainError):
             nested_bound_tail_split(n_terms=0)
 
+    def test_fractional_term_count_rejected(self):
+        # A fraction would otherwise sum 2.5 head terms into a total of 11.07.
+        with pytest.raises(DomainError, match="n_terms must be an integer at least 1, got 2.5"):
+            nested_bound_tail_split(2.5)
+
 
 class TestChiSquareProbabilities:
     def test_central_against_scipy(self):

@@ -147,6 +147,13 @@ def test_mc_prediction_error_of_zero_rule():
     assert est.value == pytest.approx(expected, abs=4 * est.std_error)
 
 
+def test_mc_prediction_error_refuses_a_rule_of_the_wrong_shape():
+    # Without the check, Y* - Y[:, :1] broadcasts into a plausible 7.84 +- 0.22.
+    model = GaussianModel(np.ones(4), sigma=1.0)
+    with pytest.raises(ShapeError, match="rule must map"):
+        mc_prediction_error(lambda Y: Y[:, :1], model, reps=1000, seed=0)
+
+
 def test_oracle_tuning_matches_family_oracle():
     n = 20
     model = GaussianModel(np.full(n, 1.2), sigma=1.0)

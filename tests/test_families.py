@@ -9,7 +9,11 @@ tests pin the one validation boundary every `tune_batch` goes through.
 import importlib
 import inspect
 import math
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +34,7 @@ from suretune import (
     exopt_hetero_shrink,
     make_nested,
     mc_edf,
+    mc_prediction_error,
 )
 from suretune.core import _df_stats
 from suretune.simulate import SingletonShrinkFamily
@@ -364,3 +369,45 @@ def test_hooks_give_the_closed_form_statistic(family):
 def test_constructor_refuses_a_bad_size(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+@pytest.mark.parametrize("family", _every_family(), ids=lambda f: type(f).__name__)
+def test_oracle_error_matches_monte_carlo_at_its_tuning_value(family):
+    model = _model(family)
+    o = family.oracle(model)
+    est = mc_prediction_error(lambda Y: family.estimate(o.s0, Y), model, reps=4000, seed=3)
+    assert abs(est.value - o.err) <= 4.0 * est.std_error
+
+
+@pytest.mark.parametrize("theta0, sigmas", [
+    ([0.5, -1.0, 2.0, 0.0, 3.0], [0.5, 1.0, 1.5, 2.0, 0.8]),
+    ([4.0, 0.1, 0.1, 0.1, 0.1, 0.1], [0.2, 3.0, 3.0, 3.0, 3.0, 3.0]),
+    ([10.0, -8.0, 12.0], [1.0, 1.0, 1.0]),
+], ids=["mixed", "two-scales", "strong-signal"])
+def test_hetero_oracle_is_the_minimum_of_the_exact_scaled_error(theta0, sigmas):
+    theta0, sig2 = np.array(theta0), np.square(sigmas)
+    s = np.geomspace(1e-4, 1e6, 400001)[:, None]
+    u = sig2 * s
+    # sum_i E(Y*_i - Y_i/(1 + u_i))^2 / sigma_i^2, written out per coordinate.
+    exact = np.sum(1.0 + (theta0**2 * u**2 + sig2) / (sig2 * (1.0 + u) ** 2), axis=1)
+    k = int(np.argmin(exact))
+    o = HeteroShrinkFamily(sigmas).oracle(GaussianModel(theta0, sigmas=sigmas))
+    assert o.err <= exact[k] * (1.0 + 1e-14)
+    assert o.err == pytest.approx(exact[k], rel=1e-9)
+    assert o.s0 == pytest.approx(s[k, 0], rel=1e-2)
+
+
+def test_hetero_oracle_leaves_scipy_unloaded():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import suretune\n"
+        "sigmas = np.array([0.5, 1.0, 2.0])\n"
+        "model = suretune.GaussianModel(np.array([1.0, -2.0, 0.5]), sigmas=sigmas)\n"
+        "suretune.HeteroShrinkFamily(sigmas).oracle(model)\n"
+        "assert 'scipy' not in sys.modules, 'the oracle imported scipy'\n"
+    )
+    src = str(Path(suretune.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

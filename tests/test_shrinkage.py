@@ -12,31 +12,26 @@ from suretune import (
     edf_unbiased_shrink,
     james_stein_positive,
     james_stein_positive_regression,
-    minimize_quadratic_sure,
     risk_bounds_shrink,
-    shrink_means_positive_part,
     unbiased_risk_sure_tuned_shrink,
 )
 
 
 class TestQuadraticMinimizer:
+    # SURE of y/(1+s) is a s^2/(1+s)^2 + 2b/(1+s) with a = ||y||^2, b = n sigma^2.
     def test_interior_minimum(self):
-        # a = ||y||^2 = 20, b = n sigma^2 = 5: s = b/(a-b)
-        assert minimize_quadratic_sure(20.0, 5.0) == pytest.approx(5.0 / 15.0)
+        # a = 20, b = 5: s = b/(a-b)
+        fit = ShrinkMeansFamily(5, 1.0).tune(np.full(5, 2.0))
+        assert fit.s_hat == pytest.approx(5.0 / 15.0)
 
     def test_boundary_folds_to_infinity(self):
-        assert math.isinf(minimize_quadratic_sure(5.0, 5.0))
-        assert math.isinf(minimize_quadratic_sure(3.0, 5.0))
-
-    def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(DomainError):
-            minimize_quadratic_sure(0.0, 1.0)
-        with pytest.raises(DomainError):
-            minimize_quadratic_sure(1.0, -1.0)
+        assert math.isinf(ShrinkMeansFamily(5, 1.0).tune(np.ones(5)).s_hat)
+        assert math.isinf(ShrinkMeansFamily(5, 1.0).tune(np.full(5, 0.5)).s_hat)
 
     def test_matches_grid_search(self):
-        a, b = 37.5, 12.0
-        s_star = minimize_quadratic_sure(a, b)
+        y = np.random.default_rng(3).normal(0.0, 2.0, 12)
+        a, b = y @ y, 12 * 1.5**2
+        s_star = ShrinkMeansFamily(12, 1.5).tune(y).s_hat
         grid = np.linspace(0, 20, 200001)
         vals = a * (grid / (1 + grid)) ** 2 + 2 * b / (1 + grid)
         assert s_star == pytest.approx(grid[np.argmin(vals)], abs=1e-3)
@@ -50,7 +45,6 @@ def test_tuned_rule_is_positive_part_shrinker():
         b = 12.0
         expected = np.clip(1.0 - b / (y @ y), 0.0, None) * y
         assert np.allclose(fit.theta_hat, expected, atol=1e-12)
-        assert np.allclose(shrink_means_positive_part(y, 1.0), expected, atol=1e-12)
 
 
 def test_tune_batch_agrees_with_scalar_tune():
@@ -218,8 +212,8 @@ class TestRegressionShrinkage:
         fit = self.family.tune(y)
         # the optimal s depends only on ||Py||^2 and the rank
         py2 = float(np.sum(self.family.project(y) ** 2))
-        expected_s = minimize_quadratic_sure(py2, 4.0)
-        assert fit.s_hat == pytest.approx(expected_s, rel=1e-12)
+        assert py2 > 4.0
+        assert fit.s_hat == pytest.approx(4.0 / (py2 - 4.0), rel=1e-12)
 
     def test_rank_zero_design_rejected(self):
         with pytest.raises(DomainError):
@@ -254,19 +248,16 @@ def test_oracle_risk_closed_form_beats_every_fixed_s():
 # sigma or a non-finite entry used to come back as a plausible number.
 @pytest.mark.parametrize("call, match", [
     (lambda: james_stein_positive([1.0, 2.0, 3.0], math.nan), "sigma must be positive"),
-    (lambda: shrink_means_positive_part([1.0, 2.0, 3.0], math.nan), "sigma must be positive"),
     (lambda: james_stein_positive([1.0, 2.0, 3.0], -1.0), "sigma must be positive"),
     (lambda: unbiased_risk_sure_tuned_shrink([1.0, 2.0], 0.0), "sigma must be positive"),
     (lambda: james_stein_positive([math.nan, 1.0, 2.0], 1.0), r"row 0, column 0"),
-    (lambda: shrink_means_positive_part([math.inf, 1.0], 1.0), r"row 0, column 0"),
     (lambda: unbiased_risk_sure_tuned_shrink([math.nan, 1.0], 1.0), r"row 0, column 0"),
     (lambda: james_stein_positive_regression(np.eye(3), [1.0, 2.0, math.nan], 1.0),
      r"row 0, column 2"),
     (lambda: james_stein_positive(np.array([[1.0, 2.0, 3.0], [4.0, math.nan, 6.0]]), 1.0),
      r"row 1, column 1"),
-], ids=["js-nan-sigma", "positive-part-nan-sigma", "js-negative-sigma", "risk-zero-sigma",
-        "js-nan-data", "positive-part-inf-data", "risk-nan-data", "js-regression-nan-data",
-        "js-batch-row"])
+], ids=["js-nan-sigma", "js-negative-sigma", "risk-zero-sigma", "js-nan-data",
+        "risk-nan-data", "js-regression-nan-data", "js-batch-row"])
 def test_closed_forms_refuse_bad_sigma_or_data(call, match):
     with pytest.raises(DomainError, match=match):
         call()

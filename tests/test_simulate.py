@@ -91,6 +91,11 @@ class TestSimSpecValidation:
         with pytest.raises(DomainError, match="every size must be an integer at least 1"):
             SimSpec(sizes=sizes)
 
+    @pytest.mark.parametrize("field", ["outer_reps", "bootstrap_B"])
+    def test_fractional_counts_rejected(self, field):
+        with pytest.raises(DomainError, match="must be an integer at least 2, got 2.5"):
+            SimSpec(**{field: 2.5})
+
     def test_bootstrap_options_checked_up_front(self):
         with pytest.raises(DomainError):
             SimSpec(bootstrap_B=10, bootstrap_sampler="jackknife")
