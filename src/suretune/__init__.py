@@ -28,9 +28,6 @@ from .shrinkage import (
     ShrinkRegressionFamily,
     edf_unbiased_shrink,
     james_stein_positive,
-    james_stein_positive_regression,
-    risk_bounds_shrink,
-    unbiased_risk_sure_tuned_shrink,
 )
 from .subsets import (
     DegenerateDesignError,

@@ -5,10 +5,15 @@ Two families live here.  Shrinkage to zero in the means model,
     theta_s(y) = y / (1 + s),        s in [0, +inf],
 
 and its regression analogue theta_s(y) = P y / (1 + s) with P the projection
-onto the column span of a design matrix.  Both admit closed-form SURE
-minimizers, closed-form oracle tuning, and a one-line unbiased statistic for
-the excess degrees of freedom of the tuned rule, which makes them the test
-bed of choice for every Monte Carlo routine in this package.
+onto the column span of a design matrix.  Both have a closed-form SURE
+minimizer, an exact oracle (the same minimizer at the expected squares) and
+a one-line unbiased statistic for the excess degrees of freedom of the
+tuned rule, `edf_unbiased_shrink`, which makes them the test bed of choice
+for every Monte Carlo routine in this package.  The paper's two properties
+are read off the family: sure_min + 2 sigma^2 * edf_unbiased(fit) is
+unbiased for the tuned rule's prediction error, and oracle(model).err is
+the error the excess optimism is measured against.  `james_stein_positive`
+is the classical (n - 2) rule the tuned fit is compared with.
 """
 
 import math
@@ -36,10 +41,6 @@ __all__ = [
     "ShrinkRegressionFamily",
     "edf_unbiased_shrink",
     "james_stein_positive",
-    "james_stein_positive_regression",
-    "unbiased_risk_sure_tuned_shrink",
-    "ShrinkRiskBounds",
-    "risk_bounds_shrink",
 ]
 
 
@@ -186,16 +187,6 @@ class ShrinkRegressionFamily(EstimatorFamily):
                                    coords @ coords + self.rank * self.sigma**2, np.zeros(0)))
 
 
-def _checked(y, sigma):
-    """(y, sigma) as floats; DomainError for a bad sigma or non-finite data rows."""
-    sigma = _check_noise(sigma, None)[0]
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 0 or y.shape[-1] == 0:
-        raise ShapeError(f"data must have a nonempty last axis, got shape {y.shape}")
-    _check_batch(y.reshape(-1, y.shape[-1]), y.shape[-1])
-    return y, sigma
-
-
 def edf_unbiased_shrink(s_hat):
     """Unbiased per-realization excess-df statistic for tuned shrinkage.
 
@@ -215,62 +206,17 @@ def edf_unbiased_shrink(s_hat):
 
 
 def james_stein_positive(y, sigma):
-    """Positive-part James-Stein estimate (1 - (n-2) sigma^2/||y||^2)_+ y."""
-    y, sigma = _checked(y, sigma)
+    """Positive-part James-Stein estimate (1 - (n-2) sigma^2/||y||^2)_+ y.
+
+    Broadcasts over leading axes of y.  Raises DomainError for a bad sigma
+    or a non-finite row of y, naming the first bad (row, column).
+    """
+    sigma = _check_noise(sigma, None)[0]
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 0 or y.shape[-1] == 0:
+        raise ShapeError(f"data must have a nonempty last axis, got shape {y.shape}")
     n = y.shape[-1]
+    _check_batch(y.reshape(-1, n), n)
     if n < 3:
         warnings.warn("positive-part James-Stein needs n >= 3 to dominate", stacklevel=2)
     return _project_positive_part(np.sum(y**2, axis=-1), (n - 2) * sigma**2, y)
-
-
-def james_stein_positive_regression(X, y, sigma):
-    """Positive-part James-Stein fit shrinking P y by (rank - 2) sigma^2."""
-    fam = ShrinkRegressionFamily(X, sigma)
-    if fam.rank < 3:
-        warnings.warn("positive-part James-Stein needs rank >= 3 to dominate", stacklevel=2)
-    py = fam.project(_checked(y, fam.sigma)[0])
-    return _project_positive_part(np.sum(py**2, axis=-1), (fam.rank - 2) * sigma**2, py)
-
-
-def unbiased_risk_sure_tuned_shrink(y, sigma):
-    """Unbiased estimate of the risk of the SURE-tuned means shrinkage rule.
-
-    Returns n sigma^2 - (n-4) sigma^2 * n sigma^2 / ||y||^2 when
-    ||y||^2 >= n sigma^2, and ||y||^2 - n sigma^2 otherwise.  Its
-    expectation equals E||theta_hat - theta0||^2 for the tuned rule
-    (1 - n sigma^2/||y||^2)_+ y.
-    """
-    y, sigma = _checked(y, sigma)
-    n = y.shape[-1]
-    b = n * sigma**2
-    y2 = np.sum(y**2, axis=-1)
-    shrunk = b - (n - 4) * sigma**2 * b / np.where(y2 > 0, y2, 1.0)
-    out = np.where(y2 >= b, shrunk, y2 - b)
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
-
-
-class ShrinkRiskBounds:
-    """Oracle risk and the two additive risk guarantees built on it.
-
-    Attributes:
-        oracle_risk: min_s E||theta_s(Y) - theta0||^2, in risk units
-            (subtract nothing; add n sigma^2 for prediction error).
-        tuned_bound: oracle_risk + 4 sigma^2, valid for the SURE-tuned rule
-            because its excess optimism is at most 2 sigma^2 * 2.
-        js_bound: oracle_risk + 2 sigma^2, valid for positive-part
-            James-Stein when n >= 3.
-    """
-
-    def __init__(self, oracle_risk, sigma):
-        self.oracle_risk = float(oracle_risk)
-        self.tuned_bound = self.oracle_risk + 4.0 * sigma**2
-        self.js_bound = self.oracle_risk + 2.0 * sigma**2
-
-
-def risk_bounds_shrink(model):
-    """Risk-scale oracle value and guarantees for the means family."""
-    if model.is_heteroskedastic:
-        raise DomainError("risk bounds here assume homoskedastic noise")
-    fam = ShrinkMeansFamily(model.n, model.sigma)
-    oracle = fam.oracle(model)
-    return ShrinkRiskBounds(oracle.err - model.n * model.sigma**2, model.sigma)

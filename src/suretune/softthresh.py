@@ -95,9 +95,10 @@ class SoftThreshFamily(EstimatorFamily):
     def oracle(self, model):
         """Exact-risk threshold via the closed-form fixed-s risk.
 
-        Grid search over s/sigma in [0, max|theta0|/sigma + 6] followed by
-        golden-section refinement; the fully-shrunk endpoint s = +inf is
-        compared explicitly.
+        A 241-point grid over s/sigma in [0, max|theta0|/sigma + 6], then
+        scipy's bounded scalar minimizer (`minimize_scalar(method="bounded")`)
+        between the grid neighbours of the best point; the fully-shrunk
+        endpoint s = +inf is compared explicitly.
         """
         from scipy.optimize import minimize_scalar
 
@@ -178,14 +179,14 @@ class JumpScan:
     jumps: list
 
 
-def scan_jumps(family, y_base, coord, t_grid, *, jump_tol=None, iters=60):
+def scan_jumps(family, y_base, coord, t_grid):
     """Locate discontinuities of t -> theta_hat(y(t))_coord by bisection.
 
     y(t) is y_base with coordinate `coord` replaced by t.  The tuned fit can
     only jump where the selected SURE candidate switches, which always moves
     the plug-in df, so grid cells with constant naive df are skipped.
-    Flagged cells are bisected to floating point resolution; jumps smaller
-    than `jump_tol` (default 1e-6 sigma) are discarded.  Cells containing
+    Flagged cells are bisected 60 times, to floating point resolution; jumps
+    no larger than 1e-6 sigma are discarded.  Cells containing
     several switches resolve to the one with the largest fit gap; use a grid
     fine enough to separate switches of interest.
     """
@@ -193,7 +194,6 @@ def scan_jumps(family, y_base, coord, t_grid, *, jump_tol=None, iters=60):
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise DomainError("t_grid must be strictly increasing")
-    tol = 1e-6 * family.sigma if jump_tol is None else float(jump_tol)
 
     def batch_at(ts):
         Y = np.tile(y_base, (len(ts), 1))
@@ -207,7 +207,7 @@ def scan_jumps(family, y_base, coord, t_grid, *, jump_tol=None, iters=60):
     th_lo, th_hi = th[cells].copy(), th[cells + 1].copy()
     s_lo, s_hi = s[cells].copy(), s[cells + 1].copy()
     df_lo, df_hi = df[cells].copy(), df[cells + 1].copy()
-    for _ in range(iters):
+    for _ in range(60):
         if lo.size == 0:
             break
         mid = 0.5 * (lo + hi)
@@ -227,7 +227,7 @@ def scan_jumps(family, y_base, coord, t_grid, *, jump_tol=None, iters=60):
     jumps = []
     for j in range(lo.size):
         size = th_hi[j] - th_lo[j]
-        if abs(size) > tol:
+        if abs(size) > 1e-6 * family.sigma:
             jumps.append(
                 Jump(
                     location=0.5 * (lo[j] + hi[j]),
@@ -239,15 +239,15 @@ def scan_jumps(family, y_base, coord, t_grid, *, jump_tol=None, iters=60):
     return JumpScan(t_grid=t_grid, theta_coord=th, s_hat=s, naive_df=df, jumps=jumps)
 
 
-def df_lower_bound_check(model, *, reps=2000, seed=0, se_mult=4.0):
+def df_lower_bound_check(model, *, reps=2000, seed=0):
     """Check that the strict active-set count does not overstate tuned df.
 
     Estimates the excess degrees of freedom of SURE-tuned soft thresholding
     by paired Monte Carlo and reports whether the estimate is above
-    -se_mult standard errors, i.e. consistent with df >= E[count].
+    -4 standard errors, i.e. consistent with df >= E[count].
     """
     if model.is_heteroskedastic:
         raise DomainError("soft thresholding here assumes homoskedastic noise")
     fam = SoftThreshFamily(model.n, model.sigma)
     report = mc_edf(fam, model, reps=reps, seed=seed)
-    return report, report.value >= -se_mult * report.std_error
+    return report, report.value >= -4.0 * report.std_error

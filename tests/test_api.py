@@ -8,6 +8,7 @@ exports no module-level wrapper that only forwards to one of them.
 import ast
 import importlib
 import inspect
+import re
 import textwrap
 import types
 from pathlib import Path
@@ -34,11 +35,14 @@ LIBRARY_MODULES = (
 # `oracle_tuning`, `SubsetCollection(X, make_all_subsets(p), sigma)` for the
 # exhaustive best-subset fit, `family.hooks` for the free hook builders.
 # `ShrinkMeansFamily(n, sigma).tune` replaces the quadratic minimizer and the
-# positive-part rule.
+# positive-part rule.  The paper's two properties are read off a family:
+# `fit.sure_min + 2 sigma^2 family.edf_unbiased(fit)` replaces the shrink-only
+# unbiased risk estimate, and `family.oracle(model).err` the risk-bound class.
 DELETED = {
     "core": ("sure", "tune_by_sure", "vectorize_rows", "oracle_tuning"),
     "shrinkage": ("tune_shrink_means", "tune_shrink_regression", "minimize_quadratic_sure",
-                  "shrink_means_positive_part"),
+                  "shrink_means_positive_part", "james_stein_positive_regression",
+                  "unbiased_risk_sure_tuned_shrink", "ShrinkRiskBounds", "risk_bounds_shrink"),
     "softthresh": ("tune_soft_threshold",),
     "stein": ("numeric_divergence", "shrink_means_hooks", "hetero_shrink_hooks"),
     "subsets": ("tune_cp", "cp_criterion", "best_subset_lagrangian", "BestSubsetFit"),
@@ -76,6 +80,37 @@ def test_deleted_forwarders_are_unreachable(module_name, name):
     module = _module(module_name)
     assert not hasattr(module, name)
     assert name not in module.__all__
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _suretune_names(path):
+    """Names a script imports from suretune or reads off a suretune module."""
+    tree = ast.parse(path.read_text())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name.split(".")[0] == "suretune")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("suretune"):
+            names.update(a.name for a in node.names)
+            modules.update(a.asname or a.name for a in node.names)
+    names.update(node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules)
+    return names
+
+
+def test_deleted_names_are_gone_from_readme_and_demos():
+    deleted = {name for names in DELETED.values() for name in names}
+    found = [f"{path.name}: {name}" for path in sorted((REPO / "demos").glob("*.py"))
+             for name in sorted(deleted & _suretune_names(path))]
+    # A deleted function that lives on as a family method of the same name
+    # (`sure`) is still documented as that method.
+    readme = (REPO / "README.md").read_text()
+    found += [f"README.md: {name}" for name in sorted(deleted)
+              if not hasattr(EstimatorFamily, name) and re.search(rf"\b{name}\b", readme)]
+    assert found == []
 
 
 def test_no_tuned_rule_or_centering_option():

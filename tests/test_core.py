@@ -42,6 +42,33 @@ def test_model_requires_exactly_one_noise_spec():
         GaussianModel(theta, sigmas=np.ones(3))
 
 
+# The model refuses a non-finite mean at construction: past that point each
+# of these calls returns NaN, and the heteroskedastic oracle at
+# theta0[0] = inf returns a plausible s0 with err = inf.
+NON_FINITE_MEAN_CALLS = {
+    "mc_prediction_error": lambda: mc_prediction_error(
+        lambda Y: Y, GaussianModel([math.nan, 1.0, 2.0], sigma=1.0)),
+    "mc_df": lambda: mc_df(lambda Y: Y, GaussianModel([math.nan, 1.0, 2.0], sigma=1.0)),
+    "shrink-means-oracle": lambda: ShrinkMeansFamily(3, 1.0).oracle(
+        GaussianModel([math.nan, 1.0, 2.0], sigma=1.0)),
+    "singleton-oracle": lambda: SingletonShrinkFamily(3, 1.0).oracle(
+        GaussianModel([math.nan, 1.0, 2.0], sigma=1.0)),
+    "hetero-oracle": lambda: HeteroShrinkFamily(np.ones(3)).oracle(
+        GaussianModel([math.inf, 1.0, 2.0], sigmas=np.ones(3))),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_FINITE_MEAN_CALLS))
+def test_model_refuses_a_non_finite_mean(call):
+    with pytest.raises(DomainError, match="theta0 is not finite at index 0"):
+        NON_FINITE_MEAN_CALLS[call]()
+
+
+def test_model_names_the_first_non_finite_mean_entry():
+    with pytest.raises(DomainError, match="theta0 is not finite at index 1$"):
+        GaussianModel([1.0, -math.inf, math.nan], sigma=1.0)
+
+
 def test_model_draw_shapes_and_mean():
     model = GaussianModel(np.arange(5.0), sigma=0.5)
     rng = np.random.default_rng(0)
@@ -96,6 +123,8 @@ def test_edf_report_validation():
     assert r.reps == 100
     with pytest.raises(DomainError):
         EdfReport(method="not_a_method", value=0.0, std_error=0.0, reps=1)
+    with pytest.raises(DomainError, match="unknown edf method 'closed_form'"):
+        EdfReport(method="closed_form", value=0.0, std_error=0.0, reps=1)
     with pytest.raises(DomainError):
         EdfReport(method="monte_carlo", value=0.0, std_error=-1.0, reps=1)
 

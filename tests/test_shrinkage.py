@@ -11,10 +11,14 @@ from suretune import (
     ShrinkRegressionFamily,
     edf_unbiased_shrink,
     james_stein_positive,
-    james_stein_positive_regression,
-    risk_bounds_shrink,
-    unbiased_risk_sure_tuned_shrink,
 )
+
+
+def _unbiased_risk(family, Y):
+    """Property (i) in risk units: sure_min + 2 sigma^2 edf_unbiased - n sigma^2 per row."""
+    fit = family.tune_batch(Y)
+    unit = family.sigma**2
+    return fit.sure_min + 2.0 * unit * family.edf_unbiased(fit) - family.n * unit
 
 
 class TestQuadraticMinimizer:
@@ -102,12 +106,12 @@ def test_edf_statistic_rejects_nan():
 
 def test_unbiased_risk_estimate_branches():
     n, sigma = 10, 1.0
-    y = np.full(n, 2.0)  # ||y||^2 = 40 >= n sigma^2
-    got = unbiased_risk_sure_tuned_shrink(y, sigma)
+    family = ShrinkMeansFamily(n, sigma)
+    y = np.full((1, n), 2.0)  # ||y||^2 = 40 >= n sigma^2
     expected = n - (n - 4) * n / 40.0
-    assert got == pytest.approx(expected)
-    y_small = np.full(n, 0.5)  # ||y||^2 = 2.5 < 10
-    assert unbiased_risk_sure_tuned_shrink(y_small, sigma) == pytest.approx(2.5 - 10)
+    assert _unbiased_risk(family, y)[0] == pytest.approx(expected)
+    y_small = np.full((1, n), 0.5)  # ||y||^2 = 2.5 < 10
+    assert _unbiased_risk(family, y_small)[0] == pytest.approx(2.5 - 10)
 
 
 def test_unbiased_risk_estimate_mean_matches_true_risk():
@@ -120,9 +124,32 @@ def test_unbiased_risk_estimate_mean_matches_true_risk():
     family = ShrinkMeansFamily(n, 1.0)
     fit = family.tune_batch(Y)
     risks = np.sum((fit.theta_hat - theta0) ** 2, axis=1)
-    rhat = np.array([unbiased_risk_sure_tuned_shrink(Y[r], 1.0) for r in range(reps)])
-    diff = rhat - risks
+    diff = _unbiased_risk(family, Y) - risks
     assert abs(diff.mean()) <= 4 * diff.std(ddof=1) / math.sqrt(reps)
+
+
+def _means_case():
+    return ShrinkMeansFamily(20, 0.7), np.linspace(-1.5, 2.0, 20)
+
+
+def _regression_case():
+    # A mean partly off the span, so the residual term of SURE is exercised.
+    X = np.random.default_rng(18).standard_normal((30, 4))
+    return ShrinkRegressionFamily(X, 1.5), X @ [0.8, -0.5, 0.0, 0.3] + np.linspace(-2, 2, 30)
+
+
+@pytest.mark.parametrize("case", [_means_case, _regression_case], ids=["means", "regression"])
+def test_sure_min_plus_excess_optimism_is_unbiased_for_test_error(case):
+    # Property (i): SURE's minimum plus 2 sigma^2 times the unbiased excess-df
+    # statistic is unbiased for the tuned rule's error on an independent copy.
+    family, theta0 = case()
+    model = GaussianModel(theta0, sigma=family.sigma)
+    rng = np.random.default_rng(19)
+    Y, Ystar = model.draw(rng, 10000), model.draw(rng, 10000)
+    fit = family.tune_batch(Y)
+    estimate = fit.sure_min + 2.0 * family.sigma**2 * family.edf_unbiased(fit)
+    diff = estimate - np.sum((Ystar - fit.theta_hat) ** 2, axis=1)
+    assert abs(diff.mean()) <= 4 * diff.std(ddof=1) / math.sqrt(len(diff))
 
 
 @pytest.mark.parametrize("y", [[7.4e-159], [1e-160, 0.0, 0.0]])
@@ -162,13 +189,11 @@ def test_james_stein_shrinks_toward_zero():
     assert np.array_equal(james_stein_positive(tiny, 1.0), np.zeros(5))
 
 
-def test_risk_bounds_fields():
+def test_oracle_risk_matches_closed_form():
     model = GaussianModel(np.full(20, 1.5), sigma=1.0)
-    rb = risk_bounds_shrink(model)
     norm2 = 20 * 1.5**2
-    assert rb.oracle_risk == pytest.approx(20 * norm2 / (20 + norm2))
-    assert rb.tuned_bound == pytest.approx(rb.oracle_risk + 4.0)
-    assert rb.js_bound == pytest.approx(rb.oracle_risk + 2.0)
+    oracle_risk = ShrinkMeansFamily(20, 1.0).oracle(model).err - 20 * 1.0**2
+    assert oracle_risk == pytest.approx(20 * norm2 / (20 + norm2))
 
 
 def test_tune_shrink_means_dispatches_batch_and_vector():
@@ -225,13 +250,6 @@ class TestRegressionShrinkage:
         y = np.random.default_rng(16).standard_normal(30)
         assert fam.naive_df(0.0, y) == pytest.approx(2.0)
 
-    def test_js_regression_warns_below_rank_three(self):
-        X = np.random.default_rng(17).standard_normal((10, 2))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            james_stein_positive_regression(X, np.ones(10), 1.0)
-        assert any("dominate" in str(w.message) for w in caught)
-
 
 def test_oracle_risk_closed_form_beats_every_fixed_s():
     n = 15
@@ -244,20 +262,19 @@ def test_oracle_risk_closed_form_beats_every_fixed_s():
         assert ora.err <= n + risk_s + 1e-9
 
 
-# Each closed form checks sigma and every data row before computing: a bad
-# sigma or a non-finite entry used to come back as a plausible number.
+# Each closed form, and the means family behind the unbiased risk estimate,
+# checks sigma and every data row before computing: a bad sigma or a
+# non-finite entry used to come back as a plausible number.
 @pytest.mark.parametrize("call, match", [
     (lambda: james_stein_positive([1.0, 2.0, 3.0], math.nan), "sigma must be positive"),
     (lambda: james_stein_positive([1.0, 2.0, 3.0], -1.0), "sigma must be positive"),
-    (lambda: unbiased_risk_sure_tuned_shrink([1.0, 2.0], 0.0), "sigma must be positive"),
+    (lambda: ShrinkMeansFamily(2, 0.0), "sigma must be positive"),
     (lambda: james_stein_positive([math.nan, 1.0, 2.0], 1.0), r"row 0, column 0"),
-    (lambda: unbiased_risk_sure_tuned_shrink([math.nan, 1.0], 1.0), r"row 0, column 0"),
-    (lambda: james_stein_positive_regression(np.eye(3), [1.0, 2.0, math.nan], 1.0),
-     r"row 0, column 2"),
+    (lambda: ShrinkMeansFamily(2, 1.0).tune([math.nan, 1.0]), r"row 0, column 0"),
     (lambda: james_stein_positive(np.array([[1.0, 2.0, 3.0], [4.0, math.nan, 6.0]]), 1.0),
      r"row 1, column 1"),
 ], ids=["js-nan-sigma", "js-negative-sigma", "risk-zero-sigma", "js-nan-data",
-        "risk-nan-data", "js-regression-nan-data", "js-batch-row"])
+        "risk-nan-data", "js-batch-row"])
 def test_closed_forms_refuse_bad_sigma_or_data(call, match):
     with pytest.raises(DomainError, match=match):
         call()
