@@ -37,13 +37,15 @@ fits a single vector as row 0 of a one-row batch.  Every excess-df estimate
 they all go through `tune_batch`.  Estimator rules and family methods
 operate on arrays of shape (..., n), broadcasting over leading axes.
 
-Row blocks: `mc_edf` and `mc_df` draw, tune and reduce their batch in
-consecutive blocks of at most max(1, `_BLOCK_VALUES` // n) rows, keeping
-only one statistic per row, so their memory is bounded by one block.
+Row blocks: every Monte Carlo routine here, and `simulate`, draws, tunes
+and reduces its batch in consecutive blocks of at most
+max(1, `_BLOCK_VALUES` // n) rows, keeping only a few statistics per row,
+so its memory is bounded by a few blocks whatever `reps` is.
 `Generator.standard_normal` fills in C order, so the blocks hold exactly
 the values of one (reps, n) draw, and every later step acts row by row.
-`mc_prediction_error` and `oracle_gap_check` still draw all of Y and then
-all of Y*, and call a rule once on the whole (reps, n) batch.
+Routines that pair each Y with an independent copy Y* (drawn as a second
+(reps, n) batch after all of Y) get the matching blocks of both from
+`_paired_draws`, which replays Y at the price of reps * n extra normals.
 """
 
 import math
@@ -93,6 +95,28 @@ def _row_blocks(reps, n):
     step = max(1, _BLOCK_VALUES // n)
     for a in range(0, reps, step):
         yield slice(a, min(a + step, reps))
+
+
+def _paired_draws(model, rng, reps):
+    """(rows, Y, Ystar) for each of `_row_blocks(reps, model.n)`.
+
+    Y and Ystar are the `rows` of `model.draw(rng, reps)` and of the second
+    such draw after it, to the bit, while only one block of each is alive.
+    A first pass runs rng through all of Y, one block at a time, and saves
+    the generator's state at the start of each block.  The second pass
+    replays each Y block from its saved state and draws the matching Ystar
+    block from where the first pass stopped.
+    """
+    blocks = list(_row_blocks(reps, model.n))
+    states = []
+    for rows in blocks:
+        states.append(rng.bit_generator.state)
+        model.draw(rng, rows.stop - rows.start)
+    replay = np.random.Generator(type(rng.bit_generator)())
+    for rows, state in zip(blocks, states):
+        replay.bit_generator.state = state
+        k = rows.stop - rows.start
+        yield rows, model.draw(replay, k), model.draw(rng, k)
 
 
 def _check_count(value, name, least):
@@ -152,7 +176,9 @@ class GaussianModel:
 
     Exactly one of `sigma` (scalar standard deviation) and `sigmas`
     (vector of per-coordinate standard deviations) must be given.  A
-    non-finite theta0 raises DomainError naming its first bad index.
+    non-finite theta0 raises DomainError naming its first bad index, and
+    one whose squared norm overflows (as `_check_batch` refuses for data)
+    names its largest entry.
     """
 
     theta0: np.ndarray
@@ -163,6 +189,9 @@ class GaussianModel:
         theta0 = _as_float_vector(self.theta0, "theta0")
         if not np.isfinite(theta0).all():
             raise DomainError(f"theta0 is not finite at index {np.argmin(np.isfinite(theta0))}")
+        if not math.isfinite(np.einsum("i,i->", theta0, theta0)):
+            raise DomainError("squared norm of theta0 overflows "
+                              f"(largest at index {np.argmax(np.abs(theta0))})")
         object.__setattr__(self, "theta0", theta0)
         sigma, sigmas = _check_noise(self.sigma, self.sigmas, theta0.shape[0])
         object.__setattr__(self, "sigma", sigma)
@@ -185,7 +214,11 @@ class GaussianModel:
 
     def draw(self, rng, reps):
         """Draw `reps` independent data vectors as a (reps, n) array."""
-        return self.theta0 + self.sd * rng.standard_normal((reps, self.n))
+        # In place, with the bytes of theta0 + sd * z.
+        z = rng.standard_normal((reps, self.n))
+        z *= self.sd
+        z += self.theta0
+        return z
 
 
 @dataclass(frozen=True)
@@ -504,15 +537,20 @@ def _apply_rule(rule, Y):
 def mc_prediction_error(rule, model, *, reps=1000, seed=0):
     """Monte Carlo prediction error E||Y* - rule(Y)||^2 of a fixed rule.
 
-    Draws independent (Y, Y*) pairs from the model; `rule` maps the
-    (reps, n) batch Y to its (reps, n) estimates.  Under a
-    heteroskedastic model the summands are scaled by 1/sigma_i^2.
+    Draws independent (Y, Y*) pairs from the model; `rule` maps a (k, n)
+    block of data rows to its (k, n) estimates.  Under a heteroskedastic
+    model the summands are scaled by 1/sigma_i^2.
+
+    The pairs come in row blocks from `_paired_draws`, so memory is bounded
+    by a few blocks whatever `reps` is, and `rule` must act row by row.  A
+    rule that multiplies matrices through BLAS may round a row in the last
+    place differently from a single call on the whole batch.
     """
     reps = _check_reps(reps)
-    rng = np.random.default_rng(seed)
-    Y = model.draw(rng, reps)
-    Ystar = model.draw(rng, reps)
-    value, se, r = _mean_se(_sq_error(Ystar - _apply_rule(rule, Y), model))
+    err = np.empty(reps)
+    for rows, Y, Ystar in _paired_draws(model, np.random.default_rng(seed), reps):
+        err[rows] = _sq_error(Ystar - _apply_rule(rule, Y), model)
+    value, se, r = _mean_se(err)
     return MCEstimate(value, se, r)
 
 
@@ -597,22 +635,29 @@ class OracleGapReport:
 
 
 def oracle_gap_check(family, model, *, reps=2000, seed=0):
-    """Verify the oracle inequality for the SURE-tuned rule by simulation."""
+    """Verify the oracle inequality for the SURE-tuned rule by simulation.
+
+    The (Y, Y*) pairs are drawn and tuned in row blocks from
+    `_paired_draws`, so memory is bounded by a few blocks whatever `reps`
+    is.  A family whose `tune_batch` multiplies matrices through BLAS may
+    round a row in the last place differently from a single call on the
+    whole batch; the other families give the same bytes either way.
+    """
     reps = _check_reps(reps)
-    rng = np.random.default_rng(seed)
-    Y = model.draw(rng, reps)
-    Ystar = model.draw(rng, reps)
-    fit = family.tune_batch(Y)
-
-    err_r = _sq_error(Ystar - fit.theta_hat, model)
-    exopt_r = 2.0 * _df_unit(model) * (_df_stats(fit.theta_hat, Y, model) - fit.naive_df_at_shat)
-
     oracle = family.oracle(model)
+    err_r, exopt_r, sure_min = np.empty((3, reps))
+    for rows, Y, Ystar in _paired_draws(model, np.random.default_rng(seed), reps):
+        fit = family.tune_batch(Y)
+        err_r[rows] = _sq_error(Ystar - fit.theta_hat, model)
+        exopt_r[rows] = 2.0 * _df_unit(model) * (_df_stats(fit.theta_hat, Y, model)
+                                                 - fit.naive_df_at_shat)
+        sure_min[rows] = fit.sure_min
+
     err = MCEstimate(*_mean_se(err_r))
     exopt = MCEstimate(*_mean_se(exopt_r))
-    min_sure = MCEstimate(*_mean_se(fit.sure_min))
+    min_sure = MCEstimate(*_mean_se(sure_min))
     thm = MCEstimate(*_mean_se(err_r - exopt_r - oracle.err))
-    minsure = MCEstimate(*_mean_se(fit.sure_min - oracle.err))
+    minsure = MCEstimate(*_mean_se(sure_min - oracle.err))
     return OracleGapReport(
         oracle=oracle,
         err_tuned=err,

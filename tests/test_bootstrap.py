@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_report_is_the_mean_and_standard_error_of_the_replicates():
     cfg = BootstrapConfig(B=40, seed=2)
     theta = fam.tune(y).theta_hat
     cov_form, plugin = _replicate_stats(fam, y, theta, cfg, cfg.seed)
-    stats = _bootstrap_stats(fam, y[None], theta[None], cfg, [cfg.seed])
+    stats = _whole(fam, y[None], theta[None], cfg, [cfg.seed])
     report = bootstrap_edf(fam, y, cfg)
     assert report.value == float(np.mean(cov_form - plugin))
     assert report.std_error == float(np.std(cov_form - plugin, ddof=1) / math.sqrt(40))
@@ -249,6 +250,11 @@ def _batch(fam, R, seed=20):
     return Y, fam.tune_batch(Y).theta_hat, seeds
 
 
+def _whole(fam, Y, theta, cfg, seeds):
+    # The batch as one block of rows.
+    return _bootstrap_stats(fam, [(slice(0, len(Y)), Y, theta, seeds)], cfg, len(Y))
+
+
 def _bits(stats):
     return [field.tobytes() for field in stats]
 
@@ -273,9 +279,9 @@ def test_batch_call_equals_one_row_calls(monkeypatch, sampler, name, n, B):
     fam = _family(name, n)
     cfg = BootstrapConfig(B=B, sampler=sampler, c=0.4)
     Y, theta, seeds = _batch(fam, 7)
-    got = _bootstrap_stats(fam, Y, theta, cfg, seeds)
+    got = _whole(fam, Y, theta, cfg, seeds)
     for r in range(7):
-        one = _bootstrap_stats(fam, Y[r:r + 1], theta[r:r + 1], cfg, seeds[r:r + 1])
+        one = _whole(fam, Y[r:r + 1], theta[r:r + 1], cfg, seeds[r:r + 1])
         assert _bits(one) == [field[r:r + 1].tobytes() for field in got]
 
 
@@ -287,7 +293,7 @@ def test_blocked_stats_match_one_unblocked_retune(monkeypatch, sampler, n, B):
     fam = _family("shrink", n)
     cfg = BootstrapConfig(B=B, sampler=sampler, c=0.4)
     Y, theta, seeds = _batch(fam, 7)
-    got = _bootstrap_stats(fam, Y, theta, cfg, seeds)
+    got = _whole(fam, Y, theta, cfg, seeds)
     for r in range(7):
         cov_form, plugin = _replicate_stats(fam, Y[r], theta[r], cfg, seeds[r])
         assert got.edf[r] == np.mean(cov_form - plugin)
@@ -310,7 +316,7 @@ def test_worker_count_does_not_change_results(monkeypatch, n, B):
         sys.setswitchinterval(1e-6)
         for cpus in (1, 2, 8):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            runs.append(_bits(_bootstrap_stats(fam, Y, theta, cfg, seeds)))
+            runs.append(_bits(_whole(fam, Y, theta, cfg, seeds)))
     finally:
         sys.setswitchinterval(interval)
     assert runs[0] == runs[1] == runs[2]
@@ -323,7 +329,7 @@ def test_domain_error_in_a_worker_surfaces_unchanged(monkeypatch):
     Y, theta, seeds = _batch(fam, 8)
     theta[5] += 1000.0  # rep 5 sits in the second of three blocks
     with pytest.raises(DomainError, match="replicate out of range") as caught:
-        _bootstrap_stats(fam, Y, theta, BootstrapConfig(B=4), seeds)
+        _whole(fam, Y, theta, BootstrapConfig(B=4), seeds)
     assert caught.value is fam.raised[0]
 
 
@@ -335,5 +341,65 @@ def test_theta_hat_that_is_the_input_batch(monkeypatch, n, B):
     same, copy = IdentityFamily(n, 1.0, s=0.0), SingletonShrinkFamily(n, 1.0, s=0.0)
     Y, theta, seeds = _batch(copy, 7)
     cfg = BootstrapConfig(B=B)
-    assert _bits(_bootstrap_stats(same, Y, theta, cfg, seeds)) == \
-        _bits(_bootstrap_stats(copy, Y, theta, cfg, seeds))
+    assert _bits(_whole(same, Y, theta, cfg, seeds)) == _bits(_whole(copy, Y, theta, cfg, seeds))
+
+
+@pytest.mark.parametrize("n, B", SMALL_BLOCKS)
+def test_streamed_blocks_equal_one_block(monkeypatch, n, B):
+    # Blocks of 3, 1, 5 and 2 rows, made one at a time as the jobs run out
+    # and pulled as jobs by up to eight workers that switch threads every
+    # microsecond, give the bits of the whole batch and finish.
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
+    fam = _family("shrink", n)
+    cfg = BootstrapConfig(B=B)
+    Y, theta, seeds = _batch(fam, 11)
+    whole = _bits(_whole(fam, Y, theta, cfg, seeds))
+    cuts = [slice(0, 3), slice(3, 4), slice(4, 9), slice(9, 11)]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            blocks = ((rows, Y[rows], theta[rows], seeds[rows]) for rows in cuts)
+            got = []
+            caller = threading.Thread(
+                target=lambda: got.append(_bootstrap_stats(fam, blocks, cfg, 11)), daemon=True)
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+            assert _bits(got[0]) == whole
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_error_raised_by_the_blocks_surfaces_unchanged(monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fam = _family("shrink", 5)
+    Y, theta, seeds = _batch(fam, 8)
+    error = DomainError("block 2 failed")
+
+    def blocks():
+        yield slice(0, 4), Y[:4], theta[:4], seeds[:4]
+        raise error
+
+    with pytest.raises(DomainError) as caught:
+        _bootstrap_stats(fam, blocks(), BootstrapConfig(B=4), 8)
+    assert caught.value is error
+
+
+@pytest.mark.parametrize("cuts, match", [
+    ([slice(0, 3), slice(3, 6)], r"blocks cover rows 0\.\.6 of 8"),
+    ([slice(0, 3), slice(4, 8)], r"block slice\(4, 8, None\) does not continue rows 0\.\.3"),
+    ([slice(0, 4), slice(3, 8)], r"block slice\(3, 8, None\) does not continue rows 0\.\.4"),
+    ([slice(0, 9)], r"block slice\(0, 9, None\) does not continue rows 0\.\.0 of 8"),
+])
+def test_blocks_that_do_not_cover_the_rows_in_order_are_refused(monkeypatch, cuts, match):
+    # Rows no job wrote would otherwise come back as results.
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fam = _family("shrink", 5)
+    Y, theta, seeds = _batch(fam, 9)
+    blocks = ((rows, Y[rows], theta[rows], seeds[rows]) for rows in cuts)
+    with pytest.raises(ValueError, match=match):
+        _bootstrap_stats(fam, blocks, BootstrapConfig(B=4), 8)

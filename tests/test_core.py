@@ -69,6 +69,32 @@ def test_model_names_the_first_non_finite_mean_entry():
         GaussianModel([1.0, -math.inf, math.nan], sigma=1.0)
 
 
+# A finite mean whose squared norm overflows is refused as `_check_batch`
+# refuses such data.  Past that point, with theta0 = (1e200, 1, 2), the
+# singleton oracle returned err = inf, the soft-threshold oracle err = nan,
+# and mc_df gave 1.95 +- 0.09 for the identity rule, whose df is 3.
+OVERFLOWING_MEAN_CALLS = {
+    "singleton-oracle": lambda: SingletonShrinkFamily(3, 1.0).oracle(
+        GaussianModel([1e200, 1.0, 2.0], sigma=1.0)),
+    "soft-threshold-oracle": lambda: SoftThreshFamily(3, 1.0).oracle(
+        GaussianModel([1e200, 1.0, 2.0], sigma=1.0)),
+    "mc_df": lambda: mc_df(lambda Y: Y, GaussianModel([1e200, 1.0, 2.0], sigma=1.0)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OVERFLOWING_MEAN_CALLS))
+def test_model_refuses_a_mean_whose_squared_norm_overflows(call):
+    with pytest.raises(DomainError,
+                       match=r"squared norm of theta0 overflows \(largest at index 0\)"):
+        OVERFLOWING_MEAN_CALLS[call]()
+
+
+def test_model_names_the_largest_entry_of_an_overflowing_mean():
+    with pytest.raises(DomainError, match=r"\(largest at index 1\)$"):
+        GaussianModel([1e200, -3e200, 2.0], sigmas=np.ones(3))
+    GaussianModel([1e150, -3e150, 2.0], sigma=1.0)  # squares to 1e301: accepted
+
+
 def test_model_draw_shapes_and_mean():
     model = GaussianModel(np.arange(5.0), sigma=0.5)
     rng = np.random.default_rng(0)
@@ -309,6 +335,107 @@ def test_mc_df_of_a_tuned_rule_is_pinned():
     est = mc_df(lambda Y: family.tune_batch(Y).theta_hat,
                 GaussianModel(np.full(200, 0.3), sigma=1.0), reps=1500, seed=19)
     assert (est.value, est.std_error, est.reps) == (18.20816851199489, 0.435199327881327, 1500)
+
+
+def test_paired_draws_are_the_rows_of_two_whole_draws(monkeypatch):
+    # Y is replayed block by block from saved generator states, Y* drawn
+    # after all of Y; both match two whole draws bit for bit, and the
+    # generator ends where the two whole draws leave it.
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
+    model = GaussianModel(np.linspace(-1.0, 1.0, 7), sigmas=np.geomspace(0.5, 2.0, 7))
+    whole, rng = np.random.default_rng(3), np.random.default_rng(3)
+    Y, Ystar = model.draw(whole, 20), model.draw(whole, 20)
+    blocks = list(core._paired_draws(model, rng, 20))
+    assert [rows for rows, _, _ in blocks] == list(core._row_blocks(20, 7))
+    assert np.concatenate([b[1] for b in blocks]).tobytes() == Y.tobytes()
+    assert np.concatenate([b[2] for b in blocks]).tobytes() == Ystar.tobytes()
+    assert rng.bit_generator.state == whole.bit_generator.state
+
+
+# float.hex of (value, std_error) from one whole (500, 300) draw of Y and
+# then of Y*, computed before the pairs were streamed.  500 rows of 300 run
+# in three row blocks; row-wise rules and BLAS-free families keep the bits.
+_PIN_N = 300
+_PIN_THETA0 = 4.0 / np.sqrt(np.arange(1, _PIN_N + 1))
+PREDICTION_ERROR_PINS = {
+    "zero": ("0x1.91604f42a4828p+8", "0x1.704747a4dcf8dp+0"),
+    "shrink": ("0x1.7d084f2e07f31p+8", "0x1.50362f753fa29p+0"),
+    "hetero": ("0x1.c17ac64ea06d7p+8", "0x1.95cf0ba05a798p+0"),
+}
+PREDICTION_ERROR_CASES = {
+    "zero": (lambda Y: np.zeros_like(Y), dict(sigma=1.0), 5),
+    "shrink": (lambda Y: ShrinkMeansFamily(_PIN_N, 1.0).estimate(2.0, Y), dict(sigma=1.0), 6),
+    "hetero": (lambda Y: 0.5 * Y, dict(sigmas=np.geomspace(0.5, 2.0, _PIN_N)), 7),
+}
+
+
+def _hex(est):
+    assert est.reps == 500
+    return (est.value.hex(), est.std_error.hex())
+
+
+@pytest.mark.parametrize("case", sorted(PREDICTION_ERROR_PINS))
+def test_mc_prediction_error_keeps_the_whole_batch_bits(case):
+    rule, noise, seed = PREDICTION_ERROR_CASES[case]
+    assert len(list(core._row_blocks(500, _PIN_N))) == 3
+    est = mc_prediction_error(rule, GaussianModel(_PIN_THETA0, **noise), reps=500, seed=seed)
+    assert _hex(est) == PREDICTION_ERROR_PINS[case]
+
+
+ORACLE_GAP_PINS = {
+    "shrink": {
+        "err_tuned": ("0x1.799610fd58a44p+8", "0x1.5f78538cf961ep+0"),
+        "exopt": ("0x1.ba43673cbd96dp+1", "0x1.43e9d4d273505p-1"),
+        "mean_min_sure": ("0x1.766c273d6d077p+8", "0x1.9ef71dc315a97p-1"),
+        "thm_margin": ("-0x1.299e9e470fb26p+0", "0x1.80fbc95d5a7d0p+0"),
+        "minsure_margin": ("-0x1.be031f7262b00p-1", "0x1.9ef71dc315a97p-1"),
+    },
+    "soft": {
+        "err_tuned": ("0x1.7da61bdc7288fp+8", "0x1.679efcd45bf53p+0"),
+        "exopt": ("0x1.ed304c0a76bacp+3", "0x1.b2a7e69b1145dp-1"),
+        "mean_min_sure": ("0x1.6ef21f41ffafep+8", "0x1.19847baf69fa8p+0"),
+        "thm_margin": ("-0x1.68848c41719cfp+3", "0x1.8b5726039591cp+0"),
+        "minsure_margin": ("-0x1.51d3d38556060p+3", "0x1.19847baf69fa8p+0"),
+    },
+    "singleton": {
+        "err_tuned": ("0x1.be5785711ed25p+8", "0x1.a444cede7d84bp+0"),
+        "exopt": ("0x1.e0d8c4e3a5ca0p-1", "0x1.9d024122a1e05p+0"),
+        "mean_min_sure": ("0x1.bc9dd6f7c8d6fp+8", "0x1.48698e1dd0628p-3"),
+        "thm_margin": ("0x1.cce8a81b40533p-1", "0x1.062cd7f0539a5p+1"),
+        "minsure_margin": ("0x1.d323d2977a30ap-4", "0x1.48698e1dd0629p-3"),
+    },
+}
+ORACLE_GAP_FAMILIES = {
+    "shrink": lambda: ShrinkMeansFamily(_PIN_N, 1.0),
+    "soft": lambda: SoftThreshFamily(_PIN_N, 1.0),
+    "singleton": lambda: SingletonShrinkFamily(_PIN_N, 1.0, s=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GAP_PINS))
+def test_oracle_gap_check_keeps_the_whole_batch_bits(name):
+    report = oracle_gap_check(ORACLE_GAP_FAMILIES[name](), GaussianModel(_PIN_THETA0, sigma=1.0),
+                              reps=500, seed=8)
+    assert {field: _hex(getattr(report, field)) for field in ORACLE_GAP_PINS[name]} == \
+        ORACLE_GAP_PINS[name]
+    assert report.bound_holds and report.minsure_holds
+
+
+@pytest.mark.parametrize("call", ["mc_prediction_error", "oracle_gap_check"])
+def test_paired_monte_carlo_memory_is_bounded_by_a_few_blocks(call):
+    # 400 reps of n = 5000 are 16 MB per (reps, n) array: drawing all of Y
+    # and Y* peaked at 61 and 76 MB; 13-row blocks stay near 2 and 3 MB.
+    family, model = ShrinkMeansFamily(5000, 1.0), GaussianModel(np.full(5000, 0.5), sigma=1.0)
+    run = {"mc_prediction_error": lambda: mc_prediction_error(
+               lambda Y: family.estimate(1.0, Y), model, reps=400, seed=1),
+           "oracle_gap_check": lambda: oracle_gap_check(family, model, reps=400, seed=1)}[call]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 DESIGN_ENTRIES = {

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from suretune import (
     mc_prediction_error,
     oracle_gap_check,
 )
+from suretune import core
 from suretune.core import DomainError
 from suretune.simulate import (
     PRESETS,
@@ -272,13 +275,52 @@ GOLDEN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("family, sampler", sorted(GOLDEN_SHA256))
-def test_bootstrap_grid_bytes_are_pinned(family, sampler):
-    spec = SimSpec(family=family, setting=("null", "weak_sparsity"), sizes=(1, 40, 700),
+def _golden_spec(family, sampler):
+    return SimSpec(family=family, setting=("null", "weak_sparsity"), sizes=(1, 40, 700),
                    outer_reps=20, bootstrap_B=100, bootstrap_sampler=sampler,
                    bootstrap_c=0.5 if sampler == "bigmodel" else 1.0, seed=0)
-    text = rows_to_csv_text(run_simulation(spec))
+
+
+@pytest.mark.parametrize("family, sampler", sorted(GOLDEN_SHA256))
+def test_bootstrap_grid_bytes_are_pinned(family, sampler):
+    text = rows_to_csv_text(run_simulation(_golden_spec(family, sampler)))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[family, sampler]
+
+
+@pytest.mark.parametrize("family, sampler", sorted(GOLDEN_SHA256))
+def test_many_outer_blocks_give_the_pinned_bytes(monkeypatch, family, sampler):
+    # With 64-value blocks the outer reps of n = 40 and 700 stream one row
+    # at a time, and the bootstrap retunes in chunks of 64 // n rows while
+    # the next outer block is drawn and tuned.
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    text = rows_to_csv_text(run_simulation(_golden_spec(family, sampler)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[family, sampler]
+
+
+def test_many_outer_blocks_give_the_same_smoke_csv(monkeypatch):
+    whole = rows_to_csv_text(run_simulation(PRESETS["smoke"]))
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
+    assert rows_to_csv_text(run_simulation(PRESETS["smoke"])) == whole
+
+
+def _traced_peak_mb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("B", [0, 2])
+def test_a_large_cell_runs_in_bounded_memory(monkeypatch, B):
+    # 400 reps of n = 5000 are 16 MB per (R, n) array; the streamed cell
+    # holds a few 13-row blocks and length-R vectors (about 5 MB at B = 0
+    # and 6 MB at B = 2 on two threads, against 92 MB for whole arrays).
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spec = SimSpec(sizes=(5000,), outer_reps=400, bootstrap_B=B)
+    assert _traced_peak_mb(lambda: run_simulation(spec)) < 8.0
 
 
 class TestParseConfig:
