@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ShapeError, _check_count, _normal_pdf
+from .core import DomainError, ShapeError, _as_float_vector, _check_count, _normal_pdf
 
 __all__ = [
     "chi_sq_max_bound",
@@ -41,12 +41,12 @@ __all__ = [
 
 
 def _check_sizes(sizes):
-    arr = np.asarray(sizes)
-    if arr.ndim != 1 or arr.size == 0:
+    sizes = _as_float_vector(sizes, "sizes")
+    if sizes.size == 0:
         raise ShapeError("sizes must be a nonempty vector")
-    if np.any(arr < 0) or np.any(arr != np.floor(arr)):
-        raise DomainError("sizes must be nonnegative integers")
-    return arr.astype(float)
+    for k in sizes.tolist():
+        _check_count(k, "every size", 0)
+    return sizes
 
 
 def _check_delta(delta):
@@ -140,11 +140,9 @@ def gaussian_surface_area_ball(center, radius):
     mixture where the Bessel factor underflows).  Raises DomainError on a
     non-finite center or a radius that is not positive and finite.
     """
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.ndim != 1 or center.size == 0:
+    center = _as_float_vector(np.atleast_1d(center), "center")
+    if center.size == 0:
         raise ShapeError("center must be a nonempty vector")
-    if not np.all(np.isfinite(center)):
-        raise DomainError("center must be finite")
     if not (math.isfinite(radius) and radius > 0):
         raise DomainError("radius must be positive and finite")
     d = center.shape[0]
@@ -165,28 +163,31 @@ class GasStationsRotation:
     multiplicity: int
 
 
-def gas_stations_rotation(w, *, tol=1e-9):
+_GAS_TOL = 1e-9  # slack of the sum check and of every prefix-sum comparison
+
+
+def gas_stations_rotation(w):
     """Find the circular rotation whose partial sums never exceed their budget.
 
     For nonnegative w summing to 2d (within 1e-9), exactly one circular
     rotation has all prefix sums bounded by 2q (q = 1, ..., d); vectors
     with rotational symmetry can tie, in which case the smallest start
     index is returned along with the multiplicity.  Comparisons allow
-    slack `tol` so boundary cases like the all-twos vector count.
+    slack `_GAS_TOL` so boundary cases like the all-twos vector count.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size == 0:
+    w = _as_float_vector(w, "w")
+    if w.size == 0:
         raise ShapeError("w must be a nonempty vector")
     if np.any(w < 0):
         raise DomainError("entries must be nonnegative")
     d = w.size
-    if abs(float(w.sum()) - 2.0 * d) > 1e-9:
-        raise DomainError("entries must sum to 2d (within 1e-9)")
+    if abs(float(w.sum()) - 2.0 * d) > _GAS_TOL:
+        raise DomainError(f"entries must sum to 2d (within {_GAS_TOL})")
     budget = 2.0 * np.arange(1, d + 1)
     valid = []
     for r in range(d):
         prefix = np.cumsum(np.roll(w, -r))
-        if np.all(prefix <= budget + tol):
+        if np.all(prefix <= budget + _GAS_TOL):
             valid.append(r)
     if not valid:
         raise DomainError("no admissible rotation found; tolerance too tight?")
@@ -294,11 +295,9 @@ def general_theta_bound(mu):
     below (j = 0) or above (k = p) get vacuous factors of 1.  Raises
     DomainError on a non-finite mu.
     """
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or mu.size == 0:
+    mu = _as_float_vector(mu, "mu")
+    if mu.size == 0:
         raise ShapeError("mu must be a nonempty vector")
-    if not np.all(np.isfinite(mu)):
-        raise DomainError("mu must be finite")
     p = mu.shape[0]
     # One surface area per window mu[j:k]; both bounds reuse them.
     areas = {

@@ -46,6 +46,11 @@ the values of one (reps, n) draw, and every later step acts row by row.
 Routines that pair each Y with an independent copy Y* (drawn as a second
 (reps, n) batch after all of Y) get the matching blocks of both from
 `_paired_draws`, which replays Y at the price of reps * n extra normals.
+
+Input checks: only this module decides what a valid input is, through
+`_as_float_vector` for vectors, `_check_noise` for sigma, `_check_count` for
+counts, `_check_tuning` for tuning values (`EstimatorFamily._check_s` for a
+family's own), `_check_batch` for data and `_check_design` for designs.
 """
 
 import math
@@ -133,26 +138,36 @@ def _check_reps(reps):
 
 
 def _as_float_vector(x, name, n=None):
+    """x as a float vector, of length n if given, naming its first non-finite index."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:
         raise ShapeError(f"{name} must have length {n}, got {arr.shape[0]}")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} is not finite at index {np.argmin(np.isfinite(arr))}")
     return arr
 
 
 def _check_noise(sigma, sigmas, n=None):
-    """(float sigma, None) or (None, length-n sigmas); exactly one, positive and finite."""
+    """(float sigma, None) or (None, length-n sigmas); exactly one, each in [2^-511, 2^512)."""
     if (sigma is None) == (sigmas is None):
         raise DomainError("specify exactly one of sigma and sigmas")
-    if sigma is not None:
-        if not np.isfinite(sigma) or sigma <= 0:
-            raise DomainError("sigma must be positive and finite")
-        return float(sigma), None
-    sigmas = _as_float_vector(sigmas, "sigmas", n)
-    if not np.all(np.isfinite(sigmas)) or np.any(sigmas <= 0):
-        raise DomainError("sigmas must be positive and finite")
-    return None, sigmas
+    name, sd = "sigma", sigma
+    if sigmas is not None:
+        name, sd = "sigmas", _as_float_vector(sigmas, "sigmas", n)
+    if not np.all((2.0**-511 <= sd) & (sd < 2.0**512)):
+        raise DomainError(f"{name} must be positive and finite, with a normal square "
+                          f"(2^-511 <= {name} < 2^512)")
+    return (float(sd), None) if sigmas is None else (None, sd)
+
+
+def _check_tuning(s, name):
+    """s as a float array of tuning values: nonnegative, +inf allowed, not NaN."""
+    s = np.asarray(s, dtype=float)
+    if not np.all(s >= 0):
+        raise DomainError(f"{name} must be nonnegative (+inf allowed), not NaN")
+    return s
 
 
 def _noise_sd(noise):
@@ -187,8 +202,6 @@ class GaussianModel:
 
     def __post_init__(self):
         theta0 = _as_float_vector(self.theta0, "theta0")
-        if not np.isfinite(theta0).all():
-            raise DomainError(f"theta0 is not finite at index {np.argmin(np.isfinite(theta0))}")
         if not math.isfinite(np.einsum("i,i->", theta0, theta0)):
             raise DomainError("squared norm of theta0 overflows "
                               f"(largest at index {np.argmax(np.abs(theta0))})")
@@ -253,9 +266,7 @@ class TuningDomain:
             s = float(s)
         except (TypeError, ValueError):
             return False
-        if math.isnan(s):
-            return False
-        return self.lower <= s <= self.upper
+        return self.lower <= s <= self.upper  # False at NaN
 
 
 def _check_batch(Y, n):
@@ -354,7 +365,6 @@ class TunedBatch:
     theta_hat: np.ndarray
     sure_min: np.ndarray
     naive_df_at_shat: np.ndarray
-    discrete: bool = False
     multimodal: np.ndarray = None
 
 
@@ -390,8 +400,7 @@ class EdfReport:
             raise DomainError("edf value must be finite")
         if not (self.std_error >= 0):
             raise DomainError("std_error must be nonnegative")
-        if self.reps < 1:
-            raise DomainError("reps must be at least 1")
+        _check_count(self.reps, "reps", 1)
 
 
 @dataclass(frozen=True)
@@ -446,6 +455,11 @@ class EstimatorFamily(ABC):
     def is_heteroskedastic(self):
         return getattr(self, "sigmas", None) is not None
 
+    def _check_s(self, s):
+        """DomainError unless s is in the domain; `estimate`, `naive_df` and `sure` call it."""
+        if not self.domain.contains(s):
+            raise DomainError(f"tuning value {s!r} is outside the family domain")
+
     @abstractmethod
     def estimate(self, s, y):
         """Evaluate theta_s at y; broadcasts over leading axes of y."""
@@ -470,7 +484,7 @@ class EstimatorFamily(ABC):
         batch = self.tune_batch(y[None, :])
         s = batch.s_hat[0]
         return TunedFit(
-            s_hat=self.domain.labels[int(s)] if batch.discrete else float(s),
+            s_hat=self.domain.labels[int(s)] if self.domain.kind == "discrete" else float(s),
             theta_hat=batch.theta_hat[0],
             sure_min=float(batch.sure_min[0]),
             naive_df_at_shat=float(batch.naive_df_at_shat[0]),
@@ -489,8 +503,7 @@ class EstimatorFamily(ABC):
         y = np.asarray(y, dtype=float)
         if y.ndim == 0 or y.shape[-1] != self.n:
             raise ShapeError(f"data has shape {y.shape}, family expects trailing dimension {self.n}")
-        if not self.domain.contains(s):
-            raise DomainError(f"tuning value {s!r} is outside the family domain")
+        self._check_s(s)
         theta = self.estimate(s, y)
         df = self.naive_df(s, y)
         return _sq_error(y - theta, self) + 2.0 * _df_unit(self) * df

@@ -32,6 +32,7 @@ from .core import (
     _check_count,
     _check_design,
     _check_noise,
+    _check_tuning,
     _rank_basis,
 )
 from .stein import SmoothFamilyHooks
@@ -111,15 +112,15 @@ class ShrinkMeansFamily(EstimatorFamily):
         return edf_unbiased_shrink(fit.s_hat)
 
     def estimate(self, s, y):
+        self._check_s(s)
         y = np.asarray(y, dtype=float)
         if math.isinf(s):
             return np.zeros_like(y)
         return y / (1.0 + s)
 
     def naive_df(self, s, y):
-        # Divergence of y -> y/(1+s); data-free for this family.
-        if math.isinf(s):
-            return 0.0
+        # Divergence of y -> y/(1+s), 0 at s = +inf; data-free for this family.
+        self._check_s(s)
         return self.n / (1.0 + s)
 
     def tune_batch(self, Y):
@@ -156,14 +157,14 @@ class ShrinkRegressionFamily(EstimatorFamily):
         return (y @ self._basis) @ self._basis.T
 
     def estimate(self, s, y):
+        self._check_s(s)
         py = self.project(y)
         if math.isinf(s):
             return np.zeros_like(py)
         return py / (1.0 + s)
 
     def naive_df(self, s, y):
-        if math.isinf(s):
-            return 0.0
+        self._check_s(s)
         return self.rank / (1.0 + s)
 
     def tune_batch(self, Y):
@@ -197,9 +198,7 @@ def edf_unbiased_shrink(s_hat):
     values; a scalar gives a float.  Raises DomainError on a negative or
     NaN s_hat.
     """
-    s = np.asarray(s_hat, dtype=float)
-    if not np.all(s >= 0):
-        raise DomainError("s_hat must be nonnegative (+inf allowed), not NaN")
+    s = _check_tuning(s_hat, "s_hat")
     s = np.where(s == math.inf, 0.0, s)
     out = 2.0 * s / (1.0 + s)
     return float(out) if out.ndim == 0 else out

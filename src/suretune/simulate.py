@@ -47,8 +47,8 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, _bootstrap_stats
 from .core import (DomainError, GaussianModel, OracleTuning, TunedBatch, TuningDomain,
-                   _check_batch, _check_count, _df_stats, _df_unit, _mean_se, _paired_draws,
-                   _sq_error)
+                   _as_float_vector, _check_batch, _check_count, _check_noise, _check_tuning,
+                   _df_stats, _df_unit, _mean_se, _paired_draws, _sq_error)
 from .shrinkage import ShrinkMeansFamily
 from .softthresh import SoftThreshFamily
 from .stein import _implicit_diff_stats
@@ -83,9 +83,9 @@ class SingletonShrinkFamily(ShrinkMeansFamily):
 
     def __init__(self, n, sigma, s=1.0):
         super().__init__(n, sigma)
-        if not 0.0 <= s < math.inf:
-            raise DomainError("the fixed tuning value must be finite and nonnegative")
-        self.s_fixed = float(s)
+        self.s_fixed = float(_check_tuning(s, "the fixed tuning value"))
+        if math.isinf(self.s_fixed):
+            raise DomainError("a singleton family has no member at s = +inf")
         self.domain = TuningDomain(kind="continuous", lower=self.s_fixed, upper=self.s_fixed)
 
     def tune_batch(self, Y):
@@ -143,8 +143,7 @@ class SimSpec:
             raise DomainError("sizes must be nonempty")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "outer_reps", _check_count(self.outer_reps, "outer_reps", 2))
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise DomainError("sigma must be positive and finite")
+        _check_noise(self.sigma, None)
         if self.bootstrap_B != 0:
             object.__setattr__(self, "bootstrap_B",
                                _check_count(self.bootstrap_B, "bootstrap_B other than 0", 2))
@@ -154,9 +153,7 @@ class SimSpec:
         if "custom" in settings:
             if self.theta0 is None:
                 raise DomainError("setting=custom requires theta0")
-            theta0 = tuple(float(v) for v in self.theta0)
-            if not all(map(math.isfinite, theta0)):
-                raise DomainError("custom theta0 must be finite")
+            theta0 = tuple(_as_float_vector(self.theta0, "theta0").tolist())
             object.__setattr__(self, "theta0", theta0)
             bad = [n for n in sizes if n != len(theta0)]
             if bad:
@@ -181,7 +178,7 @@ def theta0_for(setting, n, custom=None):
     if setting == "custom":
         if custom is None:
             raise DomainError("custom setting needs a vector")
-        arr = np.asarray(custom, dtype=float)
+        arr = _as_float_vector(custom, "custom theta0")
         if arr.shape != (n,):
             raise DomainError(f"custom theta0 has length {arr.size}, expected {n}")
         return arr

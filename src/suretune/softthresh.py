@@ -18,8 +18,11 @@ from .core import (
     OracleTuning,
     TunedBatch,
     TuningDomain,
+    _as_float_vector,
     _check_batch,
     _check_count,
+    _check_noise,
+    _check_tuning,
     _normal_pdf,
     mc_edf,
 )
@@ -37,8 +40,7 @@ __all__ = [
 
 def soft_threshold(y, s):
     """sign(y) * (|y| - s)_+ elementwise; s may be +inf (all zeros)."""
-    if s < 0:
-        raise DomainError("threshold must be nonnegative")
+    _check_tuning(s, "threshold")
     y = np.asarray(y, dtype=float)
     if math.isinf(s):
         return np.zeros_like(y)
@@ -54,9 +56,11 @@ class SoftThreshFamily(EstimatorFamily):
         self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
 
     def estimate(self, s, y):
+        self._check_s(s)
         return soft_threshold(y, s)
 
     def naive_df(self, s, y):
+        self._check_s(s)
         y = np.asarray(y, dtype=float)
         count = np.sum(np.abs(y) > s, axis=-1)
         return float(count) if count.ndim == 0 else count.astype(float)
@@ -131,19 +135,15 @@ def soft_threshold_risk(theta0, sigma, s):
         risk / sigma^2 = (1 + lam^2)(1 - D) + m^2 D
                          - (lam + m) phi(lam - m) - (lam - m) phi(lam + m),
 
-    D = Phi(lam - m) - Phi(-lam - m).  Returns an array matching theta0.
-    Raises DomainError on a non-finite theta0, a sigma that is not positive
-    and finite, or a negative or NaN s (s = +inf is allowed).
+    D = Phi(lam - m) - Phi(-lam - m).  Returns an array matching the vector
+    theta0.  Raises DomainError on a non-finite theta0, a bad sigma (see
+    `core._check_noise`), or a negative or NaN s (s = +inf is allowed).
     """
     from scipy.special import ndtr
 
-    theta0 = np.asarray(theta0, dtype=float)
-    if not np.all(np.isfinite(theta0)):
-        raise DomainError("theta0 must be finite")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise DomainError("sigma must be positive and finite")
-    if not s >= 0:
-        raise DomainError("threshold must be nonnegative (+inf allowed), not NaN")
+    theta0 = _as_float_vector(theta0, "theta0")
+    sigma = _check_noise(sigma, None)[0]
+    _check_tuning(s, "threshold")
     if math.isinf(s):
         return theta0**2
     lam = s / sigma

@@ -42,6 +42,7 @@ from .core import (
     ShapeError,
     TunedBatch,
     TuningDomain,
+    _as_float_vector,
     _check_batch,
     _check_noise,
     _rank_basis,
@@ -272,14 +273,14 @@ class HeteroShrinkFamily(EstimatorFamily):
         )
 
     def estimate(self, s, y):
+        self._check_s(s)
         y = np.asarray(y, dtype=float)
         if math.isinf(s):
             return np.zeros_like(y)
         return y / (1.0 + self._sig2 * s)
 
     def naive_df(self, s, y):
-        if math.isinf(s):
-            return 0.0
+        self._check_s(s)
         return float(np.sum(1.0 / (1.0 + self._sig2 * s)))
 
     def tune_batch(self, Y):
@@ -407,10 +408,6 @@ def tune_hetero_shrink(y, sigmas):
     `multimodal=True` when more than one distinct interior local minimum
     was found.
     """
-    y = np.asarray(y, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    if y.shape != sigmas.shape or y.ndim != 1:
-        raise ShapeError("y and sigmas must be matching vectors")
     return HeteroShrinkFamily(sigmas).tune(y)
 
 
@@ -427,13 +424,8 @@ def exopt_hetero_shrink(y, sigmas, s_hat):
     statistic at the same point (in scaled error units).  Kept as an
     independent code path for cross-checking.
     """
-    y = np.asarray(y, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    if y.shape != sigmas.shape or y.ndim != 1:
-        raise ShapeError("y and sigmas must be matching vectors")
-    if not np.isfinite(y).all():
-        raise DomainError("y must be finite")
     sig2 = _check_noise(None, sigmas)[1] ** 2
+    y = _as_float_vector(y, "y", sig2.shape[0])
     if not math.isfinite(s_hat) or s_hat <= 0:
         raise StationarityError("the ratio form needs a finite positive s_hat")
     u = sig2 * s_hat

@@ -33,6 +33,7 @@ from .core import (
     _RANK_TOL,
     _as_float_vector,
     _check_batch,
+    _check_count,
     _check_design,
     _column_norms,
     _normal_pdf,
@@ -111,7 +112,7 @@ class SubsetCollection(EstimatorFamily):
     def _index(self, s):
         try:
             return self.domain.labels.index(tuple(s))
-        except ValueError:
+        except (TypeError, ValueError):
             raise DomainError(f"subset {s!r} is not in the collection") from None
 
     def estimate(self, s, y):
@@ -151,7 +152,6 @@ class SubsetCollection(EstimatorFamily):
             theta_hat=theta,
             sure_min=cp[np.arange(Y.shape[0]), pick],
             naive_df_at_shat=self.ranks[pick].astype(float),
-            discrete=True,
         )
 
     def oracle(self, model):
@@ -186,13 +186,14 @@ def make_nested(X, sigma, order=None, sizes=None):
         raise DomainError("order must be a permutation of the column indices")
     sizes = range(p + 1) if sizes is None else tuple(sizes)
     for k in sizes:
-        if not 0 <= k <= p:
+        if _check_count(k, "every prefix size", 0) > p:
             raise DomainError(f"prefix size {k} outside 0..{p}")
-    return SubsetCollection(X, [order[:k] for k in sizes], sigma)
+    return SubsetCollection(X, [order[:int(k)] for k in sizes], sigma)
 
 
 def make_all_subsets(p):
     """All 2^p column subsets of a p-column design, smallest first."""
+    p = _check_count(p, "p", 0)
     if p > 25:
         raise DomainError("refusing to enumerate more than 2^25 subsets")
     out = []
@@ -219,8 +220,6 @@ def edf_two_model_exact(X, theta0, sigma):
     if X.shape[1] < 1:
         raise ShapeError("X must be a 2-d design with at least one column")
     theta0 = _as_float_vector(theta0, "theta0", X.shape[0])
-    if not np.all(np.isfinite(theta0)):
-        raise DomainError("theta0 must be finite")
     pair = make_nested(X, sigma, sizes=(X.shape[1] - 1, X.shape[1]))
     if pair.ranks[1] == pair.ranks[0]:
         raise DegenerateDesignError("last column lies in the span of the others")

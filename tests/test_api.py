@@ -2,21 +2,63 @@
 
 A family is used through its methods (`tune`, `tune_batch`, `sure`,
 `estimate`, `oracle`, and `criterion_matrix` for subsets); the package
-exports no module-level wrapper that only forwards to one of them.
+exports no module-level wrapper that only forwards to one of them.  Bad
+input is refused at one boundary, `core`'s input checks (the last table).
 """
 
 import ast
 import importlib
 import inspect
+import math
 import re
 import textwrap
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import suretune
-from suretune import EstimatorFamily, cli, mc_df, simulate
+from suretune import (
+    BootstrapConfig,
+    ConfigError,
+    DomainError,
+    EdfReport,
+    EstimatorFamily,
+    GaussianModel,
+    HeteroShrinkFamily,
+    RidgeRotation,
+    ShapeError,
+    ShrinkMeansFamily,
+    ShrinkRegressionFamily,
+    SimSpec,
+    SoftThreshFamily,
+    SubsetCollection,
+    chi_sq_max_bound,
+    cli,
+    edf_two_model_exact,
+    edf_unbiased_shrink,
+    edf_upper_bound_simplified,
+    exopt_hetero_shrink,
+    gas_stations_rotation,
+    gaussian_surface_area_ball,
+    general_theta_bound,
+    james_stein_positive,
+    make_all_subsets,
+    make_nested,
+    mc_df,
+    mc_edf,
+    mc_prediction_error,
+    nested_bound_tail_split,
+    nested_null_edf_bound,
+    oracle_gap_check,
+    parse_config,
+    simulate,
+    soft_threshold,
+    soft_threshold_risk,
+    theta0_for,
+    tune_hetero_shrink,
+)
 
 LIBRARY_MODULES = (
     "acceptance",
@@ -169,3 +211,168 @@ def test_no_module_imports_scipy_at_load_time():
         if name == "scipy" or name.startswith("scipy.")
     ]
     assert not found
+
+
+# One input boundary.  `core` alone decides what a valid input is: every row
+# is (public entry, bad value, exception type, message), and the message is
+# the one core's helper writes for that kind of value.  A check copied into
+# another module, with its own message, fails its rows.
+_X = np.eye(3)[:, :2]
+_Y = np.array([1.0, 2.0, 3.0])
+_MODEL = GaussianModel(np.zeros(3), sigma=1.0)
+
+
+def _sigma_message(name):
+    return (rf"{name} must be positive and finite, with a normal square "
+            rf"\(2\^-511 <= {name} < 2\^512\)")
+
+
+SIGMA_ENTRIES = {
+    "ShrinkMeansFamily": lambda v: ShrinkMeansFamily(3, v),
+    "ShrinkRegressionFamily": lambda v: ShrinkRegressionFamily(_X, v),
+    "SoftThreshFamily": lambda v: SoftThreshFamily(3, v),
+    "SubsetCollection": lambda v: SubsetCollection(_X, [(0,), (0, 1)], v),
+    "SingletonShrinkFamily": lambda v: simulate.SingletonShrinkFamily(3, v),
+    "GaussianModel": lambda v: GaussianModel(np.zeros(3), sigma=v),
+    "RidgeRotation": lambda v: RidgeRotation(_X, _Y, v),
+    "james_stein_positive": lambda v: james_stein_positive(_Y, v),
+    "soft_threshold_risk": lambda v: soft_threshold_risk([0.5], v, 1.0),
+}
+SIGMAS_ENTRIES = {
+    "HeteroShrinkFamily": lambda v: HeteroShrinkFamily([1.0, v]),
+    "GaussianModel-sigmas": lambda v: GaussianModel(np.zeros(2), sigmas=[1.0, v]),
+    "exopt_hetero_shrink": lambda v: exopt_hetero_shrink([1.0, 2.0], [1.0, v], 1.0),
+}
+BAD_SIGMAS = (0.0, -1.0, math.nan, math.inf, 1e-200, 1e200)
+
+# name -> (argument name in the message, call with the vector)
+VECTOR_ENTRIES = {
+    "GaussianModel": ("theta0", lambda x: GaussianModel(x, sigma=1.0)),
+    "GaussianModel-sigmas": ("sigmas", lambda x: GaussianModel(np.zeros(3), sigmas=x)),
+    "HeteroShrinkFamily": ("sigmas", HeteroShrinkFamily),
+    "tune_hetero_shrink-sigmas": ("sigmas", lambda x: tune_hetero_shrink(_Y, x)),
+    "soft_threshold_risk": ("theta0", lambda x: soft_threshold_risk(x, 1.0, 1.0)),
+    "edf_two_model_exact": ("theta0", lambda x: edf_two_model_exact(_X, x, 1.0)),
+    "exopt_hetero_shrink-y": ("y", lambda x: exopt_hetero_shrink(x, np.ones(3), 1.0)),
+    "exopt_hetero_shrink-sigmas": ("sigmas", lambda x: exopt_hetero_shrink(_Y, x, 1.0)),
+    "gaussian_surface_area_ball": ("center", lambda x: gaussian_surface_area_ball(x, 1.0)),
+    "general_theta_bound": ("mu", general_theta_bound),
+    "gas_stations_rotation": ("w", gas_stations_rotation),
+    "chi_sq_max_bound": ("sizes", lambda x: chi_sq_max_bound(x, 0.5)),
+    "edf_upper_bound_simplified": ("sizes", lambda x: edf_upper_bound_simplified(x, 0.5)),
+    "SimSpec": ("theta0", lambda x: SimSpec(setting="custom", sizes=(3,), theta0=x)),
+    "theta0_for": ("custom theta0", lambda x: theta0_for("custom", 3, custom=x)),
+}
+# Data vectors are checked as one-row batches by `core._check_batch`.
+DATA_ENTRIES = {
+    "EstimatorFamily.tune": (lambda x: ShrinkMeansFamily(3, 1.0).tune(x),
+                             r"expected a length-3 vector"),
+    "tune_hetero_shrink-y": (lambda x: tune_hetero_shrink(x, np.ones(3)),
+                             r"expected a length-3 vector"),
+    "RidgeRotation-y": (lambda x: RidgeRotation(_X, x), r"X must be 2-d with rows matching y"),
+    "james_stein_positive": (lambda x: james_stein_positive(x, 1.0), None),
+}
+
+# name -> (count name in the message, least value, call with the count)
+COUNT_ENTRIES = {
+    "ShrinkMeansFamily": ("n", 1, lambda v: ShrinkMeansFamily(v, 1.0)),
+    "SoftThreshFamily": ("n", 1, lambda v: SoftThreshFamily(v, 1.0)),
+    "SingletonShrinkFamily": ("n", 1, lambda v: simulate.SingletonShrinkFamily(v, 1.0)),
+    "make_all_subsets": ("p", 0, make_all_subsets),
+    "make_nested": ("every prefix size", 0, lambda v: make_nested(_X, 1.0, sizes=(v,))),
+    "nested_null_edf_bound": ("p", 1, nested_null_edf_bound),
+    "nested_bound_tail_split": ("n_terms", 1, nested_bound_tail_split),
+    "chi_sq_max_bound": ("every size", 0, lambda v: chi_sq_max_bound([1, v], 0.5)),
+    "edf_upper_bound_simplified": ("every size", 0,
+                                   lambda v: edf_upper_bound_simplified([1, v], 0.5)),
+    "mc_df": ("reps", 2, lambda v: mc_df(lambda Y: Y, _MODEL, reps=v)),
+    "mc_prediction_error": ("reps", 2, lambda v: mc_prediction_error(lambda Y: Y, _MODEL, reps=v)),
+    "mc_edf": ("reps", 2, lambda v: mc_edf(ShrinkMeansFamily(3, 1.0), _MODEL, reps=v)),
+    "oracle_gap_check": ("reps", 2,
+                         lambda v: oracle_gap_check(ShrinkMeansFamily(3, 1.0), _MODEL, reps=v)),
+    "EdfReport": ("reps", 1, lambda v: EdfReport("monte_carlo", 0.0, 0.0, v)),
+    "BootstrapConfig": ("bootstrap B", 2, lambda v: BootstrapConfig(B=v)),
+    "SimSpec-sizes": ("every size", 1, lambda v: SimSpec(sizes=(v,))),
+    "SimSpec-outer_reps": ("outer_reps", 2, lambda v: SimSpec(outer_reps=v)),
+    "SimSpec-bootstrap_B": ("bootstrap_B other than 0", 2, lambda v: SimSpec(bootstrap_B=v)),
+}
+
+_FAMILIES = {
+    "ShrinkMeansFamily": lambda: ShrinkMeansFamily(3, 1.0),
+    "ShrinkRegressionFamily": lambda: ShrinkRegressionFamily(np.eye(3), 1.0),
+    "SoftThreshFamily": lambda: SoftThreshFamily(3, 1.0),
+    "HeteroShrinkFamily": lambda: HeteroShrinkFamily(np.ones(3)),
+    "SingletonShrinkFamily": lambda: simulate.SingletonShrinkFamily(3, 1.0),
+    "SubsetCollection": lambda: SubsetCollection(np.eye(3), [(0,), (0, 1)], 1.0),
+}
+# name -> (argument name in the message, call with the tuning value)
+TUNING_ENTRIES = {
+    "soft_threshold": ("threshold", lambda s: soft_threshold(_Y, s)),
+    "soft_threshold_risk": ("threshold", lambda s: soft_threshold_risk(_Y, 1.0, s)),
+    "edf_unbiased_shrink": ("s_hat", edf_unbiased_shrink),
+    "SingletonShrinkFamily": ("the fixed tuning value",
+                              lambda s: simulate.SingletonShrinkFamily(3, 1.0, s=s)),
+}
+
+
+def _family_call(family, method):
+    return lambda s: getattr(_FAMILIES[family](), method)(s, _Y)
+
+
+def _boundary_rows():
+    for name, call in SIGMA_ENTRIES.items():
+        for v in BAD_SIGMAS:
+            yield f"sigma {name}", call, v, DomainError, _sigma_message("sigma")
+    for v in BAD_SIGMAS:
+        yield ("sigma parse_config", lambda v: parse_config(f"sigma = {v!r}\n"), v, ConfigError,
+               "line 0: " + _sigma_message("sigma"))
+    for name, call in SIGMAS_ENTRIES.items():
+        for v in BAD_SIGMAS:
+            message = _sigma_message("sigmas")
+            if not math.isfinite(v):
+                message = "sigmas is not finite at index 1"
+            yield f"sigma {name}", call, v, DomainError, message
+    for name, (arg, call) in VECTOR_ENTRIES.items():
+        for bad in (math.nan, math.inf):
+            yield (f"vector {name}", call, [1.0, bad, 2.0], DomainError,
+                   f"{arg} is not finite at index 1")
+        yield (f"vector {name}", call, np.ones((1, 3)), ShapeError,
+               re.escape(f"{arg} must be one-dimensional, got shape (1, 3)"))
+    for name, (call, shape_message) in DATA_ENTRIES.items():
+        for bad in (math.nan, math.inf):
+            yield (f"data {name}", call, [1.0, bad, 2.0], DomainError,
+                   r"data is not finite at \(row 0, column 1\)")
+        if shape_message is not None:
+            yield f"data {name}", call, np.ones((1, 3)), ShapeError, shape_message
+    for name, (arg, least, call) in COUNT_ENTRIES.items():
+        for v in (2.5, -1):
+            yield (f"count {name}", call, v, DomainError,
+                   rf"{arg} must be an integer at least {least}, got {v}(\.0)?")
+    for name, (arg, call) in TUNING_ENTRIES.items():
+        for s in (math.nan, -1.0):
+            yield (f"tuning {name}", call, s, DomainError,
+                   re.escape(f"{arg} must be nonnegative (+inf allowed), not NaN"))
+    for family in _FAMILIES:
+        for method in ("estimate", "naive_df", "sure"):
+            for s in (math.nan, -1.0):
+                message = f"tuning value {s!r} is outside the family domain"
+                if family == "SubsetCollection" and method != "sure":
+                    message = f"subset {s!r} is not in the collection"
+                call = _family_call(family, method)
+                yield f"tuning {family}.{method}", call, s, DomainError, message
+    for s in (math.nan, -1.0):
+        yield ("tuning RidgeRotation.coef", lambda s: RidgeRotation(_X, _Y).coef(s), s,
+               DomainError, f"tuning value {s!r} is outside the family domain")
+
+
+BOUNDARY = list(_boundary_rows())
+
+
+@pytest.mark.parametrize(
+    "entry, call, value, error, message", BOUNDARY,
+    ids=[f"{row[0]}-{np.asarray(row[2]).tolist()!r}" for row in BOUNDARY])
+def test_one_input_boundary(entry, call, value, error, message):
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert re.fullmatch(message, str(info.value)), str(info.value)

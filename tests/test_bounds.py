@@ -45,6 +45,12 @@ class TestChiSqMaxBound:
         with pytest.raises(DomainError):
             chi_sq_max_bound([1, 2], -0.1)
 
+    @pytest.mark.parametrize("bound", [chi_sq_max_bound, edf_upper_bound_simplified])
+    def test_an_infinite_size_is_refused(self, bound):
+        # inf == floor(inf), so the old integer check returned a bound of inf.
+        with pytest.raises(DomainError, match="^sizes is not finite at index 1$"):
+            bound([1, math.inf], 0.5)
+
     def test_delta_zero_degenerate_cases(self):
         assert chi_sq_max_bound([0, 0, 0], 0.0) == pytest.approx(2.0 * math.log(3))
         assert chi_sq_max_bound([0, 1], 0.0) == math.inf
@@ -232,6 +238,13 @@ class TestGasStations:
         with pytest.raises(ShapeError):
             gas_stations_rotation([])
 
+    def test_one_tolerance_and_no_knob(self):
+        # The sum check and the prefix comparisons share one slack.
+        assert list(inspect.signature(gas_stations_rotation).parameters) == ["w"]
+        assert gas_stations_rotation([2.0 + 5e-10, 2.0 - 5e-10]).multiplicity == 2
+        with pytest.raises(DomainError, match="sum to 2d"):
+            gas_stations_rotation([2.0 + 2e-9, 2.0])
+
     def test_continuous_inputs_have_unique_admissible_rotation(self):
         rng = np.random.default_rng(22)
         for _ in range(200):
@@ -384,9 +397,9 @@ class TestGeneralThetaBound:
     def test_validation(self):
         with pytest.raises(ShapeError):
             general_theta_bound(np.zeros(0))
-        with pytest.raises(DomainError, match="mu must be finite"):
+        with pytest.raises(DomainError, match="mu is not finite at index 0"):
             general_theta_bound([math.nan, 1.0])
-        with pytest.raises(DomainError, match="mu must be finite"):
+        with pytest.raises(DomainError, match="mu is not finite at index 1"):
             general_theta_bound([0.5, math.inf, 1.0])
 
 

@@ -207,14 +207,15 @@ class TestBounds:
         assert float(kv["windowed"]) == pytest.approx(2.0 * exact, rel=1e-11)
         assert kv["p"] == "1"
 
-    @pytest.mark.parametrize("argv", [
-        ["bounds", "general-theta", "--mu", "nan,1"],
-        ["bounds", "surface-area-ball", "--center", "0,inf", "--radius", "1"],
-        ["bounds", "surface-area-ball", "--center", "0,1", "--radius", "nan"],
-    ])
-    def test_non_finite_input_exits_1(self, argv, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "general-theta", "--mu", "nan,1"], "mu is not finite at index 0"),
+        (["bounds", "surface-area-ball", "--center", "0,inf", "--radius", "1"],
+         "center is not finite at index 1"),
+        (["bounds", "surface-area-ball", "--center", "0,1", "--radius", "nan"], "must be"),
+    ], ids=["argv0", "argv1", "argv2"])
+    def test_non_finite_input_exits_1(self, argv, message, capsys):
         assert main(argv) == 1
-        assert "must be" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "general-theta", "--mu", "1,2", "--directions", "5"],
@@ -280,6 +281,13 @@ class TestSimulate:
         cfg.write_text(text)
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+    def test_a_sigma_whose_square_is_not_a_normal_float_exits_2(self, tmp_path, capsys, sigma):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"sizes = 3\nouter_reps = 2\nsigma = {sigma}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "config error: line 0: sigma must be positive" in capsys.readouterr().err
 
     def test_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["simulate"]) == 2

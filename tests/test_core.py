@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -93,6 +94,63 @@ def test_model_names_the_largest_entry_of_an_overflowing_mean():
     with pytest.raises(DomainError, match=r"\(largest at index 1\)$"):
         GaussianModel([1e200, -3e200, 2.0], sigmas=np.ones(3))
     GaussianModel([1e150, -3e150, 2.0], sigma=1.0)  # squares to 1e301: accepted
+
+
+# A noise level whose square is not a finite normal float is refused with
+# the other bad ones.  Past that point mc_df at sigma = 1e-200 returned
+# nan +- nan for the identity rule, at sigma = 1e200 it raised a bare
+# OverflowError, mc_prediction_error with one sigma_i = 1e-200 returned
+# inf +- nan, and the heteroskedastic tuner raised ZeroDivisionError.
+EXTREME_NOISE_CALLS = {
+    "mc_df-tiny-sigma": ("sigma", lambda: mc_df(
+        lambda Y: Y, GaussianModel(np.zeros(3), sigma=1e-200), reps=10)),
+    "mc_df-huge-sigma": ("sigma", lambda: mc_df(
+        lambda Y: Y, GaussianModel(np.zeros(3), sigma=1e200), reps=10)),
+    "mc_prediction_error-tiny-sigmas": ("sigmas", lambda: mc_prediction_error(
+        lambda Y: 0 * Y, GaussianModel([1e150, 1.0, 2.0], sigmas=[1e-200, 1.0, 1.0]), reps=10)),
+    "hetero-tune-tiny-sigmas": ("sigmas", lambda: HeteroShrinkFamily(
+        [1e-200, 1.0]).tune([1.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("call", sorted(EXTREME_NOISE_CALLS))
+def test_a_noise_level_whose_square_is_not_a_normal_float_is_refused(call):
+    name, entry = EXTREME_NOISE_CALLS[call]
+    with pytest.raises(DomainError, match=f"^{name} must be positive and finite, with a normal"):
+        entry()
+
+
+def test_the_noise_range_is_where_the_square_is_a_finite_normal_float():
+    lo, hi = 2.0**-511, 2.0**512
+    assert lo * lo == np.finfo(float).tiny and math.isfinite(math.nextafter(hi, 0.0) ** 2)
+    GaussianModel(np.zeros(2), sigmas=[lo, math.nextafter(hi, 0.0)])
+    for bad in (math.nextafter(lo, 0.0), hi):
+        with pytest.raises(DomainError, match="^sigma must be positive and finite"):
+            GaussianModel(np.zeros(2), sigma=bad)
+
+
+# estimate and naive_df check the tuning value as sure does.  Past that
+# point these returned -y, a df of -3, a df of 4 above the rank of 2,
+# sign-flipped estimates and a df of 0 at s = nan.
+_Y3 = np.array([1.0, 2.0, 3.0])
+OUT_OF_DOMAIN_CALLS = {
+    "shrink-means-estimate": lambda: ShrinkMeansFamily(3, 1.0).estimate(-2.0, _Y3),
+    "shrink-means-naive-df": lambda: ShrinkMeansFamily(3, 1.0).naive_df(-2.0, _Y3),
+    "shrink-regression-naive-df": lambda: ShrinkRegressionFamily(
+        np.eye(3)[:, :2], 1.0).naive_df(-0.5, _Y3),
+    "hetero-estimate": lambda: HeteroShrinkFamily([1.0, 2.0, 3.0]).estimate(-2.0, _Y3),
+    "soft-threshold-naive-df": lambda: SoftThreshFamily(2, 1.0).naive_df(math.nan, _Y3[:2]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OUT_OF_DOMAIN_CALLS))
+def test_estimate_and_naive_df_refuse_a_tuning_value_outside_the_domain(call):
+    with pytest.raises(DomainError, match=r"^tuning value \S+ is outside the family domain$"):
+        OUT_OF_DOMAIN_CALLS[call]()
+
+
+def test_tuned_batch_has_no_discrete_flag_to_disagree_with_the_domain():
+    assert "discrete" not in {f.name for f in dataclasses.fields(core.TunedBatch)}
 
 
 def test_model_draw_shapes_and_mean():

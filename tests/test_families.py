@@ -231,7 +231,8 @@ def test_tuned_minimum_beats_dense_grid_and_tune_is_row_zero(case):
 
     fit = fam.tune(y)
     s0 = batch.s_hat[0]
-    assert fit.s_hat == (fam.domain.labels[int(s0)] if batch.discrete else s0)
+    discrete = fam.domain.kind == "discrete"
+    assert fit.s_hat == (fam.domain.labels[int(s0)] if discrete else s0)
     assert np.array_equal(fit.theta_hat, batch.theta_hat[0])
     assert fit.sure_min == batch.sure_min[0]
     assert fit.naive_df_at_shat == batch.naive_df_at_shat[0]

@@ -376,12 +376,19 @@ class TestParseConfig:
     @pytest.mark.parametrize("text, message", [
         ("sigma = nan\n", "sigma must be positive and finite"),
         ("sigma = inf\n", "sigma must be positive and finite"),
-        ("setting = custom\nsizes = 3\ntheta0 = 1, nan, 2\n", "theta0 must be finite"),
-        ("setting = custom\nsizes = 2\ntheta0 = -inf, 0\n", "theta0 must be finite"),
+        ("setting = custom\nsizes = 3\ntheta0 = 1, nan, 2\n", "theta0 is not finite at index 1"),
+        ("setting = custom\nsizes = 2\ntheta0 = -inf, 0\n", "theta0 is not finite at index 0"),
     ])
     def test_non_finite_values_are_config_errors(self, text, message):
         with pytest.raises(ConfigError, match=message) as info:
             parse_config(text)
+        assert info.value.line == 0
+
+    @pytest.mark.parametrize("sigma", ["1e200", "1e-200"])
+    def test_a_sigma_whose_square_is_not_a_normal_float_is_a_config_error(self, sigma):
+        # SimSpec accepted both; every cell then divides by sigma^2.
+        with pytest.raises(ConfigError, match="sigma must be positive and finite") as info:
+            parse_config(f"sigma = {sigma}\n")
         assert info.value.line == 0
 
     def test_theta0_list(self):

@@ -24,6 +24,12 @@ def test_soft_threshold_elementwise():
         soft_threshold(y, -0.1)
 
 
+def test_soft_threshold_refuses_a_nan_threshold():
+    # nan < 0 is False, so the old check let NaN through to NaN estimates.
+    with pytest.raises(DomainError, match="^threshold must be nonnegative"):
+        soft_threshold(np.array([1.0, 2.0, 3.0]), math.nan)
+
+
 class TestTuneSoftThreshold:
     def test_single_large_value_is_kept(self):
         fit = SoftThreshFamily(1, 1.0).tune(np.array([3.0]))
@@ -119,8 +125,8 @@ class TestSoftThresholdRisk:
             soft_threshold_risk(np.zeros(2), 1.0, -1.0)
 
     @pytest.mark.parametrize("theta0, sigma, s, message", [
-        ([math.nan], 1.0, 1.0, "theta0 must be finite"),
-        ([0.5, math.inf], 1.0, 1.0, "theta0 must be finite"),
+        ([math.nan], 1.0, 1.0, "theta0 is not finite at index 0"),
+        ([0.5, math.inf], 1.0, 1.0, "theta0 is not finite at index 1"),
         ([0.5], 1.0, math.nan, "threshold must be nonnegative"),
         ([0.5], math.nan, 1.0, "sigma must be positive and finite"),
         ([0.5], math.inf, 1.0, "sigma must be positive and finite"),

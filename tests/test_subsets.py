@@ -175,7 +175,7 @@ class TestTwoModelExact:
     def test_non_finite_theta0_rejected(self, bad):
         theta0 = np.zeros(3)
         theta0[1] = bad
-        with pytest.raises(DomainError, match="theta0 must be finite"):
+        with pytest.raises(DomainError, match="theta0 is not finite at index 1"):
             edf_two_model_exact(np.eye(3)[:, :2], theta0, 1.0)
 
     def test_degenerate_last_column(self):
@@ -203,6 +203,20 @@ def test_make_all_subsets_counts_and_guard():
     assert subs[-1] == (0, 1, 2, 3)
     with pytest.raises(DomainError):
         make_all_subsets(26)
+
+
+@pytest.mark.parametrize("p", [2.5, -1])
+def test_make_all_subsets_needs_a_count(p):
+    # 2.5 raised numpy's TypeError and -1 returned ().
+    with pytest.raises(DomainError, match="^p must be an integer at least 0"):
+        make_all_subsets(p)
+
+
+@pytest.mark.parametrize("size", [2.5, -1])
+def test_make_nested_prefix_sizes_are_counts(size):
+    # 2.5 passed the range check and then raised TypeError in the slice.
+    with pytest.raises(DomainError, match="^every prefix size must be an integer at least 0"):
+        make_nested(np.eye(3), 1.0, sizes=(size, 3))
 
 
 def test_mc_edf_nonnegative_for_subset_selection():
