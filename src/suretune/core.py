@@ -49,8 +49,9 @@ Routines that pair each Y with an independent copy Y* (drawn as a second
 
 Input checks: only this module decides what a valid input is, through
 `_as_float_vector` for vectors, `_check_noise` for sigma, `_check_count` for
-counts, `_check_tuning` for tuning values (`EstimatorFamily._check_s` for a
-family's own), `_check_batch` for data and `_check_design` for designs.
+counts and column indices, `_check_tuning` for tuning values
+(`EstimatorFamily._check_s` for a family's own), `_check_batch` for data and
+`_check_design` for designs.
 """
 
 import math
@@ -569,7 +570,10 @@ def mc_prediction_error(rule, model, *, reps=1000, seed=0):
 
 def _df_stats(theta, Y, model):
     """Per-replication covariance-form df statistics for a batch."""
-    return np.sum(theta * (Y - model.theta0) / _noise_sd(model) ** 2, axis=-1)
+    terms = Y - model.theta0
+    terms *= theta
+    terms /= _noise_sd(model) ** 2
+    return np.sum(terms, axis=-1)
 
 
 def mc_df(rule, model, *, reps=1000, seed=0):

@@ -216,20 +216,32 @@ def edf_implicit_diff(hooks, y, s_hat):
     return EdfReport(method="implicit_diff", value=float(value), std_error=0.0, reps=1)
 
 
-def _hetero_sure(s, Y2, sig2, order=0):
-    """Scaled SURE of per-coordinate shrinkage (order 0) or its first or
-    second derivative in s, at s of shape (...) for squared data Y2 of
-    shape (..., n); shape (...).
+def _hetero_sure(s, Y2, sig2):
+    """Scaled SURE of per-coordinate shrinkage at s of shape (...) for squared data Y2 (..., n)."""
+    s = np.asarray(s, dtype=float)[..., None]
+    u = sig2 * s
+    return (np.sum(Y2 * sig2 * s**2 / (1.0 + u) ** 2, axis=-1)
+            + 2.0 * np.sum(1.0 / (1.0 + u), axis=-1))
+
+
+def _hetero_slopes(s, W, sig2, curvature=False):
+    """d/ds of `_hetero_sure` for W = 2 Y2 sigma_i^2, sum(W s / v^3 - 2 sigma_i^2 / v^2),
+    with `curvature` also d2/ds2, sum(W (1 - 2 u) / v^4) + sum(4 sigma_i^4 / v^3), from
+    one u = sigma_i^2 s, v = 1 + u and v^3; each operation as written, in two work arrays.
     """
     s = np.asarray(s, dtype=float)[..., None]
     u = sig2 * s
-    if order == 0:
-        return (np.sum(Y2 * sig2 * s**2 / (1.0 + u) ** 2, axis=-1)
-                + 2.0 * np.sum(1.0 / (1.0 + u), axis=-1))
-    if order == 1:
-        return np.sum(2.0 * Y2 * sig2 * s / (1.0 + u) ** 3 - 2.0 * sig2 / (1.0 + u) ** 2, axis=-1)
-    return (np.sum(2.0 * Y2 * sig2 * (1.0 - 2.0 * u) / (1.0 + u) ** 4, axis=-1)
-            + np.sum(4.0 * sig2**2 / (1.0 + u) ** 3, axis=-1))
+    v = 1.0 + u
+    v3 = v**3
+    work, tmp = W * s / v3, v**2
+    work -= np.divide(2.0 * sig2, tmp, out=tmp)
+    slope = np.sum(work, axis=-1)
+    if not curvature:
+        return slope
+    np.subtract(1.0, np.multiply(2.0, u, out=work), out=work)
+    work *= W
+    work /= np.power(v, 4, out=tmp)
+    return slope, np.sum(work, axis=-1) + np.sum(np.divide(4.0 * sig2**2, v3, out=tmp), axis=-1)
 
 
 class HeteroShrinkFamily(EstimatorFamily):
@@ -266,8 +278,8 @@ class HeteroShrinkFamily(EstimatorFamily):
         return SmoothFamilyHooks(
             theta=lambda s, y: y / (1.0 + sig2 * np.asarray(s, dtype=float)[..., None]),
             g=lambda s, y: _hetero_sure(s, np.square(y), sig2),
-            dg_ds=lambda s, y: _hetero_sure(s, np.square(y), sig2, 1),
-            d2g_ds2=lambda s, y: _hetero_sure(s, np.square(y), sig2, 2),
+            dg_ds=lambda s, y: _hetero_slopes(s, 2.0 * np.square(y) * sig2, sig2),
+            d2g_ds2=lambda s, y: _hetero_slopes(s, 2.0 * np.square(y) * sig2, sig2, True)[1],
             dtheta_ds=dtheta_ds,
             d2g_dyds=d2g_dyds,
         )
@@ -313,20 +325,20 @@ class HeteroShrinkFamily(EstimatorFamily):
         reps = Y2.shape[0]
         u = grid[:, None] * sig2
         weights = sig2 * grid[:, None] ** 2 / (1.0 + u) ** 2
-        vals = Y2 @ weights.T + 2.0 * np.sum(1.0 / (1.0 + u), axis=1)
         g_inf = np.sum(Y2 / sig2, axis=1)
 
-        # Grid local minima.  Left of s = 0 counts as +inf (the slope there is
-        # strictly negative, so no minimum sits at s = 0 itself); right of
-        # the last point is s = +inf.
-        left = np.concatenate([np.full((reps, 1), math.inf), vals[:, :-1]], axis=1)
-        right = np.concatenate([vals[:, 1:], g_inf[:, None]], axis=1)
-        rows, k = np.nonzero((vals <= left) & (vals <= right))
+        # Grid local minima, each at most both neighbours.  Left of s = 0
+        # counts as +inf (the slope there is strictly negative, so no minimum
+        # sits at s = 0 itself); right of the last point is s = +inf.
+        vals = np.concatenate([np.full((reps, 1), math.inf),
+                               Y2 @ weights.T + 2.0 * np.sum(1.0 / (1.0 + u), axis=1),
+                               g_inf[:, None]], axis=1)
+        rows, k = np.nonzero((vals[:, 1:-1] <= vals[:, :-2]) & (vals[:, 1:-1] <= vals[:, 2:]))
         edges = np.concatenate([[0.0], grid, [grid[-1] * 1e2]])
         lo, hi, Y2 = edges[k], edges[k + 2], Y2[rows]
-        s_star = np.empty(rows.size)
-        root = (_hetero_sure(lo, Y2, sig2, 1) < 0.0) & (_hetero_sure(hi, Y2, sig2, 1) > 0.0)
-        s_star[root] = _slope_root(lo[root], hi[root], Y2[root], sig2)
+        s_star, W = np.empty(rows.size), 2.0 * Y2 * sig2
+        root = (_hetero_slopes(lo, W, sig2) < 0.0) & (_hetero_slopes(hi, W, sig2) > 0.0)
+        s_star[root] = _slope_root(lo[root], hi[root], W[root], sig2)
         far = ~root
         if far.any():
             s_star[far] = np.expm1(_golden_log1p(np.log1p(lo[far]), np.log1p(hi[far]),
@@ -358,18 +370,20 @@ class HeteroShrinkFamily(EstimatorFamily):
         return OracleTuning(s0=float(s0[0]), err=float(err[0]))
 
 
-def _slope_root(a, b, Y2, sig2):
-    """Root of the slope in each bracket (a, b) where it goes from - to +.
+def _slope_root(a, b, W, sig2):
+    """Root of the slope in each bracket (a, b) where it goes from - to +,
+    for rows W = 2 Y2 sigma_i^2.
 
-    Newton steps, bisecting whenever a step leaves the bracket or fails to
-    halve the previous one.  The slope stays negative at the left end, so
-    the root found is a local minimum of the criterion.  Pairs leave the
-    iteration as they converge.
+    Newton steps on slope and curvature from one `_hetero_slopes` pass,
+    bisecting whenever a step leaves the bracket or fails to halve the
+    previous one.  The slope stays negative at the left end, so the root
+    found is a local minimum of the criterion.  Pairs leave the iteration,
+    with their rows of W, as they converge.
     """
     x, step_old, live = 0.5 * (a + b), b - a, np.arange(a.size)
     root = x.copy()
     for _ in range(200):
-        f, fp = _hetero_sure(x, Y2, sig2, 1), _hetero_sure(x, Y2, sig2, 2)
+        f, fp = _hetero_slopes(x, W, sig2, True)
         a, b = np.where(f < 0.0, x, a), np.where(f > 0.0, x, b)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - f / fp
@@ -380,7 +394,7 @@ def _slope_root(a, b, Y2, sig2):
         go = np.minimum(step_old, b - a) > 4.0 * np.finfo(float).eps * x
         if not go.any():
             break
-        live, x, a, b, step_old, Y2 = live[go], x[go], a[go], b[go], step_old[go], Y2[go]
+        live, x, a, b, step_old, W = live[go], x[go], a[go], b[go], step_old[go], W[go]
     return root
 
 

@@ -53,9 +53,9 @@ class DegenerateDesignError(DomainError):
 
 
 def _normalize_subset(subset, p):
-    cols = tuple(sorted(set(int(j) for j in subset)))
+    cols = tuple(sorted(set(_check_count(j, "every column index", 0) for j in subset)))
     for j in cols:
-        if not 0 <= j < p:
+        if j >= p:
             raise DomainError(f"column index {j} outside design with {p} columns")
     return cols
 
@@ -69,8 +69,14 @@ class SubsetCollection(EstimatorFamily):
     column orthogonalized against them (two Gram-Schmidt passes), unless its
     norm is at most 1e-10 times the subset's largest column norm; any other
     subset adds the rank-revealing basis of its own columns.  The chain of
-    all p + 1 prefixes thus stores at most p directions.  A (reps, n) batch
-    costs one product Y @ Q, from which every subset reads its coordinates.
+    all p + 1 prefixes thus stores at most p directions.
+
+    A (reps, n) batch costs one product Y @ Q, then O(reps) per grown
+    subset, whose fitted sum of squares is its parent's plus its new squared
+    coordinate (O(reps * p) for the chain, not O(reps * p^2)); a subset with
+    its own k directions sums k columns.  numpy's axis-1 sum of two or more
+    rows adds columns in this order, so the bytes are the direct sum's; it
+    sums one row pairwise, which differs in the last few places.
     """
 
     def __init__(self, X, subsets, sigma):
@@ -84,6 +90,7 @@ class SubsetCollection(EstimatorFamily):
         self.domain = TuningDomain(kind="discrete", labels=labels)
         position = {cols: k for k, cols in enumerate(labels)}
         norms, dirs, self._qcols = _column_norms(X), [], [None] * len(labels)
+        self._tree = []  # (k, parent or None if own basis, its new direction or None)
         for k in sorted(range(len(labels)), key=lambda k: len(labels[k])):
             cols = labels[k]
             parent, j = _grown_from(cols, position)
@@ -95,6 +102,7 @@ class SubsetCollection(EstimatorFamily):
                 for _ in range(2):
                     v = v - basis.T @ (basis @ v)
                 new = _rank_basis(v[:, None], _RANK_TOL * norms[list(cols)].max())[0]
+            self._tree.append((k, parent, len(dirs) if parent is not None and new.size else None))
             self._qcols[k] = own + list(range(len(dirs), len(dirs) + new.shape[1]))
             dirs.extend(new.T)
         self.Q = np.reshape(dirs, (len(dirs), self.n)).T
@@ -130,8 +138,17 @@ class SubsetCollection(EstimatorFamily):
 
     def _cp(self, y2, C2):
         """Cp for every subset from ||y||^2 and the squared coordinates C2 = (Y @ Q)^2."""
-        fitted2 = np.column_stack([C2[:, idx].sum(axis=1) for idx in self._qcols])
-        return y2[:, None] - fitted2 + 2.0 * self.sigma**2 * self.ranks
+        return y2[:, None] - self._fitted2(C2).T + 2.0 * self.sigma**2 * self.ranks
+
+    def _fitted2(self, C2):
+        """Each subset's fitted sum of squares, shape (n_subsets, reps), in build order."""
+        fitted2 = np.empty((len(self._qcols), C2.shape[0]))
+        for k, parent, j in self._tree:
+            if parent is None:
+                fitted2[k] = C2[:, self._qcols[k]].sum(axis=1)
+            else:
+                fitted2[k] = fitted2[parent] if j is None else fitted2[parent] + C2[:, j]
+        return fitted2
 
     def _pick(self, cp):
         """Each row's argmin of the Cp matrix, ties going first in `_tie_order`."""
@@ -181,7 +198,8 @@ def make_nested(X, sigma, order=None, sizes=None):
     """
     X = _check_design(X)
     p = X.shape[1]
-    order = tuple(range(p)) if order is None else tuple(int(j) for j in order)
+    order = tuple(range(p)) if order is None else tuple(
+        _check_count(j, "every column index", 0) for j in order)
     if sorted(order) != list(range(p)):
         raise DomainError("order must be a permutation of the column indices")
     sizes = range(p + 1) if sizes is None else tuple(sizes)

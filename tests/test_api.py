@@ -280,6 +280,8 @@ COUNT_ENTRIES = {
     "SingletonShrinkFamily": ("n", 1, lambda v: simulate.SingletonShrinkFamily(v, 1.0)),
     "make_all_subsets": ("p", 0, make_all_subsets),
     "make_nested": ("every prefix size", 0, lambda v: make_nested(_X, 1.0, sizes=(v,))),
+    "make_nested-order": ("every column index", 0, lambda v: make_nested(_X, 1.0, order=(v, 0))),
+    "SubsetCollection": ("every column index", 0, lambda v: SubsetCollection(_X, [(v,)], 1.0)),
     "nested_null_edf_bound": ("p", 1, nested_null_edf_bound),
     "nested_bound_tail_split": ("n_terms", 1, nested_bound_tail_split),
     "chi_sq_max_bound": ("every size", 0, lambda v: chi_sq_max_bound([1, v], 0.5)),
@@ -348,6 +350,12 @@ def _boundary_rows():
         for v in (2.5, -1):
             yield (f"count {name}", call, v, DomainError,
                    rf"{arg} must be an integer at least {least}, got {v}(\.0)?")
+    # A fractional column index is refused, not truncated to a column.
+    for name, call, v in (
+            ("SubsetCollection", lambda v: SubsetCollection(np.eye(3), [(v,)], 1.0), 0.7),
+            ("make_nested-order", lambda v: make_nested(np.eye(3), 1.0, order=(v, 0, 2)), 1.5)):
+        yield (f"count {name}", call, v, DomainError,
+               rf"every column index must be an integer at least 0, got {v}")
     for name, (arg, call) in TUNING_ENTRIES.items():
         for s in (math.nan, -1.0):
             yield (f"tuning {name}", call, s, DomainError,

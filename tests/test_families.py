@@ -6,6 +6,7 @@ criterion written out independently on a dense grid, and the non-finite
 tests pin the one validation boundary every `tune_batch` goes through.
 """
 
+import hashlib
 import importlib
 import inspect
 import math
@@ -31,7 +32,9 @@ from suretune import (
     ShrinkMeansFamily,
     ShrinkRegressionFamily,
     SoftThreshFamily,
+    SubsetCollection,
     exopt_hetero_shrink,
+    make_all_subsets,
     make_nested,
     mc_edf,
     mc_prediction_error,
@@ -412,3 +415,56 @@ def test_hetero_oracle_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _pinned_nested(rows):
+    # A signal spread over all 150 columns puts the picks at long prefixes,
+    # whose Cp values sum many squared coordinates.
+    rng = np.random.default_rng(20)
+    X = rng.standard_normal((300, 150))
+    signal = X @ (3.0 / np.sqrt(np.arange(1, 151)))
+    return make_nested(X, 1.0), signal + rng.standard_normal((rows, 300))
+
+
+def _pinned_all_subsets():
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((20, 6))
+    X[:, 4] = X[:, 1] - 2.0 * X[:, 3]
+    coll = SubsetCollection(X, make_all_subsets(6), 1.0)
+    assert coll.ranks.max() == 5
+    return coll, X @ np.ones(6) + rng.standard_normal((200, 20))
+
+
+def _pinned_hetero():
+    rng = np.random.default_rng(22)
+    sigmas = np.geomspace(0.5, 5.0, 50)
+    theta0 = 4.0 / np.sqrt(np.arange(1, 51))
+    return HeteroShrinkFamily(sigmas), theta0 + sigmas * rng.standard_normal((1310, 50))
+
+
+# sha256 of every tune_batch field, in TunedBatch order, on seeded batches the
+# size of Monte Carlo row blocks: 2^16 // 300 = 218 rows and the 38 left of
+# 2000, and 2^16 // 50 = 1310 rows.  A speed-up of a tuner keeps these bytes.
+BATCH_SHA256 = {
+    "nested-218": (lambda: _pinned_nested(218),
+                   "917ceae348820fa49a1459fae67accaa02c991002c46ddf59b8f509fad85ba5b"),
+    "nested-38": (lambda: _pinned_nested(38),
+                  "880665f614b520def0ffd0ba8964bf8613d9cffa0f3e8759f6f8d33e9a16ed31"),
+    "all-subsets-rank-deficient": (
+        _pinned_all_subsets, "e9f8fb1f014e3730932097faf530f913fe2d30f0ffd690ecf6fd6308d8c0cacf"),
+    "hetero-1310": (_pinned_hetero,
+                    "a91da0464736cb447a68b5a24c919da8f9b604cc22908f589e29452eb734ce13"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_SHA256))
+def test_tune_batch_bytes_are_pinned(case):
+    build, digest = BATCH_SHA256[case]
+    family, Y = build()
+    batch = family.tune_batch(Y)
+    sha = hashlib.sha256()
+    for field in ("s_hat", "theta_hat", "sure_min", "naive_df_at_shat", "multimodal"):
+        value = getattr(batch, field)
+        if value is not None:
+            sha.update(np.ascontiguousarray(value).tobytes())
+    assert sha.hexdigest() == digest

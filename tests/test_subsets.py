@@ -431,3 +431,47 @@ def test_long_chain_is_built_in_a_few_megabytes():
         tracemalloc.stop()
     assert list(coll.ranks) == list(range(151))
     assert peak < 4e6
+
+
+def _direct_fitted2(coll, C2):
+    return np.stack([C2[:, idx].sum(axis=1) for idx in coll._qcols])
+
+
+def _tree_collections():
+    rng = np.random.default_rng(35)
+    X = rng.standard_normal((300, 150))
+    X6 = rng.standard_normal((20, 6))
+    X6[:, 4] = X6[:, 1] - 2.0 * X6[:, 3]
+    signal = X @ (3.0 / np.sqrt(np.arange(1, 151)))
+    return rng, [
+        (make_nested(X, 1.0), signal),
+        (make_nested(X, 1.0, sizes=(140, 141, 150)), signal),
+        (SubsetCollection(X6, make_all_subsets(6), 1.0), X6 @ np.ones(6)),
+    ]
+
+
+@pytest.mark.parametrize("rows", [2, 3, 8, 218])
+def test_tree_recurrence_gives_the_bytes_of_the_direct_sum(rows):
+    rng, collections = _tree_collections()
+    for coll, mean in collections:
+        Y = mean + rng.standard_normal((rows, coll.n))
+        C2 = (Y @ coll.Q) ** 2
+        direct = _direct_fitted2(coll, C2)
+        assert np.array_equal(coll._fitted2(C2), direct), (
+            "numpy's axis-1 reduction of a (rows >= 2, k) array no longer adds "
+            "its k columns one at a time, left to right, so the subset-tree "
+            "recurrence no longer gives the bytes of C2[:, idx].sum(axis=1)")
+        cp = np.sum(Y**2, axis=1)[:, None] - direct.T + 2.0 * coll.ranks
+        assert np.array_equal(coll.criterion_matrix(Y), cp)
+
+
+def test_one_row_fitted_sums_stay_within_the_summation_error():
+    # numpy sums a single row pairwise, eight accumulators at a time, while
+    # the recurrence adds in order: the two differ in the last few places,
+    # and by at most rank * eps relative.
+    rng, collections = _tree_collections()
+    for coll, mean in collections:
+        for _ in range(20):
+            C2 = ((mean + rng.standard_normal(coll.n)) @ coll.Q)[None] ** 2
+            got, want = coll._fitted2(C2)[:, 0], _direct_fitted2(coll, C2)[:, 0]
+            assert np.all(np.abs(got - want) <= coll.ranks * np.finfo(float).eps * want)
