@@ -22,7 +22,8 @@ from .bounds import (
     gas_stations_rotation,
     nested_null_edf_bound,
 )
-from .core import DomainError, GaussianModel, _df_stats, _mean_se, _sq_error, mc_df, mc_edf
+from .core import (DomainError, GaussianModel, _mean_se, _sq_error, _tuned_stats, mc_df,
+                   mc_edf)
 from .shrinkage import (
     ShrinkMeansFamily,
     ShrinkRegressionFamily,
@@ -92,11 +93,9 @@ def c02_shrinkage_edf():
     n, reps = 50, 5000
     model = GaussianModel(np.zeros(n), sigma=1.0)
     family = ShrinkMeansFamily(n, 1.0)
-    rng = np.random.default_rng(1003)
-    Y = model.draw(rng, reps)
-    fit = family.tune_batch(Y)
-    stats_mc = _df_stats(fit.theta_hat, Y, model) - fit.naive_df_at_shat
-    stats_an = edf_unbiased_shrink(fit.s_hat)
+    stats = _tuned_stats(family.tune_batch, model, 1003, reps, "edf",
+                         unbiased=lambda Y, fit: family.edf_unbiased(fit))
+    stats_mc, stats_an = stats["edf"], stats["unbiased"]
     mc_mean, mc_se, _ = _mean_se(stats_mc)
     dmean, dse, _ = _mean_se(stats_mc - stats_an)
     in_range = 0.0 <= mc_mean <= 2.0
@@ -114,13 +113,11 @@ def _dominance_grid(reps=5000):
                               ("moderate", np.ones(n), 1005),
                               ("large", 3.0 * np.ones(n), 1006)):
         model = GaussianModel(theta0, sigma=1.0)
-        family = ShrinkMeansFamily(n, 1.0)
-        Y = model.draw(np.random.default_rng(seed), reps)
-        fit = family.tune_batch(Y)
-        risk_tuned = np.sum((fit.theta_hat - theta0) ** 2, axis=1)
-        js = james_stein_positive(Y, 1.0)
-        risk_js = np.sum((js - theta0) ** 2, axis=1)
-        out.append((tag, model, risk_tuned, risk_js))
+        stats = _tuned_stats(
+            ShrinkMeansFamily(n, 1.0).tune_batch, model, seed, reps,
+            tuned=lambda Y, fit: _sq_error(fit.theta_hat - theta0, model),
+            js=lambda Y, fit: _sq_error(james_stein_positive(Y, 1.0) - theta0, model))
+        out.append((tag, model, stats["tuned"], stats["js"]))
     return n, out
 
 

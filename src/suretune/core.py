@@ -37,15 +37,19 @@ fits a single vector as row 0 of a one-row batch.  Every excess-df estimate
 they all go through `tune_batch`.  Estimator rules and family methods
 operate on arrays of shape (..., n), broadcasting over leading axes.
 
-Row blocks: every Monte Carlo routine here, and `simulate`, draws, tunes
-and reduces its batch in consecutive blocks of at most
-max(1, `_BLOCK_VALUES` // n) rows, keeping only a few statistics per row,
-so its memory is bounded by a few blocks whatever `reps` is.
+Row blocks: `mc_df`, `mc_edf`, `mc_prediction_error`, `oracle_gap_check`
+and `simulate`'s grid cells reduce the per-row statistics of one pass,
+`_tuned_blocks`, which draws, tunes and reduces a model's reps in
+consecutive blocks of at most max(1, `_BLOCK_VALUES` // n) rows, so its
+memory is bounded by a few blocks whatever `reps` is.
 `Generator.standard_normal` fills in C order, so the blocks hold exactly
-the values of one (reps, n) draw, and every later step acts row by row.
-Routines that pair each Y with an independent copy Y* (drawn as a second
-(reps, n) batch after all of Y) get the matching blocks of both from
-`_paired_draws`, which replays Y at the price of reps * n extra normals.
+the values of one (reps, n) draw, and every later step acts row by row.  A
+rule must act row by row too; a tuner that multiplies matrices through
+BLAS may round a row in the last place differently from one call on the
+whole batch, while BLAS-free tuners give the same bytes either way.  Pairs
+of Y and an independent copy Y* (drawn as a second (reps, n) batch after
+all of Y) come in matching blocks from `_paired_draws`, which replays Y at
+the price of reps * n extra normals.
 
 Input checks: only this module decides what a valid input is, through
 `_as_float_vector` for vectors, `_check_noise` for sigma, `_check_count` for
@@ -56,6 +60,7 @@ counts and column indices, `_check_tuning` for tuning values
 
 import math
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,12 +135,6 @@ def _check_count(value, name, least):
     if not (value >= least and float(value).is_integer()):
         raise DomainError(f"{name} must be an integer at least {least}, got {value!r}")
     return int(value)
-
-
-def _check_reps(reps):
-    # A Monte Carlo standard error needs two replications: one would report
-    # std_error 0, which `EdfReport` reserves for deterministic methods.
-    return _check_count(reps, "reps", 2)
 
 
 def _as_float_vector(x, name, n=None):
@@ -270,13 +269,14 @@ class TuningDomain:
         return self.lower <= s <= self.upper  # False at NaN
 
 
-def _check_batch(Y, n):
+def _check_batch(Y, n, what="data", first=0):
     """Y as a float (reps, n) array whose every row has a finite squared norm.
 
     Raises ShapeError for any other shape and DomainError naming the first
-    offending (row, column).  Sums of squares catch NaN, inf and rows whose
-    squared norm overflows without a temporary the size of Y: one total sum
-    clears the common case, per-row sums locate a bad row.  The total is an
+    offending (row, column) of `what`, rows counted from `first`.  Sums of
+    squares catch NaN, inf and rows whose squared norm overflows without a
+    temporary the size of Y: one total sum clears the common case, per-row
+    sums locate a bad row.  The total is an
     einsum, which makes no BLAS call: `np.vdot` wakes the BLAS thread pool,
     whose threads then spin on the other cores after the dot returns.  This
     check runs once per tune_batch, so from the bootstrap's worker threads
@@ -294,9 +294,10 @@ def _check_batch(Y, n):
         row = int(np.argmin(finite))
         bad = np.flatnonzero(~np.isfinite(Y[row]))
         if bad.size:
-            raise DomainError(f"data is not finite at (row {row}, column {bad[0]})")
+            raise DomainError(f"{what} is not finite at (row {first + row}, column {bad[0]})")
         col = int(np.argmax(np.abs(Y[row])))
-        raise DomainError(f"squared norm of data row {row} overflows (largest at column {col})")
+        raise DomainError(f"squared norm of {what} row {first + row} overflows "
+                          f"(largest at column {col})")
     return Y
 
 
@@ -540,32 +541,24 @@ def _mean_se(values):
     return float(values.mean()), se, r
 
 
-def _apply_rule(rule, Y):
-    """rule(Y) as floats; ShapeError unless it has Y's shape (a (k, n) block)."""
-    theta = np.asarray(rule(Y), dtype=float)
-    if theta.shape != Y.shape:
-        raise ShapeError("rule must map a (k, n) block of rows to (k, n) estimates")
-    return theta
+def _rule_tuner(rule):
+    """`rule` as a tuner for `_tuned_blocks`: a TunedBatch holding rule(Y) alone.
 
-
-def mc_prediction_error(rule, model, *, reps=1000, seed=0):
-    """Monte Carlo prediction error E||Y* - rule(Y)||^2 of a fixed rule.
-
-    Draws independent (Y, Y*) pairs from the model; `rule` maps a (k, n)
-    block of data rows to its (k, n) estimates.  Under a heteroskedastic
-    model the summands are scaled by 1/sigma_i^2.
-
-    The pairs come in row blocks from `_paired_draws`, so memory is bounded
-    by a few blocks whatever `reps` is, and `rule` must act row by row.  A
-    rule that multiplies matrices through BLAS may round a row in the last
-    place differently from a single call on the whole batch.
+    ShapeError unless rule(Y) has the shape of the (k, n) block Y; DomainError
+    naming the (row, column) of a non-finite estimate or an overflowing row.
     """
-    reps = _check_reps(reps)
-    err = np.empty(reps)
-    for rows, Y, Ystar in _paired_draws(model, np.random.default_rng(seed), reps):
-        err[rows] = _sq_error(Ystar - _apply_rule(rule, Y), model)
-    value, se, r = _mean_se(err)
-    return MCEstimate(value, se, r)
+    done = 0
+
+    def tune(Y):
+        nonlocal done
+        theta = np.asarray(rule(Y), dtype=float)
+        if theta.shape != Y.shape:
+            raise ShapeError("rule must map a (k, n) block of rows to (k, n) estimates")
+        theta = _check_batch(theta, Y.shape[1], "rule output", first=done)
+        done += Y.shape[0]
+        return TunedBatch(s_hat=None, theta_hat=theta, sure_min=None, naive_df_at_shat=None)
+
+    return tune
 
 
 def _df_stats(theta, Y, model):
@@ -576,27 +569,84 @@ def _df_stats(theta, Y, model):
     return np.sum(terms, axis=-1)
 
 
+def _tuned_blocks(tune, model, rng, reps, per_row, *names, **funcs):
+    """Draw `reps` rows of `model` from `rng`, tune them block by block, and
+    yield (rows, Y, theta_hat) for each of `_row_blocks(reps, model.n)`.
+
+    The one loop over a model's draws (see the module docstring on row
+    blocks).  `tune` maps a (k, n) block to a `TunedBatch`: a family's
+    `tune_batch`, or a rule through `_rule_tuner`.  `per_row[name]` gets a
+    length-reps vector for each of `names` ("cov": `_df_stats`; "edf": cov
+    minus the plug-in df; "test": the test error on an independent Y*; else
+    a field of the fit) and each keyword (funcs[name](Y, fit)); a statistic
+    the family lacks (a None function or value) is stored as None.
+
+    Without "test" the blocks are the rows of one `model.draw(rng, reps)`,
+    leaving rng where that draw leaves it.  With "test" they come from
+    `_paired_draws`, and each Y* block is dropped before the yield: only Y
+    and the fit live on while the caller (the bootstrap) uses them.
+    """
+    # A Monte Carlo standard error needs two replications: one would report
+    # std_error 0, which `EdfReport` reserves for deterministic methods.
+    reps = _check_count(reps, "reps", 2)
+    if "test" in names:
+        blocks = _paired_draws(model, rng, reps)
+    else:
+        blocks = ((rows, model.draw(rng, rows.stop - rows.start), None)
+                  for rows in _row_blocks(reps, model.n))
+    for rows, Y, Ystar in blocks:
+        fit = tune(Y)
+        stats = {}
+        for name in names:
+            if name == "test":
+                stats[name] = _sq_error(Ystar - fit.theta_hat, model)
+            elif name in ("cov", "edf"):
+                cov = _df_stats(fit.theta_hat, Y, model)
+                stats[name] = cov if name == "cov" else cov - fit.naive_df_at_shat
+            else:
+                stats[name] = getattr(fit, name)
+        stats.update((name, None if f is None else f(Y, fit)) for name, f in funcs.items())
+        for name, values in stats.items():
+            if name not in per_row:
+                per_row[name] = None if values is None else np.empty(reps)
+            if values is not None:
+                per_row[name][rows] = values
+        del Ystar, stats
+        yield rows, Y, fit.theta_hat
+
+
+def _tuned_stats(tune, model, seed, reps, *names, **funcs):
+    """The `per_row` dict of `_tuned_blocks` over `reps` draws from default_rng(seed)."""
+    per_row = {}
+    # A zero-length deque drops each block as it comes, so no block outlives its turn.
+    deque(_tuned_blocks(tune, model, np.random.default_rng(seed), reps, per_row,
+                        *names, **funcs), maxlen=0)
+    return per_row
+
+
+def mc_prediction_error(rule, model, *, reps=1000, seed=0):
+    """Monte Carlo prediction error E||Y* - rule(Y)||^2 of a fixed rule.
+
+    Draws independent (Y, Y*) pairs from the model; `rule` maps a (k, n)
+    block of data rows to its (k, n) estimates and must act row by row (see
+    the module docstring on row blocks).  Under a heteroskedastic model the
+    summands are scaled by 1/sigma_i^2.
+    """
+    err = _tuned_stats(_rule_tuner(rule), model, seed, reps, "test")["test"]
+    return MCEstimate(*_mean_se(err))
+
+
 def mc_df(rule, model, *, reps=1000, seed=0):
     """Monte Carlo degrees of freedom of a rule via the covariance form.
 
     Uses df = sum_i Cov(rule_i(Y), Y_i) / sigma^2 (per-coordinate variances
     in the heteroskedastic case).  Each replication contributes
     sum_i rule_i(Y)(Y_i - theta0_i) / sigma^2, which is exactly unbiased.
-
     `rule` maps a (k, n) block of data rows to its (k, n) estimates and must
-    act row by row: it is called once per row block (see the module
-    docstring), so memory is bounded by one block whatever `reps` is.  A
-    rule that multiplies matrices through BLAS may round a row in the last
-    place differently from a single call on the whole batch.
+    act row by row (see the module docstring on row blocks).
     """
-    reps = _check_reps(reps)
-    rng = np.random.default_rng(seed)
-    stats = np.empty(reps)
-    for rows in _row_blocks(reps, model.n):
-        Y = model.draw(rng, rows.stop - rows.start)
-        stats[rows] = _df_stats(_apply_rule(rule, Y), Y, model)
-    value, se, r = _mean_se(stats)
-    return MCEstimate(value, se, r)
+    stats = _tuned_stats(_rule_tuner(rule), model, seed, reps, "cov")["cov"]
+    return MCEstimate(*_mean_se(stats))
 
 
 def mc_edf(family, model, *, reps=1000, seed=0):
@@ -609,23 +659,11 @@ def mc_edf(family, model, *, reps=1000, seed=0):
     whose mean over replications estimates df(theta_shat) - E[naive df].
     Pairing the two terms this way keeps the variance of the difference far
     below that of either term alone.  `model` must match the family (see
-    `EstimatorFamily._check_model`).
-
-    The draws are tuned by `family.tune_batch` one row block at a time (see
-    the module docstring), so memory is bounded by one block whatever `reps`
-    is.  A family whose `tune_batch` multiplies matrices through BLAS may
-    round a row in the last place differently from a single call on the
-    whole batch; the other families give the same bytes either way.
+    `EstimatorFamily._check_model`).  The draws are tuned by
+    `family.tune_batch` in row blocks (see the module docstring).
     """
     family._check_model(model)
-    reps = _check_reps(reps)
-    rng = np.random.default_rng(seed)
-    stats = np.empty(reps)
-    for rows in _row_blocks(reps, model.n):
-        Y = model.draw(rng, rows.stop - rows.start)
-        fit = family.tune_batch(Y)
-        stats[rows] = _df_stats(fit.theta_hat, Y, model) - fit.naive_df_at_shat
-    value, se, r = _mean_se(stats)
+    value, se, r = _mean_se(_tuned_stats(family.tune_batch, model, seed, reps, "edf")["edf"])
     return EdfReport(method="monte_carlo", value=value, std_error=se, reps=r)
 
 
@@ -654,21 +692,13 @@ class OracleGapReport:
 def oracle_gap_check(family, model, *, reps=2000, seed=0):
     """Verify the oracle inequality for the SURE-tuned rule by simulation.
 
-    The (Y, Y*) pairs are drawn and tuned in row blocks from
-    `_paired_draws`, so memory is bounded by a few blocks whatever `reps`
-    is.  A family whose `tune_batch` multiplies matrices through BLAS may
-    round a row in the last place differently from a single call on the
-    whole batch; the other families give the same bytes either way.
+    The (Y, Y*) pairs are drawn and tuned in row blocks (see the module
+    docstring).
     """
-    reps = _check_reps(reps)
     oracle = family.oracle(model)
-    err_r, exopt_r, sure_min = np.empty((3, reps))
-    for rows, Y, Ystar in _paired_draws(model, np.random.default_rng(seed), reps):
-        fit = family.tune_batch(Y)
-        err_r[rows] = _sq_error(Ystar - fit.theta_hat, model)
-        exopt_r[rows] = 2.0 * _df_unit(model) * (_df_stats(fit.theta_hat, Y, model)
-                                                 - fit.naive_df_at_shat)
-        sure_min[rows] = fit.sure_min
+    stats = _tuned_stats(family.tune_batch, model, seed, reps, "test", "edf", "sure_min")
+    err_r, sure_min = stats["test"], stats["sure_min"]
+    exopt_r = 2.0 * _df_unit(model) * stats["edf"]
 
     err = MCEstimate(*_mean_se(err_r))
     exopt = MCEstimate(*_mean_se(exopt_r))

@@ -24,23 +24,16 @@ SeedSequence([seed, j, i]) and per-repetition bootstrap streams from
 SeedSequence([seed, j, i, rep]); results are byte-identical across reruns
 and never depend on thread count.
 
-Memory: a cell never holds its (R, n) arrays.  It streams the outer reps in
-row blocks of at most max(1, `core._BLOCK_VALUES` // n) rows: each block of
-data Y is tuned, reduced to length-R vectors of per-row statistics and
-handed to the bootstrap, so a cell's memory is a few blocks and the
-bootstrap's per-thread buffers, whatever R is.  The test draws Y* come
-after all of Y in the cell's stream, so `core._paired_draws` first runs the
-stream through Y and then replays each Y block from its saved generator
-state; every per-row value is the same float as from whole (R, n) draws.
-The replay costs R * n more normals per cell: 0.5% more draws for the
-desk preset, whose bootstrap draws B * n = 200 n normals per rep.  One
-paper-scale cell (n = 5000, R = 5000, B = 0) peaks at 41 MB of RSS instead
-of 1.18 GB.
+Memory: a cell streams its outer reps through `core._tuned_blocks` (see
+the `core` module docstring on row blocks) and hands each tuned block to
+the bootstrap, so it never holds its (R, n) arrays: one paper-scale cell
+(n = 5000, R = 5000, B = 0) peaks at 41 MB of RSS instead of 1.18 GB.
 """
 
 import io
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +41,7 @@ import numpy as np
 from .bootstrap import BootstrapConfig, _bootstrap_stats
 from .core import (DomainError, GaussianModel, OracleTuning, TunedBatch, TuningDomain,
                    _as_float_vector, _check_batch, _check_count, _check_noise, _check_tuning,
-                   _df_stats, _df_unit, _mean_se, _paired_draws, _sq_error)
+                   _df_unit, _mean_se, _tuned_blocks)
 from .shrinkage import ShrinkMeansFamily
 from .softthresh import SoftThreshFamily
 from .stein import _implicit_diff_stats
@@ -198,32 +191,6 @@ class SimRow:
     status: str = "ok"
 
 
-def _tuned_blocks(family, model, rng, reps, per_row):
-    """Tune a cell's outer reps block by block; yield (rows, Y, theta_hat).
-
-    The blocks come from `_paired_draws(model, rng, reps)`.  Each block's
-    per-row statistics go into `per_row`, a dict of length-reps vectors
-    (created on first use); a statistic the family lacks is stored as None.
-    """
-    hooks = family.hooks
-    for rows, Y, Ystar in _paired_draws(model, rng, reps):
-        fit = family.tune_batch(Y)
-        stats = {"naive": fit.naive_df_at_shat, "sure_min": fit.sure_min,
-                 "cov": _df_stats(fit.theta_hat, Y, model),
-                 "test": _sq_error(Ystar - fit.theta_hat, model),
-                 "unbiased": family.edf_unbiased(fit),
-                 "implicit": None if hooks is None else _implicit_diff_stats(hooks, Y, fit.s_hat)}
-        for name, values in stats.items():
-            if values is None:
-                per_row[name] = None
-            else:
-                if name not in per_row:
-                    per_row[name] = np.empty(reps)
-                per_row[name][rows] = values
-        del Ystar, stats  # only Y and the fit live on while the bootstrap runs
-        yield rows, Y, fit.theta_hat
-
-
 def run_simulation(spec):
     """Execute the grid and return the long-format result rows.
 
@@ -237,8 +204,13 @@ def run_simulation(spec):
             model = GaussianModel(theta0_for(setting, n, custom=spec.theta0), sigma=spec.sigma)
             rng = np.random.default_rng(np.random.SeedSequence([spec.seed, j_size, i_setting]))
             R = spec.outer_reps
-            per_row = {}
-            blocks = _tuned_blocks(family, model, rng, R, per_row)
+            per_row, hooks = {}, family.hooks
+            blocks = _tuned_blocks(
+                family.tune_batch, model, rng, R, per_row,
+                "naive_df_at_shat", "sure_min", "cov", "test",
+                unbiased=lambda Y, fit: family.edf_unbiased(fit),
+                implicit=None if hooks is None else (
+                    lambda Y, fit: _implicit_diff_stats(hooks, Y, fit.s_hat)))
             if spec.bootstrap_B:
                 cfg = BootstrapConfig(B=spec.bootstrap_B, sampler=spec.bootstrap_sampler,
                                       c=spec.bootstrap_c)
@@ -249,11 +221,11 @@ def run_simulation(spec):
                 boot = _bootstrap_stats(family, seeded, cfg, R)
                 boot_edf, boot_df_naive = boot.edf, boot.cov_form
             else:
-                for _ in blocks:
-                    pass
+                deque(blocks, maxlen=0)
                 boot_edf = boot_df_naive = None
 
-            naive, sure_min, test_err = per_row["naive"], per_row["sure_min"], per_row["test"]
+            naive, sure_min = per_row["naive_df_at_shat"], per_row["sure_min"]
+            test_err = per_row["test"]
             unbiased_edf = per_row["unbiased"]
             scaled_exopt = (test_err - sure_min) / (2.0 * _df_unit(model))
 

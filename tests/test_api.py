@@ -185,6 +185,36 @@ def test_no_branch_on_the_family_name(func):
     assert found == []
 
 
+def _calls(path, name):
+    """The enclosing function (None at module level) of each call to `name`,
+    as a function or a method, in a source file."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None)):
+            found.append(func)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_one_pass_over_a_models_draws():
+    # `core._tuned_blocks` is the one loop that draws a model's Monte Carlo
+    # reps and tunes them: it alone pairs draws with their test copies, and
+    # the simulation grid draws nothing of its own.
+    package = Path(suretune.__file__).resolve().parent
+    callers = [(path.name, func) for path in sorted(package.glob("*.py"))
+               for func in _calls(path, "_paired_draws")]
+    assert callers == [("core.py", "_tuned_blocks")]
+    for name in ("_paired_draws", "draw"):
+        assert _calls(package / "simulate.py", name) == []
+
+
 def _load_time_imports(tree):
     """Modules imported by statements that run when the module loads."""
     nodes, names = list(tree.body), []
@@ -299,6 +329,23 @@ COUNT_ENTRIES = {
     "SimSpec-bootstrap_B": ("bootstrap_B other than 0", 2, lambda v: SimSpec(bootstrap_B=v)),
 }
 
+# A rule's output is checked as data are, naming the (row, column) of the
+# bad estimate: without the check these calls return a silent NaN or inf.
+RULE_ENTRIES = {
+    "mc_df": lambda rule: mc_df(rule, _MODEL, reps=6),
+    "mc_prediction_error": lambda rule: mc_prediction_error(rule, _MODEL, reps=6),
+}
+
+
+def _rule_with(bad):
+    """A rule returning its data with the estimate at (row 4, column 1) set to bad."""
+    def rule(Y):
+        theta = Y.copy()
+        theta[4, 1] = bad
+        return theta
+    return rule
+
+
 _FAMILIES = {
     "ShrinkMeansFamily": lambda: ShrinkMeansFamily(3, 1.0),
     "ShrinkRegressionFamily": lambda: ShrinkRegressionFamily(np.eye(3), 1.0),
@@ -346,6 +393,12 @@ def _boundary_rows():
                    r"data is not finite at \(row 0, column 1\)")
         if shape_message is not None:
             yield f"data {name}", call, np.ones((1, 3)), ShapeError, shape_message
+    for name, call in RULE_ENTRIES.items():
+        for bad in (math.nan, math.inf):
+            yield (f"rule {name}", lambda v, call=call: call(_rule_with(v)), bad, DomainError,
+                   r"rule output is not finite at \(row 4, column 1\)")
+        yield (f"rule {name}", lambda v, call=call: call(_rule_with(v)), 1e200, DomainError,
+               r"squared norm of rule output row 4 overflows \(largest at column 1\)")
     for name, (arg, least, call) in COUNT_ENTRIES.items():
         for v in (2.5, -1):
             yield (f"count {name}", call, v, DomainError,

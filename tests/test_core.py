@@ -267,6 +267,17 @@ def test_mc_prediction_error_refuses_a_rule_of_the_wrong_shape():
         mc_prediction_error(lambda Y: Y[:, :1], model, reps=1000, seed=0)
 
 
+def test_a_rules_bad_estimate_is_named_by_its_row_among_all_reps(monkeypatch):
+    # 40 reps of n = 4 run in 16-row blocks; the bad estimate sits in the
+    # second block, at row 20 of the whole draw.
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
+    model = GaussianModel(np.zeros(4), sigma=1.0)
+    mark = model.draw(np.random.default_rng(8), 40)[20, 2]
+    for call in (mc_df, mc_prediction_error):
+        with pytest.raises(DomainError, match=r"rule output is not finite at \(row 20, column 2\)"):
+            call(lambda Y: np.where(Y == mark, math.nan, Y), model, reps=40, seed=8)
+
+
 def test_oracle_tuning_matches_family_oracle():
     n = 20
     model = GaussianModel(np.full(n, 1.2), sigma=1.0)
@@ -408,6 +419,15 @@ def test_paired_draws_are_the_rows_of_two_whole_draws(monkeypatch):
     assert np.concatenate([b[1] for b in blocks]).tobytes() == Y.tobytes()
     assert np.concatenate([b[2] for b in blocks]).tobytes() == Ystar.tobytes()
     assert rng.bit_generator.state == whole.bit_generator.state
+    # Without Y*, the pass draws Y alone: the rows of one whole draw, with the
+    # generator left where that draw leaves it.
+    once, rng = np.random.default_rng(3), np.random.default_rng(3)
+    Y = model.draw(once, 20)
+    per_row = {}
+    blocks = list(core._tuned_blocks(core._rule_tuner(lambda Y: Y), model, rng, 20, per_row))
+    assert [rows for rows, _, _ in blocks] == list(core._row_blocks(20, 7))
+    assert np.concatenate([b[1] for b in blocks]).tobytes() == Y.tobytes()
+    assert rng.bit_generator.state == once.bit_generator.state
 
 
 # float.hex of (value, std_error) from one whole (500, 300) draw of Y and

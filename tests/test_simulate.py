@@ -13,12 +13,14 @@ from suretune import (
     GaussianModel,
     ShrinkMeansFamily,
     bootstrap_edf,
+    mc_edf,
     mc_prediction_error,
     oracle_gap_check,
 )
 from suretune import core
 from suretune.core import DomainError
 from suretune.simulate import (
+    _FAMILY_CLASSES,
     PRESETS,
     ConfigError,
     SimSpec,
@@ -176,6 +178,23 @@ class TestRunSimulation:
         assert naive.value == 4.0
         assert naive.std_error == 0.0
         assert rows[("edf", "implicit_diff")].status == "skipped"
+
+    def test_monte_carlo_edf_is_mc_edf_of_the_cell_stream(self):
+        # The grid and `mc_edf` reduce the same pass over the same Y draws
+        # (the grid also pairs them with test copies Y*), so the edf row is
+        # mc_edf's value and standard error to the bit in every cell.
+        spec = PRESETS["smoke"]
+        rows = {(r.setting, r.n): r for r in run_simulation(spec)
+                if (r.quantity, r.method) == ("edf", "monte_carlo")}
+        assert len(rows) == len(spec.setting) * len(spec.sizes)
+        for i, setting in enumerate(spec.setting):
+            for j, n in enumerate(spec.sizes):
+                model = GaussianModel(theta0_for(setting, n), sigma=spec.sigma)
+                family = _FAMILY_CLASSES[spec.family](n, spec.sigma)
+                report = mc_edf(family, model, reps=spec.outer_reps,
+                                seed=np.random.SeedSequence([spec.seed, j, i]))
+                row = rows[setting, n]
+                assert (report.value, report.std_error) == (row.value, row.std_error)
 
     def test_err_over_n_is_err_divided_by_n(self):
         rows = run_simulation(_smoke_spec())
