@@ -79,19 +79,27 @@ def _vector_option(value, name):
 
 def _build_family(args, n=None):
     name = args.family
+    # A family flag another family would ignore is refused, not dropped.
+    homoskedastic = ("shrink-means", "shrink-regression", "soft-threshold")
+    for flag, value, owners in (("--sigma", args.sigma, homoskedastic),
+                                ("--design", args.design, ("shrink-regression",)),
+                                ("--sigmas", args.sigmas, ("hetero-shrink",))):
+        if value is not None and name not in owners:
+            raise DomainError(f"{flag} does not apply to --family {name}")
+    sigma = 1.0 if args.sigma is None else args.sigma
     if name == "shrink-means":
         if n is None:
             raise DomainError("shrink-means needs --theta0 or --n to size the model")
-        return ShrinkMeansFamily(n, args.sigma)
+        return ShrinkMeansFamily(n, sigma)
     if name == "soft-threshold":
         if n is None:
             raise DomainError("soft-threshold needs --theta0 or --n to size the model")
-        return SoftThreshFamily(n, args.sigma)
+        return SoftThreshFamily(n, sigma)
     if name == "shrink-regression":
-        if not getattr(args, "design", None):
+        if not args.design:
             raise DomainError("shrink-regression needs --design FILE")
-        return ShrinkRegressionFamily(_read_matrix(args.design), args.sigma)
-    if not getattr(args, "sigmas", None):
+        return ShrinkRegressionFamily(_read_matrix(args.design), sigma)
+    if not args.sigmas:
         raise DomainError("hetero-shrink needs --sigmas (list or @path)")
     return HeteroShrinkFamily(_vector_option(args.sigmas, "sigmas"))
 
@@ -233,11 +241,10 @@ def build_parser():
     parser.add_argument("--out", default=None, help="output path ('-' for stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family_args(p, with_sigma=True):
+    def add_family_args(p):
         p.add_argument("--family", choices=CLI_FAMILIES, default="shrink-means")
-        if with_sigma:
-            p.add_argument("--sigma", type=float, default=1.0,
-                           help="noise standard deviation")
+        p.add_argument("--sigma", type=float, default=None,
+                       help="noise standard deviation")
         p.add_argument("--design", help="design matrix file (shrink-regression)")
         p.add_argument("--sigmas", help="per-coordinate sd list or @path (hetero-shrink)")
 

@@ -56,6 +56,16 @@ Input checks: only this module decides what a valid input is, through
 counts and column indices, `_check_tuning` for tuning values
 (`EstimatorFamily._check_s` for a family's own), `_check_batch` for data and
 `_check_design` for designs.
+
+Noise scale: SURE is scale-equivariant, (y, sigma) -> (c y, c sigma) scales
+the fit by c and the criterion by c^2, and dividing by a power of two is
+exact barring underflow and overflow.  So every family tunes and finds its
+oracle through one step, `EstimatorFamily._at_unit_noise`: it checks the
+batch (or model), divides it by c = 2^round(log2 sigma) (the RMS of the
+sigma_i under heteroskedastic noise), runs the family's own search at
+sigma / c and scales the answer back.  Squares stay in the normal range,
+and a tolerance written for unit noise means the same at every sigma.
+`estimate`, `naive_df`, `sure` and `hooks` work in the caller's units.
 """
 
 import math
@@ -426,9 +436,10 @@ class EstimatorFamily(ABC):
     """A family {theta_s} indexed by a tuning value, with plug-in df.
 
     Subclasses provide `estimate`, `naive_df` and `tune_batch`, which tunes
-    every row of a (reps, n) batch at once and first validates the batch
-    with `_check_batch`.  `tune` is derived here, once, from `tune_batch`.
-    Each family carries its own noise level because tuning needs it.
+    every row of a (reps, n) batch at once through `_at_unit_noise` (see the
+    module docstring on the noise scale).  `tune` is derived here, once,
+    from `tune_batch`.  Each family carries its own noise level because
+    tuning needs it.
 
     `tune_batch` must be re-entrant: the bootstrap calls it from several
     threads at once on one family, so it may read but never write the
@@ -443,8 +454,52 @@ class EstimatorFamily(ABC):
     n: int
     hooks = None
 
+    # Tuning values scale as sigma^_s_power under (y, sigma) -> (c y, c sigma).
+    _s_power = 0
+
     def _set_noise(self, sigma=None, sigmas=None, n=None):
         self.sigma, self.sigmas = _check_noise(sigma, sigmas, n)
+        sd = _noise_sd(self)
+        if np.size(sd) == 0:
+            raise DomainError("n must be at least 1")
+        top = np.max(sd)
+        # c = 2^_noise_exp is the power of two nearest sigma, or the RMS of the sigma_i.
+        self._noise_exp = round(math.log2(top) + 0.5 * math.log2(np.mean(np.square(sd / top))))
+
+    def _at_unit_noise(self, core, data, oracle=False):
+        """Check the batch `data` (with `oracle`, the model) and run core(data / c,
+        sd / c) at unit noise, c = 2^_noise_exp, sd the sigma or sigma_i.
+
+        core returns a TunedBatch (for a model, (s0, err) as scalars or
+        one-value arrays); its theta_hat is scaled back by c, sure_min (err)
+        by c^2 (by 1 in scaled heteroskedastic units), s_hat by c^_s_power,
+        and a field left None stays None.
+        """
+        what = "data"
+        if oracle:
+            self._check_model(data)
+            data, what = data.theta0, "theta0"
+        else:
+            data = _check_batch(data, self.n)
+        e, sd = self._noise_exp, _noise_sd(self)
+        if e:
+            data, sd = np.ldexp(data, -e), np.ldexp(sd, -e)
+            if e < 0:  # the data grow, and their squares must stay finite
+                _check_batch(data.reshape(-1, self.n), self.n, what + " at unit noise")
+        out = core(data, sd)
+        powers = {"s_hat": self._s_power * e, "theta_hat": e,
+                  "sure_min": 0 if self.is_heteroskedastic else 2 * e}
+        if oracle:
+            s0, err = (np.ldexp(v, powers[k]).item() for v, k in zip(out, ("s_hat", "sure_min")))
+            return OracleTuning(s0=self._label(s0), err=err)
+        for name, k in powers.items():
+            if k and getattr(out, name) is not None:  # the core's own arrays: scaled in place
+                np.ldexp(getattr(out, name), k, out=getattr(out, name))
+        return out
+
+    def _label(self, s):
+        """A tuned value as callers see it: a label in a discrete domain, else a float."""
+        return self.domain.labels[int(s)] if self.domain.kind == "discrete" else float(s)
 
     def _check_model(self, model):
         """DomainError unless `model` is a GaussianModel with this n and noise."""
@@ -484,9 +539,8 @@ class EstimatorFamily(ABC):
         if y.shape != (self.n,):
             raise ShapeError(f"expected a length-{self.n} vector")
         batch = self.tune_batch(y[None, :])
-        s = batch.s_hat[0]
         return TunedFit(
-            s_hat=self.domain.labels[int(s)] if self.domain.kind == "discrete" else float(s),
+            s_hat=self._label(batch.s_hat[0]),
             theta_hat=batch.theta_hat[0],
             sure_min=float(batch.sure_min[0]),
             naive_df_at_shat=float(batch.naive_df_at_shat[0]),
@@ -517,7 +571,8 @@ class EstimatorFamily(ABC):
     def oracle(self, model):
         """`OracleTuning`: the s minimizing the exact prediction error at the
         mean of `model` (see `_check_model`), and that error.  Families with
-        a closed form or an exact search override this base, which raises.
+        a closed form or an exact search override this base, which raises;
+        they run that search through `_at_unit_noise`.
 
         SURE is unbiased for the prediction error at every fixed s.  Where it
         depends on the data only through squares (||y||^2, ||P y||^2, y_i^2

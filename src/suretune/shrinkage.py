@@ -24,7 +24,6 @@ import numpy as np
 from .core import (
     DomainError,
     EstimatorFamily,
-    OracleTuning,
     ShapeError,
     TunedBatch,
     TuningDomain,
@@ -66,12 +65,6 @@ def _tuned_shrink(a, m, sigma, target):
         sure_min=np.where(finite, 2.0 * b - b**2 / safe_a, a),
         naive_df_at_shat=np.where(finite, m * (1.0 - b / safe_a), 0.0),
     )
-
-
-def _oracle(fit):
-    """OracleTuning from a fit run at the expected statistics (see
-    `EstimatorFamily.oracle`); such a fit shrinks an empty target."""
-    return OracleTuning(s0=float(fit.s_hat), err=float(fit.sure_min))
 
 
 class ShrinkMeansFamily(EstimatorFamily):
@@ -124,14 +117,15 @@ class ShrinkMeansFamily(EstimatorFamily):
         return self.n / (1.0 + s)
 
     def tune_batch(self, Y):
-        Y = _check_batch(Y, self.n)
-        return _tuned_shrink(np.einsum("ij,ij->i", Y, Y), self.n, self.sigma, Y)
+        return self._at_unit_noise(
+            lambda Y, sigma: _tuned_shrink(np.einsum("ij,ij->i", Y, Y), self.n, sigma, Y), Y)
 
     def oracle(self, model):
-        self._check_model(model)
-        theta0 = model.theta0
-        return _oracle(_tuned_shrink(theta0 @ theta0 + self.n * self.sigma**2,
-                                     self.n, self.sigma, np.zeros(0)))
+        def core(theta0, sigma):
+            fit = _tuned_shrink(theta0 @ theta0 + self.n * sigma**2, self.n, sigma, np.zeros(0))
+            return fit.s_hat, fit.sure_min
+
+        return self._at_unit_noise(core, model, oracle=True)
 
 
 class ShrinkRegressionFamily(EstimatorFamily):
@@ -168,24 +162,29 @@ class ShrinkRegressionFamily(EstimatorFamily):
         return self.rank / (1.0 + s)
 
     def tune_batch(self, Y):
-        Y = _check_batch(Y, self.n)
-        coords = Y @ self._basis
-        return self._tuned(np.sum(Y**2, axis=1), np.sum(coords**2, axis=1),
-                           coords @ self._basis.T)
+        def core(Y, sigma):
+            coords = Y @ self._basis
+            return self._tuned(np.sum(Y**2, axis=1), np.sum(coords**2, axis=1),
+                               coords @ self._basis.T, sigma)
 
-    def _tuned(self, y2, a, target):
+        return self._at_unit_noise(core, Y)
+
+    def _tuned(self, y2, a, target, sigma):
         """The tuned fit from ||y||^2, a = ||P y||^2 and target = P y."""
-        fit = _tuned_shrink(a, self.rank, self.sigma, target)
+        fit = _tuned_shrink(a, self.rank, sigma, target)
         fit.sure_min = y2 - a + fit.sure_min
         return fit
 
     edf_unbiased = ShrinkMeansFamily.edf_unbiased
 
     def oracle(self, model):
-        self._check_model(model)
-        theta0, coords = model.theta0, model.theta0 @ self._basis
-        return _oracle(self._tuned(theta0 @ theta0 + self.n * self.sigma**2,
-                                   coords @ coords + self.rank * self.sigma**2, np.zeros(0)))
+        def core(theta0, sigma):
+            coords = theta0 @ self._basis
+            fit = self._tuned(theta0 @ theta0 + self.n * sigma**2,
+                              coords @ coords + self.rank * sigma**2, np.zeros(0), sigma)
+            return fit.s_hat, fit.sure_min
+
+        return self._at_unit_noise(core, model, oracle=True)
 
 
 def edf_unbiased_shrink(s_hat):

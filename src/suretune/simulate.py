@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import BootstrapConfig, _bootstrap_stats
-from .core import (DomainError, GaussianModel, OracleTuning, TunedBatch, TuningDomain,
-                   _as_float_vector, _check_batch, _check_count, _check_noise, _check_tuning,
+from .core import (DomainError, GaussianModel, TunedBatch, TuningDomain,
+                   _as_float_vector, _check_count, _check_noise, _check_tuning,
                    _df_unit, _mean_se, _tuned_blocks)
 from .shrinkage import ShrinkMeansFamily
 from .softthresh import SoftThreshFamily
@@ -82,24 +82,25 @@ class SingletonShrinkFamily(ShrinkMeansFamily):
         self.domain = TuningDomain(kind="continuous", lower=self.s_fixed, upper=self.s_fixed)
 
     def tune_batch(self, Y):
-        Y = _check_batch(Y, self.n)
-        s = self.s_fixed
-        return TunedBatch(
-            s_hat=np.full(Y.shape[0], s),
-            theta_hat=self.estimate(s, Y),
-            sure_min=np.asarray(self.sure(s, Y), dtype=float),
-            naive_df_at_shat=np.full(Y.shape[0], self.naive_df(s, Y)),
-        )
+        def core(Y, sigma):
+            s = self.s_fixed
+            theta, df = self.estimate(s, Y), self.naive_df(s, Y)
+            return TunedBatch(s_hat=np.full(Y.shape[0], s), theta_hat=theta,
+                              sure_min=np.sum((Y - theta) ** 2, axis=1) + 2.0 * sigma**2 * df,
+                              naive_df_at_shat=np.full(Y.shape[0], df))
+
+        return self._at_unit_noise(core, Y)
 
     def edf_unbiased(self, fit):
         return np.zeros(fit.s_hat.shape[0])
 
     def oracle(self, model):
         """s_fixed and its error n sigma^2 + (||theta0||^2 s^2 + n sigma^2)/(1+s)^2."""
-        self._check_model(model)
-        s, b = self.s_fixed, self.n * self.sigma**2
-        t2 = float(np.sum(model.theta0**2))
-        return OracleTuning(s0=s, err=b + (t2 * s**2 + b) / (1.0 + s) ** 2)
+        def core(theta0, sigma):
+            s, b = self.s_fixed, self.n * sigma**2
+            return s, b + (float(np.sum(theta0**2)) * s**2 + b) / (1.0 + s) ** 2
+
+        return self._at_unit_noise(core, model, oracle=True)
 
 
 _FAMILY_CLASSES = {"shrink_means": ShrinkMeansFamily, "soft_threshold": SoftThreshFamily,

@@ -15,11 +15,9 @@ import numpy as np
 from .core import (
     DomainError,
     EstimatorFamily,
-    OracleTuning,
     TunedBatch,
     TuningDomain,
     _as_float_vector,
-    _check_batch,
     _check_count,
     _check_noise,
     _check_tuning,
@@ -50,6 +48,8 @@ def soft_threshold(y, s):
 class SoftThreshFamily(EstimatorFamily):
     """theta_s(y)_i = sign(y_i)(|y_i| - s)_+ in the homoskedastic means model."""
 
+    _s_power = 1
+
     def __init__(self, n, sigma):
         self.n = _check_count(n, "n", 1)
         self._set_noise(sigma=sigma)
@@ -66,6 +66,10 @@ class SoftThreshFamily(EstimatorFamily):
         return float(count) if count.ndim == 0 else count.astype(float)
 
     def tune_batch(self, Y):
+        return self._at_unit_noise(self._tuned, Y)
+
+    @staticmethod
+    def _tuned(Y, sigma):
         # Candidate thresholds per row: the absolute values sorted in
         # descending order, then 0.  With a(1) >= ... >= a(n) >= a(n+1) := 0,
         # the SURE value at s = a(k) is
@@ -74,7 +78,6 @@ class SoftThreshFamily(EstimatorFamily):
         # group; within a tie group F increases by 2 sigma^2 per step, so
         # taking the first argmin both resolves ties toward the larger
         # threshold and keeps the strict-count bookkeeping exact.
-        Y = _check_batch(Y, self.n)
         reps, n = Y.shape
         a = np.sort(np.abs(Y), axis=1)[:, ::-1]
         a = np.concatenate([a, np.zeros((reps, 1))], axis=1)
@@ -84,7 +87,7 @@ class SoftThreshFamily(EstimatorFamily):
             [np.cumsum(sq[:, ::-1], axis=1)[:, ::-1][:, 1:], np.zeros((reps, 1))], axis=1
         )
         k = np.arange(1, n + 2)
-        F = k * sq + suffix + 2.0 * self.sigma**2 * (k - 1)
+        F = k * sq + suffix + 2.0 * sigma**2 * (k - 1)
         pick = np.argmin(F, axis=1)
         rows = np.arange(reps)
         s_hat = a[rows, pick]
@@ -102,12 +105,15 @@ class SoftThreshFamily(EstimatorFamily):
         A 241-point grid over s/sigma in [0, max|theta0|/sigma + 6], then
         scipy's bounded scalar minimizer (`minimize_scalar(method="bounded")`)
         between the grid neighbours of the best point; the fully-shrunk
-        endpoint s = +inf is compared explicitly.
+        endpoint s = +inf is compared explicitly.  Like tuning, the search
+        runs at unit noise, where scipy's absolute tolerance (xatol = 1e-5)
+        is about 1e-5 times the noise level.
         """
+        return self._at_unit_noise(self._oracle_search, model, oracle=True)
+
+    def _oracle_search(self, theta0, sigma):
         from scipy.optimize import minimize_scalar
 
-        self._check_model(model)
-        theta0, sigma = model.theta0, model.sigma
         base = self.n * sigma**2
 
         def err(s):
@@ -122,9 +128,7 @@ class SoftThreshFamily(EstimatorFamily):
         res = minimize_scalar(err, bounds=(lo, hi), method="bounded")
         s0, best = float(res.x), float(res.fun)
         err_inf = base + float(np.sum(theta0**2))
-        if err_inf < best:
-            return OracleTuning(s0=math.inf, err=err_inf)
-        return OracleTuning(s0=s0, err=best)
+        return (math.inf, err_inf) if err_inf < best else (s0, best)
 
 
 def soft_threshold_risk(theta0, sigma, s):

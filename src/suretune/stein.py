@@ -38,7 +38,6 @@ from .core import (
     DomainError,
     EdfReport,
     EstimatorFamily,
-    OracleTuning,
     ShapeError,
     TunedBatch,
     TuningDomain,
@@ -152,9 +151,11 @@ def _implicit_diff_stats(hooks, Y, s_hat):
 
     Rows tuned to the boundary (s_hat = +inf) give 0: the tuned rule is
     locally constant there, so the selection adds no divergence.  Every
-    other row must be a stationary point, |dG/ds| <= 1e-6 * max(1, |G|),
-    with d2G/ds2 > 0; the first row that is not raises `StationarityError`
-    or `CurvatureError` naming it.
+    other row must be an interior stationary point, s_hat > 0 with
+    |s dG/ds| <= 1e-6 |G| or a Newton step |dG/ds / d2G/ds2| <= 1e-6 s, and
+    have d2G/ds2 > 0; the first row that is not raises `StationarityError`
+    or `CurvatureError` naming it.  Both tests keep their verdict when y and
+    the noise are scaled together, whatever the units of s and G.
     """
     Y = np.asarray(Y, dtype=float)
     s_hat = np.asarray(s_hat, dtype=float)
@@ -162,14 +163,15 @@ def _implicit_diff_stats(hooks, Y, s_hat):
     # Non-finite rows are evaluated at s = 0 and masked out, so Y is never copied.
     s = np.where(finite, s_hat, 0.0)
     slope = np.where(finite, hooks.eval_dg_ds(s, Y), math.nan)
-    scale = np.maximum(1.0, np.abs(hooks.g(s, Y)))
-    stuck = ~boundary & ~(np.abs(slope) <= 1e-6 * scale)
+    curv = hooks.eval_d2g_ds2(s, Y)
+    steady = (np.abs(s * slope) <= 1e-6 * np.abs(hooks.g(s, Y))) | (
+        np.abs(slope) <= 1e-6 * s * np.abs(curv))
+    stuck = ~boundary & ~((s > 0.0) & steady)
     if stuck.any():
         r = int(np.argmax(stuck))
         raise StationarityError(
             f"row {r}: dG/ds = {slope[r]:.3e} at s_hat = {s_hat[r]:.6g}; not a stationary point"
         )
-    curv = hooks.eval_d2g_ds2(s, Y)
     flat = ~boundary & ~(curv > 0)
     if flat.any():
         r = int(np.argmax(flat))
@@ -251,16 +253,22 @@ class HeteroShrinkFamily(EstimatorFamily):
     the scaled SURE convention adds it with factor 2, no sigma^2.
     """
 
+    _s_power = -2
+
     def __init__(self, sigmas):
         self._set_noise(sigmas=sigmas)
         self.n = self.sigmas.shape[0]
-        if self.n < 1:
-            raise DomainError("n must be at least 1")
         self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
         self._sig2 = self.sigmas**2
-        lo, hi = 1e-4 / float(np.mean(self._sig2)), 1e8 / float(np.min(self._sig2))
+        with np.errstate(over="ignore"):
+            lo, hi = 1e-4 / float(np.mean(self._sig2)), 1e8 / float(np.min(self._sig2))
+        if not (lo > 0.0 and math.isfinite(hi / lo)):
+            raise DomainError("the search grid from 1e-4 / mean(sigmas^2) to 1e8 / min(sigmas^2) "
+                              "needs finite bounds and ratio (min(sigmas) at least about 2^-498.7)")
         points = 1 + math.ceil(63.0 / 12.0 * math.log10(hi / lo))
-        self._grid = np.concatenate([[0.0], np.geomspace(lo, hi, points)])
+        # The grid in the units of s at unit noise, where the search runs.
+        self._grid = np.ldexp(np.concatenate([[0.0], np.geomspace(lo, hi, points)]),
+                              2 * self._noise_exp)
 
     @property
     def hooks(self):
@@ -308,20 +316,23 @@ class HeteroShrinkFamily(EstimatorFamily):
         replaces it, later ones only when lower by 1e-12 relative, so ties
         go to the smallest finite s.
         """
-        Y = _check_batch(Y, self.n)
-        best_s, best_val, kept = self._minimize(Y**2)
+        return self._at_unit_noise(self._tuned, Y)
+
+    def _tuned(self, Y, sd):
+        sig2 = sd**2
+        best_s, best_val, kept = self._minimize(Y**2, sig2)
         shrunk = np.isinf(best_s)
-        shrink = 1.0 + self._sig2 * np.where(shrunk, 0.0, best_s)[:, None]
+        shrink = 1.0 + sig2 * np.where(shrunk, 0.0, best_s)[:, None]
         theta = Y / shrink
         theta[shrunk] = 0.0
         df = np.where(shrunk, 0.0, np.sum(1.0 / shrink, axis=1))
         return TunedBatch(s_hat=best_s, theta_hat=theta, sure_min=best_val,
                           naive_df_at_shat=df, multimodal=kept > 1)
 
-    def _minimize(self, Y2):
+    def _minimize(self, Y2, sig2):
         """(s_hat, SURE minimum, number of distinct minima) of every row of
-        squared data Y2, by the search `tune_batch` describes."""
-        sig2, grid = self._sig2, self._grid
+        squared data Y2 at variances sig2, by the search `tune_batch` describes."""
+        grid = self._grid
         reps = Y2.shape[0]
         u = grid[:, None] * sig2
         weights = sig2 * grid[:, None] ** 2 / (1.0 + u) ** 2
@@ -365,9 +376,9 @@ class HeteroShrinkFamily(EstimatorFamily):
         return best_s, best_val, kept
 
     def oracle(self, model):
-        self._check_model(model)
-        s0, err, _ = self._minimize((model.theta0**2 + self._sig2)[None])
-        return OracleTuning(s0=float(s0[0]), err=float(err[0]))
+        return self._at_unit_noise(
+            lambda theta0, sd: self._minimize((theta0**2 + sd**2)[None], sd**2)[:2], model,
+            oracle=True)
 
 
 def _slope_root(a, b, W, sig2):

@@ -26,13 +26,11 @@ import numpy as np
 from .core import (
     DomainError,
     EstimatorFamily,
-    OracleTuning,
     ShapeError,
     TunedBatch,
     TuningDomain,
     _RANK_TOL,
     _as_float_vector,
-    _check_batch,
     _check_count,
     _check_design,
     _column_norms,
@@ -123,6 +121,9 @@ class SubsetCollection(EstimatorFamily):
         except (TypeError, ValueError):
             raise DomainError(f"subset {s!r} is not in the collection") from None
 
+    # One label rule: `sure` checks a subset as `estimate` and `naive_df` do.
+    _check_s = _index
+
     def estimate(self, s, y):
         Q = self.Q[:, self._qcols[self._index(s)]]
         y = np.asarray(y, dtype=float)
@@ -133,12 +134,15 @@ class SubsetCollection(EstimatorFamily):
 
     def criterion_matrix(self, Y):
         """Cp values for every subset: shape (reps, n_subsets)."""
-        Y = _check_batch(Y, self.n)
-        return self._cp(np.sum(Y**2, axis=1), (Y @ self.Q) ** 2)
+        def core(Y, sigma):
+            cp = self._cp(np.sum(Y**2, axis=1), (Y @ self.Q) ** 2, sigma)
+            return TunedBatch(s_hat=None, theta_hat=None, sure_min=cp, naive_df_at_shat=None)
 
-    def _cp(self, y2, C2):
+        return self._at_unit_noise(core, Y).sure_min
+
+    def _cp(self, y2, C2, sigma):
         """Cp for every subset from ||y||^2 and the squared coordinates C2 = (Y @ Q)^2."""
-        return y2[:, None] - self._fitted2(C2).T + 2.0 * self.sigma**2 * self.ranks
+        return y2[:, None] - self._fitted2(C2).T + 2.0 * sigma**2 * self.ranks
 
     def _fitted2(self, C2):
         """Each subset's fitted sum of squares, shape (n_subsets, reps), in build order."""
@@ -156,9 +160,11 @@ class SubsetCollection(EstimatorFamily):
         return order[np.argmin(cp[:, order], axis=1)]
 
     def tune_batch(self, Y):
-        Y = _check_batch(Y, self.n)
+        return self._at_unit_noise(self._tuned, Y)
+
+    def _tuned(self, Y, sigma):
         C = Y @ self.Q
-        cp = self._cp(np.sum(Y**2, axis=1), C**2)
+        cp = self._cp(np.sum(Y**2, axis=1), C**2, sigma)
         pick = self._pick(cp)
         theta = np.empty_like(Y)
         for k in np.unique(pick):
@@ -172,12 +178,13 @@ class SubsetCollection(EstimatorFamily):
         )
 
     def oracle(self, model):
-        self._check_model(model)
-        theta0 = model.theta0
-        cp = self._cp(np.array([theta0 @ theta0 + self.n * self.sigma**2]),
-                      (theta0 @ self.Q)[None] ** 2 + self.sigma**2)
-        k = self._pick(cp)[0]
-        return OracleTuning(s0=self.domain.labels[k], err=float(cp[0, k]))
+        def core(theta0, sigma):
+            cp = self._cp(np.array([theta0 @ theta0 + self.n * sigma**2]),
+                          (theta0 @ self.Q)[None] ** 2 + sigma**2, sigma)
+            k = self._pick(cp)[0]
+            return k, cp[0, k]
+
+        return self._at_unit_noise(core, model, oracle=True)
 
 
 def _grown_from(cols, position):

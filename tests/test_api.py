@@ -10,6 +10,7 @@ import ast
 import importlib
 import inspect
 import math
+import pkgutil
 import re
 import textwrap
 import types
@@ -188,6 +189,11 @@ def test_no_branch_on_the_family_name(func):
 def _calls(path, name):
     """The enclosing function (None at module level) of each call to `name`,
     as a function or a method, in a source file."""
+    return _calls_in(ast.parse(path.read_text()), name)
+
+
+def _calls_in(tree, name):
+    """`_calls` in a parsed tree."""
     found = []
 
     def visit(node, func):
@@ -199,7 +205,7 @@ def _calls(path, name):
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
-    visit(ast.parse(path.read_text()), None)
+    visit(tree, None)
     return found
 
 
@@ -213,6 +219,22 @@ def test_one_pass_over_a_models_draws():
     assert callers == [("core.py", "_tuned_blocks")]
     for name in ("_paired_draws", "draw"):
         assert _calls(package / "simulate.py", name) == []
+
+
+def test_one_step_checks_a_familys_data_and_scales_its_noise():
+    # `EstimatorFamily._at_unit_noise` alone checks a family's batch or model
+    # and runs the family's core at unit noise; no family calls the checks.
+    found = []
+    for info in pkgutil.iter_modules(suretune.__path__):
+        module = importlib.import_module(f"suretune.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, EstimatorFamily) and cls.__module__ == module.__name__:
+                tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+                found += [(name, cls.__name__, func)
+                          for name in ("_check_batch", "_check_model")
+                          for func in _calls_in(tree, name)]
+    assert set(found) == {(name, "EstimatorFamily", "_at_unit_noise")
+                          for name in ("_check_batch", "_check_model")}
 
 
 def _load_time_imports(tree):
@@ -417,7 +439,7 @@ def _boundary_rows():
         for method in ("estimate", "naive_df", "sure"):
             for s in (math.nan, -1.0):
                 message = f"tuning value {s!r} is outside the family domain"
-                if family == "SubsetCollection" and method != "sure":
+                if family == "SubsetCollection":
                     message = f"subset {s!r} is not in the collection"
                 call = _family_call(family, method)
                 yield f"tuning {family}.{method}", call, s, DomainError, message

@@ -67,6 +67,28 @@ class TestTune:
         assert theta == pytest.approx(np.array([3, 1, 1, 1]) / 1.5, rel=1e-10)
 
 
+    @pytest.mark.parametrize("command, flag", [
+        ("tune --family shrink-means --sigmas 0.1,1,1,1", "--sigmas"),
+        ("tune --family soft-threshold --sigmas 0.1,1,1,1", "--sigmas"),
+        ("tune --family shrink-means --design {y}", "--design"),
+        ("tune --family hetero-shrink --design {y} --sigmas 1,1,1,1", "--design"),
+        ("tune --family hetero-shrink --sigmas 1,1,1,1 --sigma 2", "--sigma"),
+        ("tune --family hetero-shrink --sigmas 1,1,1,1 --sigma 1", "--sigma"),
+        ("edf --method monte-carlo --n 4 --family shrink-means --sigmas 1,1,1,1", "--sigmas"),
+    ])
+    def test_a_family_flag_the_family_would_ignore_exits_1(self, data_file, capsys, command,
+                                                            flag):
+        # Dropped, `--sigmas` would tune shrink-means at sigma = 1 silently.
+        argv = command.format(y=data_file).split()
+        if argv[0] == "tune":
+            argv += ["--data", data_file]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        family = argv[argv.index("--family") + 1]
+        assert captured.err == f"error: {flag} does not apply to --family {family}\n"
+
+
 class TestEdf:
     def test_analytic(self, data_file, capsys):
         rc = main(["edf", "--method", "analytic", "--data", data_file])

@@ -68,16 +68,21 @@ def test_only_the_base_class_defines_tune():
             assert "tune" not in vars(cls), f"{cls.__name__} redefines tune"
 
 
-def _every_family(n=6):
+def _family_builders(n=6):
+    """One constructor per family, each taking the noise level as a factor."""
     X = np.random.default_rng(0).standard_normal((n, 3))
     return [
-        ShrinkMeansFamily(n, 1.0),
-        ShrinkRegressionFamily(X, 1.0),
-        SoftThreshFamily(n, 1.0),
-        make_nested(X, 1.0),
-        HeteroShrinkFamily(np.linspace(0.5, 2.0, n)),
-        SingletonShrinkFamily(n, 1.0),
+        lambda noise: ShrinkMeansFamily(n, noise),
+        lambda noise: ShrinkRegressionFamily(X, noise),
+        lambda noise: SoftThreshFamily(n, noise),
+        lambda noise: make_nested(X, noise),
+        lambda noise: HeteroShrinkFamily(noise * np.linspace(0.5, 2.0, n)),
+        lambda noise: SingletonShrinkFamily(n, noise),
     ]
+
+
+def _every_family(n=6):
+    return [build(1.0) for build in _family_builders(n)]
 
 
 def _mismatched_models(family):
@@ -289,6 +294,92 @@ def test_scaling_data_and_noise_together_rescales_the_fit(case):
     tiny = np.finfo(float).tiny
     assert np.allclose(b.sure_min, c**2 * a.sure_min, rtol=0.0, atol=c**2 * tiny)
     assert np.allclose(b.theta_hat, c * a.theta_hat, rtol=0.0, atol=c * tiny)
+
+
+# The equivariance table.  Every family tunes and finds its oracle at unit
+# noise (`EstimatorFamily._at_unit_noise`), so under (y, sigma) ->
+# (2^k y, 2^k sigma) its answers are the k = 0 answers times powers of two, to
+# the bit, from near the bottom of the accepted noise range to near its top:
+# theta_hat times 2^k, the SURE minimum and the oracle error times 4^k (times
+# 1 in the scaled heteroskedastic units), and the tuning value times
+# 2^(k * _s_power).  pytest turns every warning into an error, so no row may
+# warn either.  The heteroskedastic search grid is numpy's geomspace over
+# bounds set by the sigma_i, which rounds differently at each scale: its rows
+# agree to 1e-13 as built, and to the bit on the k = 0 grid.
+SCALES = (-500, -300, -60, 60, 300, 500)
+_NOISE = 0.7
+
+
+def _answers(family, Y, theta0):
+    """(s_hat, theta_hat, sure_min, naive df, multimodal, oracle s0, oracle err)."""
+    fit = family.tune_batch(Y)
+    noise = {"sigma": family.sigma} if family.sigmas is None else {"sigmas": family.sigmas}
+    ora = family.oracle(GaussianModel(theta0, **noise))
+    return (fit.s_hat, fit.theta_hat, fit.sure_min, fit.naive_df_at_shat, fit.multimodal,
+            ora.s0, ora.err)
+
+
+def _unscaled(family, answers, k):
+    """`_answers` at noise 2^k, scaled back to k = 0 (exact for normal floats)."""
+    s_hat, theta, sure_min, df, multimodal, s0, err = answers
+    p, q = family._s_power * k, (0 if family.is_heteroskedastic else 2) * k
+    if family.domain.kind == "continuous":
+        s_hat, s0 = np.ldexp(s_hat, -p), math.ldexp(s0, -p)
+    return (s_hat, np.ldexp(theta, -k), np.ldexp(sure_min, -q), df, multimodal, s0,
+            math.ldexp(err, -q))
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("index", range(6), ids=lambda i: type(_every_family()[i]).__name__)
+def test_scaling_data_and_noise_by_a_power_of_two_scales_every_answer_bitwise(index, k):
+    build = _family_builders()[index]
+    base = build(_NOISE)
+    theta0 = np.linspace(-1.5, 2.5, base.n) * _NOISE
+    Y = theta0 + _NOISE * np.random.default_rng(30).standard_normal((40, base.n))
+    if base.is_heteroskedastic and k == -500:
+        with pytest.raises(DomainError, match=r"min\(sigmas\) at least about 2\^-498.7"):
+            build(_NOISE * 2.0**k)
+        return
+    scaled = build(_NOISE * 2.0**k)
+    want = _answers(base, Y, theta0)
+    got = _unscaled(scaled, _answers(scaled, np.ldexp(Y, k), np.ldexp(theta0, k)), k)
+    if base.is_heteroskedastic:
+        assert np.allclose(scaled._grid, base._grid, rtol=1e-13, atol=0.0)
+        for a, b in zip(got, want):
+            assert np.allclose(a, b, rtol=1e-13, atol=0.0)
+        scaled._grid = base._grid
+        got = _unscaled(scaled, _answers(scaled, np.ldexp(Y, k), np.ldexp(theta0, k)), k)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_the_sure_minimum_is_the_criterion_at_the_tuned_value_at_small_noise():
+    # (n sigma^2)^2 underflows at sigma = 1e-90: squared in the caller's
+    # units, it leaves a SURE minimum of 80.0 sigma^2 where the criterion at
+    # its own s_hat is 56.73.
+    sigma = 1e-90
+    y = sigma * (1.0 + np.random.default_rng(31).standard_normal(40))
+    for family in (ShrinkMeansFamily(40, sigma), ShrinkRegressionFamily(
+            np.random.default_rng(32).standard_normal((40, 5)), sigma)):
+        fit = family.tune(y)
+        assert fit.sure_min == pytest.approx(family.sure(fit.s_hat, y), rel=1e-12, abs=0)
+
+
+def test_families_at_extreme_noise_neither_overflow_nor_warn():
+    # Squaring sigma or the data in the caller's units, each call overflows
+    # or warns (an error here) inside the accepted noise range.  At unit
+    # noise each returns the sigma = 1 answer, scaled (1e100 is not a power
+    # of two, so up to rounding).
+    y = np.array([1.0, 2.0, 3.0, 4.0])
+    fit = ShrinkMeansFamily(4, 1e100).tune(y)
+    assert fit.s_hat == math.inf and fit.sure_min == 30.0 and not fit.theta_hat.any()
+    fit, unit = HeteroShrinkFamily(1e-100 * y).tune(y), HeteroShrinkFamily(y).tune(1e100 * y)
+    assert fit.s_hat == pytest.approx(1e200 * unit.s_hat, rel=1e-12)
+    assert fit.sure_min == pytest.approx(unit.sure_min, rel=1e-12)
+    assert np.allclose(fit.theta_hat, 1e-100 * unit.theta_hat, rtol=1e-12, atol=0.0)
+    ora = SoftThreshFamily(4, 1e100).oracle(GaussianModel(np.zeros(4), sigma=1e100))
+    assert (ora.s0, ora.err) == (math.inf, 4e200)
+    assert SoftThreshFamily(4, 1.0).oracle(GaussianModel(np.zeros(4), sigma=1.0)).s0 == math.inf
 
 
 # Each family's own excess-df statistics: (edf_unbiased, hooks).  "statistic"

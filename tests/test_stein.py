@@ -165,6 +165,38 @@ class TestImplicitDiff:
         with pytest.raises(StationarityError):
             edf_implicit_diff(fam.hooks, y, 2.0 * fit.s_hat + 1.0)
 
+    @pytest.mark.parametrize("k", [-300, -60, -14, 0, 60, 300])
+    def test_stationarity_verdict_does_not_depend_on_the_noise_scale(self, k):
+        # (y, sigma) -> (2^k y, 2^k sigma) scales G by 4^k (by 1 for the
+        # scaled heteroskedastic SURE) and s by 2^(k * _s_power), and leaves
+        # the verdict alone.  A bound of 1e-6 max(1, |G|) is absolute below
+        # |G| = 1: at sigma = 1e-4 it passes 1.3 s_hat on shrinkage, which
+        # then returns 2.40 where the statistic at s_hat is 1.33.
+        # The heteroskedastic hooks run in the caller's units, where their
+        # 2 y^2 sigma^2 overflows past |k| of about 255; they run to |k| = 60.
+        c = 2.0**k
+        y = 1.0 + np.random.default_rng(33).standard_normal(40)
+        builds = [lambda c: ShrinkMeansFamily(40, c)]
+        if abs(k) <= 60:
+            builds.append(lambda c: HeteroShrinkFamily(c * np.linspace(0.5, 2.0, 40)))
+        for build in builds:
+            unit, fam = build(1.0), build(c)
+            s_hat = unit.tune(y).s_hat
+            s_scaled = math.ldexp(s_hat, k * fam._s_power)
+            assert fam.tune(c * y).s_hat == s_scaled
+            value = edf_implicit_diff(fam.hooks, c * y, s_scaled).value
+            assert value == pytest.approx(edf_implicit_diff(unit.hooks, y, s_hat).value,
+                                          rel=1e-12)
+            for off in (1.3, 1.0 / 1.3):
+                with pytest.raises(StationarityError, match="not a stationary point"):
+                    edf_implicit_diff(fam.hooks, c * y, off * s_scaled)
+
+    def test_zero_is_not_an_interior_stationary_point(self):
+        hooks = SmoothFamilyHooks(theta=lambda s, y: np.zeros_like(y),
+                                  g=lambda s, y: y[..., 0] * s**2)
+        with pytest.raises(StationarityError, match="^row 0: "):
+            edf_implicit_diff(hooks, np.ones(1), 0.0)
+
     def test_negative_curvature_rejected(self):
         hooks = SmoothFamilyHooks(
             theta=lambda s, y: np.zeros_like(y),
@@ -290,12 +322,14 @@ class TestTuneHeteroShrink:
 
     def test_refinements_at_one_point_count_once(self, monkeypatch):
         # Force both brackets of the bimodal row onto the same point (and a
-        # second copy 1e-7 away in log1p(s)): one minimum, not two.
+        # second copy 1e-7 away in log1p(s)): one minimum, not two.  The
+        # search runs at unit noise, where s is 4^_noise_exp times larger.
         fam = HeteroShrinkFamily(self.BIMODAL_SIGMAS)
         target = tune_hetero_shrink(self.BIMODAL_Y, self.BIMODAL_SIGMAS).s_hat
+        unit = target * 4.0**fam._noise_exp
         monkeypatch.setattr(
             stein, "_slope_root",
-            lambda a, b, Y2, sig2: np.expm1(np.log1p(target) + 1e-7 * np.arange(a.size)))
+            lambda a, b, Y2, sig2: np.expm1(np.log1p(unit) + 1e-7 * np.arange(a.size)))
         fit = fam.tune(self.BIMODAL_Y)
         assert fit.multimodal is False
         assert fit.s_hat == target

@@ -73,6 +73,21 @@ def test_tie_break_prefers_smaller_rank_then_lexicographic():
     assert coll.naive_df((0, 1), y) == 1.0
 
 
+def test_sure_estimate_and_naive_df_accept_the_same_labels():
+    # One label rule, `_index`, for all three: a list equal to a label is
+    # that label, and anything else is not in the collection.
+    coll = SubsetCollection(np.eye(3), [(), (0,), (0, 1)], 1.0)
+    y = np.array([3.0, -1.0, 0.5])
+    for label in ([0, 1], (0, 1), np.array([0, 1])):
+        assert coll.sure(label, y) == coll.sure((0, 1), y) == 0.25 + 4.0
+        assert np.array_equal(coll.estimate(label, y), [3.0, -1.0, 0.0])
+        assert coll.naive_df(label, y) == 2.0
+    for method in (coll.sure, coll.estimate, coll.naive_df):
+        for label in ([1, 0], (2,), 1):
+            with pytest.raises(DomainError, match=r"^subset .* is not in the collection$"):
+                method(label, y)
+
+
 def test_singleton_collection_returns_its_only_subset():
     coll = SubsetCollection(np.eye(3), [(0, 2)], 1.0)
     fit = coll.tune(np.array([1.0, 2.0, 3.0]))
