@@ -87,6 +87,7 @@ class BootstrapConfig:
             raise DomainError(f"sampler must be one of {SAMPLERS}")
         if not 0.0 < self.c <= 1.0:
             raise DomainError("bigmodel scale c must lie in (0, 1]")
+        object.__setattr__(self, "seed", _check_count(self.seed, "seed", 0))
 
 
 def _replicates(family, y, theta_hat, config, rng, out=None):

@@ -36,7 +36,7 @@ from .bounds import (
     nested_bound_tail_split,
     nested_null_edf_bound,
 )
-from .core import DomainError, EdfReport, GaussianModel, ShapeError, mc_edf
+from .core import DomainError, EdfReport, GaussianModel, ShapeError, _check_count, mc_edf
 from .shrinkage import ShrinkMeansFamily, ShrinkRegressionFamily
 from .simulate import PRESETS, ConfigError, parse_config, run_simulation, write_csv
 from .softthresh import SoftThreshFamily
@@ -45,36 +45,28 @@ from .stein import HeteroShrinkFamily, edf_implicit_diff
 CLI_FAMILIES = ("shrink-means", "shrink-regression", "soft-threshold", "hetero-shrink")
 
 
-def _read_text_vector(text):
-    vals = np.loadtxt(io.StringIO(text.replace(",", " ")), dtype=float, ndmin=1)
-    return np.ravel(vals)
-
-
-def _read_vector(path):
-    with open(path, "r", encoding="ascii") as fh:
-        vec = _read_text_vector(fh.read())
-    if vec.size == 0:
-        raise DomainError(f"{path} holds no numbers")
-    return vec
-
-
-def _read_matrix(path):
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    X = np.loadtxt(io.StringIO(text.replace(",", " ")), dtype=float, ndmin=2)
-    if X.size == 0:
-        raise DomainError(f"{path} holds no numbers")
-    return X
+def _read_numbers(source, ndmin=1, text=None):
+    """Numbers separated by commas or whitespace, as a vector (with ndmin=2, a
+    matrix of the lines): from the file at path `source`, or from `text`, the
+    value of the option named `source`.  DomainError naming `source` unless
+    there is at least one number and every entry is one."""
+    try:
+        if text is None:
+            with open(source, "r", encoding="ascii") as fh:
+                text = fh.read()
+        vals = np.loadtxt(io.StringIO(text.replace(",", " ")), dtype=float, ndmin=ndmin)
+    except ValueError as exc:
+        raise DomainError(f"could not parse {source} as numbers: {exc}") from None
+    if vals.size == 0:
+        raise DomainError(f"{source} holds no numbers")
+    return np.ravel(vals) if ndmin == 1 else vals
 
 
 def _vector_option(value, name):
     """Parse 'v1,v2,...' or '@path' into a float vector."""
     if value.startswith("@"):
-        return _read_vector(value[1:])
-    try:
-        return _read_text_vector(value)
-    except ValueError:
-        raise DomainError(f"could not parse --{name} as numbers: {value!r}") from None
+        return _read_numbers(value[1:])
+    return _read_numbers(f"--{name}", text=value)
 
 
 def _build_family(args, n=None):
@@ -98,7 +90,7 @@ def _build_family(args, n=None):
     if name == "shrink-regression":
         if not args.design:
             raise DomainError("shrink-regression needs --design FILE")
-        return ShrinkRegressionFamily(_read_matrix(args.design), sigma)
+        return ShrinkRegressionFamily(_read_numbers(args.design, ndmin=2), sigma)
     if not args.sigmas:
         raise DomainError("hetero-shrink needs --sigmas (list or @path)")
     return HeteroShrinkFamily(_vector_option(args.sigmas, "sigmas"))
@@ -113,7 +105,7 @@ def _print_kv(stream, **kv):
 
 
 def _cmd_tune(args):
-    y = _read_vector(args.data)
+    y = _read_numbers(args.data)
     family = _build_family(args, n=y.shape[0])
     fit = family.tune(y)
     out = sys.stdout
@@ -145,7 +137,7 @@ def _cmd_edf(args):
     if method == "monte-carlo":
         report = _edf_monte_carlo(args)
     else:
-        y = _read_vector(args.data) if args.data else None
+        y = _read_numbers(args.data) if args.data else None
         if y is None:
             raise DomainError(f"method {method} needs --data FILE")
         family = _build_family(args, n=y.shape[0])
@@ -193,10 +185,10 @@ def _cmd_bounds(args):
     out = sys.stdout
     name = args.bound
     if name == "chi-sq-max":
-        sizes = _vector_option(args.sizes, "sizes").astype(int)
+        sizes = _vector_option(args.sizes, "sizes")
         _print_kv(out, bound=chi_sq_max_bound(sizes, args.delta))
     elif name == "edf-upper-simplified":
-        sizes = _vector_option(args.sizes, "sizes").astype(int)
+        sizes = _vector_option(args.sizes, "sizes")
         _print_kv(out, bound=edf_upper_bound_simplified(sizes, args.delta))
     elif name == "surface-area-ball":
         center = _vector_option(args.center, "center")
@@ -325,6 +317,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None:
+            _check_count(args.seed, "--seed", 0)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

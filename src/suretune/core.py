@@ -30,12 +30,14 @@ so that sure = scaled residual + 2 * naive_df.  The private helpers
 `_noise_sd`, `_df_unit` and `_sq_error` hold this convention; every routine
 in the package that scales by the noise goes through them.
 
-Batch-first tuning contract: a family tunes a whole (reps, n) batch of data
-vectors in `tune_batch`, the one tuner it writes; `EstimatorFamily.tune`
-fits a single vector as row 0 of a one-row batch.  Every excess-df estimate
-(Monte Carlo, bootstrap, simulation grid) retunes thousands of vectors, so
-they all go through `tune_batch`.  Estimator rules and family methods
-operate on arrays of shape (..., n), broadcasting over leading axes.
+Batch-first tuning contract: a family writes one tuner, `_tuned(Y, sd)`,
+which tunes a whole (reps, n) batch of data vectors at unit noise, and
+optionally one oracle search, `_oracle_at(theta0, sd)`.  `EstimatorFamily`
+alone defines `tune_batch`, `tune` (row 0 of a one-row batch) and `oracle`
+on top of them.  Every excess-df estimate (Monte Carlo, bootstrap,
+simulation grid) retunes thousands of vectors, so they all go through
+`tune_batch`.  Estimator rules and family methods operate on arrays of
+shape (..., n), broadcasting over leading axes.
 
 Row blocks: `mc_df`, `mc_edf`, `mc_prediction_error`, `oracle_gap_check`
 and `simulate`'s grid cells reduce the per-row statistics of one pass,
@@ -59,13 +61,15 @@ counts and column indices, `_check_tuning` for tuning values
 
 Noise scale: SURE is scale-equivariant, (y, sigma) -> (c y, c sigma) scales
 the fit by c and the criterion by c^2, and dividing by a power of two is
-exact barring underflow and overflow.  So every family tunes and finds its
-oracle through one step, `EstimatorFamily._at_unit_noise`: it checks the
-batch (or model), divides it by c = 2^round(log2 sigma) (the RMS of the
-sigma_i under heteroskedastic noise), runs the family's own search at
-sigma / c and scales the answer back.  Squares stay in the normal range,
-and a tolerance written for unit noise means the same at every sigma.
-`estimate`, `naive_df`, `sure` and `hooks` work in the caller's units.
+exact barring underflow and overflow.  So `tune_batch` and `oracle` run a
+family's `_tuned` and `_oracle_at` through one step,
+`EstimatorFamily._at_unit_noise`: it checks the batch (or model), divides
+it by c = 2^round(log2 sigma) (the RMS of the sigma_i under
+heteroskedastic noise), runs the family's core at sigma / c and scales the
+answer back.  No family can skip it, since no family defines `tune_batch`
+or `oracle`.  Squares stay in the normal range, and a tolerance written
+for unit noise means the same at every sigma.  `estimate`, `naive_df`,
+`sure` and `hooks` work in the caller's units.
 """
 
 import math
@@ -435,24 +439,27 @@ class OracleTuning:
 class EstimatorFamily(ABC):
     """A family {theta_s} indexed by a tuning value, with plug-in df.
 
-    Subclasses provide `estimate`, `naive_df` and `tune_batch`, which tunes
-    every row of a (reps, n) batch at once through `_at_unit_noise` (see the
-    module docstring on the noise scale).  `tune` is derived here, once,
-    from `tune_batch`.  Each family carries its own noise level because
-    tuning needs it.
+    Subclasses provide `estimate`, `naive_df` and `_tuned(Y, sd)`, which
+    tunes every row of a (reps, n) batch at once at unit noise, and, where
+    the family has one, the oracle search `_oracle_at(theta0, sd)`, also at
+    unit noise (see the module docstring on the noise scale).  `tune_batch`,
+    `tune` and `oracle` are derived here, once, from those cores.  The
+    domain defaults to the continuous [0, +inf].  Each family carries its
+    own noise level because tuning needs it.
 
-    `tune_batch` must be re-entrant: the bootstrap calls it from several
-    threads at once on one family, so it may read but never write the
-    family's attributes.  Every family in the package only reads them.
+    `_tuned` must be re-entrant: the bootstrap calls `tune_batch` from
+    several threads at once on one family, so it may read but never write
+    the family's attributes.  Every family in the package only reads them.
 
     A family's own excess-df statistics, None where it has none (`simulate`
     then writes "skipped" rows): `hooks`, its `stein.SmoothFamilyHooks` for
     implicit differentiation, and `edf_unbiased(fit)`, a per-row statistic.
     """
 
-    domain: TuningDomain
+    domain = TuningDomain(kind="continuous")
     n: int
     hooks = None
+    _oracle_at = None
 
     # Tuning values scale as sigma^_s_power under (y, sigma) -> (c y, c sigma).
     _s_power = 0
@@ -526,8 +533,14 @@ class EstimatorFamily(ABC):
         """Plug-in df of theta_s at y (divergence for smooth families)."""
 
     @abstractmethod
+    def _tuned(self, Y, sd):
+        """The TunedBatch minimizing SURE over the domain for each row of the
+        checked batch Y at noise sd (sigma, or the sigma_i), both scaled to
+        unit noise by `tune_batch`."""
+
     def tune_batch(self, Y):
         """Minimize SURE over the domain for each row of Y; a TunedBatch."""
+        return self._at_unit_noise(self._tuned, Y)
 
     def tune(self, y):
         """Minimize SURE over the domain for a single data vector.
@@ -570,9 +583,9 @@ class EstimatorFamily(ABC):
 
     def oracle(self, model):
         """`OracleTuning`: the s minimizing the exact prediction error at the
-        mean of `model` (see `_check_model`), and that error.  Families with
-        a closed form or an exact search override this base, which raises;
-        they run that search through `_at_unit_noise`.
+        mean of `model` (see `_check_model`), and that error.  A family with
+        a closed form or an exact search writes it as `_oracle_at(theta0,
+        sd)`, returning (s0, err) at unit noise; without one this raises.
 
         SURE is unbiased for the prediction error at every fixed s.  Where it
         depends on the data only through squares (||y||^2, ||P y||^2, y_i^2
@@ -581,7 +594,9 @@ class EstimatorFamily(ABC):
         oracle is therefore its own tuning core run at those statistics, and
         the SURE minimum it reports is the exact error.
         """
-        raise DomainError(f"{type(self).__name__} provides no oracle tuning")
+        if self._oracle_at is None:
+            raise DomainError(f"{type(self).__name__} provides no oracle tuning")
+        return self._at_unit_noise(self._oracle_at, model, oracle=True)
 
 
 def _normal_pdf(t):

@@ -1,6 +1,6 @@
 """Linear shrinkage families tuned by SURE, with closed-form everything.
 
-Two families live here.  Shrinkage to zero in the means model,
+Three families live here.  Shrinkage to zero in the means model,
 
     theta_s(y) = y / (1 + s),        s in [0, +inf],
 
@@ -14,6 +14,8 @@ are read off the family: sure_min + 2 sigma^2 * edf_unbiased(fit) is
 unbiased for the tuned rule's prediction error, and oracle(model).err is
 the error the excess optimism is measured against.  `james_stein_positive`
 is the classical (n - 2) rule the tuned fit is compared with.
+`SingletonShrinkFamily` fixes s at one value, a reference with nothing
+tuned.
 """
 
 import math
@@ -73,7 +75,6 @@ class ShrinkMeansFamily(EstimatorFamily):
     def __init__(self, n, sigma):
         self.n = _check_count(n, "n", 1)
         self._set_noise(sigma=sigma)
-        self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
 
     @property
     def hooks(self):
@@ -116,16 +117,12 @@ class ShrinkMeansFamily(EstimatorFamily):
         self._check_s(s)
         return self.n / (1.0 + s)
 
-    def tune_batch(self, Y):
-        return self._at_unit_noise(
-            lambda Y, sigma: _tuned_shrink(np.einsum("ij,ij->i", Y, Y), self.n, sigma, Y), Y)
+    def _tuned(self, Y, sigma):
+        return _tuned_shrink(np.einsum("ij,ij->i", Y, Y), self.n, sigma, Y)
 
-    def oracle(self, model):
-        def core(theta0, sigma):
-            fit = _tuned_shrink(theta0 @ theta0 + self.n * sigma**2, self.n, sigma, np.zeros(0))
-            return fit.s_hat, fit.sure_min
-
-        return self._at_unit_noise(core, model, oracle=True)
+    def _oracle_at(self, theta0, sigma):
+        fit = _tuned_shrink(theta0 @ theta0 + self.n * sigma**2, self.n, sigma, np.zeros(0))
+        return fit.s_hat, fit.sure_min
 
 
 class ShrinkRegressionFamily(EstimatorFamily):
@@ -144,7 +141,6 @@ class ShrinkRegressionFamily(EstimatorFamily):
         self.rank = self._basis.shape[1]
         if self.rank == 0:
             raise DomainError("design matrix has rank zero")
-        self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
 
     def project(self, y):
         y = np.asarray(y, dtype=float)
@@ -161,15 +157,12 @@ class ShrinkRegressionFamily(EstimatorFamily):
         self._check_s(s)
         return self.rank / (1.0 + s)
 
-    def tune_batch(self, Y):
-        def core(Y, sigma):
-            coords = Y @ self._basis
-            return self._tuned(np.sum(Y**2, axis=1), np.sum(coords**2, axis=1),
-                               coords @ self._basis.T, sigma)
+    def _tuned(self, Y, sigma):
+        coords = Y @ self._basis
+        return self._fit(np.sum(Y**2, axis=1), np.sum(coords**2, axis=1),
+                         coords @ self._basis.T, sigma)
 
-        return self._at_unit_noise(core, Y)
-
-    def _tuned(self, y2, a, target, sigma):
+    def _fit(self, y2, a, target, sigma):
         """The tuned fit from ||y||^2, a = ||P y||^2 and target = P y."""
         fit = _tuned_shrink(a, self.rank, sigma, target)
         fit.sure_min = y2 - a + fit.sure_min
@@ -177,14 +170,46 @@ class ShrinkRegressionFamily(EstimatorFamily):
 
     edf_unbiased = ShrinkMeansFamily.edf_unbiased
 
-    def oracle(self, model):
-        def core(theta0, sigma):
-            coords = theta0 @ self._basis
-            fit = self._tuned(theta0 @ theta0 + self.n * sigma**2,
-                              coords @ coords + self.rank * sigma**2, np.zeros(0), sigma)
-            return fit.s_hat, fit.sure_min
+    def _oracle_at(self, theta0, sigma):
+        coords = theta0 @ self._basis
+        fit = self._fit(theta0 @ theta0 + self.n * sigma**2,
+                        coords @ coords + self.rank * sigma**2, np.zeros(0), sigma)
+        return fit.s_hat, fit.sure_min
 
-        return self._at_unit_noise(core, model, oracle=True)
+
+class SingletonShrinkFamily(ShrinkMeansFamily):
+    """Shrinkage at one fixed tuning value; no data-driven search at all.
+
+    Useful as a degenerate reference: with nothing tuned the true excess df
+    is zero, so the unbiased statistic is identically 0 and the Monte Carlo
+    and bootstrap estimates straddle 0 (the bootstrap one carries a small
+    -df/B centering bias at tiny B).  There is no stationarity condition to
+    differentiate, so it has no hooks.
+    """
+
+    hooks = None
+
+    def __init__(self, n, sigma, s=1.0):
+        super().__init__(n, sigma)
+        self.s_fixed = float(_check_tuning(s, "the fixed tuning value"))
+        if math.isinf(self.s_fixed):
+            raise DomainError("a singleton family has no member at s = +inf")
+        self.domain = TuningDomain(kind="continuous", lower=self.s_fixed, upper=self.s_fixed)
+
+    def _tuned(self, Y, sigma):
+        s = self.s_fixed
+        theta, df = self.estimate(s, Y), self.naive_df(s, Y)
+        return TunedBatch(s_hat=np.full(Y.shape[0], s), theta_hat=theta,
+                          sure_min=np.sum((Y - theta) ** 2, axis=1) + 2.0 * sigma**2 * df,
+                          naive_df_at_shat=np.full(Y.shape[0], df))
+
+    def edf_unbiased(self, fit):
+        return np.zeros(fit.s_hat.shape[0])
+
+    def _oracle_at(self, theta0, sigma):
+        """s_fixed and its error n sigma^2 + (||theta0||^2 s^2 + n sigma^2)/(1+s)^2."""
+        s, b = self.s_fixed, self.n * sigma**2
+        return s, b + (float(np.sum(theta0**2)) * s**2 + b) / (1.0 + s) ** 2
 
 
 def edf_unbiased_shrink(s_hat):

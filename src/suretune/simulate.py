@@ -39,10 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import BootstrapConfig, _bootstrap_stats
-from .core import (DomainError, GaussianModel, TunedBatch, TuningDomain,
-                   _as_float_vector, _check_count, _check_noise, _check_tuning,
+from .core import (DomainError, GaussianModel, _as_float_vector, _check_count, _check_noise,
                    _df_unit, _mean_se, _tuned_blocks)
-from .shrinkage import ShrinkMeansFamily
+from .shrinkage import ShrinkMeansFamily, SingletonShrinkFamily
 from .softthresh import SoftThreshFamily
 from .stein import _implicit_diff_stats
 
@@ -60,47 +59,6 @@ __all__ = [
 ]
 
 SETTINGS = ("null", "weak_sparsity", "strong_sparsity", "custom")
-
-
-class SingletonShrinkFamily(ShrinkMeansFamily):
-    """Shrinkage at one fixed tuning value; no data-driven search at all.
-
-    Useful as a degenerate reference: with nothing tuned the true excess df
-    is zero, so the unbiased statistic is identically 0 and the Monte Carlo
-    and bootstrap estimates straddle 0 (the bootstrap one carries a small
-    -df/B centering bias at tiny B).  There is no stationarity condition to
-    differentiate, so it has no hooks.
-    """
-
-    hooks = None
-
-    def __init__(self, n, sigma, s=1.0):
-        super().__init__(n, sigma)
-        self.s_fixed = float(_check_tuning(s, "the fixed tuning value"))
-        if math.isinf(self.s_fixed):
-            raise DomainError("a singleton family has no member at s = +inf")
-        self.domain = TuningDomain(kind="continuous", lower=self.s_fixed, upper=self.s_fixed)
-
-    def tune_batch(self, Y):
-        def core(Y, sigma):
-            s = self.s_fixed
-            theta, df = self.estimate(s, Y), self.naive_df(s, Y)
-            return TunedBatch(s_hat=np.full(Y.shape[0], s), theta_hat=theta,
-                              sure_min=np.sum((Y - theta) ** 2, axis=1) + 2.0 * sigma**2 * df,
-                              naive_df_at_shat=np.full(Y.shape[0], df))
-
-        return self._at_unit_noise(core, Y)
-
-    def edf_unbiased(self, fit):
-        return np.zeros(fit.s_hat.shape[0])
-
-    def oracle(self, model):
-        """s_fixed and its error n sigma^2 + (||theta0||^2 s^2 + n sigma^2)/(1+s)^2."""
-        def core(theta0, sigma):
-            s, b = self.s_fixed, self.n * sigma**2
-            return s, b + (float(np.sum(theta0**2)) * s**2 + b) / (1.0 + s) ** 2
-
-        return self._at_unit_noise(core, model, oracle=True)
 
 
 _FAMILY_CLASSES = {"shrink_means": ShrinkMeansFamily, "soft_threshold": SoftThreshFamily,
@@ -138,6 +96,7 @@ class SimSpec:
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "outer_reps", _check_count(self.outer_reps, "outer_reps", 2))
         _check_noise(self.sigma, None)
+        object.__setattr__(self, "seed", _check_count(self.seed, "seed", 0))
         if self.bootstrap_B != 0:
             object.__setattr__(self, "bootstrap_B",
                                _check_count(self.bootstrap_B, "bootstrap_B other than 0", 2))

@@ -16,7 +16,6 @@ from .core import (
     DomainError,
     EstimatorFamily,
     TunedBatch,
-    TuningDomain,
     _as_float_vector,
     _check_count,
     _check_noise,
@@ -53,7 +52,6 @@ class SoftThreshFamily(EstimatorFamily):
     def __init__(self, n, sigma):
         self.n = _check_count(n, "n", 1)
         self._set_noise(sigma=sigma)
-        self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
 
     def estimate(self, s, y):
         self._check_s(s)
@@ -64,9 +62,6 @@ class SoftThreshFamily(EstimatorFamily):
         y = np.asarray(y, dtype=float)
         count = np.sum(np.abs(y) > s, axis=-1)
         return float(count) if count.ndim == 0 else count.astype(float)
-
-    def tune_batch(self, Y):
-        return self._at_unit_noise(self._tuned, Y)
 
     @staticmethod
     def _tuned(Y, sigma):
@@ -99,7 +94,7 @@ class SoftThreshFamily(EstimatorFamily):
             naive_df_at_shat=pick.astype(float),
         )
 
-    def oracle(self, model):
+    def _oracle_at(self, theta0, sigma):
         """Exact-risk threshold via the closed-form fixed-s risk.
 
         A 241-point grid over s/sigma in [0, max|theta0|/sigma + 6], then
@@ -109,9 +104,6 @@ class SoftThreshFamily(EstimatorFamily):
         runs at unit noise, where scipy's absolute tolerance (xatol = 1e-5)
         is about 1e-5 times the noise level.
         """
-        return self._at_unit_noise(self._oracle_search, model, oracle=True)
-
-    def _oracle_search(self, theta0, sigma):
         from scipy.optimize import minimize_scalar
 
         base = self.n * sigma**2

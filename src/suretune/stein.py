@@ -40,7 +40,6 @@ from .core import (
     EstimatorFamily,
     ShapeError,
     TunedBatch,
-    TuningDomain,
     _as_float_vector,
     _check_batch,
     _check_noise,
@@ -258,7 +257,6 @@ class HeteroShrinkFamily(EstimatorFamily):
     def __init__(self, sigmas):
         self._set_noise(sigmas=sigmas)
         self.n = self.sigmas.shape[0]
-        self.domain = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
         self._sig2 = self.sigmas**2
         with np.errstate(over="ignore"):
             lo, hi = 1e-4 / float(np.mean(self._sig2)), 1e8 / float(np.min(self._sig2))
@@ -303,7 +301,7 @@ class HeteroShrinkFamily(EstimatorFamily):
         self._check_s(s)
         return float(np.sum(1.0 / (1.0 + self._sig2 * s)))
 
-    def tune_batch(self, Y):
+    def _tuned(self, Y, sd):
         """Minimize scaled SURE on every row of Y, tracking modality.
 
         The search grid is s = 0 and a log grid from 1e-4/mean(sigma_i^2)
@@ -316,9 +314,6 @@ class HeteroShrinkFamily(EstimatorFamily):
         replaces it, later ones only when lower by 1e-12 relative, so ties
         go to the smallest finite s.
         """
-        return self._at_unit_noise(self._tuned, Y)
-
-    def _tuned(self, Y, sd):
         sig2 = sd**2
         best_s, best_val, kept = self._minimize(Y**2, sig2)
         shrunk = np.isinf(best_s)
@@ -331,7 +326,7 @@ class HeteroShrinkFamily(EstimatorFamily):
 
     def _minimize(self, Y2, sig2):
         """(s_hat, SURE minimum, number of distinct minima) of every row of
-        squared data Y2 at variances sig2, by the search `tune_batch` describes."""
+        squared data Y2 at variances sig2, by the search `_tuned` describes."""
         grid = self._grid
         reps = Y2.shape[0]
         u = grid[:, None] * sig2
@@ -375,10 +370,8 @@ class HeteroShrinkFamily(EstimatorFamily):
             best_s[r[take]], best_val[r[take]] = sj[take], vj[take]
         return best_s, best_val, kept
 
-    def oracle(self, model):
-        return self._at_unit_noise(
-            lambda theta0, sd: self._minimize((theta0**2 + sd**2)[None], sd**2)[:2], model,
-            oracle=True)
+    def _oracle_at(self, theta0, sd):
+        return self._minimize((theta0**2 + sd**2)[None], sd**2)[:2]
 
 
 def _slope_root(a, b, W, sig2):

@@ -159,9 +159,6 @@ class SubsetCollection(EstimatorFamily):
         order = np.array(self._tie_order)
         return order[np.argmin(cp[:, order], axis=1)]
 
-    def tune_batch(self, Y):
-        return self._at_unit_noise(self._tuned, Y)
-
     def _tuned(self, Y, sigma):
         C = Y @ self.Q
         cp = self._cp(np.sum(Y**2, axis=1), C**2, sigma)
@@ -177,14 +174,11 @@ class SubsetCollection(EstimatorFamily):
             naive_df_at_shat=self.ranks[pick].astype(float),
         )
 
-    def oracle(self, model):
-        def core(theta0, sigma):
-            cp = self._cp(np.array([theta0 @ theta0 + self.n * sigma**2]),
-                          (theta0 @ self.Q)[None] ** 2 + sigma**2, sigma)
-            k = self._pick(cp)[0]
-            return k, cp[0, k]
-
-        return self._at_unit_noise(core, model, oracle=True)
+    def _oracle_at(self, theta0, sigma):
+        cp = self._cp(np.array([theta0 @ theta0 + self.n * sigma**2]),
+                      (theta0 @ self.Q)[None] ** 2 + sigma**2, sigma)
+        k = self._pick(cp)[0]
+        return k, cp[0, k]
 
 
 def _grown_from(cols, position):

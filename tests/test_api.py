@@ -224,6 +224,13 @@ def test_one_pass_over_a_models_draws():
 def test_one_step_checks_a_familys_data_and_scales_its_noise():
     # `EstimatorFamily._at_unit_noise` alone checks a family's batch or model
     # and runs the family's core at unit noise; no family calls the checks.
+    # Outside `core` only the subset Cp matrix runs a core through the step:
+    # every family's tuner and oracle reach it through the base class.
+    package = Path(suretune.__file__).resolve().parent
+    callers = {(path.name, func) for path in sorted(package.glob("*.py"))
+               for func in _calls(path, "_at_unit_noise")}
+    assert callers == {("core.py", "tune_batch"), ("core.py", "oracle"),
+                       ("subsets.py", "criterion_matrix")}
     found = []
     for info in pkgutil.iter_modules(suretune.__path__):
         module = importlib.import_module(f"suretune.{info.name}")
@@ -346,9 +353,11 @@ COUNT_ENTRIES = {
                          lambda v: oracle_gap_check(ShrinkMeansFamily(3, 1.0), _MODEL, reps=v)),
     "EdfReport": ("reps", 1, lambda v: EdfReport("monte_carlo", 0.0, 0.0, v)),
     "BootstrapConfig": ("bootstrap B", 2, lambda v: BootstrapConfig(B=v)),
+    "BootstrapConfig-seed": ("seed", 0, lambda v: BootstrapConfig(seed=v)),
     "SimSpec-sizes": ("every size", 1, lambda v: SimSpec(sizes=(v,))),
     "SimSpec-outer_reps": ("outer_reps", 2, lambda v: SimSpec(outer_reps=v)),
     "SimSpec-bootstrap_B": ("bootstrap_B other than 0", 2, lambda v: SimSpec(bootstrap_B=v)),
+    "SimSpec-seed": ("seed", 0, lambda v: SimSpec(seed=v)),
 }
 
 # A rule's output is checked as data are, naming the (row, column) of the

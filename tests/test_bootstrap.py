@@ -37,7 +37,7 @@ class ZeroRuleFamily(EstimatorFamily):
     def naive_df(self, s, y):
         return 0.0
 
-    def tune_batch(self, Y):
+    def _tuned(self, Y, sd):
         Y = np.asarray(Y, dtype=float)
         reps = Y.shape[0]
         return TunedBatch(s_hat=np.zeros(reps), theta_hat=np.zeros_like(Y),

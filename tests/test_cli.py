@@ -251,6 +251,17 @@ class TestBounds:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("bound", ["chi-sq-max", "edf-upper-simplified"])
+    @pytest.mark.parametrize("sizes, message", [
+        ("1.5,2", "every size must be an integer at least 0, got 1.5"),
+        ("nan", "sizes is not finite at index 0"),
+    ])
+    def test_a_size_the_bound_refuses_is_not_truncated(self, bound, sizes, message, capsys):
+        assert main(["bounds", bound, "--sizes", sizes, "--delta", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_nested_tail_split(self, capsys):
         rc = main(["bounds", "nested-tail-split", "--terms", "1000"])
         assert rc == 0
@@ -324,6 +335,46 @@ class TestErrorPaths:
         rc = main(["tune", "--data", "/no/such/file.txt"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "simulate --preset smoke",
+        "edf --method monte-carlo --n 5 --reps 4",
+        "edf --method bootstrap-parametric --data {y} --B 4",
+        "tune --data {y}",
+    ])
+    def test_a_negative_seed_exits_1(self, argv, data_file, capsys):
+        assert main(["--seed", "-1", *argv.format(y=data_file).split()]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be an integer at least 0, got -1\n"
+        assert captured.out == ""
+
+    def test_a_negative_seed_in_a_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sizes = 6\nouter_reps = 8\nseed = -3\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: line 0: seed must be an integer at least 0, "
+                                "got -3\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text", ["1,2,abc\n", "1 2\n3\n"], ids=["word", "ragged"])
+    @pytest.mark.parametrize("argv", [
+        "tune --data {bad}",
+        "tune --family shrink-regression --design {bad} --data {y}",
+        "edf --method monte-carlo --theta0 @{bad} --reps 4",
+        "tune --family hetero-shrink --sigmas @{bad} --data {y}",
+    ], ids=["data", "design", "mean", "sigmas"])
+    def test_a_malformed_file_exits_1_naming_it(self, argv, text, data_file, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(argv.format(bad=bad, y=data_file).split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: could not parse {bad} as numbers: ")
+        assert captured.out == ""
+
+    def test_an_inline_list_that_is_not_numbers_exits_1_naming_its_option(self, capsys):
+        assert main(["bounds", "chi-sq-max", "--sizes", "1,abc", "--delta", "0.5"]) == 1
+        assert capsys.readouterr().err.startswith("error: could not parse --sizes as numbers: ")
 
     def test_unknown_family_is_a_usage_error(self, data_file, capsys):
         with pytest.raises(SystemExit) as info:

@@ -8,7 +8,6 @@ import pytest
 from suretune import (
     DomainError,
     EdfReport,
-    EstimatorFamily,
     GaussianModel,
     HeteroShrinkFamily,
     RidgeRotation,
@@ -301,7 +300,7 @@ def test_oracle_gap_check_holds_for_shrinkage():
 
 
 class _NoOracleFamily(ShrinkMeansFamily):
-    oracle = EstimatorFamily.oracle
+    _oracle_at = None
 
 
 def test_oracle_gap_check_needs_a_family_oracle():

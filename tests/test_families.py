@@ -1,7 +1,8 @@
 """The batch-first tuning contract, checked across every family.
 
-Each family writes only `tune_batch`; `EstimatorFamily.tune` is row 0 of a
-one-row batch.  The property tests compare the tuned SURE minimum with the
+Each family writes only its unit-noise cores, `_tuned` and `_oracle_at`;
+`EstimatorFamily` alone defines `tune_batch`, `oracle` and `tune`, which is
+row 0 of a one-row batch.  The property tests compare the tuned SURE minimum with the
 criterion written out independently on a dense grid, and the non-finite
 tests pin the one validation boundary every `tune_batch` goes through.
 """
@@ -40,7 +41,7 @@ from suretune import (
     mc_prediction_error,
 )
 from suretune.core import _df_stats
-from suretune.simulate import SingletonShrinkFamily
+from suretune.shrinkage import SingletonShrinkFamily
 from suretune.stein import _implicit_diff_stats
 
 
@@ -60,12 +61,17 @@ def test_only_the_base_class_defines_tune():
     assert EstimatorFamily in classes
     assert len(concrete) >= 6
     assert inspect.isabstract(EstimatorFamily)
-    assert "tune_batch" in EstimatorFamily.__abstractmethods__
+    assert "_tuned" in EstimatorFamily.__abstractmethods__
+    for name in ("tune", "tune_batch", "oracle"):
+        assert name not in EstimatorFamily.__abstractmethods__
+        assert inspect.isfunction(vars(EstimatorFamily)[name])
     for cls in concrete:
-        assert "tune_batch" in vars(cls), f"{cls.__name__} must define tune_batch"
+        assert "_tuned" in vars(cls), f"{cls.__name__} must define _tuned"
+        assert cls._oracle_at is not None, f"{cls.__name__} has no oracle search"
     for cls in classes:
         if cls is not EstimatorFamily:
-            assert "tune" not in vars(cls), f"{cls.__name__} redefines tune"
+            for name in ("tune", "tune_batch", "oracle"):
+                assert name not in vars(cls), f"{cls.__name__} redefines {name}"
 
 
 def _family_builders(n=6):
