@@ -21,7 +21,6 @@ from .core import (
     mc_df,
     mc_edf,
     mc_prediction_error,
-    oracle_gap_check,
 )
 from .shrinkage import (
     ShrinkMeansFamily,
@@ -52,7 +51,6 @@ from .stein import (
     edf_implicit_diff,
     exopt_hetero_shrink,
     ridge_as_hetero,
-    tune_hetero_shrink,
 )
 from .bootstrap import (
     BootstrapConfig,

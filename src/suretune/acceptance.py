@@ -22,11 +22,12 @@ from .bounds import (
     gas_stations_rotation,
     nested_null_edf_bound,
 )
-from .core import (DomainError, GaussianModel, _mean_se, _sq_error, _tuned_stats, mc_df,
-                   mc_edf)
+from .core import (DomainError, GaussianModel, _df_unit, _mean_se, _sq_error, _tuned_stats,
+                   mc_df, mc_edf)
 from .shrinkage import (
     ShrinkMeansFamily,
     ShrinkRegressionFamily,
+    SingletonShrinkFamily,
     edf_unbiased_shrink,
     james_stein_positive,
 )
@@ -106,19 +107,7 @@ def c02_shrinkage_edf():
         f"MC edf = {mc_mean:.3f} +- {mc_se:.3f}, paired gap z = {abs(dmean)/dse:.2f}")
 
 
-def _dominance_grid(reps=5000):
-    n = 10
-    out = []
-    for tag, theta0, seed in (("null", np.zeros(n), 1004),
-                              ("moderate", np.ones(n), 1005),
-                              ("large", 3.0 * np.ones(n), 1006)):
-        model = GaussianModel(theta0, sigma=1.0)
-        stats = _tuned_stats(
-            ShrinkMeansFamily(n, 1.0).tune_batch, model, seed, reps,
-            tuned=lambda Y, fit: _sq_error(fit.theta_hat - theta0, model),
-            js=lambda Y, fit: _sq_error(james_stein_positive(Y, 1.0) - theta0, model))
-        out.append((tag, model, stats["tuned"], stats["js"]))
-    return n, out
+_SHRINK_MEANS = (("null", 0.0, 1004), ("moderate", 1.0, 1005), ("large", 3.0, 1006))
 
 
 def c03_dominance():
@@ -131,13 +120,17 @@ def c03_dominance():
     flip the sign.  The clause does hold away from zero, where the
     classical n-2 factor is the better one.
     """
-    n, grid = _dominance_grid()
-    ok, notes = True, []
-    for tag, model, risk_tuned, risk_js in grid:
-        mean_rt, se_rt, _ = _mean_se(risk_tuned)
+    n, ok, notes = 10, True, []
+    for tag, mean, seed in _SHRINK_MEANS:
+        model = GaussianModel(np.full(n, mean), sigma=1.0)
+        stats = _tuned_stats(
+            ShrinkMeansFamily(n, 1.0).tune_batch, model, seed, 5000,
+            tuned=lambda Y, fit: _sq_error(fit.theta_hat - model.theta0, model),
+            js=lambda Y, fit: _sq_error(james_stein_positive(Y, 1.0) - model.theta0, model))
+        mean_rt, se_rt, _ = _mean_se(stats["tuned"])
         err_tuned = n * 1.0 + mean_rt
         below = err_tuned < 2.0 * n
-        dmean, dse, _ = _mean_se(risk_js - risk_tuned)
+        dmean, dse, _ = _mean_se(stats["js"] - stats["tuned"])
         js_ok = dmean <= 2.0 * dse
         ok = ok and below and js_ok
         notes.append(f"{tag}: Err={err_tuned:.2f}<{2*n} ({(2*n-err_tuned)/se_rt:.0f} SE), "
@@ -147,17 +140,59 @@ def c03_dominance():
 
 
 def c04_risk_bound():
-    """Tuned-shrinkage risk is at most oracle risk + 4 sigma^2, since excess
-    optimism (at most 2 sigma^2 * 2) bounds the excess risk over the oracle."""
-    n, grid = _dominance_grid()
-    ok, notes = True, []
-    for tag, model, risk_tuned, _ in grid:
-        mean_rt, se_rt, _ = _mean_se(risk_tuned)
-        bound = ShrinkMeansFamily(n, 1.0).oracle(model).err - n * 1.0**2 + 4.0 * 1.0**2
-        holds = mean_rt <= bound + 4.0 * se_rt
-        ok = ok and holds
-        notes.append(f"{tag}: risk {mean_rt:.2f} vs bound {bound:.2f}")
-    return CriterionResult("c04", "tuned risk within oracle + 4 sigma^2", ok, "; ".join(notes))
+    """Property (ii) on every family: the tuned error is at most the oracle
+    error plus the excess optimism 2 unit edf.
+
+    SURE is unbiased at every fixed s, so E[sure_min] <= min_s E[SURE(s)] =
+    oracle err, and E[sure_min] = Err(s_hat) - 2 unit edf.  Each case reduces
+    one pass, with err_r = ||theta_hat_r - theta0||^2 + n unit, and must meet:
+    (a) mean(err_r - 2 unit edf_r - oracle err) <= 4 SE;
+    (b) mean(sure_min_r - oracle err) <= 4 SE;
+    (c) gap_r = SURE(s0; Y_r) - sure_min_r >= -1e-9 max|sure_min| on every
+        draw, which a tuner that misses its minimum breaks;
+    (d) shrink means only: mean(err_r - oracle err) <= 4 unit + 4 SE, since
+        that family's excess df is at most 2.
+    """
+    n = 30
+    rng = np.random.default_rng(1028)
+    X, sigmas = rng.standard_normal((n, 5)), np.geomspace(0.5, 2.0, n)
+    weak = theta0_for("weak_sparsity", n)
+    homo = GaussianModel(weak, sigma=1.0)
+    cases = [(f"shrink_means {tag}", ShrinkMeansFamily(10, 1.0),
+              GaussianModel(np.full(10, mean), sigma=1.0), seed, 5000)
+             for tag, mean, seed in _SHRINK_MEANS]
+    cases += [(name, family, model, (1027, idx), 2000)
+              for idx, (name, family, model) in enumerate((
+                  ("shrink_regression", ShrinkRegressionFamily(X[:, :4], 1.0), homo),
+                  ("soft_threshold", SoftThreshFamily(n, 1.0), homo),
+                  ("nested", make_nested(X, 1.0), homo),
+                  ("singleton_shrink", SingletonShrinkFamily(n, 1.0), homo),
+                  ("hetero_shrink", HeteroShrinkFamily(sigmas),
+                   GaussianModel(weak, sigmas=sigmas))))]
+    ok, worst_z, worst_gap, excess = True, (-math.inf, ""), (math.inf, ""), []
+    for name, family, model, seed, reps in cases:
+        oracle, unit = family.oracle(model), _df_unit(model)
+        stats = _tuned_stats(
+            family.tune_batch, model, seed, reps, "edf", "sure_min",
+            risk=lambda Y, fit: _sq_error(fit.theta_hat - model.theta0, model),
+            gap=lambda Y, fit: family.sure(oracle.s0, Y) - fit.sure_min)
+        err = stats["risk"] + model.n * unit
+        for mean, se, _ in (_mean_se(err - 2.0 * unit * stats["edf"] - oracle.err),
+                            _mean_se(stats["sure_min"] - oracle.err)):
+            ok = ok and mean <= 4.0 * se
+            worst_z = max(worst_z, (mean / se, name))
+        gap = float(np.min(stats["gap"]) / np.max(np.abs(stats["sure_min"])))
+        ok = ok and gap >= -1e-9
+        worst_gap = min(worst_gap, (gap, name))
+        if name.startswith("shrink_means"):
+            mean, se, _ = _mean_se(err - oracle.err)
+            ok = ok and mean <= 4.0 * unit + 4.0 * se
+            excess.append(f"{name.split()[1]} {mean:.2f}")
+    return CriterionResult(
+        "c04", "tuned error within oracle error + excess optimism, every family", ok,
+        f"worst z = {worst_z[0]:+.2f} ({worst_z[1]}), limit 4; worst per-draw gap "
+        f"{worst_gap[0]:.1e} of scale ({worst_gap[1]}), limit -1e-9; "
+        f"shrink-means excess risk {', '.join(excess)}, limit 4")
 
 
 def c05_two_model():

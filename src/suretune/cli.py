@@ -54,10 +54,13 @@ def _read_numbers(source, ndmin=1, text=None):
         if text is None:
             with open(source, "r", encoding="ascii") as fh:
                 text = fh.read()
-        vals = np.loadtxt(io.StringIO(text.replace(",", " ")), dtype=float, ndmin=ndmin)
+        text = text.replace(",", " ")
+        # loadtxt warns on text without data, so such text never reaches it.
+        empty = not any(line.split("#", 1)[0].split() for line in text.split("\n"))
+        vals = None if empty else np.loadtxt(io.StringIO(text), dtype=float, ndmin=ndmin)
     except ValueError as exc:
         raise DomainError(f"could not parse {source} as numbers: {exc}") from None
-    if vals.size == 0:
+    if vals is None:
         raise DomainError(f"{source} holds no numbers")
     return np.ravel(vals) if ndmin == 1 else vals
 
@@ -323,10 +326,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, ShapeError) as exc:
+    except (OSError, DomainError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,8 +39,8 @@ simulation grid) retunes thousands of vectors, so they all go through
 `tune_batch`.  Estimator rules and family methods operate on arrays of
 shape (..., n), broadcasting over leading axes.
 
-Row blocks: `mc_df`, `mc_edf`, `mc_prediction_error`, `oracle_gap_check`
-and `simulate`'s grid cells reduce the per-row statistics of one pass,
+Row blocks: `mc_df`, `mc_edf`, `mc_prediction_error`, `simulate`'s grid
+cells and acceptance c02-c04 reduce the per-row statistics of one pass,
 `_tuned_blocks`, which draws, tunes and reduces a model's reps in
 consecutive blocks of at most max(1, `_BLOCK_VALUES` // n) rows, so its
 memory is bounded by a few blocks whatever `reps` is.
@@ -90,12 +90,10 @@ __all__ = [
     "EDF_METHODS",
     "MCEstimate",
     "OracleTuning",
-    "OracleGapReport",
     "EstimatorFamily",
     "mc_prediction_error",
     "mc_df",
     "mc_edf",
-    "oracle_gap_check",
 ]
 
 
@@ -686,7 +684,11 @@ def _tuned_blocks(tune, model, rng, reps, per_row, *names, **funcs):
 
 
 def _tuned_stats(tune, model, seed, reps, *names, **funcs):
-    """The `per_row` dict of `_tuned_blocks` over `reps` draws from default_rng(seed)."""
+    """The `per_row` dict of `_tuned_blocks` over `reps` draws from default_rng(seed).
+
+    The reduction behind `mc_df`, `mc_edf`, `mc_prediction_error` and
+    acceptance c02-c04.
+    """
     per_row = {}
     # A zero-length deque drops each block as it comes, so no block outlives its turn.
     deque(_tuned_blocks(tune, model, np.random.default_rng(seed), reps, per_row,
@@ -735,53 +737,3 @@ def mc_edf(family, model, *, reps=1000, seed=0):
     family._check_model(model)
     value, se, r = _mean_se(_tuned_stats(family.tune_batch, model, seed, reps, "edf")["edf"])
     return EdfReport(method="monte_carlo", value=value, std_error=se, reps=r)
-
-
-@dataclass(frozen=True)
-class OracleGapReport:
-    """Monte Carlo check of the tuned rule against the oracle benchmark.
-
-    `thm_margin` is the per-replication mean of
-    err_r - exopt_r - oracle_err: nonpositive in expectation because the
-    tuned error is at most oracle error plus excess optimism.
-    `minsure_margin` is the mean of sure_min_r - oracle_err: nonpositive
-    because E[min_s sure] <= min_s E[sure].  Each check passes when the
-    margin does not exceed four standard errors.
-    """
-
-    oracle: OracleTuning
-    err_tuned: MCEstimate
-    exopt: MCEstimate
-    mean_min_sure: MCEstimate
-    thm_margin: MCEstimate
-    minsure_margin: MCEstimate
-    bound_holds: bool
-    minsure_holds: bool
-
-
-def oracle_gap_check(family, model, *, reps=2000, seed=0):
-    """Verify the oracle inequality for the SURE-tuned rule by simulation.
-
-    The (Y, Y*) pairs are drawn and tuned in row blocks (see the module
-    docstring).
-    """
-    oracle = family.oracle(model)
-    stats = _tuned_stats(family.tune_batch, model, seed, reps, "test", "edf", "sure_min")
-    err_r, sure_min = stats["test"], stats["sure_min"]
-    exopt_r = 2.0 * _df_unit(model) * stats["edf"]
-
-    err = MCEstimate(*_mean_se(err_r))
-    exopt = MCEstimate(*_mean_se(exopt_r))
-    min_sure = MCEstimate(*_mean_se(sure_min))
-    thm = MCEstimate(*_mean_se(err_r - exopt_r - oracle.err))
-    minsure = MCEstimate(*_mean_se(sure_min - oracle.err))
-    return OracleGapReport(
-        oracle=oracle,
-        err_tuned=err,
-        exopt=exopt,
-        mean_min_sure=min_sure,
-        thm_margin=thm,
-        minsure_margin=minsure,
-        bound_holds=thm.value <= 4.0 * thm.std_error,
-        minsure_holds=minsure.value <= 4.0 * minsure.std_error,
-    )

@@ -52,7 +52,6 @@ __all__ = [
     "SmoothFamilyHooks",
     "edf_implicit_diff",
     "HeteroShrinkFamily",
-    "tune_hetero_shrink",
     "exopt_hetero_shrink",
     "RidgeRotation",
     "ridge_as_hetero",
@@ -416,17 +415,6 @@ def _golden_log1p(a, b, Y2, sig2):
         c, d, fc, fd = (np.where(keep_left, probe, d), np.where(keep_left, c, probe),
                         np.where(keep_left, fp, fd), np.where(keep_left, fc, fp))
     return np.where(fc <= fd, c, d)
-
-
-def tune_hetero_shrink(y, sigmas):
-    """Minimize scaled SURE for per-coordinate shrinkage at one data vector.
-
-    The single-vector form of `HeteroShrinkFamily(sigmas).tune_batch`, which
-    describes the search and the tie rule.  The returned fit has
-    `multimodal=True` when more than one distinct interior local minimum
-    was found.
-    """
-    return HeteroShrinkFamily(sigmas).tune(y)
 
 
 def exopt_hetero_shrink(y, sigmas, s_hat):

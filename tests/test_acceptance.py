@@ -15,16 +15,17 @@ criterion is recorded as failing rather than weakened until it passes.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from suretune import bounds
-from suretune.acceptance import CRITERIA, c13_surface_area, run_all
+from suretune import SoftThreshFamily, TunedBatch, bounds
+from suretune.acceptance import CRITERIA, c04_risk_bound, c13_surface_area, run_all
 
 EXPECTED = {
     "c01": True,   # SURE unbiased for prediction error at fixed tuning
     "c02": True,   # analytic shrinkage edf matches Monte Carlo
     "c03": False,  # see module docstring: pointwise-impossible at the null
-    "c04": True,   # tuned risk within oracle + 4 sigma^2
+    "c04": True,   # tuned error within oracle error + excess optimism, every family
     "c05": True,   # two-model Cp edf matches the exact formula
     "c06": True,   # nested-chain edf under the sharpened null bound
     "c07": True,   # chi-square max bound dominates simulation
@@ -49,7 +50,7 @@ LINE_SHA256 = {
     "c01": "1ae8f9769c091c7d2f98fd719628382a8c919f707e7b789b3a9b8a68c63e19f3",
     "c02": "c7289cb8feb5df8e3f51e92f2b9f6e4a7d6d480b595eafcb273493c945b4c890",
     "c03": "36b177f0158169b7493c40ec8fe2ed0abaf1dc29d03bfdfeec14f6c20282f02c",
-    "c04": "35393dfe4335c84829409fff0d3936fbcc4d36ee3259d65bcf2c48de55919268",
+    "c04": "0682b64dab5337ba52be4009bc4d271a5a5efea07172c1d11238de4892d12a26",
     "c05": "fb760a54e4a45afeaad38a1748b0074a9b2e7480578fdf6a9d8a920a004c7d1a",
     "c06": "5b7ae3d5c5df8ccedb42e62cabf54cc3ff232df304e5f57987cce80204d5d3e6",
     "c07": "9312d0d6b0babfba466349f8fb384d5cca045294e0e79142b58b6b19c40f47cc",
@@ -106,3 +107,23 @@ def test_c13_fails_when_surface_areas_are_one_percent_high(monkeypatch):
                         lambda center, radius: 1.01 * exact(center, radius))
     res = c13_surface_area()
     assert not res.passed, res.detail
+
+
+def _second_best_soft_threshold(Y, sigma):
+    """SoftThreshFamily's tuner with the runner-up candidate in place of the minimum."""
+    reps, n = Y.shape
+    a = np.concatenate([np.sort(np.abs(Y), axis=1)[:, ::-1], np.zeros((reps, 1))], axis=1)
+    k = np.arange(1, n + 2)
+    F = k * a**2 + (np.cumsum(a[:, ::-1] ** 2, axis=1)[:, ::-1] - a**2) + 2.0 * sigma**2 * (k - 1)
+    pick, rows = np.argsort(F, axis=1, kind="stable")[:, 1], np.arange(reps)
+    s_hat = a[rows, pick]
+    theta = np.sign(Y) * np.maximum(np.abs(Y) - s_hat[:, None], 0.0)
+    return TunedBatch(s_hat=s_hat, theta_hat=theta, sure_min=F[rows, pick],
+                      naive_df_at_shat=pick.astype(float))
+
+
+def test_c04_fails_when_a_tuner_misses_its_minimum(monkeypatch):
+    monkeypatch.setattr(SoftThreshFamily, "_tuned", staticmethod(_second_best_soft_threshold))
+    res = c04_risk_bound()
+    assert not res.passed, res.detail
+    assert "of scale (soft_threshold)" in res.detail

@@ -52,13 +52,11 @@ from suretune import (
     mc_prediction_error,
     nested_bound_tail_split,
     nested_null_edf_bound,
-    oracle_gap_check,
     parse_config,
     simulate,
     soft_threshold,
     soft_threshold_risk,
     theta0_for,
-    tune_hetero_shrink,
 )
 
 LIBRARY_MODULES = (
@@ -81,13 +79,18 @@ LIBRARY_MODULES = (
 # positive-part rule.  The paper's two properties are read off a family:
 # `fit.sure_min + 2 sigma^2 family.edf_unbiased(fit)` replaces the shrink-only
 # unbiased risk estimate, and `family.oracle(model).err` the risk-bound class.
+# Acceptance c04 checks property (ii) on every family through the one Monte
+# Carlo pass, in place of the test-only oracle gap check, and
+# `HeteroShrinkFamily(sigmas).tune` replaces its one-vector forwarder.
 DELETED = {
-    "core": ("sure", "tune_by_sure", "vectorize_rows", "oracle_tuning"),
+    "core": ("sure", "tune_by_sure", "vectorize_rows", "oracle_tuning", "oracle_gap_check",
+             "OracleGapReport"),
     "shrinkage": ("tune_shrink_means", "tune_shrink_regression", "minimize_quadratic_sure",
                   "shrink_means_positive_part", "james_stein_positive_regression",
                   "unbiased_risk_sure_tuned_shrink", "ShrinkRiskBounds", "risk_bounds_shrink"),
     "softthresh": ("tune_soft_threshold",),
-    "stein": ("numeric_divergence", "shrink_means_hooks", "hetero_shrink_hooks"),
+    "stein": ("numeric_divergence", "shrink_means_hooks", "hetero_shrink_hooks",
+              "tune_hetero_shrink"),
     "subsets": ("tune_cp", "cp_criterion", "best_subset_lagrangian", "BestSubsetFit"),
 }
 
@@ -309,7 +312,6 @@ VECTOR_ENTRIES = {
     "GaussianModel": ("theta0", lambda x: GaussianModel(x, sigma=1.0)),
     "GaussianModel-sigmas": ("sigmas", lambda x: GaussianModel(np.zeros(3), sigmas=x)),
     "HeteroShrinkFamily": ("sigmas", HeteroShrinkFamily),
-    "tune_hetero_shrink-sigmas": ("sigmas", lambda x: tune_hetero_shrink(_Y, x)),
     "soft_threshold_risk": ("theta0", lambda x: soft_threshold_risk(x, 1.0, 1.0)),
     "edf_two_model_exact": ("theta0", lambda x: edf_two_model_exact(_X, x, 1.0)),
     "exopt_hetero_shrink-y": ("y", lambda x: exopt_hetero_shrink(x, np.ones(3), 1.0)),
@@ -326,8 +328,8 @@ VECTOR_ENTRIES = {
 DATA_ENTRIES = {
     "EstimatorFamily.tune": (lambda x: ShrinkMeansFamily(3, 1.0).tune(x),
                              r"expected a length-3 vector"),
-    "tune_hetero_shrink-y": (lambda x: tune_hetero_shrink(x, np.ones(3)),
-                             r"expected a length-3 vector"),
+    "HeteroShrinkFamily.tune": (lambda x: HeteroShrinkFamily(np.ones(3)).tune(x),
+                                r"expected a length-3 vector"),
     "RidgeRotation-y": (lambda x: RidgeRotation(_X, x), r"X must be 2-d with rows matching y"),
     "james_stein_positive": (lambda x: james_stein_positive(x, 1.0), None),
 }
@@ -349,8 +351,6 @@ COUNT_ENTRIES = {
     "mc_df": ("reps", 2, lambda v: mc_df(lambda Y: Y, _MODEL, reps=v)),
     "mc_prediction_error": ("reps", 2, lambda v: mc_prediction_error(lambda Y: Y, _MODEL, reps=v)),
     "mc_edf": ("reps", 2, lambda v: mc_edf(ShrinkMeansFamily(3, 1.0), _MODEL, reps=v)),
-    "oracle_gap_check": ("reps", 2,
-                         lambda v: oracle_gap_check(ShrinkMeansFamily(3, 1.0), _MODEL, reps=v)),
     "EdfReport": ("reps", 1, lambda v: EdfReport("monte_carlo", 0.0, 0.0, v)),
     "BootstrapConfig": ("bootstrap B", 2, lambda v: BootstrapConfig(B=v)),
     "BootstrapConfig-seed": ("seed", 0, lambda v: BootstrapConfig(seed=v)),

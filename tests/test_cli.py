@@ -336,6 +336,30 @@ class TestErrorPaths:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    # A path that exists but is not a readable file is an OSError like a
+    # missing one.  An unreadable file (PermissionError) takes the same
+    # branch; it is not tested, because file modes do not stop root.
+    @pytest.mark.parametrize("argv", ["tune --data {dir}", "simulate --config {dir}"],
+                             ids=["data", "config"])
+    def test_a_directory_for_a_file_exits_1(self, argv, tmp_path, capsys):
+        assert main(argv.format(dir=tmp_path).split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, text, source", [
+        ("tune --data {empty}", "", "{empty}"),
+        ("tune --data {empty}", "# a comment\n, ,\n", "{empty}"),
+        ("edf --method monte-carlo --theta0= --reps 4", "", "--theta0"),
+    ], ids=["data", "comment", "inline"])
+    def test_input_without_numbers_exits_1_naming_it(self, argv, text, source, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text(text)
+        assert main(argv.format(empty=empty).split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {source.format(empty=empty)} holds no numbers\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         "simulate --preset smoke",
         "edf --method monte-carlo --n 5 --reps 4",

@@ -22,7 +22,6 @@ from suretune import (
     mc_df,
     mc_edf,
     mc_prediction_error,
-    oracle_gap_check,
     ridge_as_hetero,
 )
 from suretune import core
@@ -288,25 +287,14 @@ def test_oracle_tuning_matches_family_oracle():
     assert ora.s0 == pytest.approx(n / norm2, rel=1e-12)
 
 
-def test_oracle_gap_check_holds_for_shrinkage():
-    n = 30
-    model = GaussianModel(np.ones(n), sigma=1.0)
-    family = ShrinkMeansFamily(n, 1.0)
-    report = oracle_gap_check(family, model, reps=2000, seed=23)
-    assert report.bound_holds
-    assert report.minsure_holds
-    # excess optimism for this family never exceeds 4 sigma^2
-    assert report.exopt.value <= 4.0 + 4.0 * report.exopt.std_error
-
-
 class _NoOracleFamily(ShrinkMeansFamily):
     _oracle_at = None
 
 
-def test_oracle_gap_check_needs_a_family_oracle():
+def test_oracle_needs_a_family_oracle_core():
     model = GaussianModel(np.zeros(5), sigma=1.0)
     with pytest.raises(DomainError, match="_NoOracleFamily provides no oracle tuning"):
-        oracle_gap_check(_NoOracleFamily(5, 1.0), model, reps=10)
+        _NoOracleFamily(5, 1.0).oracle(model)
 
 
 def test_mc_edf_refuses_a_model_with_other_noise():
@@ -324,7 +312,6 @@ def test_monte_carlo_needs_an_integer_reps_of_at_least_two(reps):
         lambda: mc_edf(family, model, reps=reps),
         lambda: mc_df(lambda Y: Y, model, reps=reps),
         lambda: mc_prediction_error(lambda Y: Y, model, reps=reps),
-        lambda: oracle_gap_check(family, model, reps=reps),
     )
     for call in calls:
         with pytest.raises(DomainError, match="reps must be an integer at least 2"):
@@ -459,56 +446,13 @@ def test_mc_prediction_error_keeps_the_whole_batch_bits(case):
     assert _hex(est) == PREDICTION_ERROR_PINS[case]
 
 
-ORACLE_GAP_PINS = {
-    "shrink": {
-        "err_tuned": ("0x1.799610fd58a44p+8", "0x1.5f78538cf961ep+0"),
-        "exopt": ("0x1.ba43673cbd96dp+1", "0x1.43e9d4d273505p-1"),
-        "mean_min_sure": ("0x1.766c273d6d077p+8", "0x1.9ef71dc315a97p-1"),
-        "thm_margin": ("-0x1.299e9e470fb26p+0", "0x1.80fbc95d5a7d0p+0"),
-        "minsure_margin": ("-0x1.be031f7262b00p-1", "0x1.9ef71dc315a97p-1"),
-    },
-    "soft": {
-        "err_tuned": ("0x1.7da61bdc7288fp+8", "0x1.679efcd45bf53p+0"),
-        "exopt": ("0x1.ed304c0a76bacp+3", "0x1.b2a7e69b1145dp-1"),
-        "mean_min_sure": ("0x1.6ef21f41ffafep+8", "0x1.19847baf69fa8p+0"),
-        "thm_margin": ("-0x1.68848c41719cfp+3", "0x1.8b5726039591cp+0"),
-        "minsure_margin": ("-0x1.51d3d38556060p+3", "0x1.19847baf69fa8p+0"),
-    },
-    "singleton": {
-        "err_tuned": ("0x1.be5785711ed25p+8", "0x1.a444cede7d84bp+0"),
-        "exopt": ("0x1.e0d8c4e3a5ca0p-1", "0x1.9d024122a1e05p+0"),
-        "mean_min_sure": ("0x1.bc9dd6f7c8d6fp+8", "0x1.48698e1dd0628p-3"),
-        "thm_margin": ("0x1.cce8a81b40533p-1", "0x1.062cd7f0539a5p+1"),
-        "minsure_margin": ("0x1.d323d2977a30ap-4", "0x1.48698e1dd0629p-3"),
-    },
-}
-ORACLE_GAP_FAMILIES = {
-    "shrink": lambda: ShrinkMeansFamily(_PIN_N, 1.0),
-    "soft": lambda: SoftThreshFamily(_PIN_N, 1.0),
-    "singleton": lambda: SingletonShrinkFamily(_PIN_N, 1.0, s=0.5),
-}
-
-
-@pytest.mark.parametrize("name", sorted(ORACLE_GAP_PINS))
-def test_oracle_gap_check_keeps_the_whole_batch_bits(name):
-    report = oracle_gap_check(ORACLE_GAP_FAMILIES[name](), GaussianModel(_PIN_THETA0, sigma=1.0),
-                              reps=500, seed=8)
-    assert {field: _hex(getattr(report, field)) for field in ORACLE_GAP_PINS[name]} == \
-        ORACLE_GAP_PINS[name]
-    assert report.bound_holds and report.minsure_holds
-
-
-@pytest.mark.parametrize("call", ["mc_prediction_error", "oracle_gap_check"])
-def test_paired_monte_carlo_memory_is_bounded_by_a_few_blocks(call):
+def test_paired_monte_carlo_memory_is_bounded_by_a_few_blocks():
     # 400 reps of n = 5000 are 16 MB per (reps, n) array: drawing all of Y
-    # and Y* peaked at 61 and 76 MB; 13-row blocks stay near 2 and 3 MB.
+    # and Y* peaked at 61 MB; 13-row blocks stay near 2 MB.
     family, model = ShrinkMeansFamily(5000, 1.0), GaussianModel(np.full(5000, 0.5), sigma=1.0)
-    run = {"mc_prediction_error": lambda: mc_prediction_error(
-               lambda Y: family.estimate(1.0, Y), model, reps=400, seed=1),
-           "oracle_gap_check": lambda: oracle_gap_check(family, model, reps=400, seed=1)}[call]
     tracemalloc.start()
     try:
-        run()
+        mc_prediction_error(lambda Y: family.estimate(1.0, Y), model, reps=400, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

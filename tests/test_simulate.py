@@ -15,7 +15,6 @@ from suretune import (
     bootstrap_edf,
     mc_edf,
     mc_prediction_error,
-    oracle_gap_check,
 )
 from suretune import core
 from suretune.core import DomainError
@@ -452,5 +451,3 @@ def test_singleton_oracle_is_the_fixed_value_and_its_exact_error():
     assert ora.err == 35.0
     mc = mc_prediction_error(lambda Y: family.estimate(1.0, Y), model, reps=20000, seed=41)
     assert abs(mc.value - ora.err) <= 4.0 * mc.std_error
-    report = oracle_gap_check(family, model, reps=4000, seed=42)
-    assert report.bound_holds and report.minsure_holds

@@ -18,7 +18,6 @@ from suretune import (
     edf_implicit_diff,
     exopt_hetero_shrink,
     ridge_as_hetero,
-    tune_hetero_shrink,
 )
 
 
@@ -211,14 +210,14 @@ class TestTuneHeteroShrink:
         rng = np.random.default_rng(8)
         sigma = 0.8
         y = rng.normal(1.0, 1.0, 10)
-        het = tune_hetero_shrink(y, np.full(10, sigma))
+        het = HeteroShrinkFamily(np.full(10, sigma)).tune(y)
         hom = ShrinkMeansFamily(10, sigma).tune(y)
         # the hetero family scales its tuning value by 1/sigma^2
         assert sigma**2 * het.s_hat == pytest.approx(hom.s_hat, rel=1e-6)
         assert np.allclose(het.theta_hat, hom.theta_hat, atol=1e-8)
 
     def test_zero_data_fully_shrinks(self):
-        fit = tune_hetero_shrink(np.zeros(5), np.ones(5))
+        fit = HeteroShrinkFamily(np.ones(5)).tune(np.zeros(5))
         assert math.isinf(fit.s_hat)
         assert np.all(fit.theta_hat == 0.0)
         assert fit.sure_min == 0.0
@@ -230,22 +229,15 @@ class TestTuneHeteroShrink:
             n = 12
             sigmas = np.exp(rng.normal(0.0, 0.7, n))
             y = rng.normal(0.0, 2.0, n) * sigmas
-            fit = tune_hetero_shrink(y, sigmas)
+            fit = HeteroShrinkFamily(sigmas).tune(y)
             hooks = HeteroShrinkFamily(sigmas).hooks
             grid = np.concatenate([[0.0], np.geomspace(1e-6, 1e7, 20_001)])
             best = hooks.g(grid, y).min()
             assert fit.sure_min <= best + 1e-9
 
-    def test_family_tune_delegates(self):
-        rng = np.random.default_rng(10)
-        sigmas = np.array([0.5, 1.0, 1.5, 2.0])
-        y = rng.normal(0.0, 1.0, 4)
-        fam = HeteroShrinkFamily(sigmas)
-        assert fam.tune(y).s_hat == tune_hetero_shrink(y, sigmas).s_hat
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            tune_hetero_shrink(np.zeros(3), np.ones(4))
+            HeteroShrinkFamily(np.ones(4)).tune(np.zeros(3))
 
     # Two noise levels a hundredfold apart give the criterion two interior
     # local minima; the one at small s is the lower.
@@ -253,7 +245,7 @@ class TestTuneHeteroShrink:
     BIMODAL_Y = np.array([0.3, 0.3, 30.0, 30.0])
 
     def test_bimodal_criterion_is_flagged(self):
-        fit = tune_hetero_shrink(self.BIMODAL_Y, self.BIMODAL_SIGMAS)
+        fit = HeteroShrinkFamily(self.BIMODAL_SIGMAS).tune(self.BIMODAL_Y)
         assert fit.multimodal is True
         assert fit.s_hat == pytest.approx(0.00125017796249, rel=1e-10)
         batch = HeteroShrinkFamily(self.BIMODAL_SIGMAS).tune_batch(
@@ -267,7 +259,7 @@ class TestTuneHeteroShrink:
         # about 1e-14 below the s = +inf value, inside the 1e-12 tolerance;
         # ties against s = +inf go to the finite minimizer.
         y = np.array([math.sqrt(1.0 + 1e-7)])
-        fit = tune_hetero_shrink(y, np.ones(1))
+        fit = HeteroShrinkFamily(np.ones(1)).tune(y)
         assert fit.s_hat == pytest.approx(1e7, rel=1e-6)
         assert fit.sure_min <= y[0] ** 2
 
@@ -284,7 +276,7 @@ class TestTuneHeteroShrink:
             return search(*args)
 
         monkeypatch.setattr(stein, "_golden_log1p", spy)
-        fit = tune_hetero_shrink(y, sigmas)
+        fit = HeteroShrinkFamily(sigmas).tune(y)
         assert golden
         assert fit.multimodal is True
         assert fit.sure_min <= _dense_grid_min(y, sigmas) + 1e-9
@@ -307,7 +299,7 @@ class TestTuneHeteroShrink:
     @pytest.mark.parametrize("row", HARD_ROWS, ids=str)
     def test_hard_rows_beat_dense_grid(self, row):
         sigmas, y, s_hat, multimodal = self.HARD_ROWS[row]
-        fit = tune_hetero_shrink(np.array(y), np.array(sigmas))
+        fit = HeteroShrinkFamily(np.array(sigmas)).tune(np.array(y))
         best = _dense_grid_min(np.array(y), np.array(sigmas))
         assert fit.sure_min <= best + 1e-9
         assert fit.s_hat == pytest.approx(s_hat, rel=1e-6)
@@ -315,7 +307,7 @@ class TestTuneHeteroShrink:
 
     def test_large_data_matches_means_shrinkage(self):
         y = np.full(3, 1000.0)
-        het = tune_hetero_shrink(y, np.ones(3))
+        het = HeteroShrinkFamily(np.ones(3)).tune(y)
         hom = ShrinkMeansFamily(3, 1.0).tune(y)
         assert het.s_hat == pytest.approx(hom.s_hat, rel=1e-9, abs=0)
         assert het.sure_min == pytest.approx(hom.sure_min, rel=1e-12, abs=0)
@@ -325,7 +317,7 @@ class TestTuneHeteroShrink:
         # second copy 1e-7 away in log1p(s)): one minimum, not two.  The
         # search runs at unit noise, where s is 4^_noise_exp times larger.
         fam = HeteroShrinkFamily(self.BIMODAL_SIGMAS)
-        target = tune_hetero_shrink(self.BIMODAL_Y, self.BIMODAL_SIGMAS).s_hat
+        target = fam.tune(self.BIMODAL_Y).s_hat
         unit = target * 4.0**fam._noise_exp
         monkeypatch.setattr(
             stein, "_slope_root",
@@ -367,7 +359,7 @@ class TestExoptHetero:
         for _ in range(10):
             sigmas = np.exp(rng.normal(0.0, 0.5, 8))
             y = rng.normal(0.0, 2.0, 8) * sigmas
-            fit = tune_hetero_shrink(y, sigmas)
+            fit = HeteroShrinkFamily(sigmas).tune(y)
             if not math.isfinite(fit.s_hat) or fit.s_hat <= 0:
                 continue
             hooks = HeteroShrinkFamily(sigmas).hooks
