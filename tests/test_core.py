@@ -446,13 +446,70 @@ def test_mc_prediction_error_keeps_the_whole_batch_bits(case):
     assert _hex(est) == PREDICTION_ERROR_PINS[case]
 
 
-def test_paired_monte_carlo_memory_is_bounded_by_a_few_blocks():
+# The tuned pass that acceptance c04 reduces: the prediction error, excess
+# optimism and SURE minimum of the tuned rule, and their margins over the
+# oracle error.  The bits are those the pass gave before it was streamed.
+TUNED_PASS_PINS = {
+    "shrink": {
+        "err_tuned": ("0x1.799610fd58a44p+8", "0x1.5f78538cf961ep+0"),
+        "exopt": ("0x1.ba43673cbd96dp+1", "0x1.43e9d4d273505p-1"),
+        "mean_min_sure": ("0x1.766c273d6d077p+8", "0x1.9ef71dc315a97p-1"),
+        "thm_margin": ("-0x1.299e9e470fb26p+0", "0x1.80fbc95d5a7d0p+0"),
+        "minsure_margin": ("-0x1.be031f7262b00p-1", "0x1.9ef71dc315a97p-1"),
+    },
+    "soft": {
+        "err_tuned": ("0x1.7da61bdc7288fp+8", "0x1.679efcd45bf53p+0"),
+        "exopt": ("0x1.ed304c0a76bacp+3", "0x1.b2a7e69b1145dp-1"),
+        "mean_min_sure": ("0x1.6ef21f41ffafep+8", "0x1.19847baf69fa8p+0"),
+        "thm_margin": ("-0x1.68848c41719cfp+3", "0x1.8b5726039591cp+0"),
+        "minsure_margin": ("-0x1.51d3d38556060p+3", "0x1.19847baf69fa8p+0"),
+    },
+    "singleton": {
+        "err_tuned": ("0x1.be5785711ed25p+8", "0x1.a444cede7d84bp+0"),
+        "exopt": ("0x1.e0d8c4e3a5ca0p-1", "0x1.9d024122a1e05p+0"),
+        "mean_min_sure": ("0x1.bc9dd6f7c8d6fp+8", "0x1.48698e1dd0628p-3"),
+        "thm_margin": ("0x1.cce8a81b40533p-1", "0x1.062cd7f0539a5p+1"),
+        "minsure_margin": ("0x1.d323d2977a30ap-4", "0x1.48698e1dd0629p-3"),
+    },
+}
+TUNED_PASS_FAMILIES = {
+    "shrink": lambda: ShrinkMeansFamily(_PIN_N, 1.0),
+    "soft": lambda: SoftThreshFamily(_PIN_N, 1.0),
+    "singleton": lambda: SingletonShrinkFamily(_PIN_N, 1.0, s=0.5),
+}
+
+
+def _tuned_pass(family, model, reps, seed):
+    return core._tuned_stats(family.tune_batch, model, seed, reps, "test", "edf", "sure_min")
+
+
+@pytest.mark.parametrize("name", sorted(TUNED_PASS_PINS))
+def test_tuned_pass_keeps_the_whole_batch_bits(name):
+    family, model = TUNED_PASS_FAMILIES[name](), GaussianModel(_PIN_THETA0, sigma=1.0)
+    stats = _tuned_pass(family, model, reps=500, seed=8)
+    oracle_err = family.oracle(model).err
+    err_r, sure_min = stats["test"], stats["sure_min"]
+    exopt_r = 2.0 * core._df_unit(model) * stats["edf"]
+    rows = {"err_tuned": err_r, "exopt": exopt_r, "mean_min_sure": sure_min,
+            "thm_margin": err_r - exopt_r - oracle_err, "minsure_margin": sure_min - oracle_err}
+    got = {field: core.MCEstimate(*core._mean_se(row)) for field, row in rows.items()}
+    assert {field: _hex(est) for field, est in got.items()} == TUNED_PASS_PINS[name]
+    # property (ii): the excess risk over the oracle is bounded by the excess optimism
+    for field in ("thm_margin", "minsure_margin"):
+        assert got[field].value <= 4.0 * got[field].std_error
+
+
+@pytest.mark.parametrize("call", ["mc_prediction_error", "tuned_pass"])
+def test_paired_monte_carlo_memory_is_bounded_by_a_few_blocks(call):
     # 400 reps of n = 5000 are 16 MB per (reps, n) array: drawing all of Y
-    # and Y* peaked at 61 MB; 13-row blocks stay near 2 MB.
+    # and Y* peaked at 61 and 76 MB; 13-row blocks stay near 2 and 3 MB.
     family, model = ShrinkMeansFamily(5000, 1.0), GaussianModel(np.full(5000, 0.5), sigma=1.0)
+    run = {"mc_prediction_error": lambda: mc_prediction_error(
+               lambda Y: family.estimate(1.0, Y), model, reps=400, seed=1),
+           "tuned_pass": lambda: _tuned_pass(family, model, reps=400, seed=1)}[call]
     tracemalloc.start()
     try:
-        mc_prediction_error(lambda Y: family.estimate(1.0, Y), model, reps=400, seed=1)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
