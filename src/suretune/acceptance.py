@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds  # c13 checks whatever bounds.gaussian_surface_area_ball is at call time
-from .bootstrap import BootstrapConfig, bootstrap_df, bootstrap_edf
+from .bootstrap import BootstrapConfig, _bootstrap_stats
 from .bounds import (
     best_subset_constant,
     chi_sq_max_bound,
@@ -390,32 +390,33 @@ def c10_ridge_round_trip():
                            worst <= 1e-8, f"max deviation {worst:.2e}, limit 1e-8")
 
 
+def _bootstrap_pass(family, model, seed, reps, B, *names):
+    # The pass over `reps` draws from default_rng(seed) with "boot", the
+    # parametric bootstrap's (reps, 4) `_Stats` columns; row r draws its B
+    # replicates from SeedSequence([seed, r]).
+    cfg = BootstrapConfig(B=B, sampler="parametric")
+    seeds = (int(np.random.SeedSequence([seed, r]).generate_state(1)[0]) for r in range(reps))
+    return _tuned_stats(family.tune_batch, model, seed, reps, *names,
+                        boot=lambda Y, fit: np.column_stack(_bootstrap_stats(
+                            family, Y, fit.theta_hat, cfg, [next(seeds) for _ in Y])))
+
+
 def c11_bootstrap():
     """Parametric bootstrap edf tracks Monte Carlo edf on the null case."""
     n = 50
     family = ShrinkMeansFamily(n, 1.0)
     model = GaussianModel(np.zeros(n), sigma=1.0)
     mc = mc_edf(family, model, reps=4000, seed=1021)
-    rng = np.random.default_rng(1022)
-    Y = model.draw(rng, 500)
-    vals = np.empty(500)
-    for r in range(500):
-        seed = int(np.random.SeedSequence([1022, r]).generate_state(1)[0])
-        cfg = BootstrapConfig(B=500, sampler="parametric", seed=seed)
-        vals[r] = bootstrap_edf(family, Y[r], cfg).value
-    boot_mean = float(vals.mean())
+    boot_mean = float(_bootstrap_pass(family, model, 1022, 500, 500)["boot"][:, 0].mean())
     gap = abs(boot_mean - mc.value)
 
     # Known weakness, recorded without a tolerance: under weak sparsity the
-    # bootstrap df runs below the Monte Carlo df of the tuned rule.
+    # bootstrap df (plug-in df plus bootstrap excess) runs below the Monte
+    # Carlo df of the tuned rule.
     model_w = GaussianModel(theta0_for("weak_sparsity", n), sigma=1.0)
     df_mc = mc_df(lambda Y: family.tune_batch(Y).theta_hat, model_w, reps=4000, seed=1023)
-    Yw = model_w.draw(np.random.default_rng(1024), 100)
-    wvals = np.empty(100)
-    for r in range(100):
-        seed = int(np.random.SeedSequence([1024, r]).generate_state(1)[0])
-        cfg = BootstrapConfig(B=200, sampler="parametric", seed=seed)
-        wvals[r] = bootstrap_df(family, Yw[r], cfg).value
+    weak = _bootstrap_pass(family, model_w, 1024, 100, 200, "naive_df_at_shat")
+    wvals = weak["naive_df_at_shat"] + weak["boot"][:, 0]
     return CriterionResult(
         "c11", "bootstrap edf within 0.3 of MC edf (null case)",
         gap <= 0.3,

@@ -21,32 +21,30 @@ Three replicate samplers are available:
 Heteroskedastic families scale both the noise and the covariance form per
 coordinate.
 
-Batch contract: `_bootstrap_stats(family, blocks, config, reps)` runs the
-recipe for every row of a (reps, n) batch that arrives in blocks of rows.
-Row r draws its B replicates from its own stream `default_rng(seeds[r])`,
-so its result depends on nothing else in the batch, and it comes back as
-four length-reps arrays (mean and standard error of the excess df and of
-the covariance form), never as (reps, B) arrays.  Replicates are built in
-place in one reused buffer with the same floating-point operations, center
-and reduction axes as a fresh (B, n) array, so a row's bytes do not depend
-on reps or on the blocking below.  The public functions pass one one-row
-block; `simulate` streams a whole grid cell, block by block.
+Batch contract: `_bootstrap_stats(family, Y, theta_hat, config, seeds)`
+runs the recipe for every row of a (reps, n) batch Y with tuned fits
+theta_hat.  Row r draws its B replicates from its own stream
+`default_rng(seeds[r])`, so its result depends on nothing else in the
+batch, and it comes back as four length-reps arrays (mean and standard
+error of the excess df and of the covariance form), never as (reps, B)
+arrays.  Replicates are built in place in one reused buffer with the same
+floating-point operations, center and reduction axes as a fresh (B, n)
+array, so a row's bytes do not depend on reps or on the blocking below.
+The public functions pass a one-row batch; `simulate` and acceptance c11
+call it on each row block of the one Monte Carlo pass, `core._tuned_stats`,
+as one of the pass's per-row statistics.
 
-Blocking and threads: `core._row_blocks` sets both block sizes.  Each
-block of data rows is cut into jobs of reps whose B * n fits in
-`core._BLOCK_VALUES`, which share one `tune_batch` call; a larger rep is
-retuned in row chunks after its center is taken.  min(os.cpu_count(),
-jobs) threads, each with its own buffers, allocated by the caller and
-reused across its jobs, take jobs one at a time from one lock-guarded
-iterator over `blocks`.  The calling thread is one of them, and whichever
-thread finds the jobs used up advances `blocks` under the lock, so no
-thread waits at the end of a block and only about one block per thread is
-alive at once.  A single job runs inline.  Families must therefore tune
-re-entrantly (see `EstimatorFamily`), and an exception raised in a
-worker, or by `blocks`, reaches the caller unchanged.  A family whose
-`tune_batch` multiplies matrices through BLAS may round a row chunk in the
-last place differently from the whole (B, n) batch; families without BLAS
-calls give the same bytes either way.
+Blocking and threads: `core._row_blocks` sets both block sizes.  The batch
+is cut into jobs of reps whose B * n fits in `core._BLOCK_VALUES`, which
+share one `tune_batch` call; a larger rep is retuned in row chunks after
+its center is taken.  min(os.cpu_count(), jobs) threads, each with its own
+buffers, take jobs one at a time under a lock; the calling thread is one
+of them, and a single job runs inline.  Families must therefore tune
+re-entrantly (see `EstimatorFamily`), and an exception raised in a worker
+reaches the caller unchanged.  A family whose `tune_batch` multiplies
+matrices through BLAS may round a row chunk in the last place differently
+from the whole (B, n) batch; families without BLAS calls give the same
+bytes either way.
 """
 
 import math
@@ -119,56 +117,34 @@ class _Stats(NamedTuple):
     cov_form_se: np.ndarray
 
 
-def _bootstrap_stats(family, blocks, config, reps):
-    """Bootstrap summaries for each row of a (reps, n) batch of data vectors.
+def _bootstrap_stats(family, Y, theta_hat, config, seeds):
+    """Bootstrap summaries for each row of a (reps, n) batch Y of data vectors.
 
-    `blocks` yields (rows, Y, theta_hat, seeds) for slices `rows` that
-    cover range(reps) in order, with the data rows Y, the family's tuned
-    fits theta_hat at them and one integer seed per row; ValueError if
-    they do not.  It is advanced under a lock by whichever worker runs out
-    of jobs (see the module docstring), so a generator that makes each
-    block when asked keeps only a few blocks alive.  Row r draws B
-    replicates around theta_hat[r] from
+    Row r draws B replicates around its tuned fit theta_hat[r] from
     `np.random.default_rng(seeds[r])`, retunes every replicate, and
     summarizes two per-replicate statistics by their mean and standard
     error: the covariance form and its excess over the plug-in df.
     `config.seed` is not used here.
     """
-    B, n = config.B, family.n
+    B, (reps, n) = config.B, Y.shape
+    jobs = list(_row_blocks(reps, B * n))
     # Each worker's buffers: the replicates of its largest job and that
     # job's largest retuning chunk.
-    per_job = next(_row_blocks(reps, B * n)).stop
-    workers = min(os.cpu_count() or 1, -(-reps // per_job))
-    total = per_job * B
+    total = jobs[0].stop * B
     step = next(_row_blocks(total, n)).stop
+    workers = min(os.cpu_count() or 1, len(jobs))
     buffers = [(np.empty((total, n)), np.empty((step, n))) for _ in range(workers)]
     out = np.empty((4, reps))
-
-    def cut(blocks):
-        # Each block's rows as jobs of at most `per_job` reps.  The blocks must
-        # cover range(reps) in order, or rows of `out` that no job wrote would
-        # be returned as results.
-        done = 0
-        for rows, Y, theta_hat, seeds in blocks:
-            if rows.start != done or rows.stop > reps:
-                raise ValueError(f"block {rows} does not continue rows 0..{done} of {reps}")
-            for part in _row_blocks(rows.stop - rows.start, B * n):
-                yield (slice(done + part.start, done + part.stop),
-                       Y[part], theta_hat[part], seeds[part])
-            done = rows.stop
-        if done != reps:
-            raise ValueError(f"blocks cover rows 0..{done} of {reps}")
-
-    jobs, lock = cut(blocks), threading.Lock()
+    jobs, lock = iter(jobs), threading.Lock()
 
     def run(w):
         while True:
             with lock:
-                job = next(jobs, None)
-            if job is None:
+                rows = next(jobs, None)
+            if rows is None:
                 return
-            rows, Y, theta_hat, seeds = job
-            _block(family, Y, theta_hat, config, seeds, *buffers[w], out[:, rows])
+            _block(family, Y[rows], theta_hat[rows], config, seeds[rows], *buffers[w],
+                   out[:, rows])
 
     # The calling thread is worker 0, so one job needs no pool at all.
     with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
@@ -221,8 +197,7 @@ def _one(family, y, config):
     # The tuned fit at y and the bootstrap summaries of that one row.
     y = np.asarray(y, dtype=float)
     fit = family.tune(y)
-    block = (slice(0, 1), y[None], fit.theta_hat[None], [config.seed])
-    return fit, _bootstrap_stats(family, [block], config, 1)
+    return fit, _bootstrap_stats(family, y[None], fit.theta_hat[None], config, [config.seed])
 
 
 def bootstrap_edf(family, y, config=None):
@@ -232,17 +207,11 @@ def bootstrap_edf(family, y, config=None):
     return _report(stats.edf[0], stats.edf_se[0], config)
 
 
-def bootstrap_df(family, y, config=None, *, naive=False):
-    """Bootstrap degrees of freedom of the SURE-tuned rule at y.
-
-    The default estimate is the plug-in df at the observed data plus the
-    bootstrap excess; with ``naive=True`` only the first (covariance-form)
-    bootstrap term is returned, with no plug-in anchoring.
-    """
+def bootstrap_df(family, y, config=None):
+    """Bootstrap degrees of freedom of the SURE-tuned rule at y: the plug-in
+    df at the observed data plus the bootstrap excess."""
     config = config or BootstrapConfig()
     fit, stats = _one(family, y, config)
-    if naive:
-        return _report(stats.cov_form[0], stats.cov_form_se[0], config)
     return _report(stats.edf[0], stats.edf_se[0], config, fit.naive_df_at_shat)
 
 

@@ -129,13 +129,15 @@ def _edf_monte_carlo(args):
         theta0 = _vector_option(args.theta0, "theta0")
         family = _build_family(args, n=theta0.shape[0])
     else:
-        family = _build_family(args, n=args.n or None)
+        family = _build_family(args, n=args.n)
         theta0 = np.zeros(args.n or family.n)
     model = GaussianModel(theta0, sigma=family.sigma, sigmas=family.sigmas)
     return mc_edf(family, model, reps=args.reps, seed=args.seed or 0)
 
 
 def _cmd_edf(args):
+    if args.n is not None:
+        _check_count(args.n, "--n", 1)
     method = args.method
     if method == "monte-carlo":
         report = _edf_monte_carlo(args)
@@ -255,7 +257,7 @@ def build_parser():
                                 "bootstrap-parametric", "bootstrap-bigmodel",
                                 "bootstrap-residual"))
     p_edf.add_argument("--data", help="data vector file (non monte-carlo methods)")
-    p_edf.add_argument("--n", type=int, default=0, help="model size for monte-carlo")
+    p_edf.add_argument("--n", type=int, default=None, help="model size for monte-carlo")
     p_edf.add_argument("--theta0", help="mean vector, list or @path (monte-carlo)")
     p_edf.add_argument("--reps", type=int, default=2000, help="monte-carlo repetitions")
     p_edf.add_argument("--B", type=int, default=500, help="bootstrap replicates")

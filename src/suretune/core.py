@@ -40,10 +40,11 @@ simulation grid) retunes thousands of vectors, so they all go through
 shape (..., n), broadcasting over leading axes.
 
 Row blocks: `mc_df`, `mc_edf`, `mc_prediction_error`, `simulate`'s grid
-cells and acceptance c02-c04 reduce the per-row statistics of one pass,
-`_tuned_blocks`, which draws, tunes and reduces a model's reps in
-consecutive blocks of at most max(1, `_BLOCK_VALUES` // n) rows, so its
-memory is bounded by a few blocks whatever `reps` is.
+cells (the bootstrap included) and acceptance c02-c04 and c11 reduce the
+per-row statistics of one pass, `_tuned_stats`, which draws, tunes and
+reduces a model's reps in consecutive blocks of at most max(1,
+`_BLOCK_VALUES` // n) rows, so its memory is bounded by a few blocks
+whatever `reps` is.
 `Generator.standard_normal` fills in C order, so the blocks hold exactly
 the values of one (reps, n) draw, and every later step acts row by row.  A
 rule must act row by row too; a tuner that multiplies matrices through
@@ -74,7 +75,6 @@ for unit noise means the same at every sigma.  `estimate`, `naive_df`,
 
 import math
 from abc import ABC, abstractmethod
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -610,7 +610,7 @@ def _mean_se(values):
 
 
 def _rule_tuner(rule):
-    """`rule` as a tuner for `_tuned_blocks`: a TunedBatch holding rule(Y) alone.
+    """`rule` as a tuner for `_tuned_stats`: a TunedBatch holding rule(Y) alone.
 
     ShapeError unless rule(Y) has the shape of the (k, n) block Y; DomainError
     naming the (row, column) of a non-finite estimate or an overflowing row.
@@ -637,31 +637,36 @@ def _df_stats(theta, Y, model):
     return np.sum(terms, axis=-1)
 
 
-def _tuned_blocks(tune, model, rng, reps, per_row, *names, **funcs):
-    """Draw `reps` rows of `model` from `rng`, tune them block by block, and
-    yield (rows, Y, theta_hat) for each of `_row_blocks(reps, model.n)`.
+def _tuned_stats(tune, model, seed, reps, *names, **funcs):
+    """Draw `reps` rows of `model` from default_rng(seed), tune them block by
+    block, and return their per-row statistics as a dict of arrays.
 
     The one loop over a model's draws (see the module docstring on row
-    blocks).  `tune` maps a (k, n) block to a `TunedBatch`: a family's
-    `tune_batch`, or a rule through `_rule_tuner`.  `per_row[name]` gets a
-    length-reps vector for each of `names` ("cov": `_df_stats`; "edf": cov
-    minus the plug-in df; "test": the test error on an independent Y*; else
-    a field of the fit) and each keyword (funcs[name](Y, fit)); a statistic
-    the family lacks (a None function or value) is stored as None.
+    blocks), behind `mc_df`, `mc_edf`, `mc_prediction_error`, `simulate`'s
+    grid cells and acceptance c02-c04 and c11.  `tune` maps a (k, n) block
+    to a `TunedBatch`: a family's `tune_batch`, or a rule through
+    `_rule_tuner`.  The dict holds a length-reps vector for each of `names`
+    ("cov": `_df_stats`; "edf": cov minus the plug-in df; "test": the test
+    error on an independent Y*; else a field of the fit) and one for each
+    keyword, stacking funcs[name](Y, fit) over the (k, n) blocks Y: length-k
+    vectors give a length-reps vector, (k, m) blocks a (reps, m) array.  A
+    statistic the family lacks (a None function or value) is None.
 
     Without "test" the blocks are the rows of one `model.draw(rng, reps)`,
     leaving rng where that draw leaves it.  With "test" they come from
-    `_paired_draws`, and each Y* block is dropped before the yield: only Y
-    and the fit live on while the caller (the bootstrap) uses them.
+    `_paired_draws`, and each Y* block is dropped before the funcs run.
+    Each block's Y and fit are released before the next block is drawn.
     """
     # A Monte Carlo standard error needs two replications: one would report
     # std_error 0, which `EdfReport` reserves for deterministic methods.
     reps = _check_count(reps, "reps", 2)
+    rng = np.random.default_rng(seed)
     if "test" in names:
         blocks = _paired_draws(model, rng, reps)
     else:
         blocks = ((rows, model.draw(rng, rows.stop - rows.start), None)
                   for rows in _row_blocks(reps, model.n))
+    per_row = {}
     for rows, Y, Ystar in blocks:
         fit = tune(Y)
         stats = {}
@@ -673,26 +678,14 @@ def _tuned_blocks(tune, model, rng, reps, per_row, *names, **funcs):
                 stats[name] = cov if name == "cov" else cov - fit.naive_df_at_shat
             else:
                 stats[name] = getattr(fit, name)
+        del Ystar
         stats.update((name, None if f is None else f(Y, fit)) for name, f in funcs.items())
         for name, values in stats.items():
             if name not in per_row:
-                per_row[name] = None if values is None else np.empty(reps)
+                per_row[name] = None if values is None else np.empty((reps, *np.shape(values)[1:]))
             if values is not None:
                 per_row[name][rows] = values
-        del Ystar, stats
-        yield rows, Y, fit.theta_hat
-
-
-def _tuned_stats(tune, model, seed, reps, *names, **funcs):
-    """The `per_row` dict of `_tuned_blocks` over `reps` draws from default_rng(seed).
-
-    The reduction behind `mc_df`, `mc_edf`, `mc_prediction_error` and
-    acceptance c02-c04.
-    """
-    per_row = {}
-    # A zero-length deque drops each block as it comes, so no block outlives its turn.
-    deque(_tuned_blocks(tune, model, np.random.default_rng(seed), reps, per_row,
-                        *names, **funcs), maxlen=0)
+        del Y, fit, stats
     return per_row
 
 

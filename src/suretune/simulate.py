@@ -24,23 +24,23 @@ SeedSequence([seed, j, i]) and per-repetition bootstrap streams from
 SeedSequence([seed, j, i, rep]); results are byte-identical across reruns
 and never depend on thread count.
 
-Memory: a cell streams its outer reps through `core._tuned_blocks` (see
-the `core` module docstring on row blocks) and hands each tuned block to
-the bootstrap, so it never holds its (R, n) arrays: one paper-scale cell
-(n = 5000, R = 5000, B = 0) peaks at 41 MB of RSS instead of 1.18 GB.
+Memory: a cell is one `core._tuned_stats` pass over its outer reps (see
+the `core` module docstring on row blocks), which runs the bootstrap on
+each tuned block as one of its per-row statistics, so the cell never holds
+its (R, n) arrays: one paper-scale cell (n = 5000, R = 5000, B = 0) peaks
+at 41 MB of RSS instead of 1.18 GB.
 """
 
 import io
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bootstrap import BootstrapConfig, _bootstrap_stats
 from .core import (DomainError, GaussianModel, _as_float_vector, _check_count, _check_noise,
-                   _df_unit, _mean_se, _tuned_blocks)
+                   _df_unit, _mean_se, _tuned_stats)
 from .shrinkage import ShrinkMeansFamily, SingletonShrinkFamily
 from .softthresh import SoftThreshFamily
 from .stein import _implicit_diff_stats
@@ -154,35 +154,35 @@ class SimRow:
 def run_simulation(spec):
     """Execute the grid and return the long-format result rows.
 
-    Each cell streams its outer reps in row blocks (see the module
-    docstring); the bootstrap takes each block as it is tuned.
+    Each cell is one pass over its outer reps in row blocks (see the module
+    docstring); the bootstrap is one of the pass's per-row statistics.
     """
     rows = []
     for i_setting, setting in enumerate(spec.setting):
         for j_size, n in enumerate(spec.sizes):
             family = _FAMILY_CLASSES[spec.family](n, spec.sigma)
             model = GaussianModel(theta0_for(setting, n, custom=spec.theta0), sigma=spec.sigma)
-            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, j_size, i_setting]))
             R = spec.outer_reps
-            per_row, hooks = {}, family.hooks
-            blocks = _tuned_blocks(
-                family.tune_batch, model, rng, R, per_row,
-                "naive_df_at_shat", "sure_min", "cov", "test",
-                unbiased=lambda Y, fit: family.edf_unbiased(fit),
-                implicit=None if hooks is None else (
-                    lambda Y, fit: _implicit_diff_stats(hooks, Y, fit.s_hat)))
+            hooks, boot = family.hooks, None
             if spec.bootstrap_B:
                 cfg = BootstrapConfig(B=spec.bootstrap_B, sampler=spec.bootstrap_sampler,
                                       c=spec.bootstrap_c)
-                seeded = ((block, Y, theta_hat,
-                           [int(np.random.SeedSequence([spec.seed, j_size, i_setting, r])
-                                .generate_state(1)[0]) for r in range(block.start, block.stop)])
-                          for block, Y, theta_hat in blocks)
-                boot = _bootstrap_stats(family, seeded, cfg, R)
-                boot_edf, boot_df_naive = boot.edf, boot.cov_form
-            else:
-                deque(blocks, maxlen=0)
-                boot_edf = boot_df_naive = None
+                seeds = (int(np.random.SeedSequence([spec.seed, j_size, i_setting, r])
+                             .generate_state(1)[0]) for r in range(R))
+                boot = lambda Y, fit: np.column_stack(_bootstrap_stats(
+                    family, Y, fit.theta_hat, cfg, [next(seeds) for _ in Y]))
+            per_row = _tuned_stats(
+                family.tune_batch, model,
+                np.random.SeedSequence([spec.seed, j_size, i_setting]), R,
+                "naive_df_at_shat", "sure_min", "cov", "test",
+                unbiased=lambda Y, fit: family.edf_unbiased(fit),
+                implicit=None if hooks is None else (
+                    lambda Y, fit: _implicit_diff_stats(hooks, Y, fit.s_hat)),
+                boot=boot)
+            # The columns of the bootstrap's block are the fields of its `_Stats`.
+            boot_edf = boot_df_naive = None
+            if boot is not None:
+                boot_edf, _, boot_df_naive, _ = per_row["boot"].T
 
             naive, sure_min = per_row["naive_df_at_shat"], per_row["sure_min"]
             test_err = per_row["test"]

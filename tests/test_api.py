@@ -213,14 +213,14 @@ def _calls_in(tree, name):
 
 
 def test_one_pass_over_a_models_draws():
-    # `core._tuned_blocks` is the one loop that draws a model's Monte Carlo
+    # `core._tuned_stats` is the one loop that draws a model's Monte Carlo
     # reps and tunes them: it alone pairs draws with their test copies, and
-    # the simulation grid draws nothing of its own.
+    # the simulation grid draws and blocks nothing of its own.
     package = Path(suretune.__file__).resolve().parent
     callers = [(path.name, func) for path in sorted(package.glob("*.py"))
                for func in _calls(path, "_paired_draws")]
-    assert callers == [("core.py", "_tuned_blocks")]
-    for name in ("_paired_draws", "draw"):
+    assert callers == [("core.py", "_tuned_stats")]
+    for name in ("_paired_draws", "draw", "_row_blocks"):
         assert _calls(package / "simulate.py", name) == []
 
 

@@ -1,7 +1,6 @@
 import math
 import os
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -140,13 +139,15 @@ def test_bootstrap_df_is_plugin_plus_excess():
 
 
 def test_naive_bootstrap_df_tracks_identity_rule():
+    # The covariance form alone, with no plug-in anchoring: the CSV's
+    # df,naive_bootstrap row.
     rng = np.random.default_rng(8)
     n, B = 25, 400
     y = rng.normal(0.0, 1.0, n)
     fam = SingletonShrinkFamily(n, 1.0, s=0.0)  # identity estimate
-    report = bootstrap_df(fam, y, BootstrapConfig(B=B, seed=9), naive=True)
+    stats = _bootstrap_stats(fam, y[None], fam.tune(y).theta_hat[None], BootstrapConfig(B=B), [9])
     expected = n * (1.0 - 1.0 / B)
-    assert abs(report.value - expected) <= 4.0 * report.std_error
+    assert abs(stats.cov_form[0] - expected) <= 4.0 * stats.cov_form_se[0]
 
 
 def test_corrected_error_fields():
@@ -251,8 +252,7 @@ def _batch(fam, R, seed=20):
 
 
 def _whole(fam, Y, theta, cfg, seeds):
-    # The batch as one block of rows.
-    return _bootstrap_stats(fam, [(slice(0, len(Y)), Y, theta, seeds)], cfg, len(Y))
+    return _bootstrap_stats(fam, Y, theta, cfg, seeds)
 
 
 def _bits(stats):
@@ -342,64 +342,3 @@ def test_theta_hat_that_is_the_input_batch(monkeypatch, n, B):
     Y, theta, seeds = _batch(copy, 7)
     cfg = BootstrapConfig(B=B)
     assert _bits(_whole(same, Y, theta, cfg, seeds)) == _bits(_whole(copy, Y, theta, cfg, seeds))
-
-
-@pytest.mark.parametrize("n, B", SMALL_BLOCKS)
-def test_streamed_blocks_equal_one_block(monkeypatch, n, B):
-    # Blocks of 3, 1, 5 and 2 rows, made one at a time as the jobs run out
-    # and pulled as jobs by up to eight workers that switch threads every
-    # microsecond, give the bits of the whole batch and finish.
-    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
-    fam = _family("shrink", n)
-    cfg = BootstrapConfig(B=B)
-    Y, theta, seeds = _batch(fam, 11)
-    whole = _bits(_whole(fam, Y, theta, cfg, seeds))
-    cuts = [slice(0, 3), slice(3, 4), slice(4, 9), slice(9, 11)]
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for cpus in (1, 2, 8):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            blocks = ((rows, Y[rows], theta[rows], seeds[rows]) for rows in cuts)
-            got = []
-            caller = threading.Thread(
-                target=lambda: got.append(_bootstrap_stats(fam, blocks, cfg, 11)), daemon=True)
-            caller.start()
-            caller.join(timeout=60)
-            assert not caller.is_alive()
-            assert _bits(got[0]) == whole
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_an_error_raised_by_the_blocks_surfaces_unchanged(monkeypatch):
-    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    fam = _family("shrink", 5)
-    Y, theta, seeds = _batch(fam, 8)
-    error = DomainError("block 2 failed")
-
-    def blocks():
-        yield slice(0, 4), Y[:4], theta[:4], seeds[:4]
-        raise error
-
-    with pytest.raises(DomainError) as caught:
-        _bootstrap_stats(fam, blocks(), BootstrapConfig(B=4), 8)
-    assert caught.value is error
-
-
-@pytest.mark.parametrize("cuts, match", [
-    ([slice(0, 3), slice(3, 6)], r"blocks cover rows 0\.\.6 of 8"),
-    ([slice(0, 3), slice(4, 8)], r"block slice\(4, 8, None\) does not continue rows 0\.\.3"),
-    ([slice(0, 4), slice(3, 8)], r"block slice\(3, 8, None\) does not continue rows 0\.\.4"),
-    ([slice(0, 9)], r"block slice\(0, 9, None\) does not continue rows 0\.\.0 of 8"),
-])
-def test_blocks_that_do_not_cover_the_rows_in_order_are_refused(monkeypatch, cuts, match):
-    # Rows no job wrote would otherwise come back as results.
-    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    fam = _family("shrink", 5)
-    Y, theta, seeds = _batch(fam, 9)
-    blocks = ((rows, Y[rows], theta[rows], seeds[rows]) for rows in cuts)
-    with pytest.raises(ValueError, match=match):
-        _bootstrap_stats(fam, blocks, BootstrapConfig(B=4), 8)

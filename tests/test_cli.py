@@ -372,6 +372,19 @@ class TestErrorPaths:
         assert captured.err == "error: --seed must be an integer at least 0, got -1\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        "edf --method monte-carlo --family hetero-shrink --sigmas 1,2,3 --n -3",
+        "edf --method monte-carlo --family shrink-regression --design {X} --n -3",
+    ], ids=["hetero-shrink", "shrink-regression"])
+    def test_a_negative_size_exits_1(self, argv, tmp_path, capsys):
+        # Both families size themselves, so -3 reached np.zeros unchecked.
+        design = tmp_path / "X.txt"
+        design.write_text("1 0\n0 1\n1 1\n")
+        assert main(argv.format(X=design).split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --n must be an integer at least 1, got -3\n"
+        assert captured.out == ""
+
     def test_a_negative_seed_in_a_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sizes = 6\nouter_reps = 8\nseed = -3\n")

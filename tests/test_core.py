@@ -407,12 +407,15 @@ def test_paired_draws_are_the_rows_of_two_whole_draws(monkeypatch):
     assert rng.bit_generator.state == whole.bit_generator.state
     # Without Y*, the pass draws Y alone: the rows of one whole draw, with the
     # generator left where that draw leaves it.
+    # default_rng returns a Generator seed unaltered, so the pass draws from rng.
     once, rng = np.random.default_rng(3), np.random.default_rng(3)
     Y = model.draw(once, 20)
-    per_row = {}
-    blocks = list(core._tuned_blocks(core._rule_tuner(lambda Y: Y), model, rng, 20, per_row))
-    assert [rows for rows, _, _ in blocks] == list(core._row_blocks(20, 7))
-    assert np.concatenate([b[1] for b in blocks]).tobytes() == Y.tobytes()
+    seen = []
+    core._tuned_stats(core._rule_tuner(lambda Y: Y), model, rng, 20,
+                      record=lambda Y, fit: seen.append(Y))
+    assert [len(block) for block in seen] == [rows.stop - rows.start
+                                              for rows in core._row_blocks(20, 7)]
+    assert np.concatenate(seen).tobytes() == Y.tobytes()
     assert rng.bit_generator.state == once.bit_generator.state
 
 
