@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -342,3 +343,65 @@ def test_theta_hat_that_is_the_input_batch(monkeypatch, n, B):
     Y, theta, seeds = _batch(copy, 7)
     cfg = BootstrapConfig(B=B)
     assert _bits(_whole(same, Y, theta, cfg, seeds)) == _bits(_whole(copy, Y, theta, cfg, seeds))
+
+
+@pytest.mark.parametrize("n, B", SMALL_BLOCKS)
+def test_streamed_blocks_equal_one_block(monkeypatch, n, B):
+    # Blocks of 3, 1, 5 and 2 rows, each bootstrapped by its own call as the
+    # Monte Carlo pass does and pulled as jobs by up to eight workers that
+    # switch threads every microsecond, give the bits of the whole batch and
+    # finish.
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
+    fam = _family("shrink", n)
+    cfg = BootstrapConfig(B=B)
+    Y, theta, seeds = _batch(fam, 11)
+    seeds = np.array(seeds)
+    whole = _bits(_whole(fam, Y, theta, cfg, seeds))
+    cuts = [slice(0, 3), slice(3, 4), slice(4, 9), slice(9, 11)]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            got = []
+            caller = threading.Thread(target=lambda: got.append([
+                np.column_stack(_whole(fam, Y[rows], theta[rows], cfg, seeds[rows]))
+                for rows in cuts]), daemon=True)
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+            assert _bits(np.concatenate(got[0]).T.copy()) == whole
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_error_raised_by_the_blocks_surfaces_unchanged(monkeypatch):
+    # The pass runs the bootstrap on each tuned block; an error raised while
+    # tuning a later block, or by the bootstrap of a later block, leaves the
+    # pass unchanged and stops it there.
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 16)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fam = _family("shrink", 5)
+    model = core.GaussianModel(np.full(5, 0.5), sigma=1.3)
+    cfg = BootstrapConfig(B=4)
+    blocks = [rows.stop - rows.start for rows in core._row_blocks(8, 5)]
+    assert blocks == [3, 3, 2]
+    error = DomainError("block 2 failed")
+
+    def tune(Y):
+        if len(seen) == 1:
+            raise error
+        return fam.tune_batch(Y)
+
+    def boot(Y, fit):
+        seen.append(len(Y))
+        if failing_boot and len(seen) == 2:
+            raise error
+        return np.column_stack(_bootstrap_stats(fam, Y, fit.theta_hat, cfg, range(len(Y))))
+
+    for failing_boot, tuner in ((False, tune), (True, fam.tune_batch)):
+        seen = []
+        with pytest.raises(DomainError) as caught:
+            core._tuned_stats(tuner, model, 4, 8, boot=boot)
+        assert caught.value is error
+        assert seen == blocks[:1 + failing_boot]

@@ -419,6 +419,24 @@ def test_paired_draws_are_the_rows_of_two_whole_draws(monkeypatch):
     assert rng.bit_generator.state == once.bit_generator.state
 
 
+@pytest.mark.parametrize("values", [64, 1 << 40], ids=["many-blocks", "one-block"])
+def test_a_block_statistic_is_stored_as_rows_of_the_pass(monkeypatch, values):
+    # A statistic that returns a (k, m) block for a (k, n) block of rows
+    # comes back as the (reps, m) array of the whole draw, a vector one as a
+    # length-reps vector, and a None function as None.
+    monkeypatch.setattr(core, "_BLOCK_VALUES", values)
+    model = GaussianModel(np.linspace(-1.0, 1.0, 7), sigma=1.0)
+    Y = model.draw(np.random.default_rng(5), 20)
+    per_row = core._tuned_stats(core._rule_tuner(lambda Y: Y), model, 5, 20,
+                                pair=lambda Y, fit: np.column_stack([Y.sum(1), Y.max(1)]),
+                                total=lambda Y, fit: Y.sum(1), absent=None)
+    assert per_row["pair"].shape == (20, 2)
+    assert per_row["pair"].tobytes() == np.column_stack([Y.sum(1), Y.max(1)]).tobytes()
+    assert per_row["total"].shape == (20,)
+    assert per_row["total"].tobytes() == Y.sum(1).tobytes()
+    assert per_row["absent"] is None
+
+
 # float.hex of (value, std_error) from one whole (500, 300) draw of Y and
 # then of Y*, computed before the pairs were streamed.  500 rows of 300 run
 # in three row blocks; row-wise rules and BLAS-free families keep the bits.

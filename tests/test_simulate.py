@@ -17,6 +17,7 @@ from suretune import (
     mc_prediction_error,
 )
 from suretune import core
+from suretune import simulate as simulate_module
 from suretune.core import DomainError
 from suretune.simulate import (
     _FAMILY_CLASSES,
@@ -320,6 +321,31 @@ def test_many_outer_blocks_give_the_same_smoke_csv(monkeypatch):
     whole = rows_to_csv_text(run_simulation(PRESETS["smoke"]))
     monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
     assert rows_to_csv_text(run_simulation(PRESETS["smoke"])) == whole
+
+
+def test_the_bootstrap_runs_once_per_outer_block_with_the_rep_seeds(monkeypatch):
+    # Each cell bootstraps every tuned block of its pass once, in row order,
+    # with rep r's stream seeded by SeedSequence([seed, j, i, r]).
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
+    calls = []
+
+    def recording(family, Y, theta_hat, config, seeds):
+        calls.append((family.n, list(seeds)))
+        return bootstrap_stats(family, Y, theta_hat, config, seeds)
+
+    bootstrap_stats = simulate_module._bootstrap_stats
+    monkeypatch.setattr(simulate_module, "_bootstrap_stats", recording)
+    spec = SimSpec(family="shrink_means", setting=("null", "weak_sparsity"), sizes=(10, 25),
+                   outer_reps=9, bootstrap_B=4, seed=3)
+    run_simulation(spec)
+    want = []
+    for i, setting in enumerate(spec.setting):
+        for j, n in enumerate(spec.sizes):
+            seeds = [int(np.random.SeedSequence([3, j, i, r]).generate_state(1)[0])
+                     for r in range(9)]
+            want += [(n, seeds[rows]) for rows in core._row_blocks(9, n)]
+    assert len(want) == 2 * (2 + 5)  # blocks of 6 rows at n = 10, of 2 at n = 25
+    assert calls == want
 
 
 def _traced_peak_mb(call):
