@@ -45,6 +45,10 @@ from .stein import HeteroShrinkFamily, edf_implicit_diff
 CLI_FAMILIES = ("shrink-means", "shrink-regression", "soft-threshold", "hetero-shrink")
 
 
+class UsageError(Exception):
+    """Options that contradict one another; exit status 2."""
+
+
 def _read_numbers(source, ndmin=1, text=None):
     """Numbers separated by commas or whitespace, as a vector (with ndmin=2, a
     matrix of the lines): from the file at path `source`, or from `text`, the
@@ -124,13 +128,22 @@ def _cmd_tune(args):
     return 0
 
 
+def _check_size(args, n, source):
+    """UsageError unless --n is absent or equals the size n that `source` fixes."""
+    if args.n is not None and args.n != n:
+        raise UsageError(f"--n {args.n} contradicts {source}, which has size {n}")
+
+
 def _edf_monte_carlo(args):
     if args.theta0 is not None:
         theta0 = _vector_option(args.theta0, "theta0")
+        _check_size(args, theta0.shape[0], "--theta0")
         family = _build_family(args, n=theta0.shape[0])
     else:
         family = _build_family(args, n=args.n)
-        theta0 = np.zeros(args.n or family.n)
+        # shrink-regression and hetero-shrink take their size from these
+        _check_size(args, family.n, "--design" if family.sigmas is None else "--sigmas")
+        theta0 = np.zeros(family.n)
     model = GaussianModel(theta0, sigma=family.sigma, sigmas=family.sigmas)
     return mc_edf(family, model, reps=args.reps, seed=args.seed or 0)
 
@@ -145,6 +158,7 @@ def _cmd_edf(args):
         y = _read_numbers(args.data) if args.data else None
         if y is None:
             raise DomainError(f"method {method} needs --data FILE")
+        _check_size(args, y.shape[0], "--data")
         family = _build_family(args, n=y.shape[0])
         if method == "analytic":
             stat = family.edf_unbiased(family.tune_batch(y[None, :]))
@@ -168,9 +182,7 @@ def _cmd_edf(args):
 
 def _cmd_simulate(args):
     if bool(args.config) == bool(args.preset):
-        print("usage error: give exactly one of --config FILE or --preset NAME",
-              file=sys.stderr)
-        return 2
+        raise UsageError("give exactly one of --config FILE or --preset NAME")
     if args.preset:
         spec = PRESETS[args.preset]
     else:
@@ -257,7 +269,9 @@ def build_parser():
                                 "bootstrap-parametric", "bootstrap-bigmodel",
                                 "bootstrap-residual"))
     p_edf.add_argument("--data", help="data vector file (non monte-carlo methods)")
-    p_edf.add_argument("--n", type=int, default=None, help="model size for monte-carlo")
+    p_edf.add_argument("--n", type=int, default=None,
+                       help="model size for monte-carlo; must agree with --theta0, --data, "
+                            "--design or --sigmas")
     p_edf.add_argument("--theta0", help="mean vector, list or @path (monte-carlo)")
     p_edf.add_argument("--reps", type=int, default=2000, help="monte-carlo repetitions")
     p_edf.add_argument("--B", type=int, default=500, help="bootstrap replicates")
@@ -325,6 +339,9 @@ def main(argv=None):
         if args.seed is not None:
             _check_count(args.seed, "--seed", 0)
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,11 @@ from .core import (
     mc_edf,
 )
 
+# Values per temporary of the tuner's row chunks: 64 KB of float64, which
+# stays in cache and below malloc's mmap threshold, so a long run of calls
+# reuses the same heap pages instead of faulting in fresh ones.
+_CACHE_VALUES = 1 << 13
+
 __all__ = [
     "soft_threshold",
     "SoftThreshFamily",
@@ -73,24 +78,34 @@ class SoftThreshFamily(EstimatorFamily):
         # group; within a tie group F increases by 2 sigma^2 per step, so
         # taking the first argmin both resolves ties toward the larger
         # threshold and keeps the strict-count bookkeeping exact.
+        # Every step acts row by row, so the batch goes through in chunks
+        # whose (rows, n + 1) temporaries hold at most _CACHE_VALUES values.
         reps, n = Y.shape
-        a = np.sort(np.abs(Y), axis=1)[:, ::-1]
-        a = np.concatenate([a, np.zeros((reps, 1))], axis=1)
-        sq = a**2
-        # suffix[k] = sum_{j > k} a(j)^2 with k counted 1..n+1.
-        suffix = np.concatenate(
-            [np.cumsum(sq[:, ::-1], axis=1)[:, ::-1][:, 1:], np.zeros((reps, 1))], axis=1
-        )
         k = np.arange(1, n + 2)
-        F = k * sq + suffix + 2.0 * sigma**2 * (k - 1)
-        pick = np.argmin(F, axis=1)
-        rows = np.arange(reps)
-        s_hat = a[rows, pick]
-        theta = np.sign(Y) * np.maximum(np.abs(Y) - s_hat[:, None], 0.0)
+        penalty = 2.0 * sigma**2 * (k - 1)
+        s_hat, sure_min, pick = np.empty(reps), np.empty(reps), np.empty(reps, dtype=np.intp)
+        theta = np.empty_like(Y)
+        step = max(1, _CACHE_VALUES // (n + 1))
+        for rows in (slice(lo, lo + step) for lo in range(0, reps, step)):
+            y = Y[rows]
+            a = np.sort(np.abs(y), axis=1)[:, ::-1]
+            a = np.concatenate([a, np.zeros((a.shape[0], 1))], axis=1)
+            sq = a**2
+            # suffix[k] = sum_{j > k} a(j)^2 with k counted 1..n+1.
+            suffix = np.concatenate(
+                [np.cumsum(sq[:, ::-1], axis=1)[:, ::-1][:, 1:], np.zeros((a.shape[0], 1))],
+                axis=1,
+            )
+            F = k * sq + suffix + penalty
+            best = np.argmin(F, axis=1)
+            at = np.arange(a.shape[0]), best
+            pick[rows], s_hat[rows], sure_min[rows] = best, a[at], F[at]
+            np.multiply(np.sign(y), np.maximum(np.abs(y) - s_hat[rows, None], 0.0),
+                        out=theta[rows])
         return TunedBatch(
             s_hat=s_hat,
             theta_hat=theta,
-            sure_min=F[rows, pick],
+            sure_min=sure_min,
             naive_df_at_shat=pick.astype(float),
         )
 

@@ -50,7 +50,21 @@ class DegenerateDesignError(DomainError):
     """A design submatrix adds no new direction where one is required."""
 
 
+def _plain_indices(cols, p):
+    """True if every entry of the tuple is a Python int in [0, p).
+
+    One check over the whole tuple; indices that fail it go through
+    `_check_count` one by one, which names the first bad entry.  (A numpy
+    array check costs more here: converting a tuple of Python ints is
+    slower than the per-entry calls it would replace.)
+    """
+    return set(map(type, cols)) <= {int} and (not cols or (min(cols) >= 0 and max(cols) < p))
+
+
 def _normalize_subset(subset, p):
+    subset = tuple(subset)
+    if _plain_indices(subset, p):
+        return tuple(sorted(set(subset)))
     cols = tuple(sorted(set(_check_count(j, "every column index", 0) for j in subset)))
     for j in cols:
         if j >= p:
@@ -199,10 +213,11 @@ def make_nested(X, sigma, order=None, sizes=None):
     """
     X = _check_design(X)
     p = X.shape[1]
-    order = tuple(range(p)) if order is None else tuple(
-        _check_count(j, "every column index", 0) for j in order)
-    if sorted(order) != list(range(p)):
-        raise DomainError("order must be a permutation of the column indices")
+    order = tuple(range(p)) if order is None else tuple(order)
+    if not (_plain_indices(order, p) and sorted(order) == list(range(p))):
+        order = tuple(_check_count(j, "every column index", 0) for j in order)
+        if sorted(order) != list(range(p)):
+            raise DomainError("order must be a permutation of the column indices")
     sizes = range(p + 1) if sizes is None else tuple(sizes)
     for k in sizes:
         if _check_count(k, "every prefix size", 0) > p:

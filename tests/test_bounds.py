@@ -327,6 +327,29 @@ class TestChiSquareProbabilities:
     def test_zero_df_is_vacuous(self):
         assert _chi2_prob(0, 0.0, 1.0, True) == 1.0
 
+    def test_both_tails_keep_relative_precision_down_to_1e_12(self):
+        # 3000 random points with df <= 11 and nonc <= 20 (a fifth central),
+        # each at a threshold where the asked-for tail is between 1e-12 and
+        # 1e-1.  An upper tail taken as 1 - cdf is off by about 1e-16 / tail:
+        # 2.5e-4 relative on these points.
+        rng = np.random.default_rng(27)
+        n = 3000
+        df = rng.integers(1, 12, n)
+        nonc = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.0, 20.0, n))
+        tail = 10.0 ** rng.uniform(-12.0, -1.0, n)
+        upper = rng.random(n) < 0.5
+        central = nonc == 0.0
+        nc = np.where(central, 1.0, nonc)  # placeholder where chi2 is used
+        x = np.where(upper, np.where(central, chi2.isf(tail, df), ncx2.isf(tail, df, nc)),
+                     np.where(central, chi2.ppf(tail, df), ncx2.ppf(tail, df, nc)))
+        want = np.where(upper, np.where(central, chi2.sf(x, df), ncx2.sf(x, df, nc)),
+                        np.where(central, chi2.cdf(x, df), ncx2.cdf(x, df, nc)))
+        assert 1e-12 <= want.min() and want.max() <= 0.11
+        got = np.array([_chi2_prob(int(k), float(lam), float(t), bool(u))
+                        for k, lam, t, u in zip(df, nonc, x, upper)])
+        rel = np.abs(got / want - 1.0)
+        assert rel[upper].max() <= 1e-13 and rel[~upper].max() <= 1e-13
+
 
 def _scipy_general_theta(mu):
     """Windowed and pairwise sums written out with scipy.stats."""
@@ -403,13 +426,32 @@ class TestGeneralThetaBound:
             general_theta_bound([0.5, math.inf, 1.0])
 
 
-def test_bounds_never_import_scipy_stats():
-    # scipy.stats costs about 0.4 s to import; the package must not need it
+def test_bounds_import_no_scipy_except_best_subset_constant():
+    # Importing scipy.special alone took about 0.3 s; every public bound but
+    # the minimized best-subset constant is numpy and math only.
     code = (
-        "import sys, suretune, suretune.cli\n"
-        "suretune.general_theta_bound([0.5, 1.0, 0.0])\n"
-        "suretune.gaussian_surface_area_ball([1.0, 2.0], 1.5)\n"
-        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        "import inspect, sys, suretune, suretune.cli\n"
+        "from suretune import bounds as b\n"
+        "calls = [\n"
+        "    ('chi_sq_max_bound', ([1, 2, 4], 0.5)),\n"
+        "    ('edf_upper_bound_simplified', ([1, 2, 4], 0.5)),\n"
+        "    ('gaussian_surface_area_ball', ([1.0, 2.0], 1.5)),\n"
+        "    ('gaussian_surface_area_ball', ([0.0, 0.0, 0.0], 1.5)),\n"
+        "    ('gaussian_surface_area_ball', ([0.7], 1.3)),\n"
+        "    ('gas_stations_rotation', ([1.0, 3.0],)),\n"
+        "    ('nested_null_edf_bound', (50,)),\n"
+        "    ('nested_bound_tail_split', (100,)),\n"
+        "    ('general_theta_bound', ([0.5, 1.0, 0.0, -2.0],)),\n"
+        "    ('best_subset_penalty_curve', (0.5,)),\n"
+        "]\n"
+        "public = {n for n in b.__all__ if inspect.isfunction(getattr(b, n))}\n"
+        "assert {n for n, _ in calls} == public - {'best_subset_constant'}, public\n"
+        "for name, args in calls:\n"
+        "    getattr(b, name)(*args)\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, f'{len(loaded)} scipy modules loaded, first {loaded[:3]}'\n"
+        "b.best_subset_constant()\n"
+        "assert 'scipy.optimize' in sys.modules\n"
     )
     src = str(Path(suretune.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

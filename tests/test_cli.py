@@ -385,6 +385,34 @@ class TestErrorPaths:
         assert captured.err == "error: --n must be an integer at least 1, got -3\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, source, size", [
+        ("edf --method monte-carlo --theta0 1,2,3 --n 7 --reps 4", "--theta0", 3),
+        ("edf --method analytic --data {y} --n 7", "--data", 4),
+        ("edf --method bootstrap-parametric --data {y} --n 5 --B 4", "--data", 4),
+        ("edf --method monte-carlo --family hetero-shrink --sigmas 1,2,3 --n 4 --reps 4",
+         "--sigmas", 3),
+        ("edf --method monte-carlo --family shrink-regression --design {X} --n 2 --reps 4",
+         "--design", 3),
+    ], ids=["theta0", "data-analytic", "data-bootstrap", "sigmas", "design"])
+    def test_an_n_the_model_contradicts_exits_2(self, argv, source, size, data_file,
+                                                tmp_path, capsys):
+        # --n 7 with a 3-entry --theta0 ran at n = 3 and exited 0.
+        design = tmp_path / "X.txt"
+        design.write_text("1 0\n0 1\n1 1\n")
+        assert main(argv.format(y=data_file, X=design).split()) == 2
+        captured = capsys.readouterr()
+        n = argv.split("--n ")[1].split()[0]
+        assert captured.err == f"usage error: --n {n} contradicts {source}, which has size {size}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        "edf --method monte-carlo --theta0 1,2,3 --n 3 --reps 4",
+        "edf --method analytic --data {y} --n 4",
+    ])
+    def test_an_n_that_agrees_is_accepted(self, argv, data_file, capsys):
+        assert main(argv.format(y=data_file).split()) == 0
+        assert "method=" in capsys.readouterr().out
+
     def test_a_negative_seed_in_a_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sizes = 6\nouter_reps = 8\nseed = -3\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,27 @@ class TestTuneSoftThreshold:
             fit = fam.tune(Y[r])
             assert batch.s_hat[r] == pytest.approx(fit.s_hat)
             assert batch.sure_min[r] == pytest.approx(fit.sure_min)
+
+    def test_block_tunes_in_cache_sized_chunks_with_row_by_row_bytes(self):
+        # One 65 x 1000 block with (65, 1001) temporaries peaked at 3.55 MB;
+        # chunks of 8 rows keep each temporary near 64 KB, so the peak is
+        # the output plus a few chunks.  Every step acts row by row, so the
+        # bytes are those of tuning each row alone.
+        rng = np.random.default_rng(27)
+        Y = rng.normal(0.0, 2.0, (65, 1000))
+        Y[::4, :300] = np.round(Y[::4, :300])  # ties and zeros
+        fam = SoftThreshFamily(1000, 1.0)
+        tracemalloc.start()
+        try:
+            batch = fam.tune_batch(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25e6
+        rows = [fam.tune_batch(Y[r:r + 1]) for r in range(65)]
+        for name in ("s_hat", "theta_hat", "sure_min", "naive_df_at_shat"):
+            want = np.concatenate([getattr(fit, name) for fit in rows])
+            assert getattr(batch, name).tobytes() == want.tobytes(), name
 
 
 class TestSoftThresholdRisk:

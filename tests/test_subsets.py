@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from suretune import (
     make_nested,
     mc_edf,
 )
+from suretune import subsets
 
 TWO_MODEL_NULL_EDF = 0.41510749742059466
 
@@ -446,6 +448,50 @@ def test_long_chain_is_built_in_a_few_megabytes():
         tracemalloc.stop()
     assert list(coll.ranks) == list(range(151))
     assert peak < 4e6
+
+
+def test_chain_checks_each_subset_once_not_each_index(monkeypatch):
+    # Checking every index of every prefix made 11 325 `_check_count` calls
+    # for p = 150; plain int indices are now checked once per subset, which
+    # leaves the p + 1 prefix sizes.
+    calls = []
+    real = subsets._check_count
+    monkeypatch.setattr(subsets, "_check_count", lambda *a: calls.append(a) or real(*a))
+    X = np.random.default_rng(36).standard_normal((300, 150))
+    coll = make_nested(X, 1.0, order=tuple(range(149, -1, -1)))
+    assert coll.subsets[-1] == tuple(range(150)) and coll.subsets[2] == (148, 149)
+    assert {name for _, name, _ in calls} == {"every prefix size"} and len(calls) == 151
+
+
+@pytest.mark.parametrize("subset, label", [
+    ((2, 0, 2), (0, 2)),
+    ([np.int64(1), True], (1,)),
+    ((1.0, 0), (0, 1)),
+    (iter([3, 1]), (1, 3)),
+    ((), ()),
+])
+def test_indices_of_every_type_give_the_same_labels(subset, label):
+    coll = SubsetCollection(np.eye(4), [subset], 1.0)
+    assert coll.subsets == (label,)
+    assert all(type(j) is int for j in coll.subsets[0])
+
+
+@pytest.mark.parametrize("subset, message", [
+    ((0, 4), "column index 4 outside design with 4 columns"),
+    ((5, -1), "every column index must be an integer at least 0, got -1"),
+    ((0, 0.5), "every column index must be an integer at least 0, got 0.5"),
+])
+def test_a_bad_index_names_the_same_entry(subset, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        SubsetCollection(np.eye(4), [subset], 1.0)
+
+
+def test_a_bad_order_entry_is_named_before_the_permutation_check():
+    with pytest.raises(DomainError, match="^every column index must be an integer at least 0"):
+        make_nested(np.eye(3), 1.0, order=(0, -1, 2))
+    with pytest.raises(DomainError, match="^order must be a permutation of the column indices$"):
+        make_nested(np.eye(3), 1.0, order=(0, 1, 3))
+    assert make_nested(np.eye(3), 1.0, order=(np.int64(2), 0.0, 1)).subsets[-2] == (0, 2)
 
 
 def _direct_fitted2(coll, C2):
