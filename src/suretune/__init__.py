@@ -54,7 +54,6 @@ from .stein import (
 )
 from .bootstrap import (
     BootstrapConfig,
-    bootstrap_df,
     bootstrap_edf,
     corrected_error_estimate,
 )

@@ -26,25 +26,28 @@ runs the recipe for every row of a (reps, n) batch Y with tuned fits
 theta_hat.  Row r draws its B replicates from its own stream
 `default_rng(seeds[r])`, so its result depends on nothing else in the
 batch, and it comes back as four length-reps arrays (mean and standard
-error of the excess df and of the covariance form), never as (reps, B)
-arrays.  Replicates are built in place in one reused buffer with the same
-floating-point operations, center and reduction axes as a fresh (B, n)
-array, so a row's bytes do not depend on reps or on the blocking below.
-The public functions pass a one-row batch; `simulate` and acceptance c11
-call it on each row block of the one Monte Carlo pass, `core._tuned_stats`,
-as one of the pass's per-row statistics.
+error of the excess df and of the covariance form).  `_replicates` fills
+one (k, B, n) block per job, drawing row by row, then scaling and
+shifting the whole block; `mean(axis=1)` takes every rep's center.  These
+are the operations and reduction axes of a fresh (B, n) array per rep, so
+a row's bytes do not depend on reps or on the blocking below.  The public
+functions pass a one-row batch; `simulate` and acceptance c11 call it on
+each row block of the one Monte Carlo pass, `core._tuned_stats`, as one of
+the pass's per-row statistics.
 
 Blocking and threads: `core._row_blocks` sets both block sizes.  The batch
 is cut into jobs of reps whose B * n fits in `core._BLOCK_VALUES`, which
 share one `tune_batch` call; a larger rep is retuned in row chunks after
-its center is taken.  min(os.cpu_count(), jobs) threads, each with its own
-buffers, take jobs one at a time under a lock; the calling thread is one
-of them, and a single job runs inline.  Families must therefore tune
-re-entrantly (see `EstimatorFamily`), and an exception raised in a worker
-reaches the caller unchanged.  A family whose `tune_batch` multiplies
-matrices through BLAS may round a row chunk in the last place differently
-from the whole (B, n) batch; families without BLAS calls give the same
-bytes either way.
+its center is taken.  Each job summarizes its own reps: summaries taken
+once per call would need two (reps, B) arrays of the call, 3.2 MB at
+reps = 1000 and B = 200 where a job's are 0.1 MB.
+min(os.cpu_count(), jobs) threads, each with its own buffers, take jobs
+one at a time under a lock; the calling thread is one of them, and a
+single job runs inline.  Families must therefore tune re-entrantly (see
+`EstimatorFamily`), and an exception raised in a worker reaches the caller
+unchanged.  A family whose `tune_batch` multiplies matrices through BLAS
+may round a row chunk in the last place differently from the whole (B, n)
+batch; families without BLAS calls give the same bytes either way.
 """
 
 import math
@@ -63,7 +66,6 @@ __all__ = [
     "SAMPLERS",
     "BootstrapConfig",
     "bootstrap_edf",
-    "bootstrap_df",
     "CorrectedError",
     "corrected_error_estimate",
 ]
@@ -88,23 +90,20 @@ class BootstrapConfig:
         object.__setattr__(self, "seed", _check_count(self.seed, "seed", 0))
 
 
-def _replicates(family, y, theta_hat, config, rng, out=None):
-    """Fill `out`, a (B, n) array (new if None), with B replicates of y."""
-    n = y.shape[0]
-    if out is None:
-        out = np.empty((config.B, n))
-    sd = _noise_sd(family)
-    if config.sampler == "parametric":
-        rng.standard_normal(out=out)
-        out *= sd
-        out += theta_hat
-    elif config.sampler == "bigmodel":
-        rng.standard_normal(out=out)
-        out *= math.sqrt(config.c) * sd
-        out += y
-    else:
-        resid = y - theta_hat
-        np.add(theta_hat, resid[rng.integers(0, n, size=out.shape)], out=out)
+def _replicates(family, Y, theta_hat, config, seeds, out=None):
+    """Fill `out`, a (k, B, n) array (new if None), with B replicates of each
+    row of the (k, n) batch Y; row r draws from `default_rng(seeds[r])`."""
+    (k, n), sampler = Y.shape, config.sampler
+    out = np.empty((k, config.B, n)) if out is None else out
+    for r in range(k):
+        rng = np.random.default_rng(seeds[r])
+        if sampler == "residual":
+            np.take(Y[r] - theta_hat[r], rng.integers(0, n, size=out.shape[1:]), out=out[r])
+        else:
+            rng.standard_normal(out=out[r])
+    if sampler != "residual":
+        out *= _noise_sd(family) * (math.sqrt(config.c) if sampler == "bigmodel" else 1.0)
+    out += (Y if sampler == "bigmodel" else theta_hat)[:, None]
     return out
 
 
@@ -130,10 +129,10 @@ def _bootstrap_stats(family, Y, theta_hat, config, seeds):
     jobs = list(_row_blocks(reps, B * n))
     # Each worker's buffers: the replicates of its largest job and that
     # job's largest retuning chunk.
-    total = jobs[0].stop * B
-    step = next(_row_blocks(total, n)).stop
+    size = jobs[0].stop
+    step = next(_row_blocks(size * B, n)).stop
     workers = min(os.cpu_count() or 1, len(jobs))
-    buffers = [(np.empty((total, n)), np.empty((step, n))) for _ in range(workers)]
+    buffers = [(np.empty((size, B, n)), np.empty((step, n))) for _ in range(workers)]
     out = np.empty((4, reps))
     jobs, lock = iter(jobs), threading.Lock()
 
@@ -156,17 +155,14 @@ def _bootstrap_stats(family, Y, theta_hat, config, seeds):
 
 
 def _block(family, Y, theta_hat, config, seeds, Ystar, work, out):
-    # Draw each rep's replicates into its slice of Ystar and take their
-    # center, then retune in the row chunks of `_row_blocks` (all the block's
-    # reps, or a row range of its one rep) and write the summaries into out.
+    # Draw the job's (reps, B, n) replicates and their centers, then retune in
+    # the row chunks of `_row_blocks` (all the job's reps, or a row range of
+    # its one rep) and write the summaries into out.
     B, (reps, n) = config.B, Y.shape
     total = reps * B
-    Ystar = Ystar[:total]
-    centers = np.empty((reps, n))
-    for i in range(reps):
-        rep = _replicates(family, Y[i], theta_hat[i], config,
-                          np.random.default_rng(seeds[i]), out=Ystar[i * B:(i + 1) * B])
-        centers[i] = rep.mean(axis=0)
+    Ystar = _replicates(family, Y, theta_hat, config, seeds, out=Ystar[:reps])
+    centers = Ystar.mean(axis=1)
+    Ystar = Ystar.reshape(total, n)
     scale = _noise_sd(family) ** 2
     cov_form = np.empty(total)
     plugin = np.empty(total)
@@ -187,32 +183,18 @@ def _block(family, Y, theta_hat, config, seeds, Ystar, work, out):
         out[2 * k + 1] = stats.std(axis=1, ddof=1) / math.sqrt(B)
 
 
-def _report(value, se, config, shift=0.0):
-    """An EdfReport of a bootstrap mean (plus shift) and its standard error."""
-    return EdfReport(method=f"bootstrap_{config.sampler}", value=shift + float(value),
-                     std_error=float(se), reps=config.B)
-
-
 def _one(family, y, config):
-    # The tuned fit at y and the bootstrap summaries of that one row.
+    # The tuned fit at y and the EdfReport of its bootstrap excess df.
     y = np.asarray(y, dtype=float)
     fit = family.tune(y)
-    return fit, _bootstrap_stats(family, y[None], fit.theta_hat[None], config, [config.seed])
+    stats = _bootstrap_stats(family, y[None], fit.theta_hat[None], config, [config.seed])
+    return fit, EdfReport(method=f"bootstrap_{config.sampler}", value=float(stats.edf[0]),
+                          std_error=float(stats.edf_se[0]), reps=config.B)
 
 
 def bootstrap_edf(family, y, config=None):
     """Bootstrap excess degrees of freedom of the SURE-tuned rule at y."""
-    config = config or BootstrapConfig()
-    _, stats = _one(family, y, config)
-    return _report(stats.edf[0], stats.edf_se[0], config)
-
-
-def bootstrap_df(family, y, config=None):
-    """Bootstrap degrees of freedom of the SURE-tuned rule at y: the plug-in
-    df at the observed data plus the bootstrap excess."""
-    config = config or BootstrapConfig()
-    fit, stats = _one(family, y, config)
-    return _report(stats.edf[0], stats.edf_se[0], config, fit.naive_df_at_shat)
+    return _one(family, y, config or BootstrapConfig())[1]
 
 
 @dataclass(frozen=True)
@@ -232,9 +214,7 @@ def corrected_error_estimate(family, y, config=None):
     estimate of that term.  Heteroskedastic families work in scaled units,
     where the correction is 2 * edf with no variance factor.
     """
-    config = config or BootstrapConfig()
-    fit, stats = _one(family, y, config)
-    edf = _report(stats.edf[0], stats.edf_se[0], config)
+    fit, edf = _one(family, y, config or BootstrapConfig())
     return CorrectedError(
         estimate=fit.sure_min + 2.0 * _df_unit(family) * edf.value,
         sure_min=fit.sure_min,

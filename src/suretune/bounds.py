@@ -19,6 +19,7 @@ reference quantities the rest of the package is checked against.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +121,8 @@ def edf_upper_bound_simplified(sizes, delta):
     return 2.0 / (1.0 - delta) * math.log(k) + p_max * per_size
 
 
-def _log_surface(d, lam, r):
-    """log of 2 r f(r^2) for the chi2_d(2 lam) density f, d >= 2.
+def _log_surface(d, lam, r, a):
+    """log of 2 r f(r^2) for the chi2_d(2 lam) density f, d >= 2, a = sqrt(2 lam).
 
     f is the Poisson(lam) mixture of the central chi2_{d+2k} densities, and
     2 r times the chi2_{d+2k} density at r^2 is r e^{-y} y^{nu+k} /
@@ -132,22 +133,28 @@ def _log_surface(d, lam, r):
     log-concave in k with mode k*, and beyond k* -+ 10 sqrt(k* + 1) they
     have fallen below 1e-20 of the peak, so only that window is summed.
     (One ratio per term costs half of what two `_log_poisson` lattices
-    would, and the nested-chain bound makes O(p^2) of these calls.)
+    would, and the nested-chain bound makes O(p^2) of these calls.)  Where
+    y is not a normal double, log y is taken as 2 log r - log 2.
 
-    Every point of the sphere lies at least |a - r| from the origin
-    (a^2 = 2 lam), so the area is at most the origin's form times
-    e^{(r^2 - (a - r)^2)/2}; where that is below e^-800 the area is 0 in
-    double precision, and -inf is returned without summing the O(r a)
-    terms the mixture would need.
+    Every point of the sphere lies at least |a - r| from the origin, so the
+    area is at most the origin's form times e^{(r^2 - (a - r)^2)/2}; where
+    that is below e^-800 the area is 0 in double precision, and -inf is
+    returned without summing the O(r a) terms the mixture would need.
+    Beyond k* = 2^32 (a window of a million terms whose logs would round
+    away 1e-6 of the area; r a above about 2^33) it raises DomainError.
     """
-    nu, y, a = d / 2.0 - 1.0, 0.5 * r * r, math.sqrt(2.0 * lam)
-    log_y = math.log(y)
+    nu, y = d / 2.0 - 1.0, 0.5 * r * r
+    log_y = (math.log(y) if sys.float_info.min <= y < math.inf
+             else 2.0 * math.log(r) - math.log(2.0))
     log_origin = math.log(r) + nu * log_y - y - math.lgamma(nu + 1.0)
     if lam == 0.0:
         return log_origin
-    if log_origin + y - 0.5 * (a - r) ** 2 < -800.0:
+    if math.log(r) + nu * log_y - math.lgamma(nu + 1.0) - 0.5 * (a - r) * (a - r) < -800.0:
         return -math.inf
     mode = max(0.0, 0.5 * (math.hypot(nu, r * a) - nu) - 1.0)
+    if mode > 2.0**32:
+        raise DomainError(f"the Gaussian surface area needs a Poisson mode of at most 2^32 "
+                          f"(|center| * radius up to about 2^33); this sphere's is {mode:.6g}")
     lo = int(max(0.0, mode - 10.0 * math.sqrt(mode + 1.0)))
     k = np.arange(float(lo), float(int(mode + 10.0 * math.sqrt(mode + 1.0)) + 10))
     k[0] = 1.0  # replaced by term lo below
@@ -169,7 +176,8 @@ def gaussian_surface_area_ball(center, radius):
     the Poisson mixture of central densities of `_log_surface` otherwise;
     a center whose ||c||^2 / 2 underflows to 0 takes the origin's closed
     form, which it equals to double precision.  Raises DomainError on a
-    non-finite center or a radius that is not positive and finite.
+    non-finite center, a radius that is not positive and finite, or a
+    sphere beyond `_log_surface`'s window.
     """
     center = _as_float_vector(np.atleast_1d(center), "center")
     if center.size == 0:
@@ -177,10 +185,13 @@ def gaussian_surface_area_ball(center, radius):
     if not (math.isfinite(radius) and radius > 0):
         raise DomainError("radius must be positive and finite")
     d = center.shape[0]
-    if d == 1:
-        c = float(center[0])
-        return float(_normal_pdf(c - radius) + _normal_pdf(c + radius))
-    return math.exp(_log_surface(d, 0.5 * float(center @ center), radius))
+    with np.errstate(over="ignore"):  # a square beyond 1.8e308 is inf
+        if d == 1:
+            c = float(center[0])
+            return float(_normal_pdf(c - radius) + _normal_pdf(c + radius))
+        lam = 0.5 * float(center @ center)
+    a = math.sqrt(2.0 * lam) if lam < math.inf else math.hypot(*center.tolist())
+    return math.exp(_log_surface(d, lam, radius, a))
 
 
 @dataclass(frozen=True)

@@ -101,23 +101,29 @@ class SubsetCollection(EstimatorFamily):
             raise DomainError("need at least one candidate subset")
         self.domain = TuningDomain(kind="discrete", labels=labels)
         position = {cols: k for k, cols in enumerate(labels)}
-        norms, dirs, self._qcols = _column_norms(X), [], [None] * len(labels)
+        grown = [_grown_from(cols, position) for cols in labels]
+        # Room for every direction: one per grown subset, a full basis otherwise.
+        dirs = np.empty((sum(1 if parent is not None else min(len(cols), self.n)
+                             for cols, (parent, _) in zip(labels, grown)), self.n))
+        norms, m, self._qcols = _column_norms(X), 0, [None] * len(labels)
         self._tree = []  # (k, parent or None if own basis, its new direction or None)
         for k in sorted(range(len(labels)), key=lambda k: len(labels[k])):
-            cols = labels[k]
-            parent, j = _grown_from(cols, position)
+            cols, (parent, j) = labels[k], grown[k]
             if parent is None:
                 own, new = [], _rank_basis(X[:, cols])[0]
             else:
                 own, v = self._qcols[parent], X[:, j]
-                basis = np.reshape([dirs[i] for i in own], (len(own), self.n))
+                # own rises, so a run of consecutive directions is a view.
+                run = own and own[-1] - own[0] == len(own) - 1
+                basis = dirs[own[0]:own[-1] + 1] if run else dirs[own]
                 for _ in range(2):
                     v = v - basis.T @ (basis @ v)
                 new = _rank_basis(v[:, None], _RANK_TOL * norms[list(cols)].max())[0]
-            self._tree.append((k, parent, len(dirs) if parent is not None and new.size else None))
-            self._qcols[k] = own + list(range(len(dirs), len(dirs) + new.shape[1]))
-            dirs.extend(new.T)
-        self.Q = np.reshape(dirs, (len(dirs), self.n)).T
+            self._tree.append((k, parent, m if parent is not None and new.size else None))
+            self._qcols[k] = own + list(range(m, m + new.shape[1]))
+            dirs[m:m + new.shape[1]] = new.T
+            m += new.shape[1]
+        self.Q = dirs[:m].T
         self.ranks = np.array([len(idx) for idx in self._qcols], dtype=int)
         # Evaluation order for argmin tie breaking: smaller rank first, then
         # lexicographic column indices.

@@ -83,6 +83,7 @@ LIBRARY_MODULES = (
 # Carlo pass, in place of the test-only oracle gap check, and
 # `HeteroShrinkFamily(sigmas).tune` replaces its one-vector forwarder.
 DELETED = {
+    "bootstrap": ("bootstrap_df",),
     "core": ("sure", "tune_by_sure", "vectorize_rows", "oracle_tuning", "oracle_gap_check",
              "OracleGapReport"),
     "shrinkage": ("tune_shrink_means", "tune_shrink_regression", "minimize_quadratic_sure",

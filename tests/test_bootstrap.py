@@ -14,7 +14,6 @@ from suretune import (
     ShrinkMeansFamily,
     TunedBatch,
     TuningDomain,
-    bootstrap_df,
     bootstrap_edf,
     corrected_error_estimate,
 )
@@ -83,7 +82,7 @@ def test_seed_determinism():
 def _replicate_stats(fam, y, theta_hat, cfg, seed):
     # The covariance form and plug-in df of each replicate, recomputed from
     # one (B, n) draw and one retune with the array expressions spelled out.
-    Ystar = _replicates(fam, y, theta_hat, cfg, np.random.default_rng(seed))
+    Ystar = _replicates(fam, y[None], theta_hat[None], cfg, [seed])[0]
     refit = fam.tune_batch(Ystar)
     scale = fam.sigmas**2 if fam.is_heteroskedastic else fam.sigma**2
     cov_form = np.sum(refit.theta_hat * (Ystar - Ystar.mean(axis=0)) / scale, axis=1)
@@ -127,18 +126,6 @@ def test_fixed_rule_excess_matches_centering_bias():
     assert abs(report.value - (-df / B)) <= 4.0 * report.std_error
 
 
-def test_bootstrap_df_is_plugin_plus_excess():
-    rng = np.random.default_rng(4)
-    y = rng.normal(0.0, 1.0, 15)
-    fam = SingletonShrinkFamily(15, 1.0, s=0.5)
-    cfg = BootstrapConfig(B=50, seed=7)
-    edf = bootstrap_edf(fam, y, cfg)
-    df = bootstrap_df(fam, y, cfg)
-    plugin = fam.tune(y).naive_df_at_shat
-    assert df.value == pytest.approx(plugin + edf.value, abs=1e-12)
-    assert df.std_error == pytest.approx(edf.std_error)
-
-
 def test_naive_bootstrap_df_tracks_identity_rule():
     # The covariance form alone, with no plug-in anchoring: the CSV's
     # df,naive_bootstrap row.
@@ -178,20 +165,20 @@ class TestSamplers:
 
     def test_parametric_centers_on_the_fit(self):
         cfg = BootstrapConfig(B=4000, sampler="parametric", seed=13)
-        reps = _replicates(self.fam, self.y, self.theta, cfg, np.random.default_rng(13))
+        reps = _replicates(self.fam, self.y[None], self.theta[None], cfg, [13])[0]
         assert reps.shape == (4000, 6)
         assert np.allclose(reps.mean(axis=0), self.theta, atol=0.08)
         assert np.allclose(reps.std(axis=0), 1.0, atol=0.06)
 
     def test_bigmodel_centers_on_the_data_with_scaled_noise(self):
         cfg = BootstrapConfig(B=4000, sampler="bigmodel", c=0.25, seed=14)
-        reps = _replicates(self.fam, self.y, self.theta, cfg, np.random.default_rng(14))
+        reps = _replicates(self.fam, self.y[None], self.theta[None], cfg, [14])[0]
         assert np.allclose(reps.mean(axis=0), self.y, atol=0.05)
         assert np.allclose(reps.std(axis=0), 0.5, atol=0.04)
 
     def test_residual_draws_come_from_the_observed_residuals(self):
         cfg = BootstrapConfig(B=200, sampler="residual", seed=15)
-        reps = _replicates(self.fam, self.y, self.theta, cfg, np.random.default_rng(15))
+        reps = _replicates(self.fam, self.y[None], self.theta[None], cfg, [15])[0]
         resid = self.y - self.theta
         # every replicate coordinate is theta_i plus one of the residuals
         diff = reps - self.theta[None, :]
@@ -203,8 +190,8 @@ class TestSamplers:
         fam_small = SingletonShrinkFamily(6, 1.0, s=1.0)
         fam_large = SingletonShrinkFamily(6, 7.0, s=1.0)
         cfg = BootstrapConfig(B=32, sampler="residual", seed=16)
-        a = _replicates(fam_small, self.y, self.theta, cfg, np.random.default_rng(16))
-        b = _replicates(fam_large, self.y, self.theta, cfg, np.random.default_rng(16))
+        a = _replicates(fam_small, self.y[None], self.theta[None], cfg, [16])[0]
+        b = _replicates(fam_large, self.y[None], self.theta[None], cfg, [16])[0]
         assert np.array_equal(a, b)
 
 
@@ -265,6 +252,36 @@ def _family(name, n):
         return HeteroShrinkFamily(np.geomspace(0.5, 3.0, n))
     return SingletonShrinkFamily(n, 1.3, s=0.7) if name == "singleton" else \
         ShrinkMeansFamily(n, 1.3)
+
+
+@pytest.mark.parametrize("sampler", ["parametric", "bigmodel", "residual"])
+@pytest.mark.parametrize("name", ["shrink", "hetero"])
+def test_replicates_of_a_batch_are_the_one_row_replicates(sampler, name):
+    # A (k, n) batch fills its (k, B, n) block with each row's own one-row
+    # replicates, to the bit, heteroskedastic sigma_i included.
+    fam = _family(name, 6)
+    cfg = BootstrapConfig(B=9, sampler=sampler, c=0.4)
+    Y, theta, seeds = _batch(fam, 5)
+    block = _replicates(fam, Y, theta, cfg, seeds)
+    assert block.shape == (5, 9, 6)
+    for r in range(5):
+        one = _replicates(fam, Y[r:r + 1], theta[r:r + 1], cfg, seeds[r:r + 1])
+        assert block[r].tobytes() == one[0].tobytes()
+
+
+@pytest.mark.parametrize("sampler", ["parametric", "bigmodel", "residual"])
+def test_a_generator_passed_as_a_seed_is_used_unaltered(sampler):
+    fam = _family("shrink", 6)
+    cfg = BootstrapConfig(B=9, sampler=sampler, c=0.4)
+    Y, theta, seeds = _batch(fam, 2)
+    gens = [np.random.default_rng(s) for s in seeds]
+    got = _replicates(fam, Y, theta, cfg, gens)
+    assert got.tobytes() == _replicates(fam, Y, theta, cfg, seeds).tobytes()
+    for gen, seed in zip(gens, seeds):
+        # Each generator advanced past its row's draws, exactly once.
+        fresh = np.random.default_rng(seed)
+        _replicates(fam, Y[:1], theta[:1], cfg, [fresh])
+        assert gen.bit_generator.state == fresh.bit_generator.state
 
 
 # With a 64-value block, (n, B) = (5, 4) puts three reps in a block and

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,33 @@ class TestGaussianSurfaceArea:
             assert math.isfinite(got)
             want = _scipy_area(center, radius) if nonc > 1e-20 else origin
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("center, radius, want", [
+        ([1e-200, 0.0], 1e-300, 1e-300),  # r^2/2 underflows to 0: r e^{-r^2/2} at d = 2
+        ([0.0, 0.0], 1e-160, 1e-160),  # r^2/2 is subnormal
+        ([3.0, 4.0], 1e-300, 1e-300 * math.exp(-12.5)),  # r e^{-|c|^2/2} I_0(r |c|)
+        ([0.0, 0.0, 0.0], 1e-300, 0.0),  # r^2 / sqrt(pi / 2) underflows
+        ([0.0, 0.0], 1e200, 0.0),  # r^2/2 overflows
+        ([1e200, 0.0], 1.0, 0.0),  # |c|^2 overflows
+        ([1e300, 1e300], 1.0, 0.0),
+        ([1e200], 1.0, 0.0),
+        ([0.0], 1e200, 0.0),
+        ([1e200], 1e200, 1.0 / math.sqrt(2.0 * math.pi)),
+    ])
+    def test_extreme_inputs_give_the_exact_value_without_a_warning(self, center, radius, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gaussian_surface_area_ball(center, radius)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("center, radius", [
+        ([1e150, 0.0], 1e150),  # the sphere is nearly a line through 0: area 0.399
+        ([1e200, 0.0], 1e200),  # |c|^2 overflows too
+        ([1e5, 0.0, 0.0], 1e5),  # mode 5e9: the window would hold 1.4e6 terms
+    ])
+    def test_spheres_beyond_the_poisson_window_are_refused(self, center, radius):
+        with pytest.raises(DomainError, match=r"Poisson mode of at most 2\^32"):
+            gaussian_surface_area_ball(center, radius)
 
     def test_values_never_exceed_one(self):
         rng = np.random.default_rng(21)

@@ -239,6 +239,19 @@ class TestBounds:
         assert main(argv) == 1
         assert message in capsys.readouterr().err
 
+    def test_surface_area_ball_at_a_tiny_radius(self, capsys):
+        rc = main(["bounds", "surface-area-ball", "--center", "1e-200,0", "--radius", "1e-300"])
+        assert rc == 0
+        kv = _kv(capsys.readouterr().out)
+        assert float(kv["value"]) == pytest.approx(1e-300, rel=1e-13)
+        assert kv["at_most_one"] == "True"
+
+    def test_surface_area_ball_beyond_its_window_exits_1(self, capsys):
+        rc = main(["bounds", "surface-area-ball", "--center", "1e150,0", "--radius", "1e150"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the Gaussian surface area needs a Poisson mode of at most")
+
     @pytest.mark.parametrize("argv", [
         ["bounds", "general-theta", "--mu", "1,2", "--directions", "5"],
         ["bounds", "general-theta", "--mu", "1,2", "--chi2-draws", "5"],

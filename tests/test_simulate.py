@@ -18,6 +18,7 @@ from suretune import (
 )
 from suretune import core
 from suretune import simulate as simulate_module
+from suretune.cli import main
 from suretune.core import DomainError
 from suretune.simulate import (
     _FAMILY_CLASSES,
@@ -466,6 +467,14 @@ class TestPresets:
         assert spec.sizes == (10, 25)
         assert spec.outer_reps == 40
         assert spec.bootstrap_B == 16
+
+    def test_desk_seed_0_output_is_pinned(self, capsys):
+        # The sha256 of the benchmark's seed-0 desk reference CSV: any byte
+        # change to the desk grid's draws, tuners or bootstrap shows here.
+        assert main(["--seed", "0", "simulate", "--preset", "desk"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == \
+            "65bf10c748217b8515a494a441c32e74bb4c58f58121d3f456b01d6881900c45"
 
 
 def test_singleton_oracle_is_the_fixed_value_and_its_exact_error():
