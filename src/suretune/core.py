@@ -52,7 +52,12 @@ BLAS may round a row in the last place differently from one call on the
 whole batch, while BLAS-free tuners give the same bytes either way.  Pairs
 of Y and an independent copy Y* (drawn as a second (reps, n) batch after
 all of Y) come in matching blocks from `_paired_draws`, which replays Y at
-the price of reps * n extra normals.
+the price of reps * n extra normals.  The pass draws every block into one
+buffer (Y* into a second), and `_df_stats` and the soft-threshold and
+heteroskedastic tuners work in row chunks of `_CACHE_VALUES` values, so
+the heap keeps its pages from block to block.  A block handed to a
+statistic, or yielded by `_paired_draws`, is overwritten by the next block,
+and whoever keeps one past its turn copies it.
 
 Input checks: only this module decides what a valid input is, through
 `_as_float_vector` for vectors, `_check_noise` for sigma, `_check_count` for
@@ -70,7 +75,9 @@ heteroskedastic noise), runs the family's core at sigma / c and scales the
 answer back.  No family can skip it, since no family defines `tune_batch`
 or `oracle`.  Squares stay in the normal range, and a tolerance written
 for unit noise means the same at every sigma.  `estimate`, `naive_df`,
-`sure` and `hooks` work in the caller's units.
+`sure` and the callables of `hooks` work in the caller's units; hooks
+that carry their family at unit noise (`stein.SmoothFamilyHooks.unit_noise`)
+are evaluated there by the implicit-diff statistic.
 """
 
 import math
@@ -111,13 +118,24 @@ _RANK_TOL = 1e-10
 # tune and reduce in row blocks this big, and the bootstrap retunes in them.
 _BLOCK_VALUES = 1 << 16
 
+# Values per temporary of the row chunks that tuners and `_df_stats` work
+# in: 64 KB of float64, which stays in cache and below malloc's mmap
+# threshold, so a long run of calls reuses the same heap pages instead of
+# faulting in fresh ones.
+_CACHE_VALUES = 1 << 13
 
-def _row_blocks(reps, n):
-    """Consecutive slices of range(reps), each of max(1, _BLOCK_VALUES // n) rows
-    except possibly the last."""
-    step = max(1, _BLOCK_VALUES // n)
+
+def _row_blocks(reps, width, values=None):
+    """Consecutive slices of range(reps), each of max(1, values // width) rows
+    except possibly the last; `values` defaults to `_BLOCK_VALUES`."""
+    step = max(1, (_BLOCK_VALUES if values is None else values) // width)
     for a in range(0, reps, step):
         yield slice(a, min(a + step, reps))
+
+
+def _block_buffer(reps, n, values=None):
+    """An uninitialized array shaped as the first of `_row_blocks(reps, n, values)`."""
+    return np.empty((next(_row_blocks(reps, n, values)).stop, n))
 
 
 def _paired_draws(model, rng, reps):
@@ -128,18 +146,22 @@ def _paired_draws(model, rng, reps):
     A first pass runs rng through all of Y, one block at a time, and saves
     the generator's state at the start of each block.  The second pass
     replays each Y block from its saved state and draws the matching Ystar
-    block from where the first pass stopped.
+    block from where the first pass stopped.  Every Y block, in both
+    passes, is drawn into one buffer and every Ystar block into another, so
+    a yielded pair is overwritten by the next one.
     """
     blocks = list(_row_blocks(reps, model.n))
+    Y, Ystar = _block_buffer(reps, model.n), _block_buffer(reps, model.n)
     states = []
     for rows in blocks:
         states.append(rng.bit_generator.state)
-        model.draw(rng, rows.stop - rows.start)
+        k = rows.stop - rows.start
+        model.draw(rng, k, out=Y[:k])
     replay = np.random.Generator(type(rng.bit_generator)())
     for rows, state in zip(blocks, states):
         replay.bit_generator.state = state
         k = rows.stop - rows.start
-        yield rows, model.draw(replay, k), model.draw(rng, k)
+        yield rows, model.draw(replay, k, out=Y[:k]), model.draw(rng, k, out=Ystar[:k])
 
 
 def _check_count(value, name, least):
@@ -237,10 +259,11 @@ class GaussianModel:
             return self.sigmas
         return np.full(self.n, self.sigma)
 
-    def draw(self, rng, reps):
-        """Draw `reps` independent data vectors as a (reps, n) array."""
+    def draw(self, rng, reps, out=None):
+        """Draw `reps` independent data vectors as a (reps, n) array, written
+        into the C-contiguous (reps, n) float array `out` if one is given."""
         # In place, with the bytes of theta0 + sd * z.
-        z = rng.standard_normal((reps, self.n))
+        z = rng.standard_normal((reps, self.n), out=out)
         z *= self.sd
         z += self.theta0
         return z
@@ -564,6 +587,13 @@ class EstimatorFamily(ABC):
         Homoskedastic: ||y - theta_s(y)||^2 + 2 sigma^2 naive_df(s, y).
         Heteroskedastic: sum_i (y_i - theta_i)^2 / sigma_i^2 + 2 naive_df(s, y).
 
+        The residual is formed as y - theta_s(y), so the value is exact to
+        rounding while theta_s(y) stays apart from y, and cancels once
+        theta_s(y) rounds to y (s near 0 on data far above the noise): for
+        `HeteroShrinkFamily([1, 2, 3, 4])` at y = 1e100 * [1, 2, 3, 4] and
+        s = 4.1e-66 it reads 8.0 where the criterion, and the tuner's
+        `sure_min` there, are about 6.1e71.
+
         Raises DomainError for s outside the family's tuning domain and
         ShapeError for mismatched data.
         """
@@ -630,11 +660,17 @@ def _rule_tuner(rule):
 
 
 def _df_stats(theta, Y, model):
-    """Per-replication covariance-form df statistics for a batch."""
-    terms = Y - model.theta0
-    terms *= theta
-    terms /= _noise_sd(model) ** 2
-    return np.sum(terms, axis=-1)
+    """Per-replication covariance-form df statistics for a batch, formed row
+    by row in chunks of at most `_CACHE_VALUES` values."""
+    reps, n = Y.shape
+    stats, var = np.empty(reps), _noise_sd(model) ** 2
+    work = _block_buffer(reps, n, _CACHE_VALUES)
+    for rows in _row_blocks(reps, n, _CACHE_VALUES):
+        terms = np.subtract(Y[rows], model.theta0, out=work[:rows.stop - rows.start])
+        terms *= theta[rows]
+        terms /= var
+        stats[rows] = np.sum(terms, axis=-1)
+    return stats
 
 
 def _tuned_stats(tune, model, seed, reps, *names, **funcs):
@@ -654,8 +690,13 @@ def _tuned_stats(tune, model, seed, reps, *names, **funcs):
 
     Without "test" the blocks are the rows of one `model.draw(rng, reps)`,
     leaving rng where that draw leaves it.  With "test" they come from
-    `_paired_draws`, and each Y* block is dropped before the funcs run.
-    Each block's Y and fit are released before the next block is drawn.
+    `_paired_draws`, and the test residual Y* - theta_hat is formed in
+    place in the Y* block, which nothing reads after it.
+
+    Every block is drawn into the same buffer, so a block handed to a func
+    is overwritten by the next block (as is a rule's theta_hat when the
+    rule returns its block): a func that keeps one past its call copies
+    it.  Each block's fit is released before the next block is drawn.
     """
     # A Monte Carlo standard error needs two replications: one would report
     # std_error 0, which `EdfReport` reserves for deterministic methods.
@@ -664,28 +705,29 @@ def _tuned_stats(tune, model, seed, reps, *names, **funcs):
     if "test" in names:
         blocks = _paired_draws(model, rng, reps)
     else:
-        blocks = ((rows, model.draw(rng, rows.stop - rows.start), None)
-                  for rows in _row_blocks(reps, model.n))
+        buffer = _block_buffer(reps, model.n)
+        views = ((rows, buffer[:rows.stop - rows.start]) for rows in _row_blocks(reps, model.n))
+        blocks = ((rows, model.draw(rng, len(Y), out=Y), None) for rows, Y in views)
     per_row = {}
     for rows, Y, Ystar in blocks:
         fit = tune(Y)
         stats = {}
         for name in names:
             if name == "test":
-                stats[name] = _sq_error(Ystar - fit.theta_hat, model)
+                Ystar -= fit.theta_hat
+                stats[name] = _sq_error(Ystar, model)
             elif name in ("cov", "edf"):
                 cov = _df_stats(fit.theta_hat, Y, model)
                 stats[name] = cov if name == "cov" else cov - fit.naive_df_at_shat
             else:
                 stats[name] = getattr(fit, name)
-        del Ystar
         stats.update((name, None if f is None else f(Y, fit)) for name, f in funcs.items())
         for name, values in stats.items():
             if name not in per_row:
                 per_row[name] = None if values is None else np.empty((reps, *np.shape(values)[1:]))
             if values is not None:
                 per_row[name][rows] = values
-        del Y, fit, stats
+        del fit, stats
     return per_row
 
 

@@ -16,18 +16,15 @@ from .core import (
     DomainError,
     EstimatorFamily,
     TunedBatch,
+    _CACHE_VALUES,
     _as_float_vector,
     _check_count,
     _check_noise,
     _check_tuning,
     _normal_pdf,
+    _row_blocks,
     mc_edf,
 )
-
-# Values per temporary of the tuner's row chunks: 64 KB of float64, which
-# stays in cache and below malloc's mmap threshold, so a long run of calls
-# reuses the same heap pages instead of faulting in fresh ones.
-_CACHE_VALUES = 1 << 13
 
 __all__ = [
     "soft_threshold",
@@ -79,14 +76,14 @@ class SoftThreshFamily(EstimatorFamily):
         # taking the first argmin both resolves ties toward the larger
         # threshold and keeps the strict-count bookkeeping exact.
         # Every step acts row by row, so the batch goes through in chunks
-        # whose (rows, n + 1) temporaries hold at most _CACHE_VALUES values.
+        # whose (rows, n + 1) temporaries hold at most `core._CACHE_VALUES`
+        # values.
         reps, n = Y.shape
         k = np.arange(1, n + 2)
         penalty = 2.0 * sigma**2 * (k - 1)
         s_hat, sure_min, pick = np.empty(reps), np.empty(reps), np.empty(reps, dtype=np.intp)
         theta = np.empty_like(Y)
-        step = max(1, _CACHE_VALUES // (n + 1))
-        for rows in (slice(lo, lo + step) for lo in range(0, reps, step)):
+        for rows in _row_blocks(reps, n + 1, _CACHE_VALUES):
             y = Y[rows]
             a = np.sort(np.abs(y), axis=1)[:, ::-1]
             a = np.concatenate([a, np.zeros((a.shape[0], 1))], axis=1)

@@ -40,10 +40,12 @@ from .core import (
     EstimatorFamily,
     ShapeError,
     TunedBatch,
+    _CACHE_VALUES,
     _as_float_vector,
     _check_batch,
     _check_noise,
     _rank_basis,
+    _row_blocks,
 )
 
 __all__ = [
@@ -90,6 +92,11 @@ class SmoothFamilyHooks:
         by a central difference of `theta` or `g` with step h * (1 + |value|)
         in each differenced argument: h = 1e-5 for first derivatives and
         eps**0.25 ~ 1.2e-4 for the second derivatives of `g`.
+    unit_noise : (SmoothFamilyHooks, int, int), optional
+        (hooks, e, p): the same family's hooks at unit noise, where data y
+        and tuning values s are 2^-e y and 2^-(p e) s (e and p as in
+        `EstimatorFamily._noise_exp` and `_s_power`).  `_implicit_diff_stats`
+        runs there, so no square of the caller's units forms.
     """
 
     theta: Callable
@@ -98,6 +105,7 @@ class SmoothFamilyHooks:
     dg_ds: Callable = None
     d2g_ds2: Callable = None
     d2g_dyds: Callable = None
+    unit_noise: tuple = None
 
     def eval_dtheta_ds(self, s, y):
         if self.dtheta_ds is not None:
@@ -153,13 +161,18 @@ def _implicit_diff_stats(hooks, Y, s_hat):
     |s dG/ds| <= 1e-6 |G| or a Newton step |dG/ds / d2G/ds2| <= 1e-6 s, and
     have d2G/ds2 > 0; the first row that is not raises `StationarityError`
     or `CurvatureError` naming it.  Both tests keep their verdict when y and
-    the noise are scaled together, whatever the units of s and G.
+    the noise are scaled together, whatever the units of s and G, so hooks
+    with `unit_noise` are evaluated at unit noise, where the derivatives in
+    an error message are then given.
     """
     Y = np.asarray(Y, dtype=float)
     s_hat = np.asarray(s_hat, dtype=float)
     finite, boundary = np.isfinite(s_hat), s_hat == math.inf
-    # Non-finite rows are evaluated at s = 0 and masked out, so Y is never copied.
+    # Non-finite rows are evaluated at s = 0 and masked out, so Y is not copied to drop them.
     s = np.where(finite, s_hat, 0.0)
+    if hooks.unit_noise is not None:
+        hooks, e, power = hooks.unit_noise
+        Y, s = np.ldexp(Y, -e), np.ldexp(s, -power * e)
     slope = np.where(finite, hooks.eval_dg_ds(s, Y), math.nan)
     curv = hooks.eval_d2g_ds2(s, Y)
     steady = (np.abs(s * slope) <= 1e-6 * np.abs(hooks.g(s, Y))) | (
@@ -244,6 +257,27 @@ def _hetero_slopes(s, W, sig2, curvature=False):
     return slope, np.sum(work, axis=-1) + np.sum(np.divide(4.0 * sig2**2, v3, out=tmp), axis=-1)
 
 
+def _hetero_hooks(sig2):
+    """Closed-form hooks of per-coordinate shrinkage at variances sig2."""
+
+    def d2g_dyds(s, y):
+        s = np.asarray(s, dtype=float)[..., None]
+        return 4.0 * np.asarray(y, dtype=float) * sig2 * s / (1.0 + sig2 * s) ** 3
+
+    def dtheta_ds(s, y):
+        u = sig2 * np.asarray(s, dtype=float)[..., None]
+        return -np.asarray(y, dtype=float) * sig2 / (1.0 + u) ** 2
+
+    return SmoothFamilyHooks(
+        theta=lambda s, y: y / (1.0 + sig2 * np.asarray(s, dtype=float)[..., None]),
+        g=lambda s, y: _hetero_sure(s, np.square(y), sig2),
+        dg_ds=lambda s, y: _hetero_slopes(s, 2.0 * np.square(y) * sig2, sig2),
+        d2g_ds2=lambda s, y: _hetero_slopes(s, 2.0 * np.square(y) * sig2, sig2, True)[1],
+        dtheta_ds=dtheta_ds,
+        d2g_dyds=d2g_dyds,
+    )
+
+
 class HeteroShrinkFamily(EstimatorFamily):
     """Per-coordinate shrinkage y_i/(1 + sigma_i^2 s) with scaled SURE.
 
@@ -269,25 +303,17 @@ class HeteroShrinkFamily(EstimatorFamily):
 
     @property
     def hooks(self):
-        """Closed-form hooks for y_i/(1 + sigma_i^2 s) and its scaled SURE."""
-        sig2 = self._sig2
+        """Closed-form hooks for y_i/(1 + sigma_i^2 s) and its scaled SURE.
 
-        def d2g_dyds(s, y):
-            s = np.asarray(s, dtype=float)[..., None]
-            return 4.0 * np.asarray(y, dtype=float) * sig2 * s / (1.0 + sig2 * s) ** 3
-
-        def dtheta_ds(s, y):
-            u = sig2 * np.asarray(s, dtype=float)[..., None]
-            return -np.asarray(y, dtype=float) * sig2 / (1.0 + u) ** 2
-
-        return SmoothFamilyHooks(
-            theta=lambda s, y: y / (1.0 + sig2 * np.asarray(s, dtype=float)[..., None]),
-            g=lambda s, y: _hetero_sure(s, np.square(y), sig2),
-            dg_ds=lambda s, y: _hetero_slopes(s, 2.0 * np.square(y) * sig2, sig2),
-            d2g_ds2=lambda s, y: _hetero_slopes(s, 2.0 * np.square(y) * sig2, sig2, True)[1],
-            dtheta_ds=dtheta_ds,
-            d2g_dyds=d2g_dyds,
-        )
+        Their callables work in the caller's units, where 2 y^2 sigma_i^2
+        overflows once y and sigma pass about 2^255; the implicit-diff
+        statistic runs them at unit noise through `unit_noise`, the way
+        `tune_batch` runs the tuner.
+        """
+        hooks, e = _hetero_hooks(self._sig2), self._noise_exp
+        if e:
+            hooks.unit_noise = (_hetero_hooks(np.ldexp(self._sig2, -2 * e)), e, self._s_power)
+        return hooks
 
     def estimate(self, s, y):
         self._check_s(s)
@@ -312,16 +338,28 @@ class HeteroShrinkFamily(EstimatorFamily):
         the minima in increasing s, the first at or below the s = +inf value
         replaces it, later ones only when lower by 1e-12 relative, so ties
         go to the smallest finite s.
+
+        The batch goes through in chunks whose (rows, n) temporaries hold
+        at most `core._CACHE_VALUES` values, each written into the
+        preallocated output arrays.  Every step acts row by row except the
+        BLAS product of the grid values and the golden-section step count,
+        which the widest bracket of a chunk sets, so a row may round in the
+        last place differently in another chunk.
         """
-        sig2 = sd**2
-        best_s, best_val, kept = self._minimize(Y**2, sig2)
-        shrunk = np.isinf(best_s)
-        shrink = 1.0 + sig2 * np.where(shrunk, 0.0, best_s)[:, None]
-        theta = Y / shrink
-        theta[shrunk] = 0.0
-        df = np.where(shrunk, 0.0, np.sum(1.0 / shrink, axis=1))
-        return TunedBatch(s_hat=best_s, theta_hat=theta, sure_min=best_val,
-                          naive_df_at_shat=df, multimodal=kept > 1)
+        sig2, reps = sd**2, Y.shape[0]
+        s_hat, sure_min, df = np.empty(reps), np.empty(reps), np.empty(reps)
+        theta, multimodal = np.empty_like(Y), np.empty(reps, dtype=bool)
+        for rows in _row_blocks(reps, self.n, _CACHE_VALUES):
+            y = Y[rows]
+            best_s, sure_min[rows], kept = self._minimize(y**2, sig2)
+            s_hat[rows], multimodal[rows] = best_s, kept > 1
+            shrunk = np.isinf(best_s)
+            shrink = 1.0 + sig2 * np.where(shrunk, 0.0, best_s)[:, None]
+            np.divide(y, shrink, out=theta[rows])
+            theta[rows][shrunk] = 0.0
+            df[rows] = np.where(shrunk, 0.0, np.sum(1.0 / shrink, axis=1))
+        return TunedBatch(s_hat=s_hat, theta_hat=theta, sure_min=sure_min,
+                          naive_df_at_shat=df, multimodal=multimodal)
 
     def _minimize(self, Y2, sig2):
         """(s_hat, SURE minimum, number of distinct minima) of every row of

@@ -395,12 +395,14 @@ def test_mc_df_of_a_tuned_rule_is_pinned():
 def test_paired_draws_are_the_rows_of_two_whole_draws(monkeypatch):
     # Y is replayed block by block from saved generator states, Y* drawn
     # after all of Y; both match two whole draws bit for bit, and the
-    # generator ends where the two whole draws leave it.
+    # generator ends where the two whole draws leave it.  The pass reuses
+    # its buffers, so each block is copied before the next one is drawn.
     monkeypatch.setattr(core, "_BLOCK_VALUES", 64)
     model = GaussianModel(np.linspace(-1.0, 1.0, 7), sigmas=np.geomspace(0.5, 2.0, 7))
     whole, rng = np.random.default_rng(3), np.random.default_rng(3)
     Y, Ystar = model.draw(whole, 20), model.draw(whole, 20)
-    blocks = list(core._paired_draws(model, rng, 20))
+    blocks = [(rows, y.copy(), ystar.copy())
+              for rows, y, ystar in core._paired_draws(model, rng, 20)]
     assert [rows for rows, _, _ in blocks] == list(core._row_blocks(20, 7))
     assert np.concatenate([b[1] for b in blocks]).tobytes() == Y.tobytes()
     assert np.concatenate([b[2] for b in blocks]).tobytes() == Ystar.tobytes()
@@ -412,7 +414,7 @@ def test_paired_draws_are_the_rows_of_two_whole_draws(monkeypatch):
     Y = model.draw(once, 20)
     seen = []
     core._tuned_stats(core._rule_tuner(lambda Y: Y), model, rng, 20,
-                      record=lambda Y, fit: seen.append(Y))
+                      record=lambda Y, fit: seen.append(Y.copy()))
     assert [len(block) for block in seen] == [rows.stop - rows.start
                                               for rows in core._row_blocks(20, 7)]
     assert np.concatenate(seen).tobytes() == Y.tobytes()

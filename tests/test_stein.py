@@ -1,6 +1,8 @@
 """Implicit-differentiation excess df, heteroskedastic shrinkage, ridge."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import suretune.stein as stein
 from suretune import (
     CurvatureError,
     DomainError,
+    GaussianModel,
     HeteroShrinkFamily,
     RidgeRotation,
     ShapeError,
@@ -17,6 +20,7 @@ from suretune import (
     StationarityError,
     edf_implicit_diff,
     exopt_hetero_shrink,
+    mc_edf,
     ridge_as_hetero,
 )
 
@@ -171,13 +175,10 @@ class TestImplicitDiff:
         # the verdict alone.  A bound of 1e-6 max(1, |G|) is absolute below
         # |G| = 1: at sigma = 1e-4 it passes 1.3 s_hat on shrinkage, which
         # then returns 2.40 where the statistic at s_hat is 1.33.
-        # The heteroskedastic hooks run in the caller's units, where their
-        # 2 y^2 sigma^2 overflows past |k| of about 255; they run to |k| = 60.
         c = 2.0**k
         y = 1.0 + np.random.default_rng(33).standard_normal(40)
-        builds = [lambda c: ShrinkMeansFamily(40, c)]
-        if abs(k) <= 60:
-            builds.append(lambda c: HeteroShrinkFamily(c * np.linspace(0.5, 2.0, 40)))
+        builds = [lambda c: ShrinkMeansFamily(40, c),
+                  lambda c: HeteroShrinkFamily(c * np.linspace(0.5, 2.0, 40))]
         for build in builds:
             unit, fam = build(1.0), build(c)
             s_hat = unit.tune(y).s_hat
@@ -343,6 +344,47 @@ class TestTuneHeteroShrink:
             assert fit.naive_df_at_shat == pytest.approx(batch.naive_df_at_shat[r],
                                                          rel=1e-12, abs=0)
             assert np.allclose(fit.theta_hat, batch.theta_hat[r], rtol=1e-12, atol=0)
+
+    # One 1310 x 50 row block of the Monte Carlo pass at the library-mix
+    # model, with every 131st row drawn at mean zero so that s = +inf appears.
+    @staticmethod
+    def _pass_block():
+        sigmas = np.geomspace(0.5, 5.0, 50)
+        null = (np.arange(1310) % 131 == 0)[:, None]
+        theta0 = np.where(null, 0.0, 4.0 / np.sqrt(np.arange(1, 51)))
+        return sigmas, theta0 + sigmas * np.random.default_rng(1).standard_normal((1310, 50))
+
+    def test_block_tunes_in_cache_sized_chunks_with_the_whole_block_bytes(self):
+        # Tuning the block in one piece peaked at 5.80 MB; chunks of 163 rows
+        # keep it near 1.9 MB.  The sha256 is that of the one-piece tuner.
+        sigmas, Y = self._pass_block()
+        fam = HeteroShrinkFamily(sigmas)
+        tracemalloc.start()
+        try:
+            fit = fam.tune_batch(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
+        assert 0 < np.isinf(fit.s_hat).sum() < 10
+        digest = hashlib.sha256()
+        for name in ("s_hat", "theta_hat", "sure_min", "naive_df_at_shat", "multimodal"):
+            digest.update(getattr(fit, name).tobytes())
+        assert digest.hexdigest() == \
+            "aa38008068a575233993f9eb6949779bee6a56ea041dd4c620f9177ea28711f1"
+
+    def test_monte_carlo_pass_memory_is_a_few_chunks(self):
+        # mc_edf over 2000 reps of the library-mix model peaked at 6.35 MB
+        # with the one-piece tuner and fresh block arrays; about 3.0 MB now.
+        sigmas = np.geomspace(0.5, 5.0, 50)
+        model = GaussianModel(4.0 / np.sqrt(np.arange(1, 51)), sigmas=sigmas)
+        tracemalloc.start()
+        try:
+            mc_edf(HeteroShrinkFamily(sigmas), model, reps=2000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
 
 
 def _dense_grid_min(y, sigmas):
