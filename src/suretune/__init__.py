@@ -37,7 +37,6 @@ from .subsets import (
 )
 from .softthresh import (
     SoftThreshFamily,
-    df_lower_bound_check,
     scan_jumps,
     soft_threshold,
     soft_threshold_risk,
@@ -77,6 +76,5 @@ from .simulate import (
     theta0_for,
     write_csv,
 )
-from .acceptance import CriterionResult, run_all
 
 __version__ = "0.1.0"

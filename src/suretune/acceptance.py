@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds  # c13 checks whatever bounds.gaussian_surface_area_ball is at call time
-from .bootstrap import BootstrapConfig, _bootstrap_stats
+from .bootstrap import BootstrapConfig, _pass_statistic
 from .bounds import (
     best_subset_constant,
     chi_sq_max_bound,
@@ -32,7 +32,7 @@ from .shrinkage import (
     james_stein_positive,
 )
 from .simulate import PRESETS, SimSpec, rows_to_csv_text, run_simulation, theta0_for
-from .softthresh import SoftThreshFamily, df_lower_bound_check, scan_jumps
+from .softthresh import SoftThreshFamily, scan_jumps
 from .stein import (
     HeteroShrinkFamily,
     RidgeRotation,
@@ -318,11 +318,11 @@ def c08_soft_threshold():
             min_size = min(min_size, jump.size)
     jumps_ok = n_jumps > 0 and min_size >= -1e-8
 
+    # The excess df of the tuned rule, df minus E[count], lies above -4 SE.
     lower_ok = True
     for theta0, seed in ((np.zeros(n), 1017), (theta0_for("weak_sparsity", n), 1018)):
-        _, holds = df_lower_bound_check(GaussianModel(theta0, sigma=1.0),
-                                        reps=3000, seed=seed)
-        lower_ok = lower_ok and holds
+        edf = mc_edf(family, GaussianModel(theta0, sigma=1.0), reps=3000, seed=seed)
+        lower_ok = lower_ok and edf.value >= -4.0 * edf.std_error
     return CriterionResult(
         "c08", "soft-threshold search exact, jumps nonnegative, df >= count",
         exact and jumps_ok and lower_ok,
@@ -392,13 +392,11 @@ def c10_ridge_round_trip():
 
 def _bootstrap_pass(family, model, seed, reps, B, *names):
     # The pass over `reps` draws from default_rng(seed) with "boot", the
-    # parametric bootstrap's (reps, 4) `_Stats` columns; row r draws its B
-    # replicates from SeedSequence([seed, r]).
-    cfg = BootstrapConfig(B=B, sampler="parametric")
+    # parametric bootstrap's (reps, 4) `_bootstrap_stats` block; row r draws
+    # its B replicates from SeedSequence([seed, r]).
     seeds = (int(np.random.SeedSequence([seed, r]).generate_state(1)[0]) for r in range(reps))
     return _tuned_stats(family.tune_batch, model, seed, reps, *names,
-                        boot=lambda Y, fit: np.column_stack(_bootstrap_stats(
-                            family, Y, fit.theta_hat, cfg, [next(seeds) for _ in Y])))
+                        boot=_pass_statistic(family, BootstrapConfig(B=B), seeds))
 
 
 def c11_bootstrap():

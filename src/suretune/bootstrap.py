@@ -25,15 +25,14 @@ Batch contract: `_bootstrap_stats(family, Y, theta_hat, config, seeds)`
 runs the recipe for every row of a (reps, n) batch Y with tuned fits
 theta_hat.  Row r draws its B replicates from its own stream
 `default_rng(seeds[r])`, so its result depends on nothing else in the
-batch, and it comes back as four length-reps arrays (mean and standard
-error of the excess df and of the covariance form).  `_replicates` fills
-one (k, B, n) block per job, drawing row by row, then scaling and
+batch, and it comes back as row r of one (reps, 4) array.  `_replicates`
+fills one (k, B, n) block per job, drawing row by row, then scaling and
 shifting the whole block; `mean(axis=1)` takes every rep's center.  These
 are the operations and reduction axes of a fresh (B, n) array per rep, so
 a row's bytes do not depend on reps or on the blocking below.  The public
-functions pass a one-row batch; `simulate` and acceptance c11 call it on
-each row block of the one Monte Carlo pass, `core._tuned_stats`, as one of
-the pass's per-row statistics.
+functions pass a one-row batch; `_pass_statistic` makes it one of the
+per-row statistics of the one Monte Carlo pass, `core._tuned_stats`, for
+`simulate` and acceptance c11.
 
 Blocking and threads: `core._row_blocks` sets both block sizes.  The batch
 is cut into jobs of reps whose B * n fits in `core._BLOCK_VALUES`, which
@@ -56,7 +55,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import islice
 
 import numpy as np
 
@@ -107,23 +106,15 @@ def _replicates(family, Y, theta_hat, config, seeds, out=None):
     return out
 
 
-class _Stats(NamedTuple):
-    """Per-row mean and standard error over B replicates of two statistics."""
-
-    edf: np.ndarray
-    edf_se: np.ndarray
-    cov_form: np.ndarray
-    cov_form_se: np.ndarray
-
-
 def _bootstrap_stats(family, Y, theta_hat, config, seeds):
     """Bootstrap summaries for each row of a (reps, n) batch Y of data vectors.
 
     Row r draws B replicates around its tuned fit theta_hat[r] from
     `np.random.default_rng(seeds[r])`, retunes every replicate, and
     summarizes two per-replicate statistics by their mean and standard
-    error: the covariance form and its excess over the plug-in df.
-    `config.seed` is not used here.
+    error.  Row r of the (reps, 4) result holds, in order, the mean and
+    standard error of the excess df (the covariance form minus the plug-in
+    df) and of the covariance form.  `config.seed` is not used here.
     """
     B, (reps, n) = config.B, Y.shape
     jobs = list(_row_blocks(reps, B * n))
@@ -133,7 +124,7 @@ def _bootstrap_stats(family, Y, theta_hat, config, seeds):
     step = next(_row_blocks(size * B, n)).stop
     workers = min(os.cpu_count() or 1, len(jobs))
     buffers = [(np.empty((size, B, n)), np.empty((step, n))) for _ in range(workers)]
-    out = np.empty((4, reps))
+    out = np.empty((reps, 4))
     jobs, lock = iter(jobs), threading.Lock()
 
     def run(w):
@@ -143,7 +134,7 @@ def _bootstrap_stats(family, Y, theta_hat, config, seeds):
             if rows is None:
                 return
             _block(family, Y[rows], theta_hat[rows], config, seeds[rows], *buffers[w],
-                   out[:, rows])
+                   out[rows])
 
     # The calling thread is worker 0, so one job needs no pool at all.
     with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
@@ -151,7 +142,7 @@ def _bootstrap_stats(family, Y, theta_hat, config, seeds):
         run(0)
         for future in futures:
             future.result()
-    return _Stats(*out)
+    return out
 
 
 def _block(family, Y, theta_hat, config, seeds, Ystar, work, out):
@@ -179,8 +170,17 @@ def _block(family, Y, theta_hat, config, seeds, Ystar, work, out):
         plugin[a:b] = refit.naive_df_at_shat
     for k, stats in enumerate((cov_form - plugin, cov_form)):
         stats = stats.reshape(reps, B)
-        out[2 * k] = stats.mean(axis=1)
-        out[2 * k + 1] = stats.std(axis=1, ddof=1) / math.sqrt(B)
+        out[:, 2 * k] = stats.mean(axis=1)
+        out[:, 2 * k + 1] = stats.std(axis=1, ddof=1) / math.sqrt(B)
+
+
+def _pass_statistic(family, config, row_seeds):
+    """The bootstrap as a func(Y, fit) of `core._tuned_stats`: each tuned
+    row block's (k, 4) `_bootstrap_stats`, row r of the pass drawing from
+    the r-th seed of the iterable `row_seeds`."""
+    seeds = iter(row_seeds)
+    return lambda Y, fit: _bootstrap_stats(family, Y, fit.theta_hat, config,
+                                           list(islice(seeds, len(Y))))
 
 
 def _one(family, y, config):
@@ -188,8 +188,8 @@ def _one(family, y, config):
     y = np.asarray(y, dtype=float)
     fit = family.tune(y)
     stats = _bootstrap_stats(family, y[None], fit.theta_hat[None], config, [config.seed])
-    return fit, EdfReport(method=f"bootstrap_{config.sampler}", value=float(stats.edf[0]),
-                          std_error=float(stats.edf_se[0]), reps=config.B)
+    return fit, EdfReport(method=f"bootstrap_{config.sampler}", value=float(stats[0, 0]),
+                          std_error=float(stats[0, 1]), reps=config.B)
 
 
 def bootstrap_edf(family, y, config=None):

@@ -252,19 +252,12 @@ class GaussianModel:
     def is_heteroskedastic(self):
         return self.sigmas is not None
 
-    @property
-    def sd(self):
-        """Noise standard deviation as a length-n vector."""
-        if self.sigmas is not None:
-            return self.sigmas
-        return np.full(self.n, self.sigma)
-
     def draw(self, rng, reps, out=None):
         """Draw `reps` independent data vectors as a (reps, n) array, written
         into the C-contiguous (reps, n) float array `out` if one is given."""
         # In place, with the bytes of theta0 + sd * z.
         z = rng.standard_normal((reps, self.n), out=out)
-        z *= self.sd
+        z *= _noise_sd(self)
         z += self.theta0
         return z
 

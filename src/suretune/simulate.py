@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, _bootstrap_stats
+from .bootstrap import BootstrapConfig, _pass_statistic
 from .core import (DomainError, GaussianModel, _as_float_vector, _check_count, _check_noise,
                    _df_unit, _mean_se, _tuned_stats)
 from .shrinkage import ShrinkMeansFamily, SingletonShrinkFamily
@@ -167,10 +167,9 @@ def run_simulation(spec):
             if spec.bootstrap_B:
                 cfg = BootstrapConfig(B=spec.bootstrap_B, sampler=spec.bootstrap_sampler,
                                       c=spec.bootstrap_c)
-                seeds = (int(np.random.SeedSequence([spec.seed, j_size, i_setting, r])
-                             .generate_state(1)[0]) for r in range(R))
-                boot = lambda Y, fit: np.column_stack(_bootstrap_stats(
-                    family, Y, fit.theta_hat, cfg, [next(seeds) for _ in Y]))
+                boot = _pass_statistic(family, cfg, (
+                    int(np.random.SeedSequence([spec.seed, j_size, i_setting, r])
+                        .generate_state(1)[0]) for r in range(R)))
             per_row = _tuned_stats(
                 family.tune_batch, model,
                 np.random.SeedSequence([spec.seed, j_size, i_setting]), R,
@@ -179,7 +178,7 @@ def run_simulation(spec):
                 implicit=None if hooks is None else (
                     lambda Y, fit: _implicit_diff_stats(hooks, Y, fit.s_hat)),
                 boot=boot)
-            # The columns of the bootstrap's block are the fields of its `_Stats`.
+            # The bootstrap's columns, as `_bootstrap_stats` documents them.
             boot_edf = boot_df_naive = None
             if boot is not None:
                 boot_edf, _, boot_df_naive, _ = per_row["boot"].T

@@ -23,7 +23,6 @@ from .core import (
     _check_tuning,
     _normal_pdf,
     _row_blocks,
-    mc_edf,
 )
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "Jump",
     "JumpScan",
     "scan_jumps",
-    "df_lower_bound_check",
 ]
 
 
@@ -246,16 +244,3 @@ def scan_jumps(family, y_base, coord, t_grid):
             )
     return JumpScan(t_grid=t_grid, theta_coord=th, s_hat=s, naive_df=df, jumps=jumps)
 
-
-def df_lower_bound_check(model, *, reps=2000, seed=0):
-    """Check that the strict active-set count does not overstate tuned df.
-
-    Estimates the excess degrees of freedom of SURE-tuned soft thresholding
-    by paired Monte Carlo and reports whether the estimate is above
-    -4 standard errors, i.e. consistent with df >= E[count].
-    """
-    if model.is_heteroskedastic:
-        raise DomainError("soft thresholding here assumes homoskedastic noise")
-    fam = SoftThreshFamily(model.n, model.sigma)
-    report = mc_edf(fam, model, reps=reps, seed=seed)
-    return report, report.value >= -4.0 * report.std_error

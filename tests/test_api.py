@@ -82,6 +82,8 @@ LIBRARY_MODULES = (
 # Acceptance c04 checks property (ii) on every family through the one Monte
 # Carlo pass, in place of the test-only oracle gap check, and
 # `HeteroShrinkFamily(sigmas).tune` replaces its one-vector forwarder.
+# `mc_edf(SoftThreshFamily(n, sigma), model)` compared with -4 SE replaces
+# the soft-threshold df lower-bound check.
 DELETED = {
     "bootstrap": ("bootstrap_df",),
     "core": ("sure", "tune_by_sure", "vectorize_rows", "oracle_tuning", "oracle_gap_check",
@@ -89,7 +91,7 @@ DELETED = {
     "shrinkage": ("tune_shrink_means", "tune_shrink_regression", "minimize_quadratic_sure",
                   "shrink_means_positive_part", "james_stein_positive_regression",
                   "unbiased_risk_sure_tuned_shrink", "ShrinkRiskBounds", "risk_bounds_shrink"),
-    "softthresh": ("tune_soft_threshold",),
+    "softthresh": ("tune_soft_threshold", "df_lower_bound_check"),
     "stein": ("numeric_divergence", "shrink_means_hooks", "hetero_shrink_hooks",
               "tune_hetero_shrink"),
     "subsets": ("tune_cp", "cp_criterion", "best_subset_lagrangian", "BestSubsetFit"),

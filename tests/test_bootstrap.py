@@ -100,9 +100,9 @@ def test_report_is_the_mean_and_standard_error_of_the_replicates():
     assert report.value == float(np.mean(cov_form - plugin))
     assert report.std_error == float(np.std(cov_form - plugin, ddof=1) / math.sqrt(40))
     assert report.reps == 40
-    assert (report.value, report.std_error) == (stats.edf[0], stats.edf_se[0])
-    assert stats.cov_form[0] == float(np.mean(cov_form))
-    assert stats.cov_form_se[0] == float(np.std(cov_form, ddof=1) / math.sqrt(40))
+    assert (report.value, report.std_error) == (stats[0, 0], stats[0, 1])
+    assert stats[0, 2] == float(np.mean(cov_form))
+    assert stats[0, 3] == float(np.std(cov_form, ddof=1) / math.sqrt(40))
 
 
 def test_zero_rule_has_exactly_zero_excess():
@@ -135,7 +135,7 @@ def test_naive_bootstrap_df_tracks_identity_rule():
     fam = SingletonShrinkFamily(n, 1.0, s=0.0)  # identity estimate
     stats = _bootstrap_stats(fam, y[None], fam.tune(y).theta_hat[None], BootstrapConfig(B=B), [9])
     expected = n * (1.0 - 1.0 / B)
-    assert abs(stats.cov_form[0] - expected) <= 4.0 * stats.cov_form_se[0]
+    assert abs(stats[0, 2] - expected) <= 4.0 * stats[0, 3]
 
 
 def test_corrected_error_fields():
@@ -244,7 +244,8 @@ def _whole(fam, Y, theta, cfg, seeds):
 
 
 def _bits(stats):
-    return [field.tobytes() for field in stats]
+    # The bytes of each column: edf, edf SE, covariance form, its SE.
+    return [column.tobytes() for column in stats.T]
 
 
 def _family(name, n):
@@ -300,7 +301,7 @@ def test_batch_call_equals_one_row_calls(monkeypatch, sampler, name, n, B):
     got = _whole(fam, Y, theta, cfg, seeds)
     for r in range(7):
         one = _whole(fam, Y[r:r + 1], theta[r:r + 1], cfg, seeds[r:r + 1])
-        assert _bits(one) == [field[r:r + 1].tobytes() for field in got]
+        assert _bits(one) == _bits(got[r:r + 1])
 
 
 @pytest.mark.parametrize("sampler", ["parametric", "bigmodel", "residual"])
@@ -314,10 +315,10 @@ def test_blocked_stats_match_one_unblocked_retune(monkeypatch, sampler, n, B):
     got = _whole(fam, Y, theta, cfg, seeds)
     for r in range(7):
         cov_form, plugin = _replicate_stats(fam, Y[r], theta[r], cfg, seeds[r])
-        assert got.edf[r] == np.mean(cov_form - plugin)
-        assert got.edf_se[r] == np.std(cov_form - plugin, ddof=1) / math.sqrt(B)
-        assert got.cov_form[r] == np.mean(cov_form)
-        assert got.cov_form_se[r] == np.std(cov_form, ddof=1) / math.sqrt(B)
+        assert got[r, 0] == np.mean(cov_form - plugin)
+        assert got[r, 1] == np.std(cov_form - plugin, ddof=1) / math.sqrt(B)
+        assert got[r, 2] == np.mean(cov_form)
+        assert got[r, 3] == np.std(cov_form, ddof=1) / math.sqrt(B)
 
 
 @pytest.mark.parametrize("n, B", SMALL_BLOCKS)
@@ -382,12 +383,12 @@ def test_streamed_blocks_equal_one_block(monkeypatch, n, B):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             got = []
             caller = threading.Thread(target=lambda: got.append([
-                np.column_stack(_whole(fam, Y[rows], theta[rows], cfg, seeds[rows]))
+                _whole(fam, Y[rows], theta[rows], cfg, seeds[rows])
                 for rows in cuts]), daemon=True)
             caller.start()
             caller.join(timeout=60)
             assert not caller.is_alive()
-            assert _bits(np.concatenate(got[0]).T.copy()) == whole
+            assert _bits(np.concatenate(got[0])) == whole
     finally:
         sys.setswitchinterval(interval)
 
@@ -414,7 +415,7 @@ def test_an_error_raised_by_the_blocks_surfaces_unchanged(monkeypatch):
         seen.append(len(Y))
         if failing_boot and len(seen) == 2:
             raise error
-        return np.column_stack(_bootstrap_stats(fam, Y, fit.theta_hat, cfg, range(len(Y))))
+        return _bootstrap_stats(fam, Y, fit.theta_hat, cfg, range(len(Y)))
 
     for failing_boot, tuner in ((False, tune), (True, fam.tune_batch)):
         seen = []

@@ -456,9 +456,11 @@ class TestGeneralThetaBound:
 
 def test_bounds_import_no_scipy_except_best_subset_constant():
     # Importing scipy.special alone took about 0.3 s; every public bound but
-    # the minimized best-subset constant is numpy and math only.
+    # the minimized best-subset constant is numpy and math only.  The
+    # acceptance battery loads only when `selfcheck` runs it.
     code = (
         "import inspect, sys, suretune, suretune.cli\n"
+        "assert 'suretune.acceptance' not in sys.modules\n"
         "from suretune import bounds as b\n"
         "calls = [\n"
         "    ('chi_sq_max_bound', ([1, 2, 4], 0.5)),\n"

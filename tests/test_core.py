@@ -164,6 +164,20 @@ def test_model_draw_shapes_and_mean():
     assert np.allclose(Z.std(axis=0), [1.0, 2.0, 3.0], rtol=0.1)
 
 
+@pytest.mark.parametrize("noise", [{"sigma": 0.7}, {"sigmas": np.linspace(0.3, 2.9, 6)}])
+def test_model_draw_is_theta0_plus_sd_times_z_bit_for_bit(noise):
+    # The draw scales by sigma or the sigma_i, with the bytes of the length-n
+    # noise vector it once built; the model keeps no `sd` of its own.
+    model = GaussianModel(np.linspace(-2.0, 3.0, 6), **noise)
+    assert not hasattr(model, "sd")
+    sd = noise["sigmas"] if "sigmas" in noise else np.full(6, noise["sigma"])
+    want = model.theta0 + sd * np.random.default_rng(12).standard_normal((7, 6))
+    assert model.draw(np.random.default_rng(12), 7).tobytes() == want.tobytes()
+    out = np.empty((7, 6))
+    assert model.draw(np.random.default_rng(12), 7, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
 def test_tuning_domain_membership():
     cont = TuningDomain(kind="continuous", lower=0.0, upper=math.inf)
     assert cont.contains(0.0)

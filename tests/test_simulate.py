@@ -17,7 +17,7 @@ from suretune import (
     mc_prediction_error,
 )
 from suretune import core
-from suretune import simulate as simulate_module
+from suretune import bootstrap as bootstrap_module
 from suretune.cli import main
 from suretune.core import DomainError
 from suretune.simulate import (
@@ -334,8 +334,8 @@ def test_the_bootstrap_runs_once_per_outer_block_with_the_rep_seeds(monkeypatch)
         calls.append((family.n, list(seeds)))
         return bootstrap_stats(family, Y, theta_hat, config, seeds)
 
-    bootstrap_stats = simulate_module._bootstrap_stats
-    monkeypatch.setattr(simulate_module, "_bootstrap_stats", recording)
+    bootstrap_stats = bootstrap_module._bootstrap_stats
+    monkeypatch.setattr(bootstrap_module, "_bootstrap_stats", recording)
     spec = SimSpec(family="shrink_means", setting=("null", "weak_sparsity"), sizes=(10, 25),
                    outer_reps=9, bootstrap_B=4, seed=3)
     run_simulation(spec)
@@ -347,6 +347,29 @@ def test_the_bootstrap_runs_once_per_outer_block_with_the_rep_seeds(monkeypatch)
             want += [(n, seeds[rows]) for rows in core._row_blocks(9, n)]
     assert len(want) == 2 * (2 + 5)  # blocks of 6 rows at n = 10, of 2 at n = 25
     assert calls == want
+
+
+def test_a_bootstrap_cell_keeps_its_bytes_over_many_calls(monkeypatch):
+    # One call bootstraps the whole cell at the default block size; with
+    # 32-value blocks the pass cuts its 9 reps of n = 10 into blocks of 3 and
+    # bootstraps each block by its own call.  The CSV keeps its bytes, so
+    # each rep's stream follows the rep, not the call.
+    spec = SimSpec(family="shrink_means", setting=("weak_sparsity",), sizes=(10,),
+                   outer_reps=9, bootstrap_B=4, seed=5)
+    bootstrap_stats = bootstrap_module._bootstrap_stats
+    calls = []
+
+    def counting(family, Y, theta_hat, config, seeds):
+        calls.append(len(Y))
+        return bootstrap_stats(family, Y, theta_hat, config, seeds)
+
+    monkeypatch.setattr(bootstrap_module, "_bootstrap_stats", counting)
+    whole = rows_to_csv_text(run_simulation(spec))
+    assert calls == [9]
+    monkeypatch.setattr(core, "_BLOCK_VALUES", 32)
+    calls.clear()
+    assert rows_to_csv_text(run_simulation(spec)) == whole
+    assert calls == [3, 3, 3]
 
 
 def _traced_peak_mb(call):
