@@ -15,10 +15,16 @@ weights totaling 2d can always be started somewhere so that every partial
 sum stays within budget, and for generic weights that start is unique.
 """
 
+import math
+
 import numpy as np
-from scipy.stats import norm
 
 from suretune import gas_stations_rotation, gaussian_surface_area_ball
+
+
+def phi(t):
+    return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
 
 rng = np.random.default_rng(41)
 
@@ -37,7 +43,7 @@ for center, r in cases:
         else f"random, |c|={np.linalg.norm(center):.2f}"
     print(f"{center.size:3d} {c_str:>22} {r:5.2f} {area:8.5f}")
 
-check = norm.pdf(2.5 - 1.0) + norm.pdf(2.5 + 1.0)
+check = phi(2.5 - 1.0) + phi(2.5 + 1.0)
 print(f"\nd=1 sanity: phi(1.5) + phi(3.5) = {check:.5f} (matches row 2)")
 
 print("\ncyclic tour lemma on random weight vectors")

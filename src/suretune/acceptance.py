@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds  # c13 checks whatever bounds.gaussian_surface_area_ball is at call time
+from . import bounds  # c13 and c14 check whatever `bounds` holds at call time
 from .bootstrap import BootstrapConfig, _pass_statistic
 from .bounds import (
-    best_subset_constant,
+    _best_subset_slope,
     chi_sq_max_bound,
     edf_upper_bound_simplified,
     gas_stations_rotation,
@@ -487,18 +487,25 @@ def c13_surface_area():
 
 
 def c14_best_subset():
-    """All-subset search df on orthogonal X respects the 2.29 p ceiling."""
+    """All-subset search df on orthogonal X respects the 2.29 p ceiling, and
+    the constant is the minimum of the penalty curve: the curve at the
+    reported delta equals it to 1e-12 relative, and the curve's slope is
+    negative at the double below delta and nonnegative at the double above.
+    """
     p, reps = 6, 5000
     family = SubsetCollection(np.eye(p), make_all_subsets(p), 1.0)
     model = GaussianModel(np.zeros(p), sigma=1.0)
     report = mc_edf(family, model, reps=reps, seed=1029)
-    const = best_subset_constant()
+    const = bounds.best_subset_constant()
     in_band = (report.value >= -4.0 * report.std_error
                and report.value <= const.value * p + 4.0 * report.std_error)
-    const_ok = 2.28 <= const.value <= 2.30
+    on_curve = math.isclose(bounds.best_subset_penalty_curve(const.delta), const.value,
+                            rel_tol=1e-12, abs_tol=0.0)
+    at_minimum = (_best_subset_slope(math.nextafter(const.delta, 0.0)) < 0.0
+                  <= _best_subset_slope(math.nextafter(const.delta, 1.0)))
     return CriterionResult(
         "c14", "orthogonal best-subset search df within 2.29 p",
-        in_band and const_ok,
+        in_band and on_curve and at_minimum,
         f"MC search df {report.value:.3f}+-{report.std_error:.3f} vs cap "
         f"{const.value * p:.2f}; constant {const.value:.4f}")
 

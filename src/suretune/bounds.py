@@ -10,10 +10,9 @@ nested-chain bounds come from the noncentral chi-squared distribution
 ch. 29): at integer degrees of freedom its density and both tails are
 Poisson mixtures of terms of one lattice of Poisson probabilities,
 e^{-y} y^m / Gamma(m + 1) for m = m0, m0 + 1, ... (`_log_poisson`; the
-density steps along it by ratios).  The module uses numpy and `math`
-only; scipy only for `best_subset_constant`, which imports
-`scipy.optimize` when it runs, so `import suretune` loads numpy alone and
-no other bound imports scipy.
+density steps along it by ratios).  The best-subset constant is the
+minimum of a closed-form curve, found by bisecting its closed-form slope.
+The module uses numpy and `math` only.
 Nothing in this module draws random numbers; these are the deterministic
 reference quantities the rest of the package is checked against.
 """
@@ -24,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ShapeError, _as_float_vector, _check_count, _normal_pdf
+from .core import (DomainError, ShapeError, _as_float_vector, _bisect_sign_change, _check_count,
+                   _normal_pdf)
 
 __all__ = [
     "chi_sq_max_bound",
@@ -405,8 +405,22 @@ def best_subset_penalty_curve(delta):
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie in (0, 1)")
-    inner = math.exp(-0.5 * (math.log(delta) + 1.0 - delta))
-    return 2.0 / (1.0 - delta) * math.log1p(inner)
+    return 2.0 / (1.0 - delta) * math.log1p(_best_subset_h(delta))
+
+
+def _best_subset_h(delta):
+    """h = (delta e^{1-delta})^{-1/2}, the argument of the curve's log1p."""
+    return math.exp(-0.5 * (math.log(delta) + 1.0 - delta))
+
+
+def _best_subset_slope(delta):
+    """f'(delta) = 2 log1p(h)/(1-delta)^2 - h/(delta (1+h)) for 0 < delta < 1.
+
+    f falls from +inf near 0 and rises to +inf near 1, and its slope changes
+    sign once on (0, 1), from - to +, at the minimizer.
+    """
+    h = _best_subset_h(delta)
+    return 2.0 * math.log1p(h) / (1.0 - delta) ** 2 - h / (delta * (1.0 + h))
 
 
 @dataclass(frozen=True)
@@ -424,14 +438,12 @@ class BestSubsetConstant:
 
 
 def best_subset_constant():
-    """Minimize the per-predictor search-df penalty curve over delta."""
-    from scipy.optimize import minimize_scalar
+    """Minimize the per-predictor search-df penalty curve over delta.
 
-    res = minimize_scalar(
-        best_subset_penalty_curve,
-        bounds=(1e-6, 1.0 - 1e-6),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    value = float(res.fun)
-    return BestSubsetConstant(value=value, delta=float(res.x), half_value=value / 2.0)
+    The slope is bisected on (0, 1) down to the two adjacent doubles around
+    its sign change; delta is whichever of them gives the lower curve value
+    (the lower double on a tie).
+    """
+    value, delta = min((best_subset_penalty_curve(d), d)
+                       for d in _bisect_sign_change(_best_subset_slope, 0.0, 1.0))
+    return BestSubsetConstant(value=value, delta=delta, half_value=value / 2.0)

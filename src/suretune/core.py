@@ -625,6 +625,27 @@ def _normal_pdf(t):
     return np.exp(-0.5 * np.square(t)) / math.sqrt(2.0 * math.pi)
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def _normal_cdf(t):
+    """Standard normal distribution function, elementwise: erfc(-t/sqrt 2)/2,
+    which keeps its relative precision deep in the lower tail."""
+    return 0.5 * _erfc(np.negative(t) / math.sqrt(2.0))
+
+
+def _bisect_sign_change(slope, lo, hi):
+    """The adjacent doubles (lo, hi) that bracket a - to + sign change of the
+    scalar function `slope`, given slope(lo) < 0 <= slope(hi); bisection
+    evaluates midpoints only, never the two ends it starts from."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _mean_se(values):
     values = np.asarray(values, dtype=float)
     r = values.shape[0]

@@ -5,6 +5,8 @@ data (or zero), so tuning is an exact finite search, not a grid
 approximation.  The plug-in degrees of freedom convention is the strict
 active-set count #{|y_i| > s}; the order-statistic search below evaluates
 SURE with exactly that convention, including at tied or zero values.
+The oracle threshold minimizes the closed-form fixed-s risk (Donoho &
+Johnstone, 1995, JASA) by bisecting its closed-form slope.
 """
 
 import math
@@ -18,9 +20,11 @@ from .core import (
     TunedBatch,
     _CACHE_VALUES,
     _as_float_vector,
+    _bisect_sign_change,
     _check_count,
     _check_noise,
     _check_tuning,
+    _normal_cdf,
     _normal_pdf,
     _row_blocks,
 )
@@ -105,30 +109,31 @@ class SoftThreshFamily(EstimatorFamily):
         )
 
     def _oracle_at(self, theta0, sigma):
-        """Exact-risk threshold via the closed-form fixed-s risk.
+        """Exact-risk threshold: the lowest local minimum of the closed-form
+        fixed-s risk, compared with the fully-shrunk endpoint s = +inf.
 
-        A 241-point grid over s/sigma in [0, max|theta0|/sigma + 6], then
-        scipy's bounded scalar minimizer (`minimize_scalar(method="bounded")`)
-        between the grid neighbours of the best point; the fully-shrunk
-        endpoint s = +inf is compared explicitly.  Like tuning, the search
-        runs at unit noise, where scipy's absolute tolerance (xatol = 1e-5)
-        is about 1e-5 times the noise level.
+        The slope of the risk in s (`_soft_threshold_risk_slope`) is
+        evaluated on a 241-point grid over s/sigma in [0, max|theta0|/sigma
+        + 6].  Every - to + sign change between grid neighbours is bisected
+        down to adjacent doubles, and the exact risk is evaluated at both of
+        them and at the two ends of the grid; the lowest wins (the smaller s
+        on a tie).
         """
-        from scipy.optimize import minimize_scalar
-
         base = self.n * sigma**2
 
         def err(s):
             return base + float(np.sum(soft_threshold_risk(theta0, sigma, s)))
 
+        def slope(s):
+            return float(np.sum(_soft_threshold_risk_slope(theta0, sigma, s)))
+
         top = (np.max(np.abs(theta0)) / sigma if theta0.size else 0.0) + 6.0
         grid = sigma * np.linspace(0.0, top, 241)
-        vals = np.array([err(s) for s in grid])
-        k = int(np.argmin(vals))
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, len(grid) - 1)]
-        res = minimize_scalar(err, bounds=(lo, hi), method="bounded")
-        s0, best = float(res.x), float(res.fun)
+        rising = np.array([slope(s) >= 0.0 for s in grid])
+        candidates = [grid[0], grid[-1]]
+        for k in np.flatnonzero(~rising[:-1] & rising[1:]):
+            candidates += _bisect_sign_change(slope, grid[k], grid[k + 1])
+        best, s0 = min((err(s), float(s)) for s in candidates)
         err_inf = base + float(np.sum(theta0**2))
         return (math.inf, err_inf) if err_inf < best else (s0, best)
 
@@ -145,8 +150,6 @@ def soft_threshold_risk(theta0, sigma, s):
     theta0.  Raises DomainError on a non-finite theta0, a bad sigma (see
     `core._check_noise`), or a negative or NaN s (s = +inf is allowed).
     """
-    from scipy.special import ndtr
-
     theta0 = _as_float_vector(theta0, "theta0")
     sigma = _check_noise(sigma, None)[0]
     _check_tuning(s, "threshold")
@@ -154,7 +157,7 @@ def soft_threshold_risk(theta0, sigma, s):
         return theta0**2
     lam = s / sigma
     m = theta0 / sigma
-    D = ndtr(lam - m) - ndtr(-lam - m)
+    D = _normal_cdf(lam - m) - _normal_cdf(-lam - m)
     val = (
         (1.0 + lam**2) * (1.0 - D)
         + m**2 * D
@@ -162,6 +165,22 @@ def soft_threshold_risk(theta0, sigma, s):
         - (lam - m) * _normal_pdf(lam + m)
     )
     return sigma**2 * val
+
+
+def _soft_threshold_risk_slope(theta0, sigma, s):
+    """d/ds of `soft_threshold_risk` at a finite s, per coordinate.
+
+    In that function's notation the slope is
+
+        2 sigma [lam (1 - D) - phi(lam - m) - phi(lam + m)],
+
+    with 1 - D = Phi(m - lam) + Phi(-lam - m) summed from its two tails, so
+    it keeps its relative precision where both are small.  The arguments
+    are taken as checked.
+    """
+    lam, m = s / sigma, theta0 / sigma
+    tails = _normal_cdf(m - lam) + _normal_cdf(-lam - m)
+    return 2.0 * sigma * (lam * tails - _normal_pdf(lam - m) - _normal_pdf(lam + m))
 
 
 @dataclass

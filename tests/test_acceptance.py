@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from suretune import SoftThreshFamily, TunedBatch, bounds
-from suretune.acceptance import CRITERIA, c04_risk_bound, c13_surface_area, run_all
+from suretune.acceptance import (CRITERIA, c04_risk_bound, c13_surface_area,
+                                 c14_best_subset, run_all)
 
 EXPECTED = {
     "c01": True,   # SURE unbiased for prediction error at fixed tuning
@@ -106,6 +107,14 @@ def test_c13_fails_when_surface_areas_are_one_percent_high(monkeypatch):
     monkeypatch.setattr(bounds, "gaussian_surface_area_ball",
                         lambda center, radius: 1.01 * exact(center, radius))
     res = c13_surface_area()
+    assert not res.passed, res.detail
+
+
+def test_c14_fails_when_the_constant_is_three_per_mille_high(monkeypatch):
+    exact = bounds.best_subset_constant()
+    monkeypatch.setattr(bounds, "best_subset_constant", lambda: bounds.BestSubsetConstant(
+        value=1.003 * exact.value, delta=exact.delta, half_value=1.003 * exact.half_value))
+    res = c14_best_subset()
     assert not res.passed, res.detail
 
 

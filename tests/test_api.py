@@ -10,8 +10,11 @@ import ast
 import importlib
 import inspect
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import textwrap
 import types
 from pathlib import Path
@@ -250,32 +253,86 @@ def test_one_step_checks_a_familys_data_and_scales_its_noise():
                           for name in ("_check_batch", "_check_model")}
 
 
-def _load_time_imports(tree):
-    """Modules imported by statements that run when the module loads."""
-    nodes, names = list(tree.body), []
-    while nodes:
-        node = nodes.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue  # a function body runs only when it is called
-        if isinstance(node, ast.Import):
-            names += [(node.lineno, alias.name) for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.append((node.lineno, node.module))
-        nodes.extend(ast.iter_child_nodes(node))
-    return names
+# numpy is the only runtime dependency.  The script below runs once with
+# scipy blocked (`sys.modules["scipy"] = None` makes every scipy import
+# raise) and once with scipy importable; both runs must succeed and print
+# the same bytes.  It loads the package and the CLI without the battery,
+# runs the smoke preset and the battery, and calls every public bound and
+# every family's oracle.
+_NUMPY_ONLY_SCRIPT = """
+import inspect, sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+import numpy as np
+import suretune, suretune.cli
+from suretune import bounds
+from suretune.core import EstimatorFamily
+from suretune.shrinkage import SingletonShrinkFamily
+assert "suretune.acceptance" not in sys.modules
+assert suretune.cli.main(["--out", "-", "simulate", "--preset", "smoke"]) == 0
+assert suretune.cli.main(["selfcheck"]) == 1  # c03 is red by design
+calls = [
+    ("chi_sq_max_bound", ([1, 2, 4], 0.5)),
+    ("edf_upper_bound_simplified", ([1, 2, 4], 0.5)),
+    ("gaussian_surface_area_ball", ([1.0, 2.0], 1.5)),
+    ("gaussian_surface_area_ball", ([0.0, 0.0, 0.0], 1.5)),
+    ("gaussian_surface_area_ball", ([0.7], 1.3)),
+    ("gas_stations_rotation", ([1.0, 3.0],)),
+    ("nested_null_edf_bound", (50,)),
+    ("nested_bound_tail_split", (100,)),
+    ("general_theta_bound", ([0.5, 1.0, 0.0, -2.0],)),
+    ("best_subset_penalty_curve", (0.5,)),
+    ("best_subset_constant", ()),
+]
+public = {n for n in bounds.__all__ if inspect.isfunction(getattr(bounds, n))}
+assert {n for n, _ in calls} == public, public
+for name, args in calls:
+    print(name, repr(getattr(bounds, name)(*args)))
+theta0, sigmas = np.array([3.0, 0.0, -1.5, 0.25]), np.array([0.5, 1.0, 2.0, 1.5])
+X = np.random.default_rng(3).standard_normal((4, 3))
+homo = suretune.GaussianModel(theta0, sigma=1.0)
+oracles = {
+    "HeteroShrinkFamily": (suretune.HeteroShrinkFamily(sigmas),
+                           suretune.GaussianModel(theta0, sigmas=sigmas)),
+    "ShrinkMeansFamily": (suretune.ShrinkMeansFamily(4, 1.0), homo),
+    "ShrinkRegressionFamily": (suretune.ShrinkRegressionFamily(X, 1.0), homo),
+    "SingletonShrinkFamily": (SingletonShrinkFamily(4, 1.0), homo),
+    "SubsetCollection": (suretune.make_nested(X, 1.0), homo),
+    "SoftThreshFamily": (suretune.SoftThreshFamily(4, 1.0), homo),
+}
+families, todo = set(), [EstimatorFamily]
+while todo:
+    cls = todo.pop()
+    todo += cls.__subclasses__()
+    if cls._oracle_at is not None:
+        families.add(cls.__name__)
+assert set(oracles) == families, families
+for name, (family, model) in oracles.items():
+    print(name, repr(family.oracle(model)))
+assert suretune.cli.main(["bounds", "best-subset-constant"]) == 0
+"""
 
 
-def test_no_module_imports_scipy_at_load_time():
-    # A numpy-only workload must not pay for scipy's import; the functions
-    # that need scipy import it where they call it.
-    package = Path(suretune.__file__).resolve().parent
-    found = [
-        f"{path.name}:{line} {name}"
-        for path in sorted(package.glob("*.py"))
-        for line, name in _load_time_imports(ast.parse(path.read_text()))
-        if name == "scipy" or name.startswith("scipy.")
+def test_numpy_is_the_only_runtime_dependency():
+    src = str(Path(suretune.__file__).resolve().parents[1])
+    runs = {mode: subprocess.Popen([sys.executable, "-c", _NUMPY_ONLY_SCRIPT, mode],
+                                   env={**os.environ, "PYTHONPATH": src}, text=True,
+                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for mode in ("blocked", "importable")}
+    out = {mode: run.communicate(timeout=300) for mode, run in runs.items()}
+    for mode, run in runs.items():
+        assert run.returncode == 0, (mode, out[mode][1][-2000:])
+    blocked = out["blocked"][0]
+    assert blocked == out["importable"][0]
+    lines = blocked.splitlines()
+    assert sum(line.startswith("[PASS] c") for line in lines) == 14
+    assert "[FAIL] c03" in blocked
+    assert lines[-4:] == [
+        "SoftThreshFamily OracleTuning(s0=0.5577239930523884, err=7.046402841124483)",
+        "value=2.28914865057",
+        "delta=0.206751747217",
+        "half_value=1.14457432529",
     ]
-    assert not found
 
 
 # One input boundary.  `core` alone decides what a valid input is: every row

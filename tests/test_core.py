@@ -485,7 +485,8 @@ def test_mc_prediction_error_keeps_the_whole_batch_bits(case):
 
 # The tuned pass that acceptance c04 reduces: the prediction error, excess
 # optimism and SURE minimum of the tuned rule, and their margins over the
-# oracle error.  The bits are those the pass gave before it was streamed.
+# oracle error.  The bits are those the pass gave before it was streamed,
+# except the soft margins, which moved with the exact soft oracle's err.
 TUNED_PASS_PINS = {
     "shrink": {
         "err_tuned": ("0x1.799610fd58a44p+8", "0x1.5f78538cf961ep+0"),
@@ -498,8 +499,8 @@ TUNED_PASS_PINS = {
         "err_tuned": ("0x1.7da61bdc7288fp+8", "0x1.679efcd45bf53p+0"),
         "exopt": ("0x1.ed304c0a76bacp+3", "0x1.b2a7e69b1145dp-1"),
         "mean_min_sure": ("0x1.6ef21f41ffafep+8", "0x1.19847baf69fa8p+0"),
-        "thm_margin": ("-0x1.68848c41719cfp+3", "0x1.8b5726039591cp+0"),
-        "minsure_margin": ("-0x1.51d3d38556060p+3", "0x1.19847baf69fa8p+0"),
+        "thm_margin": ("-0x1.68848c41718f0p+3", "0x1.8b5726039591dp+0"),
+        "minsure_margin": ("-0x1.51d3d38555f81p+3", "0x1.19847baf69fa8p+0"),
     },
     "singleton": {
         "err_tuned": ("0x1.be5785711ed25p+8", "0x1.a444cede7d84bp+0"),

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
+from scipy.special import ndtr
 
 from suretune import (
     DomainError,
@@ -14,6 +16,9 @@ from suretune import (
     soft_threshold,
     soft_threshold_risk,
 )
+from suretune.core import _normal_cdf
+from suretune.simulate import theta0_for
+from suretune.softthresh import _soft_threshold_risk_slope
 
 
 def test_soft_threshold_elementwise():
@@ -169,6 +174,73 @@ def test_oracle_beats_fixed_thresholds():
         err_s = base + float(np.sum(soft_threshold_risk(theta0, 1.0, s)))
         assert oracle.err <= err_s + 1e-9
     assert oracle.err <= base + float(np.sum(theta0**2)) + 1e-9
+
+
+# The means on which the bounded scalar minimizer's threshold was measured
+# up to 2.2e-7 relative off the exact one.
+ORACLE_MEANS = {
+    "weak-50": lambda: theta0_for("weak_sparsity", 50),
+    "weak-200": lambda: theta0_for("weak_sparsity", 200),
+    "3-weak-200": lambda: 3.0 * theta0_for("weak_sparsity", 200),
+    "2-normal-1000": lambda: 2.0 * np.random.default_rng(0).standard_normal(1000),
+    "null-50": lambda: np.zeros(50),
+}
+
+
+def _risk_sum(theta0, s):
+    return float(np.sum(soft_threshold_risk(theta0, 1.0, s)))
+
+
+def _slope_sum(theta0, s):
+    return float(np.sum(_soft_threshold_risk_slope(theta0, 1.0, s)))
+
+
+@pytest.mark.parametrize("mean", sorted(ORACLE_MEANS))
+def test_risk_slope_matches_a_central_difference(mean):
+    theta0, h = ORACLE_MEANS[mean](), 1e-5
+    for s in (0.05, 0.4, 1.0, 2.5, 6.0):
+        diff = (_risk_sum(theta0, s + h) - _risk_sum(theta0, s - h)) / (2.0 * h)
+        assert _slope_sum(theta0, s) == pytest.approx(diff, rel=1e-6, abs=1e-6 * theta0.size)
+
+
+@pytest.mark.parametrize("mean", sorted(ORACLE_MEANS))
+def test_oracle_is_a_sign_change_of_the_exact_slope(mean):
+    theta0 = ORACLE_MEANS[mean]()
+    oracle = SoftThreshFamily(theta0.size, 1.0).oracle(GaussianModel(theta0, sigma=1.0))
+    if not np.any(theta0):
+        assert oracle.s0 == math.inf
+        assert oracle.err == theta0.size
+        return
+    assert _slope_sum(theta0, math.nextafter(oracle.s0, 0.0)) < 0.0
+    assert _slope_sum(theta0, math.nextafter(oracle.s0, math.inf)) >= 0.0
+    assert oracle.err == theta0.size + _risk_sum(theta0, oracle.s0)
+
+
+@pytest.mark.parametrize("mean", sorted(ORACLE_MEANS))
+def test_oracle_is_no_worse_than_a_bounded_scalar_minimizer(mean):
+    # scipy's minimizer on the bracket the exact search starts from: the grid
+    # neighbours of the grid's lowest risk, with the fully-shrunk end beside.
+    theta0 = ORACLE_MEANS[mean]()
+    n = theta0.size
+    grid = np.linspace(0.0, np.max(np.abs(theta0)) + 6.0, 241)
+    k = int(np.argmin([_risk_sum(theta0, s) for s in grid]))
+    res = minimize_scalar(lambda s: n + _risk_sum(theta0, s), method="bounded",
+                          bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]))
+    oracle = SoftThreshFamily(n, 1.0).oracle(GaussianModel(theta0, sigma=1.0))
+    assert oracle.err <= min(res.fun, n + float(np.sum(theta0**2)))
+    if math.isfinite(oracle.s0):
+        assert oracle.s0 == pytest.approx(res.x, rel=1e-6)
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    # Both round x / sqrt 2 before taking erfc, and Phi's relative condition
+    # number is about x^2 in the lower tail, so they may part by a few ulp
+    # times 1 + x^2 (up to a few thousand ulp at x = -37).
+    x = np.concatenate([np.linspace(-37.0, 8.0, 90001), [-1e-300, 0.0, 1e-300]])
+    got, want = _normal_cdf(x), ndtr(x)
+    assert np.all(np.abs(got - want) <= 4.0 * np.spacing(want) * (1.0 + x**2))
+    assert _normal_cdf(0.0) == 0.5
+    assert _normal_cdf(-40.0) == 0.0 < _normal_cdf(-38.0)
 
 
 class TestScanJumps:
