@@ -20,20 +20,19 @@ import numpy as np
 from suretune import GaussianModel, SoftThreshFamily, mc_edf, scan_jumps
 
 
-def describe(scan, label):
-    print(f"{label}: {len(scan.jumps)} jump(s)")
-    for j in scan.jumps:
+def describe(jumps, label):
+    print(f"{label}: {len(jumps)} jump(s)")
+    for j in jumps:
         print(f"  at t = {j.location:+.4f}  size {j.size:+.4f}"
               f"  (threshold {j.s_left:.3f} -> {j.s_right:.3f})")
-    if not scan.jumps:
+    if not jumps:
         print("  (none on this grid)")
 
 
 def main():
     fam1 = SoftThreshFamily(1, 1.0)
     grid = np.linspace(0.0, 3.0, 1201)
-    scan = scan_jumps(fam1, np.zeros(1), 0, grid)
-    describe(scan, "single observation, t in [0, 3]")
+    describe(scan_jumps(fam1, np.zeros(1), 0, grid), "single observation, t in [0, 3]")
     print("  -> the fit is 0 below sqrt(2) ~ 1.4142 and t above it\n")
 
     rng = np.random.default_rng(11)
@@ -42,11 +41,11 @@ def main():
     grid = np.linspace(-4.0, 4.0, 1601)
     worst = 0.0
     for coord in range(8):
-        scan = scan_jumps(fam8, y, coord, grid)
+        jumps = scan_jumps(fam8, y, coord, grid)
         if coord < 3:
-            describe(scan, f"coordinate {coord} of a random 8-vector")
-        if scan.jumps:
-            worst = min(worst, min(j.size for j in scan.jumps))
+            describe(jumps, f"coordinate {coord} of a random 8-vector")
+        if jumps:
+            worst = min(worst, min(j.size for j in jumps))
     print(f"\nsmallest jump seen: {worst:+.6f} (never negative)")
 
     model = GaussianModel(np.concatenate([np.full(3, 4.0), np.zeros(37)]), sigma=1.0)

@@ -312,8 +312,7 @@ def c08_soft_threshold():
         base = 1.5 * rng.standard_normal(6)
         coord = trial % 6
         grid = base[coord] + np.linspace(-4.5, 4.5, 41)
-        scan = scan_jumps(fam6, base, coord, grid)
-        for jump in scan.jumps:
+        for jump in scan_jumps(fam6, base, coord, grid):
             n_jumps += 1
             min_size = min(min_size, jump.size)
     jumps_ok = n_jumps > 0 and min_size >= -1e-8
@@ -392,11 +391,10 @@ def c10_ridge_round_trip():
 
 def _bootstrap_pass(family, model, seed, reps, B, *names):
     # The pass over `reps` draws from default_rng(seed) with "boot", the
-    # parametric bootstrap's (reps, 4) `_bootstrap_stats` block; row r draws
-    # its B replicates from SeedSequence([seed, r]).
-    seeds = (int(np.random.SeedSequence([seed, r]).generate_state(1)[0]) for r in range(reps))
+    # parametric bootstrap's (reps, 4) `_bootstrap_stats` block; its row seeds
+    # follow `_pass_statistic`'s rule with entropy (seed,).
     return _tuned_stats(family.tune_batch, model, seed, reps, *names,
-                        boot=_pass_statistic(family, BootstrapConfig(B=B), seeds))
+                        boot=_pass_statistic(family, BootstrapConfig(B=B), (seed,)))
 
 
 def c11_bootstrap():

@@ -30,9 +30,12 @@ fills one (k, B, n) block per job, drawing row by row, then scaling and
 shifting the whole block; `mean(axis=1)` takes every rep's center.  These
 are the operations and reduction axes of a fresh (B, n) array per rep, so
 a row's bytes do not depend on reps or on the blocking below.  The public
-functions pass a one-row batch; `_pass_statistic` makes it one of the
-per-row statistics of the one Monte Carlo pass, `core._tuned_stats`, for
-`simulate` and acceptance c11.
+functions pass a one-row batch whose seed is `config.seed`.
+`_pass_statistic(family, config, entropy)` makes it one of the per-row
+statistics of the one Monte Carlo pass, `core._tuned_stats`, for
+`simulate` and acceptance c11, and holds the one seed rule of a pass: row
+r draws from
+`default_rng(int(SeedSequence([*entropy, r]).generate_state(1)[0]))`.
 
 Blocking and threads: `core._row_blocks` sets both block sizes.  The batch
 is cut into jobs of reps whose B * n fits in `core._BLOCK_VALUES`, which
@@ -55,7 +58,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -174,11 +177,11 @@ def _block(family, Y, theta_hat, config, seeds, Ystar, work, out):
         out[:, 2 * k + 1] = stats.std(axis=1, ddof=1) / math.sqrt(B)
 
 
-def _pass_statistic(family, config, row_seeds):
+def _pass_statistic(family, config, entropy):
     """The bootstrap as a func(Y, fit) of `core._tuned_stats`: each tuned
     row block's (k, 4) `_bootstrap_stats`, row r of the pass drawing from
-    the r-th seed of the iterable `row_seeds`."""
-    seeds = iter(row_seeds)
+    the seed int(SeedSequence([*entropy, r]).generate_state(1)[0])."""
+    seeds = (int(np.random.SeedSequence([*entropy, r]).generate_state(1)[0]) for r in count())
     return lambda Y, fit: _bootstrap_stats(family, Y, fit.theta_hat, config,
                                            list(islice(seeds, len(Y))))
 

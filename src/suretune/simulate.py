@@ -19,10 +19,12 @@ Where that member is None (and for bootstrap rows when B = 0) the rows are
 emitted with status="skipped" rather than dropped, so the output shape is
 config-independent.
 
-Determinism: the data block for grid cell (setting i, size j) is drawn from
-SeedSequence([seed, j, i]) and per-repetition bootstrap streams from
-SeedSequence([seed, j, i, rep]); results are byte-identical across reruns
-and never depend on thread count.
+Determinism: grid cell (setting i, size j) draws its R data rows, then
+their R test copies, from default_rng(SeedSequence([seed, j, i])), and rep
+r draws its bootstrap replicates from
+default_rng(int(SeedSequence([seed, j, i, r]).generate_state(1)[0])), the
+rule of `bootstrap._pass_statistic` with entropy (seed, j, i); results are
+byte-identical across reruns and never depend on thread count.
 
 Memory: a cell is one `core._tuned_stats` pass over its outer reps (see
 the `core` module docstring on row blocks), which runs the bootstrap on
@@ -167,9 +169,7 @@ def run_simulation(spec):
             if spec.bootstrap_B:
                 cfg = BootstrapConfig(B=spec.bootstrap_B, sampler=spec.bootstrap_sampler,
                                       c=spec.bootstrap_c)
-                boot = _pass_statistic(family, cfg, (
-                    int(np.random.SeedSequence([spec.seed, j_size, i_setting, r])
-                        .generate_state(1)[0]) for r in range(R)))
+                boot = _pass_statistic(family, cfg, (spec.seed, j_size, i_setting))
             per_row = _tuned_stats(
                 family.tune_batch, model,
                 np.random.SeedSequence([spec.seed, j_size, i_setting]), R,

@@ -34,7 +34,6 @@ __all__ = [
     "SoftThreshFamily",
     "soft_threshold_risk",
     "Jump",
-    "JumpScan",
     "scan_jumps",
 ]
 
@@ -193,73 +192,45 @@ class Jump:
     s_right: float
 
 
-@dataclass
-class JumpScan:
-    """Grid trace plus the refined jumps found along it."""
-
-    t_grid: np.ndarray
-    theta_coord: np.ndarray
-    s_hat: np.ndarray
-    naive_df: np.ndarray
-    jumps: list
-
-
 def scan_jumps(family, y_base, coord, t_grid):
     """Locate discontinuities of t -> theta_hat(y(t))_coord by bisection.
 
     y(t) is y_base with coordinate `coord` replaced by t.  The tuned fit can
     only jump where the selected SURE candidate switches, which always moves
     the plug-in df, so grid cells with constant naive df are skipped.
-    Flagged cells are bisected 60 times, to floating point resolution; jumps
-    no larger than 1e-6 sigma are discarded.  Cells containing
+    Flagged cells are bisected until every cell's midpoint rounds to one of
+    its ends, as it does once they are adjacent doubles, or for at most 60
+    steps; jumps no larger than 1e-6 sigma are discarded.  Cells containing
     several switches resolve to the one with the largest fit gap; use a grid
-    fine enough to separate switches of interest.
+    fine enough to separate switches of interest.  Returns a list of `Jump`.
     """
     y_base = np.asarray(y_base, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise DomainError("t_grid must be strictly increasing")
 
-    def batch_at(ts):
+    def state_at(ts):
+        # Rows t, theta_hat[coord], s_hat and naive df, one column per t.
         Y = np.tile(y_base, (len(ts), 1))
         Y[:, coord] = ts
         fit = family.tune_batch(Y)
-        return fit.theta_hat[:, coord], fit.s_hat, fit.naive_df_at_shat
+        return np.stack([ts, fit.theta_hat[:, coord], fit.s_hat, fit.naive_df_at_shat])
 
-    th, s, df = batch_at(t_grid)
-    cells = np.nonzero(df[1:] != df[:-1])[0]
-    lo, hi = t_grid[cells].copy(), t_grid[cells + 1].copy()
-    th_lo, th_hi = th[cells].copy(), th[cells + 1].copy()
-    s_lo, s_hi = s[cells].copy(), s[cells + 1].copy()
-    df_lo, df_hi = df[cells].copy(), df[cells + 1].copy()
+    grid = state_at(t_grid)
+    cells = np.flatnonzero(grid[3, 1:] != grid[3, :-1])
+    lo, hi = grid[:, cells], grid[:, cells + 1]
     for _ in range(60):
-        if lo.size == 0:
+        # A midpoint equal to an end would retune that end, which a tuner
+        # working row by row gives back bit for bit: the step moves nothing.
+        mid = 0.5 * (lo[0] + hi[0])
+        if not np.any((lo[0] < mid) & (mid < hi[0])):
             break
-        mid = 0.5 * (lo + hi)
-        th_m, s_m, df_m = batch_at(mid)
-        in_left = df_m != df_lo
-        in_right = df_hi != df_m
-        bigger_left = np.abs(th_m - th_lo) >= np.abs(th_hi - th_m)
+        mid = state_at(mid)
+        in_left = mid[3] != lo[3]
+        in_right = hi[3] != mid[3]
+        bigger_left = np.abs(mid[1] - lo[1]) >= np.abs(hi[1] - mid[1])
         go_left = in_left & (~in_right | bigger_left)
-        hi = np.where(go_left, mid, hi)
-        th_hi = np.where(go_left, th_m, th_hi)
-        s_hi = np.where(go_left, s_m, s_hi)
-        df_hi = np.where(go_left, df_m, df_hi)
-        lo = np.where(go_left, lo, mid)
-        th_lo = np.where(go_left, th_lo, th_m)
-        s_lo = np.where(go_left, s_lo, s_m)
-        df_lo = np.where(go_left, df_lo, df_m)
-    jumps = []
-    for j in range(lo.size):
-        size = th_hi[j] - th_lo[j]
-        if abs(size) > 1e-6 * family.sigma:
-            jumps.append(
-                Jump(
-                    location=0.5 * (lo[j] + hi[j]),
-                    size=float(size),
-                    s_left=float(s_lo[j]),
-                    s_right=float(s_hi[j]),
-                )
-            )
-    return JumpScan(t_grid=t_grid, theta_coord=th, s_hat=s, naive_df=df, jumps=jumps)
-
+        lo, hi = np.where(go_left, lo, mid), np.where(go_left, mid, hi)
+    return [Jump(location=0.5 * (a[0] + b[0]), size=float(b[1] - a[1]),
+                 s_left=float(a[2]), s_right=float(b[2]))
+            for a, b in zip(lo.T, hi.T) if abs(b[1] - a[1]) > 1e-6 * family.sigma]

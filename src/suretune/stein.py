@@ -505,7 +505,6 @@ class RidgeRotation:
         self.U, self.d, self.Vt = _rank_basis(X)
         if self.d.size == 0:
             raise DomainError("design matrix has rank zero")
-        self.X, self.y = X, y
         self.w = (self.U.T @ y) / self.d
         self.family = HeteroShrinkFamily(self.sigma / self.d)
 

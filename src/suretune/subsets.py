@@ -93,7 +93,6 @@ class SubsetCollection(EstimatorFamily):
 
     def __init__(self, X, subsets, sigma):
         X = _check_design(X)
-        self.X = X
         self.n = X.shape[0]
         self._set_noise(sigma=sigma)
         labels = tuple(dict.fromkeys(_normalize_subset(s, X.shape[1]) for s in subsets))
@@ -128,8 +127,6 @@ class SubsetCollection(EstimatorFamily):
         # Evaluation order for argmin tie breaking: smaller rank first, then
         # lexicographic column indices.
         self._tie_order = sorted(range(len(labels)), key=lambda k: (self.ranks[k], labels[k]))
-        chain = [set(labels[k]) for k in self._tie_order]
-        self.is_nested = all(a <= b for a, b in zip(chain, chain[1:]))
 
     @property
     def subsets(self):

@@ -94,7 +94,7 @@ DELETED = {
     "shrinkage": ("tune_shrink_means", "tune_shrink_regression", "minimize_quadratic_sure",
                   "shrink_means_positive_part", "james_stein_positive_regression",
                   "unbiased_risk_sure_tuned_shrink", "ShrinkRiskBounds", "risk_bounds_shrink"),
-    "softthresh": ("tune_soft_threshold", "df_lower_bound_check"),
+    "softthresh": ("tune_soft_threshold", "df_lower_bound_check", "JumpScan"),
     "stein": ("numeric_divergence", "shrink_means_hooks", "hetero_shrink_hooks",
               "tune_hetero_shrink"),
     "subsets": ("tune_cp", "cp_criterion", "best_subset_lagrangian", "BestSubsetFit"),
@@ -163,6 +163,54 @@ def test_deleted_names_are_gone_from_readme_and_demos():
     found += [f"README.md: {name}" for name in sorted(deleted)
               if not hasattr(EstimatorFamily, name) and re.search(rf"\b{name}\b", readme)]
     assert found == []
+
+
+def _bench_reads():
+    """Dotted names that `bench/workloads.py` reads off the package, which it
+    holds as `st` or `self.st`: ("cli", "main") for `st.cli.main`."""
+    reads = set()
+    for node in ast.walk(ast.parse((REPO / "bench" / "workloads.py").read_text())):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name):
+            parts.insert(0, node.id)
+            if parts[:2] == ["self", "st"]:
+                parts = parts[1:]
+            if parts[0] == "st" and len(parts) > 1:
+                reads.add(tuple(parts[1:]))
+    return reads
+
+
+def _unresolved(reads):
+    missing = []
+    for path in sorted(reads):
+        obj = suretune
+        for name in path:
+            if not hasattr(obj, name):
+                missing.append(".".join(path))
+                break
+            obj = getattr(obj, name)
+    return missing
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # A deletion that a workload still calls would fail the benchmark, not
+    # tier 1; this guard fails first.
+    reads = _bench_reads()
+    assert {("ridge_as_hetero",), ("bootstrap_edf",), ("cli", "main")} <= reads
+    assert _unresolved(reads) == []
+
+
+@pytest.mark.parametrize("path", [("ridge_as_hetero",), ("bootstrap_edf",), ("cli", "main")],
+                         ids=".".join)
+def test_the_benchmark_guard_sees_a_deleted_name(monkeypatch, path):
+    owner = suretune
+    for name in path[:-1]:
+        owner = getattr(owner, name)
+    monkeypatch.delattr(owner, path[-1])
+    assert _unresolved(_bench_reads()) == [".".join(path)]
 
 
 def test_no_tuned_rule_or_centering_option():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from suretune import (
 )
 from suretune.core import _normal_cdf
 from suretune.simulate import theta0_for
-from suretune.softthresh import _soft_threshold_risk_slope
+from suretune.softthresh import Jump, _soft_threshold_risk_slope
 
 
 def test_soft_threshold_elementwise():
@@ -246,9 +247,9 @@ def test_normal_cdf_matches_scipy_ndtr():
 class TestScanJumps:
     def test_single_coordinate_jump_at_root_two(self):
         fam = SoftThreshFamily(1, 1.0)
-        scan = scan_jumps(fam, np.array([0.0]), 0, np.linspace(0.0, 3.0, 301))
-        assert len(scan.jumps) == 1
-        jump = scan.jumps[0]
+        jumps = scan_jumps(fam, np.array([0.0]), 0, np.linspace(0.0, 3.0, 301))
+        assert len(jumps) == 1
+        jump = jumps[0]
         assert jump.location == pytest.approx(math.sqrt(2.0), abs=1e-6)
         assert jump.size == pytest.approx(math.sqrt(2.0), abs=1e-6)
         # the selected threshold falls from ~sqrt(2) to 0 at the switch
@@ -263,8 +264,7 @@ class TestScanJumps:
         for _ in range(30):
             y = rng.normal(0.0, 1.5, 6)
             coord = int(rng.integers(0, 6))
-            scan = scan_jumps(fam, y, coord, grid)
-            for jump in scan.jumps:
+            for jump in scan_jumps(fam, y, coord, grid):
                 found += 1
                 assert jump.size >= -1e-8
         assert found > 0
@@ -272,13 +272,75 @@ class TestScanJumps:
     def test_constant_region_yields_no_jumps(self):
         fam = SoftThreshFamily(3, 1.0)
         y = np.array([0.0, 8.0, 9.0])
-        scan = scan_jumps(fam, y, 0, np.linspace(-0.2, 0.2, 41))
-        assert scan.jumps == []
+        assert scan_jumps(fam, y, 0, np.linspace(-0.2, 0.2, 41)) == []
 
     def test_decreasing_grid_rejected(self):
         fam = SoftThreshFamily(2, 1.0)
         with pytest.raises(DomainError):
             scan_jumps(fam, np.zeros(2), 0, np.array([1.0, 0.5]))
+
+    @staticmethod
+    def _counted(family):
+        calls = []
+        tune_batch = family.tune_batch
+
+        def counted(Y):
+            calls.append(len(Y))
+            return tune_batch(Y)
+
+        family.tune_batch = counted
+        return calls
+
+    @pytest.mark.parametrize("y_base, grid", [
+        ([5.0, 5.2, 4.7, 4.9], np.linspace(0.5, 2.5, 21)),
+        ([5.0, 4.6, 5.3, 0.2], np.linspace(-2.0, 2.0, 21)),
+        ([5.0, 0.3, -0.2, 0.4], np.linspace(-3.0, 7.0, 101)),
+    ])
+    def test_bisection_stops_once_every_cell_is_resolved(self, y_base, grid):
+        # Away from t = 0 a cell's ends are adjacent doubles after about
+        # log2(width / ulp) < 60 halvings.  The steps after that would retune
+        # each cell at one of its own ends, which the row-by-row tuner gives
+        # back bit for bit, so the jumps are those of 60 full steps.
+        fam = SoftThreshFamily(4, 1.0)
+        calls = self._counted(fam)
+        jumps = scan_jumps(fam, np.array(y_base), 0, grid)
+        assert jumps and len(calls) < 61
+        want = _bisect_each_cell(SoftThreshFamily(4, 1.0), np.array(y_base), 0, grid)
+        assert repr([astuple(j) for j in jumps]) == repr([astuple(j) for j in want])
+
+    def test_bisection_takes_at_most_60_steps(self):
+        # At sigma = 1e-100 the df switch lies near t = 1.4e-100, where
+        # doubles are far denser than 2^-60 of the cell [0, 1].
+        fam = SoftThreshFamily(1, 1e-100)
+        calls = self._counted(fam)
+        scan_jumps(fam, np.zeros(1), 0, np.array([0.0, 1.0]))
+        assert calls == [2] + [1] * 60
+
+
+def _bisect_each_cell(family, y_base, coord, t_grid):
+    """Reference for `scan_jumps`: every flagged cell bisected on its own,
+    one `tune` per step, for all 60 steps."""
+    def state(t):
+        y = y_base.copy()
+        y[coord] = t
+        fit = family.tune(y)
+        return t, fit.theta_hat[coord], fit.s_hat, fit.naive_df_at_shat
+
+    ends, jumps = [state(t) for t in t_grid], []
+    for lo, hi in zip(ends, ends[1:]):
+        if lo[3] == hi[3]:
+            continue
+        for _ in range(60):
+            mid = state(0.5 * (lo[0] + hi[0]))
+            if mid[3] != lo[3] and (mid[3] == hi[3]
+                                    or abs(mid[1] - lo[1]) >= abs(hi[1] - mid[1])):
+                hi = mid
+            else:
+                lo = mid
+        if abs(hi[1] - lo[1]) > 1e-6 * family.sigma:
+            jumps.append(Jump(0.5 * (lo[0] + hi[0]), float(hi[1] - lo[1]),
+                              float(lo[2]), float(hi[2])))
+    return jumps
 
 
 class TestDfLowerBound:

@@ -124,7 +124,6 @@ class TestMakeNested:
     def test_full_chain_p2(self):
         coll = make_nested(np.eye(2), 1.0)
         assert coll.subsets == ((), (0,), (0, 1))
-        assert coll.is_nested
 
     def test_p1_chain(self):
         coll = make_nested(np.ones((3, 1)), 1.0)
