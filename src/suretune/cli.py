@@ -25,24 +25,17 @@ import sys
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, bootstrap_edf
-from .bounds import (
-    best_subset_constant,
-    chi_sq_max_bound,
-    edf_upper_bound_simplified,
-    gas_stations_rotation,
-    gaussian_surface_area_ball,
-    general_theta_bound,
-    nested_bound_tail_split,
-    nested_null_edf_bound,
-)
+from .bootstrap import SAMPLERS, BootstrapConfig, bootstrap_edf
+from .bounds import (best_subset_constant, chi_sq_max_bound, edf_upper_bound_simplified,
+                     gas_stations_rotation, gaussian_surface_area_ball, general_theta_bound,
+                     nested_bound_tail_split, nested_null_edf_bound)
 from .core import DomainError, EdfReport, GaussianModel, ShapeError, _check_count, mc_edf
-from .shrinkage import ShrinkMeansFamily, ShrinkRegressionFamily
-from .simulate import PRESETS, ConfigError, parse_config, run_simulation, write_csv
-from .softthresh import SoftThreshFamily
-from .stein import HeteroShrinkFamily, edf_implicit_diff
+from .simulate import (FAMILY_REGISTRY, PRESETS, ConfigError, parse_config, run_simulation,
+                       write_csv)
+from .stein import edf_implicit_diff
 
-CLI_FAMILIES = ("shrink-means", "shrink-regression", "soft-threshold", "hetero-shrink")
+# The registry's families under their command line names.
+CLI_FAMILIES = {name.replace("_", "-"): entry for name, entry in FAMILY_REGISTRY.items()}
 
 
 class UsageError(Exception):
@@ -76,39 +69,30 @@ def _vector_option(value, name):
     return _read_numbers(f"--{name}", text=value)
 
 
+# What a family built from each of these keys says when its flag is missing.
+_NEEDS = {"n": "--theta0 or --n to size the model", "design": "--design FILE",
+          "sigmas": "--sigmas (list or @path)"}
+
+
 def _build_family(args, n=None):
-    name = args.family
+    cls, keys = CLI_FAMILIES[args.family]
+    given = {**vars(args), "n": n}
     # A family flag another family would ignore is refused, not dropped.
-    homoskedastic = ("shrink-means", "shrink-regression", "soft-threshold")
-    for flag, value, owners in (("--sigma", args.sigma, homoskedastic),
-                                ("--design", args.design, ("shrink-regression",)),
-                                ("--sigmas", args.sigmas, ("hetero-shrink",))):
-        if value is not None and name not in owners:
-            raise DomainError(f"{flag} does not apply to --family {name}")
-    sigma = 1.0 if args.sigma is None else args.sigma
-    if name == "shrink-means":
-        if n is None:
-            raise DomainError("shrink-means needs --theta0 or --n to size the model")
-        return ShrinkMeansFamily(n, sigma)
-    if name == "soft-threshold":
-        if n is None:
-            raise DomainError("soft-threshold needs --theta0 or --n to size the model")
-        return SoftThreshFamily(n, sigma)
-    if name == "shrink-regression":
-        if not args.design:
-            raise DomainError("shrink-regression needs --design FILE")
-        return ShrinkRegressionFamily(_read_numbers(args.design, ndmin=2), sigma)
-    if not args.sigmas:
-        raise DomainError("hetero-shrink needs --sigmas (list or @path)")
-    return HeteroShrinkFamily(_vector_option(args.sigmas, "sigmas"))
+    for key in ("sigma", "design", "sigmas"):
+        if given[key] is not None and key not in keys:
+            raise DomainError(f"--{key} does not apply to --family {args.family}")
+    for key in keys:
+        if key in _NEEDS and not given[key]:
+            raise DomainError(f"{args.family} needs {_NEEDS[key]}")
+    values = {"n": n, "sigma": 1.0 if args.sigma is None else args.sigma,
+              "design": args.design and _read_numbers(args.design, ndmin=2),
+              "sigmas": args.sigmas and _vector_option(args.sigmas, "sigmas")}
+    return cls(*(values[key] for key in keys))
 
 
 def _print_kv(stream, **kv):
     for key, val in kv.items():
-        if isinstance(val, float):
-            stream.write(f"{key}={val:.12g}\n")
-        else:
-            stream.write(f"{key}={val}\n")
+        stream.write(f"{key}={val:.12g}\n" if isinstance(val, float) else f"{key}={val}\n")
 
 
 def _cmd_tune(args):
@@ -141,8 +125,8 @@ def _edf_monte_carlo(args):
         family = _build_family(args, n=theta0.shape[0])
     else:
         family = _build_family(args, n=args.n)
-        # shrink-regression and hetero-shrink take their size from these
-        _check_size(args, family.n, "--design" if family.sigmas is None else "--sigmas")
+        # A family not built from n takes its size from its first key.
+        _check_size(args, family.n, f"--{CLI_FAMILIES[args.family][1][0]}")
         theta0 = np.zeros(family.n)
     model = GaussianModel(theta0, sigma=family.sigma, sigmas=family.sigmas)
     return mc_edf(family, model, reps=args.reps, seed=args.seed or 0)
@@ -171,9 +155,8 @@ def _cmd_edf(args):
                 raise DomainError(f"{args.family} has no hooks for implicit-diff")
             report = edf_implicit_diff(hooks, y, family.tune(y).s_hat)
         else:
-            sampler = method.removeprefix("bootstrap-")
-            cfg = BootstrapConfig(B=args.B, sampler=sampler, c=args.c,
-                                  seed=args.seed or 0)
+            cfg = BootstrapConfig(B=args.B, sampler=method.removeprefix("bootstrap-"),
+                                  c=args.c, seed=args.seed or 0)
             report = bootstrap_edf(family, y, cfg)
     _print_kv(sys.stdout, method=report.method, value=report.value,
               std_error=report.std_error, reps=report.reps)
@@ -198,38 +181,73 @@ def _cmd_simulate(args):
     return 0
 
 
+def _chi_sq_max(args):
+    return {"bound": chi_sq_max_bound(_vector_option(args.sizes, "sizes"), args.delta)}
+
+
+def _edf_upper_simplified(args):
+    return {"bound": edf_upper_bound_simplified(_vector_option(args.sizes, "sizes"), args.delta)}
+
+
+def _surface_area_ball(args):
+    area = gaussian_surface_area_ball(_vector_option(args.center, "center"), args.radius)
+    return {"value": area, "at_most_one": bool(area <= 1.0)}
+
+
+def _gas_stations(args):
+    return dataclasses.asdict(gas_stations_rotation(_vector_option(args.weights, "weights")))
+
+
+def _nested_null_edf(args):
+    value = nested_null_edf_bound(args.p)
+    return {"p": args.p, "bound": value, "less_than_10": bool(value < 10.0)}
+
+
+def _nested_tail_split(args):
+    split = nested_bound_tail_split(n_terms=args.terms)
+    return {"sqrt_series": split.sqrt_series, "inv_sqrt_series": split.inv_sqrt_series,
+            "total": split.total, "less_than_10": bool(split.total < 10.0)}
+
+
+def _general_theta(args):
+    return dataclasses.asdict(general_theta_bound(_vector_option(args.mu, "mu")))
+
+
+def _best_subset_constant(args):
+    return dataclasses.asdict(best_subset_constant())
+
+
+_NUMBER = {"type": float, "required": True}
+# Each `bounds` subcommand: its help, its options (flag: add_argument keywords)
+# and the function of the parsed arguments that gives the values it prints.
+BOUNDS = {
+    "chi-sq-max": ("expected max of centered chi-squares",
+                   {"--sizes": {"required": True, "help": "df list, e.g. 1,2,4"},
+                    "--delta": _NUMBER}, _chi_sq_max),
+    "edf-upper-simplified": ("two-term relaxation of chi-sq-max",
+                             {"--sizes": {"required": True}, "--delta": _NUMBER},
+                             _edf_upper_simplified),
+    "surface-area-ball": ("Gaussian surface area of a ball boundary",
+                          {"--center": {"required": True, "help": "center vector, list or @path"},
+                           "--radius": _NUMBER}, _surface_area_ball),
+    "gas-stations": ("admissible start for a cyclic tour",
+                     {"--weights": {"required": True, "help": "leg weights, list or @path"}},
+                     _gas_stations),
+    "nested-null-edf": ("null excess-df bound, nested chain",
+                        {"--p": {"type": int, "required": True, "help": "chain length"}},
+                        _nested_null_edf),
+    "nested-tail-split": ("head-plus-tail certification of the infinite sum",
+                          {"--terms": {"type": int, "default": 1000, "help": "head terms to sum"}},
+                          _nested_tail_split),
+    "general-theta": ("nonnull nested-chain bounds",
+                      {"--mu": {"required": True, "help": "rotated mean, list or @path"}},
+                      _general_theta),
+    "best-subset-constant": ("sharp constant for the search-df bound", {}, _best_subset_constant),
+}
+
+
 def _cmd_bounds(args):
-    out = sys.stdout
-    name = args.bound
-    if name == "chi-sq-max":
-        sizes = _vector_option(args.sizes, "sizes")
-        _print_kv(out, bound=chi_sq_max_bound(sizes, args.delta))
-    elif name == "edf-upper-simplified":
-        sizes = _vector_option(args.sizes, "sizes")
-        _print_kv(out, bound=edf_upper_bound_simplified(sizes, args.delta))
-    elif name == "surface-area-ball":
-        center = _vector_option(args.center, "center")
-        area = gaussian_surface_area_ball(center, args.radius)
-        _print_kv(out, value=area, at_most_one=bool(area <= 1.0))
-    elif name == "gas-stations":
-        w = _vector_option(args.weights, "weights")
-        rot = gas_stations_rotation(w)
-        _print_kv(out, start=rot.start, multiplicity=rot.multiplicity)
-    elif name == "nested-null-edf":
-        value = nested_null_edf_bound(args.p)
-        _print_kv(out, p=args.p, bound=value, less_than_10=bool(value < 10.0))
-    elif name == "nested-tail-split":
-        split = nested_bound_tail_split(n_terms=args.terms)
-        _print_kv(out, sqrt_series=split.sqrt_series,
-                  inv_sqrt_series=split.inv_sqrt_series, total=split.total,
-                  less_than_10=bool(split.total < 10.0))
-    elif name == "general-theta":
-        mu = _vector_option(args.mu, "mu")
-        rep = general_theta_bound(mu)
-        _print_kv(out, windowed=rep.windowed, alternate=rep.alternate, cap=rep.cap, p=rep.p)
-    else:
-        c = best_subset_constant()
-        _print_kv(out, value=c.value, delta=c.delta, half_value=c.half_value)
+    _print_kv(sys.stdout, **args.values(args))
     return 0
 
 
@@ -266,8 +284,7 @@ def build_parser():
     add_family_args(p_edf)
     p_edf.add_argument("--method", required=True,
                        choices=("monte-carlo", "analytic", "implicit-diff",
-                                "bootstrap-parametric", "bootstrap-bigmodel",
-                                "bootstrap-residual"))
+                                *(f"bootstrap-{sampler}" for sampler in SAMPLERS)))
     p_edf.add_argument("--data", help="data vector file (non monte-carlo methods)")
     p_edf.add_argument("--n", type=int, default=None,
                        help="model size for monte-carlo; must agree with --theta0, --data, "
@@ -287,42 +304,11 @@ def build_parser():
     p_b = sub.add_parser("bounds", help="evaluate named bound quantities")
     bsub = p_b.add_subparsers(dest="bound", required=True)
 
-    b1 = bsub.add_parser("chi-sq-max", help="expected max of centered chi-squares")
-    b1.add_argument("--sizes", required=True, help="df list, e.g. 1,2,4")
-    b1.add_argument("--delta", type=float, required=True)
-    b1.set_defaults(func=_cmd_bounds)
-
-    b2 = bsub.add_parser("edf-upper-simplified", help="two-term relaxation of chi-sq-max")
-    b2.add_argument("--sizes", required=True)
-    b2.add_argument("--delta", type=float, required=True)
-    b2.set_defaults(func=_cmd_bounds)
-
-    b3 = bsub.add_parser("surface-area-ball",
-                         help="Gaussian surface area of a ball boundary")
-    b3.add_argument("--center", required=True, help="center vector, list or @path")
-    b3.add_argument("--radius", type=float, required=True)
-    b3.set_defaults(func=_cmd_bounds)
-
-    b4 = bsub.add_parser("gas-stations", help="admissible start for a cyclic tour")
-    b4.add_argument("--weights", required=True, help="leg weights, list or @path")
-    b4.set_defaults(func=_cmd_bounds)
-
-    b5 = bsub.add_parser("nested-null-edf", help="null excess-df bound, nested chain")
-    b5.add_argument("--p", type=int, required=True, help="chain length")
-    b5.set_defaults(func=_cmd_bounds)
-
-    b6 = bsub.add_parser("nested-tail-split",
-                         help="head-plus-tail certification of the infinite sum")
-    b6.add_argument("--terms", type=int, default=1000, help="head terms to sum")
-    b6.set_defaults(func=_cmd_bounds)
-
-    b7 = bsub.add_parser("general-theta", help="nonnull nested-chain bounds")
-    b7.add_argument("--mu", required=True, help="rotated mean, list or @path")
-    b7.set_defaults(func=_cmd_bounds)
-
-    b8 = bsub.add_parser("best-subset-constant",
-                         help="sharp constant for the search-df bound")
-    b8.set_defaults(func=_cmd_bounds)
+    for name, (help_text, options, values) in BOUNDS.items():
+        p = bsub.add_parser(name, help=help_text)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=_cmd_bounds, values=values)
 
     p_check = sub.add_parser("selfcheck", help="run the acceptance battery")
     p_check.add_argument("--only", default=None,

@@ -43,13 +43,14 @@ import numpy as np
 from .bootstrap import BootstrapConfig, _pass_statistic
 from .core import (DomainError, GaussianModel, _as_float_vector, _check_count, _check_noise,
                    _df_unit, _mean_se, _tuned_stats)
-from .shrinkage import ShrinkMeansFamily, SingletonShrinkFamily
+from .shrinkage import ShrinkMeansFamily, ShrinkRegressionFamily, SingletonShrinkFamily
 from .softthresh import SoftThreshFamily
-from .stein import _implicit_diff_stats
+from .stein import HeteroShrinkFamily, _implicit_diff_stats
 
 __all__ = [
     "SETTINGS",
     "FAMILIES",
+    "FAMILY_REGISTRY",
     "SimSpec",
     "SimRow",
     "ConfigError",
@@ -63,9 +64,17 @@ __all__ = [
 SETTINGS = ("null", "weak_sparsity", "strong_sparsity", "custom")
 
 
-_FAMILY_CLASSES = {"shrink_means": ShrinkMeansFamily, "soft_threshold": SoftThreshFamily,
-                   "singleton_shrink": SingletonShrinkFamily}
-FAMILIES = tuple(_FAMILY_CLASSES)
+# Each family by name: its class and the keys, among n, sigma, design and
+# sigmas, that its constructor takes in order; the first key fixes its size.
+# The command line builds every entry, the grid those built from n and sigma.
+FAMILY_REGISTRY = {
+    "shrink_means": (ShrinkMeansFamily, ("n", "sigma")),
+    "shrink_regression": (ShrinkRegressionFamily, ("design", "sigma")),
+    "soft_threshold": (SoftThreshFamily, ("n", "sigma")),
+    "singleton_shrink": (SingletonShrinkFamily, ("n", "sigma")),
+    "hetero_shrink": (HeteroShrinkFamily, ("sigmas",)),
+}
+FAMILIES = tuple(name for name, (_, keys) in FAMILY_REGISTRY.items() if keys == ("n", "sigma"))
 
 
 @dataclass(frozen=True)
@@ -110,8 +119,7 @@ class SimSpec:
                 raise DomainError("setting=custom requires theta0")
             theta0 = tuple(_as_float_vector(self.theta0, "theta0").tolist())
             object.__setattr__(self, "theta0", theta0)
-            bad = [n for n in sizes if n != len(theta0)]
-            if bad:
+            if any(n != len(theta0) for n in sizes):
                 raise DomainError("custom theta0 length must equal every size")
 
 
@@ -162,7 +170,7 @@ def run_simulation(spec):
     rows = []
     for i_setting, setting in enumerate(spec.setting):
         for j_size, n in enumerate(spec.sizes):
-            family = _FAMILY_CLASSES[spec.family](n, spec.sigma)
+            family = FAMILY_REGISTRY[spec.family][0](n, spec.sigma)
             model = GaussianModel(theta0_for(setting, n, custom=spec.theta0), sigma=spec.sigma)
             R = spec.outer_reps
             hooks, boot = family.hooks, None

@@ -199,10 +199,11 @@ def scan_jumps(family, y_base, coord, t_grid):
     only jump where the selected SURE candidate switches, which always moves
     the plug-in df, so grid cells with constant naive df are skipped.
     Flagged cells are bisected until every cell's midpoint rounds to one of
-    its ends, as it does once they are adjacent doubles, or for at most 60
-    steps; jumps no larger than 1e-6 sigma are discarded.  Cells containing
-    several switches resolve to the one with the largest fit gap; use a grid
-    fine enough to separate switches of interest.  Returns a list of `Jump`.
+    its ends, as it does once they are adjacent doubles; each step halves
+    every open cell, so this ends.  Jumps no larger than 1e-6 sigma are
+    discarded.  Cells containing several switches resolve to the one with
+    the largest fit gap; use a grid fine enough to separate switches of
+    interest.  Returns a list of `Jump`.
     """
     y_base = np.asarray(y_base, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -219,12 +220,9 @@ def scan_jumps(family, y_base, coord, t_grid):
     grid = state_at(t_grid)
     cells = np.flatnonzero(grid[3, 1:] != grid[3, :-1])
     lo, hi = grid[:, cells], grid[:, cells + 1]
-    for _ in range(60):
-        # A midpoint equal to an end would retune that end, which a tuner
-        # working row by row gives back bit for bit: the step moves nothing.
-        mid = 0.5 * (lo[0] + hi[0])
-        if not np.any((lo[0] < mid) & (mid < hi[0])):
-            break
+    # A midpoint equal to an end would retune that end, which a tuner working
+    # row by row gives back bit for bit: the step would move nothing.
+    while np.any((lo[0] < (mid := 0.5 * (lo[0] + hi[0]))) & (mid < hi[0])):
         mid = state_at(mid)
         in_left = mid[3] != lo[3]
         in_right = hi[3] != mid[3]

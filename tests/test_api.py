@@ -227,20 +227,41 @@ def _strings(node):
     return []
 
 
-@pytest.mark.parametrize("func", [simulate.run_simulation, cli._cmd_edf],
-                         ids=lambda f: f.__name__)
-def test_no_branch_on_the_family_name(func):
-    # A family answers for its own excess-df statistics (`edf_unbiased`,
-    # `hooks`), so the code that reports them never asks which family it has.
-    names = set(simulate.FAMILIES) | set(cli.CLI_FAMILIES)
-    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
-    found = [
+def _name_compares(source, names):
+    """(line, string) of each comparison in `source` with a string in `names`."""
+    tree = ast.parse(textwrap.dedent(source))
+    return [
         (node.lineno, value)
         for node in ast.walk(tree) if isinstance(node, ast.Compare)
         for operand in (node.left, *node.comparators)
         for value in _strings(operand) if value in names
     ]
-    assert found == []
+
+
+# Every family under both spellings, and every `suretune bounds` subcommand.
+_FAMILY_AND_BOUND_NAMES = set(simulate.FAMILY_REGISTRY) | set(cli.CLI_FAMILIES) | set(cli.BOUNDS)
+
+
+@pytest.mark.parametrize("func", [simulate.run_simulation] + [
+    func for _, func in inspect.getmembers(cli, inspect.isfunction)
+    if func.__module__ == cli.__name__
+], ids=lambda f: f.__name__)
+def test_no_branch_on_the_family_name(func):
+    # A family answers for its own excess-df statistics (`edf_unbiased`,
+    # `hooks`), so the code that reports them never asks which family it has;
+    # the command line builds families and bounds from their registries.
+    assert _name_compares(inspect.getsource(func), _FAMILY_AND_BOUND_NAMES) == []
+
+
+def test_a_branch_on_a_family_or_bound_name_is_seen():
+    source = """
+def build(args):
+    if args.bound == "chi-sq-max":
+        return 1
+    return args.family in ("shrink-regression", "hetero_shrink")
+"""
+    assert _name_compares(source, _FAMILY_AND_BOUND_NAMES) == [
+        (3, "chi-sq-max"), (5, "shrink-regression"), (5, "hetero_shrink")]
 
 
 def _calls(path, name):

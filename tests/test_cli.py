@@ -1,11 +1,13 @@
 """End-to-end command line checks, run in process through main(argv)."""
 
 import hashlib
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from suretune.cli import main
+from suretune.cli import BOUNDS, CLI_FAMILIES, build_parser, main
 
 
 def _kv(text):
@@ -44,6 +46,14 @@ class TestTune:
         kv = _kv(capsys.readouterr().out)
         assert float(kv["s_hat"]) == 0.0
         assert float(kv["sure_min"]) == 2.0
+
+    def test_singleton_shrink_round_trip(self, data_file, capsys):
+        # Nothing is tuned: s stays at its fixed 1, and the excess df is 0.
+        assert main(["tune", "--family", "singleton-shrink", "--data", data_file]) == 0
+        assert _kv(capsys.readouterr().out)["s_hat"] == "1"
+        assert main(["edf", "--method", "analytic", "--family", "singleton-shrink",
+                     "--data", data_file]) == 0
+        assert _kv(capsys.readouterr().out)["value"] == "0"
 
     @pytest.mark.parametrize("family", [
         ["--family", "shrink-means"],
@@ -335,6 +345,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert "config error: line 0: sigma must be positive" in capsys.readouterr().err
 
+    def test_a_family_the_grid_does_not_run_exits_2(self, tmp_path, capsys):
+        # hetero_shrink is registered, but it is built from sigmas, not (n, sigma).
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family = hetero_shrink\nsizes = 4\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: line 0: family must be one of "
+                                "('shrink_means', 'soft_threshold', 'singleton_shrink')\n")
+        assert captured.out == ""
+
     def test_needs_exactly_one_source(self, tmp_path, capsys):
         assert main(["simulate"]) == 2
         cfg = tmp_path / "run.cfg"
@@ -472,3 +492,32 @@ class TestSelfcheck:
         rc = main(["selfcheck", "--only", "bogus"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _readme_section():
+    """The text of README's Command line section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_commands():
+    """Each `suretune ...` line of README's Command line section, as argv."""
+    return [shlex.split(line)[1:] for line in _readme_section().splitlines()
+            if line.startswith("suretune ")]
+
+
+class TestReadme:
+    # The family and bound choices are derived from registries; these keep
+    # the documented commands in step with them.  Nothing is run.
+    def test_every_command_line_example_parses(self):
+        commands = _readme_commands()
+        assert len(commands) > 10
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
+
+    def test_the_section_names_every_bound_and_family(self):
+        named = {word for argv in _readme_commands() for word in argv}
+        assert sorted(set(BOUNDS) - named) == []
+        section = _readme_section()
+        assert [name for name in CLI_FAMILIES if f"`{name}`" not in section] == []

@@ -21,7 +21,7 @@ from suretune import bootstrap as bootstrap_module
 from suretune.cli import main
 from suretune.core import DomainError
 from suretune.simulate import (
-    _FAMILY_CLASSES,
+    FAMILY_REGISTRY,
     PRESETS,
     ConfigError,
     SimSpec,
@@ -191,7 +191,8 @@ class TestRunSimulation:
         for i, setting in enumerate(spec.setting):
             for j, n in enumerate(spec.sizes):
                 model = GaussianModel(theta0_for(setting, n), sigma=spec.sigma)
-                family = _FAMILY_CLASSES[spec.family](n, spec.sigma)
+                cls, _ = FAMILY_REGISTRY[spec.family]
+                family = cls(n, spec.sigma)
                 report = mc_edf(family, model, reps=spec.outer_reps,
                                 seed=np.random.SeedSequence([spec.seed, j, i]))
                 row = rows[setting, n]

@@ -298,9 +298,8 @@ class TestScanJumps:
     ])
     def test_bisection_stops_once_every_cell_is_resolved(self, y_base, grid):
         # Away from t = 0 a cell's ends are adjacent doubles after about
-        # log2(width / ulp) < 60 halvings.  The steps after that would retune
-        # each cell at one of its own ends, which the row-by-row tuner gives
-        # back bit for bit, so the jumps are those of 60 full steps.
+        # log2(width / ulp) < 60 halvings, so the scan stops within 60 steps,
+        # with the jumps of a reference that bisects each cell on its own.
         fam = SoftThreshFamily(4, 1.0)
         calls = self._counted(fam)
         jumps = scan_jumps(fam, np.array(y_base), 0, grid)
@@ -308,18 +307,22 @@ class TestScanJumps:
         want = _bisect_each_cell(SoftThreshFamily(4, 1.0), np.array(y_base), 0, grid)
         assert repr([astuple(j) for j in jumps]) == repr([astuple(j) for j in want])
 
-    def test_bisection_takes_at_most_60_steps(self):
-        # At sigma = 1e-100 the df switch lies near t = 1.4e-100, where
-        # doubles are far denser than 2^-60 of the cell [0, 1].
+    def test_a_switch_near_zero_is_resolved_to_adjacent_doubles(self):
+        # At sigma = 1e-100 the df switch lies at t = sqrt(2) sigma, where
+        # doubles are far denser than 2^-60 of the cell [0, 1]: the scan
+        # bisects past 60 steps down to it instead of reporting the fit's
+        # ramp across a bracket still as wide as 2^-60.
         fam = SoftThreshFamily(1, 1e-100)
         calls = self._counted(fam)
-        scan_jumps(fam, np.zeros(1), 0, np.array([0.0, 1.0]))
-        assert calls == [2] + [1] * 60
+        (jump,) = scan_jumps(fam, np.zeros(1), 0, np.array([0.0, 1.0]))
+        assert jump.location == pytest.approx(math.sqrt(2.0) * 1e-100, rel=1e-15)
+        assert jump.size == pytest.approx(math.sqrt(2.0) * 1e-100, rel=1e-15)
+        assert calls == [2] + [1] * 384
 
 
 def _bisect_each_cell(family, y_base, coord, t_grid):
     """Reference for `scan_jumps`: every flagged cell bisected on its own,
-    one `tune` per step, for all 60 steps."""
+    one `tune` per step, until its midpoint rounds to one of its ends."""
     def state(t):
         y = y_base.copy()
         y[coord] = t
@@ -330,7 +333,7 @@ def _bisect_each_cell(family, y_base, coord, t_grid):
     for lo, hi in zip(ends, ends[1:]):
         if lo[3] == hi[3]:
             continue
-        for _ in range(60):
+        while lo[0] < 0.5 * (lo[0] + hi[0]) < hi[0]:
             mid = state(0.5 * (lo[0] + hi[0]))
             if mid[3] != lo[3] and (mid[3] == hi[3]
                                     or abs(mid[1] - lo[1]) >= abs(hi[1] - mid[1])):
