@@ -297,9 +297,10 @@ class HeteroShrinkFamily(EstimatorFamily):
             raise DomainError("the search grid from 1e-4 / mean(sigmas^2) to 1e8 / min(sigmas^2) "
                               "needs finite bounds and ratio (min(sigmas) at least about 2^-498.7)")
         points = 1 + math.ceil(63.0 / 12.0 * math.log10(hi / lo))
-        # The grid in the units of s at unit noise, where the search runs.
-        self._grid = np.ldexp(np.concatenate([[0.0], np.geomspace(lo, hi, points)]),
-                              2 * self._noise_exp)
+        # The grid in the units of s at unit noise, where the search runs, and
+        # 1e2 times its last point, so a minimum just past the grid is bracketed.
+        grid = np.ldexp(np.concatenate([[0.0], np.geomspace(lo, hi, points)]), 2 * self._noise_exp)
+        self._grid = np.append(grid, grid[-1] * 1e2)
 
     @property
     def hooks(self):
@@ -329,22 +330,21 @@ class HeteroShrinkFamily(EstimatorFamily):
     def _tuned(self, Y, sd):
         """Minimize scaled SURE on every row of Y, tracking modality.
 
-        The search grid is s = 0 and a log grid from 1e-4/mean(sigma_i^2)
-        to 1e8/min(sigma_i^2) at 63 intervals per 12 decades.  Each grid
-        local minimum brackets a refinement: safeguarded Newton on the
-        closed-form slope where it changes sign, golden-section search in
-        log1p(s) otherwise.  Refinements within 1e-6 in log1p(s) count as
-        one minimum; `multimodal` flags rows with more than one.  Walking
-        the minima in increasing s, the first at or below the s = +inf value
-        replaces it, later ones only when lower by 1e-12 relative, so ties
-        go to the smallest finite s.
+        The search grid is s = 0, a log grid from 1e-4/mean(sigma_i^2) to
+        1e8/min(sigma_i^2) at 63 intervals per 12 decades, and 1e2 times its
+        last point.  The slope is negative at s = 0, and every grid cell
+        where it goes from negative to nonnegative brackets one local
+        minimum, refined by safeguarded Newton on the closed-form slope.
+        The cells are disjoint, so each root is a distinct minimum;
+        `multimodal` flags rows with more than one.  A minimum is kept only
+        when it lies strictly below the s = +inf value; of those kept, the
+        smallest s within 1e-12 relative of the lowest wins.
 
         The batch goes through in chunks whose (rows, n) temporaries hold
         at most `core._CACHE_VALUES` values, each written into the
         preallocated output arrays.  Every step acts row by row except the
-        BLAS product of the grid values and the golden-section step count,
-        which the widest bracket of a chunk sets, so a row may round in the
-        last place differently in another chunk.
+        BLAS product of the grid slopes, so a row may round in the last
+        place differently in another chunk.
         """
         sig2, reps = sd**2, Y.shape[0]
         s_hat, sure_min, df = np.empty(reps), np.empty(reps), np.empty(reps)
@@ -362,49 +362,36 @@ class HeteroShrinkFamily(EstimatorFamily):
                           naive_df_at_shat=df, multimodal=multimodal)
 
     def _minimize(self, Y2, sig2):
-        """(s_hat, SURE minimum, number of distinct minima) of every row of
-        squared data Y2 at variances sig2, by the search `_tuned` describes."""
-        grid = self._grid
-        reps = Y2.shape[0]
-        u = grid[:, None] * sig2
-        weights = sig2 * grid[:, None] ** 2 / (1.0 + u) ** 2
-        g_inf = np.sum(Y2 / sig2, axis=1)
+        """(s_hat, SURE minimum, number of local minima) of every row of
+        squared data Y2 at variances sig2, by the search `_tuned` describes.
 
-        # Grid local minima, each at most both neighbours.  Left of s = 0
-        # counts as +inf (the slope there is strictly negative, so no minimum
-        # sits at s = 0 itself); right of the last point is s = +inf.
-        vals = np.concatenate([np.full((reps, 1), math.inf),
-                               Y2 @ weights.T + 2.0 * np.sum(1.0 / (1.0 + u), axis=1),
-                               g_inf[:, None]], axis=1)
-        rows, k = np.nonzero((vals[:, 1:-1] <= vals[:, :-2]) & (vals[:, 1:-1] <= vals[:, 2:]))
-        edges = np.concatenate([[0.0], grid, [grid[-1] * 1e2]])
-        lo, hi, Y2 = edges[k], edges[k + 2], Y2[rows]
-        s_star, W = np.empty(rows.size), 2.0 * Y2 * sig2
-        root = (_hetero_slopes(lo, W, sig2) < 0.0) & (_hetero_slopes(hi, W, sig2) > 0.0)
-        s_star[root] = _slope_root(lo[root], hi[root], W[root], sig2)
-        far = ~root
-        if far.any():
-            s_star[far] = np.expm1(_golden_log1p(np.log1p(lo[far]), np.log1p(hi[far]),
-                                                 Y2[far], sig2))
-        val = _hetero_sure(s_star, Y2, sig2)
+        The slopes at every grid point are one BLAS product: with W = 2 Y2
+        sigma_i^2, the slope sum(W s / v^3 - 2 sigma_i^2 / v^2) at s is Y2
+        times 2 sigma_i^2 s / v^3 less sum(2 sigma_i^2 / v^2), v = 1 + sigma_i^2 s.
+        """
+        grid, reps, g_inf = self._grid, Y2.shape[0], np.sum(Y2 / sig2, axis=1)
+        v = 1.0 + grid[:, None] * sig2
+        falling = (Y2 @ (2.0 * sig2 * grid[:, None] / v**3).T
+                   - np.sum(2.0 * sig2 / v**2, axis=1)) < 0.0
+        rows, k = np.nonzero(falling[:, :-1] & ~falling[:, 1:])
+        kept = np.bincount(rows, minlength=reps)
+        Y2 = Y2[rows]
+        s_star = _slope_root(grid[k], grid[k + 1], 2.0 * Y2 * sig2, sig2)
 
-        # Walk each row's candidates in increasing (s, value) order.
-        order = np.lexsort((val, s_star, rows))
-        rows, s_star, val = rows[order], s_star[order], val[order]
-        slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+        # Only minima strictly below the s = +inf value stay, by the cancellation-free
+        # G(s) - G(+inf) = sum(2 / v - (Y2 / sigma_i^2)(1 + 2 u) / v^2), u = sigma_i^2 s.
+        u = sig2 * s_star[:, None]
+        v = 1.0 + u
+        below = np.sum(2.0 / v - Y2 / sig2 * (1.0 + 2.0 * u) / v**2, axis=1) < 0.0
+        rows, s_star = rows[below], s_star[below]
+        val = _hetero_sure(s_star, Y2[below], sig2)
+        lowest = np.full(reps, math.inf)
+        np.minimum.at(lowest, rows, val)
+        tie = val <= lowest[rows] + 1e-12 * np.maximum(1.0, np.abs(lowest[rows]))
+        # np.nonzero lists each row's minima in increasing s, so the first tie is the smallest.
+        r, first = np.unique(rows[tie], return_index=True)
         best_s, best_val = np.full(reps, math.inf), g_inf
-        kept, last_log = np.zeros(reps, dtype=int), np.zeros(reps)
-        for j in range(int(slot.max(initial=-1)) + 1):
-            r, sj, vj = rows[slot == j], s_star[slot == j], val[slot == j]
-            lj = np.log1p(sj)
-            new = (kept[r] == 0) | (np.abs(lj - last_log[r]) > 1e-6)
-            last_log[r[new]] = lj[new]
-            r, sj, vj = r[new], sj[new], vj[new]
-            kept[r] += 1
-            bv = best_val[r]
-            take = ((vj < bv - 1e-12 * np.maximum(1.0, np.abs(bv)))
-                    | (np.isinf(best_s[r]) & (vj <= bv)))
-            best_s[r[take]], best_val[r[take]] = sj[take], vj[take]
+        best_s[r], best_val[r] = s_star[tie][first], val[tie][first]
         return best_s, best_val, kept
 
     def _oracle_at(self, theta0, sd):
@@ -417,13 +404,17 @@ def _slope_root(a, b, W, sig2):
 
     Newton steps on slope and curvature from one `_hetero_slopes` pass,
     bisecting whenever a step leaves the bracket or fails to halve the
-    previous one.  The slope stays negative at the left end, so the root
-    found is a local minimum of the criterion.  Pairs leave the iteration,
-    with their rows of W, as they converge.
+    previous one.  A pair converges once its last step or its bracket is
+    at most 4 eps times its point.  Each bisection halves the bracket and
+    each accepted Newton step halves the last step, so the loop ends, also
+    for a root many decades below the bracket's right end.  The slope stays
+    negative at the left end, so the root found is a local minimum of the
+    criterion.  Pairs leave the iteration, with their rows of W, as they
+    converge.
     """
     x, step_old, live = 0.5 * (a + b), b - a, np.arange(a.size)
     root = x.copy()
-    for _ in range(200):
+    while live.size:
         f, fp = _hetero_slopes(x, W, sig2, True)
         a, b = np.where(f < 0.0, x, a), np.where(f > 0.0, x, b)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -433,26 +424,8 @@ def _slope_root(a, b, W, sig2):
         step_old = np.abs(nxt - x)
         root[live] = x = nxt
         go = np.minimum(step_old, b - a) > 4.0 * np.finfo(float).eps * x
-        if not go.any():
-            break
         live, x, a, b, step_old, W = live[go], x[go], a[go], b[go], step_old[go], W[go]
     return root
-
-
-def _golden_log1p(a, b, Y2, sig2):
-    """Golden-section minimum of v -> G(expm1(v)) on each [a, b], to 1e-14."""
-    shrink = (math.sqrt(5.0) - 1.0) / 2.0
-    steps = max(0, math.ceil(math.log(np.max(b - a) / 1e-14) / -math.log(shrink)))
-    c, d = b - shrink * (b - a), a + shrink * (b - a)
-    fc, fd = _hetero_sure(np.expm1(c), Y2, sig2), _hetero_sure(np.expm1(d), Y2, sig2)
-    for _ in range(steps):
-        keep_left = fc <= fd
-        a, b = np.where(keep_left, a, c), np.where(keep_left, d, b)
-        probe = np.where(keep_left, b - shrink * (b - a), a + shrink * (b - a))
-        fp = _hetero_sure(np.expm1(probe), Y2, sig2)
-        c, d, fc, fd = (np.where(keep_left, probe, d), np.where(keep_left, c, probe),
-                        np.where(keep_left, fp, fd), np.where(keep_left, fc, fp))
-    return np.where(fc <= fd, c, d)
 
 
 def exopt_hetero_shrink(y, sigmas, s_hat):

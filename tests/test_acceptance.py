@@ -56,7 +56,7 @@ LINE_SHA256 = {
     "c06": "5b7ae3d5c5df8ccedb42e62cabf54cc3ff232df304e5f57987cce80204d5d3e6",
     "c07": "9312d0d6b0babfba466349f8fb384d5cca045294e0e79142b58b6b19c40f47cc",
     "c08": "b347be19fc88ee0b1ee12126f15e50b0c97712bdb160dcc16dd2b3f0b278244b",
-    "c09": "d3679cdb8a79c458107c9c6a7a1db8ebf49637f4ca72434678e39c78f37da6bd",
+    "c09": "8c418fbeaae2f5dd22c7843b72391f6a9a0fb261fbe55ac45cd7c5a495155a93",
     "c10": "4cd9d27d2942e0a8d2ee5f25fbb9ca3536112ed87c8b9300bc7d8dc2c7f6aebe",
     "c11": "36b0fdd0a153d922ed4dc987ac7e8af6c4f60caa9da3f5d6573ff20f3693cb28",
     "c12": "f2f379ea0ef56ce038389de83464dd97e308dc28f2a09d6c7af4e8adbfb7adab",

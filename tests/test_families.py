@@ -530,7 +530,7 @@ BATCH_SHA256 = {
     "all-subsets-rank-deficient": (
         _pinned_all_subsets, "e9f8fb1f014e3730932097faf530f913fe2d30f0ffd690ecf6fd6308d8c0cacf"),
     "hetero-1310": (_pinned_hetero,
-                    "a91da0464736cb447a68b5a24c919da8f9b604cc22908f589e29452eb734ce13"),
+                    "690f40e89568cef01f4e15515f28d7151293d3072df85e55b288582cc76f0fab"),
 }
 
 

@@ -264,21 +264,11 @@ class TestTuneHeteroShrink:
         assert fit.s_hat == pytest.approx(1e7, rel=1e-6)
         assert fit.sure_min <= y[0] ** 2
 
-    def test_bounded_search_branch_beats_dense_grid(self, monkeypatch):
-        # One grid minimum has no sign change of the slope across its
-        # bracket, so the golden-section search in log1p(s) refines it
-        # instead of the Newton root.
+    def test_small_sigma_bimodal_row_beats_dense_grid(self):
+        # Noise levels from 0.01 to 0.2 give two interior minima.
         sigmas = np.array([0.200797869, 0.009457346, 0.028094444])
         y = np.array([0.692984939, -0.019823277, -0.027261288])
-        golden, search = [], stein._golden_log1p
-
-        def spy(*args):
-            golden.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(stein, "_golden_log1p", spy)
         fit = HeteroShrinkFamily(sigmas).tune(y)
-        assert golden
         assert fit.multimodal is True
         assert fit.sure_min <= _dense_grid_min(y, sigmas) + 1e-9
         assert fit.s_hat == pytest.approx(2.33779093839, rel=1e-9)
@@ -313,19 +303,47 @@ class TestTuneHeteroShrink:
         assert het.s_hat == pytest.approx(hom.s_hat, rel=1e-9, abs=0)
         assert het.sure_min == pytest.approx(hom.sure_min, rel=1e-12, abs=0)
 
-    def test_refinements_at_one_point_count_once(self, monkeypatch):
-        # Force both brackets of the bimodal row onto the same point (and a
-        # second copy 1e-7 away in log1p(s)): one minimum, not two.  The
-        # search runs at unit noise, where s is 4^_noise_exp times larger.
+    def test_bimodal_row_counts_two_minima(self):
         fam = HeteroShrinkFamily(self.BIMODAL_SIGMAS)
-        target = fam.tune(self.BIMODAL_Y).s_hat
-        unit = target * 4.0**fam._noise_exp
-        monkeypatch.setattr(
-            stein, "_slope_root",
-            lambda a, b, Y2, sig2: np.expm1(np.log1p(unit) + 1e-7 * np.arange(a.size)))
-        fit = fam.tune(self.BIMODAL_Y)
-        assert fit.multimodal is False
-        assert fit.s_hat == target
+        e = fam._noise_exp
+        y, sd = np.ldexp(self.BIMODAL_Y, -e), np.ldexp(self.BIMODAL_SIGMAS, -e)
+        assert fam._minimize(y[None] ** 2, sd**2)[2].tolist() == [2]
+
+    def test_every_finite_s_hat_is_stationary(self):
+        rng = np.random.default_rng(16)
+        scales = np.exp(rng.uniform(-3.0, 4.0, (200, 1)))
+        batches = [(self.BIMODAL_SIGMAS, scales * rng.standard_normal((200, 4))
+                    * self.BIMODAL_SIGMAS)]
+        batches += [(np.array(sigmas), np.array(y)[None]) for sigmas, y, _, _ in
+                    self.HARD_ROWS.values()]
+        multimodal = False
+        for sigmas, Y in batches:
+            fam = HeteroShrinkFamily(sigmas)
+            fit = fam.tune_batch(Y)
+            multimodal |= fit.multimodal.any()
+            finite = np.isfinite(fit.s_hat)
+            assert finite.any()
+            # raises StationarityError or CurvatureError on the first row that fails
+            stats = stein._implicit_diff_stats(fam.hooks, Y[finite], fit.s_hat[finite])
+            assert np.all(np.isfinite(stats))
+        assert multimodal
+
+    def test_exact_full_shrinkage_wins_at_mean_zero(self):
+        # At theta0 = 0 every interior s has criterion above the s = +inf
+        # value by sum 1 / (1 + sigma_i^2 s)^2, so the oracle is s0 = +inf.
+        sigmas = np.linspace(0.5, 2.0, 12)
+        oracle = HeteroShrinkFamily(sigmas).oracle(GaussianModel(np.zeros(12), sigmas=sigmas))
+        assert oracle.s0 == math.inf
+        assert oracle.err == 12.0
+
+    def test_minimum_far_below_the_grid(self):
+        # |y_i| / sigma_i = 1e100: the minimum, near 2 sum(sigma^2) / sum(2 y^2 sigma^2),
+        # lies some 200 decades below the grid's first positive point.
+        fam = HeteroShrinkFamily(np.array([1.0, 2.0, 3.0, 4.0]))
+        y = 1e100 * np.array([1.0, 2.0, 3.0, 4.0])
+        fit = fam.tune(y)
+        assert fit.s_hat == pytest.approx(8.47457627118644e-202, rel=1e-12, abs=0)
+        assert fit.sure_min == 8.0 == fam.sure(fit.s_hat, y)
 
     def test_batch_rows_match_rows_tuned_one_at_a_time(self):
         rng = np.random.default_rng(15)
@@ -371,7 +389,7 @@ class TestTuneHeteroShrink:
         for name in ("s_hat", "theta_hat", "sure_min", "naive_df_at_shat", "multimodal"):
             digest.update(getattr(fit, name).tobytes())
         assert digest.hexdigest() == \
-            "aa38008068a575233993f9eb6949779bee6a56ea041dd4c620f9177ea28711f1"
+            "60475061577866034742ae560bbfed34cbac2497b3931ca16710d2bba7346bfc"
 
     def test_monte_carlo_pass_memory_is_a_few_chunks(self):
         # mc_edf over 2000 reps of the library-mix model peaked at 6.35 MB
