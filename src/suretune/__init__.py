@@ -16,7 +16,6 @@ from .core import (
     ShapeError,
     TunedBatch,
     TunedFit,
-    TuningDomain,
     EdfReport,
     mc_df,
     mc_edf,

@@ -67,7 +67,7 @@ def c01_sure_unbiased():
         ("shrink_means", ShrinkMeansFamily(n, 1.0), (0.2, 1.0, 5.0), None),
         ("shrink_regression", ShrinkRegressionFamily(Xr, 1.0), (0.2, 1.0, 5.0), None),
         ("soft_threshold", SoftThreshFamily(n, 1.0), (0.5, 1.0, 2.0), None),
-        ("subsets", nested, tuple(nested.domain.labels[k] for k in (1, 3, 5)), None),
+        ("subsets", nested, tuple(nested.subsets[k] for k in (1, 3, 5)), None),
         ("hetero_shrink", HeteroShrinkFamily(sigmas), (0.3, 1.0, 3.0), sigmas),
     ]
     worst_z, worst_tag = 0.0, ""

@@ -242,8 +242,9 @@ def nested_null_edf_bound(p):
     10 for every p.
     """
     p = _check_count(p, "p", 1)
-    d = np.arange(1, p + 1, dtype=float)
-    log_gamma = np.array([math.lgamma(k / 2.0) for k in range(1, p + 1)])
+    # Every summand from d = 4881 on underflows to 0, so the sum stops there.
+    d = np.arange(1, min(p, 4880) + 1, dtype=float)
+    log_gamma = np.array([math.lgamma(k / 2.0) for k in range(1, d.size + 1)])
     log_terms = math.log(2.0) + np.log1p(1.0 / d) + (d / 2.0) * np.log(d) - d - log_gamma
     return float(np.sum(np.exp(log_terms)))
 

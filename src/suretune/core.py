@@ -62,8 +62,8 @@ and whoever keeps one past its turn copies it.
 Input checks: only this module decides what a valid input is, through
 `_as_float_vector` for vectors, `_check_noise` for sigma, `_check_count` for
 counts and column indices, `_check_tuning` for tuning values
-(`EstimatorFamily._check_s` for a family's own), `_check_batch` for data and
-`_check_design` for designs.
+(`_check_tuning_value` for one, `EstimatorFamily._check_s` for one in a
+family's `_s_range`), `_check_batch` for data and `_check_design` for designs.
 
 Noise scale: SURE is scale-equivariant, (y, sigma) -> (c y, c sigma) scales
 the fit by c and the criterion by c^2, and dividing by a power of two is
@@ -90,7 +90,6 @@ __all__ = [
     "DomainError",
     "ShapeError",
     "GaussianModel",
-    "TuningDomain",
     "TunedFit",
     "TunedBatch",
     "EdfReport",
@@ -197,11 +196,23 @@ def _check_noise(sigma, sigmas, n=None):
 
 
 def _check_tuning(s, name):
-    """s as a float array of tuning values: nonnegative, +inf allowed, not NaN."""
-    s = np.asarray(s, dtype=float)
-    if not np.all(s >= 0):
+    """s as a float array of tuning values: nonnegative, +inf allowed, not NaN.  A bool,
+    string or other non-number is refused (a float conversion reads True and "1" as 1.0)."""
+    arr = np.asarray(s)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a real number, got {s!r}")
+    arr = arr.astype(float)
+    if not arr.min(initial=math.inf) >= 0:  # False at NaN
         raise DomainError(f"{name} must be nonnegative (+inf allowed), not NaN")
-    return s
+    return arr
+
+
+def _check_tuning_value(s, name):
+    """One tuning value that `_check_tuning` accepts, as a float."""
+    s = _check_tuning(s, name)
+    if s.ndim:
+        raise DomainError(f"{name} must be one value, got shape {s.shape}")
+    return float(s)
 
 
 def _noise_sd(noise):
@@ -260,41 +271,6 @@ class GaussianModel:
         z *= _noise_sd(self)
         z += self.theta0
         return z
-
-
-@dataclass(frozen=True)
-class TuningDomain:
-    """Admissible tuning values: a continuous interval or a finite label set.
-
-    For continuous domains the upper endpoint may be `math.inf`, in which
-    case s = +inf itself is an admissible tuning value (the fully shrunk
-    member of the family), not an error sentinel.
-    """
-
-    kind: str
-    lower: float = 0.0
-    upper: float = math.inf
-    labels: tuple = None
-
-    def __post_init__(self):
-        if self.kind not in ("continuous", "discrete"):
-            raise DomainError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "discrete" and not self.labels:
-            raise DomainError("discrete domain requires a nonempty label set")
-
-    def contains(self, s):
-        if self.kind == "discrete":
-            try:
-                return s in self.labels
-            except TypeError:
-                return False
-        if isinstance(s, (bool, str)):
-            return False
-        try:
-            s = float(s)
-        except (TypeError, ValueError):
-            return False
-        return self.lower <= s <= self.upper  # False at NaN
 
 
 def _check_batch(Y, n, what="data", first=0):
@@ -385,9 +361,9 @@ class TunedFit:
 class TunedBatch:
     """Row-wise tuning results for a (reps, n) batch of data vectors.
 
-    For discrete families `s_hat` holds integer indices into
-    `domain.labels`; for continuous families it holds the tuning values
-    themselves (with +inf allowed).  `multimodal` is a per-row bool array
+    For a subset collection `s_hat` holds integer indices into its
+    `subsets`; for the other families it holds the tuning values themselves
+    (with +inf allowed).  `multimodal` is a per-row bool array
     from tuners that probe for several local minima of SURE, else None.
     """
 
@@ -457,9 +433,9 @@ class EstimatorFamily(ABC):
     tunes every row of a (reps, n) batch at once at unit noise, and, where
     the family has one, the oracle search `_oracle_at(theta0, sd)`, also at
     unit noise (see the module docstring on the noise scale).  `tune_batch`,
-    `tune` and `oracle` are derived here, once, from those cores.  The
-    domain defaults to the continuous [0, +inf].  Each family carries its
-    own noise level because tuning needs it.
+    `tune` and `oracle` are derived here, once, from those cores.  Tuning
+    values lie in `_s_range`, [0, +inf] unless a family narrows it.  Each
+    family carries its own noise level because tuning needs it.
 
     `_tuned` must be re-entrant: the bootstrap calls `tune_batch` from
     several threads at once on one family, so it may read but never write
@@ -470,13 +446,13 @@ class EstimatorFamily(ABC):
     implicit differentiation, and `edf_unbiased(fit)`, a per-row statistic.
     """
 
-    domain = TuningDomain(kind="continuous")
     n: int
     hooks = None
     _oracle_at = None
 
-    # Tuning values scale as sigma^_s_power under (y, sigma) -> (c y, c sigma).
+    # Tuning values lie in _s_range and scale as sigma^_s_power under (y, sigma) -> (c y, c sigma).
     _s_power = 0
+    _s_range = (0.0, math.inf)
 
     def _set_noise(self, sigma=None, sigmas=None, n=None):
         self.sigma, self.sigmas = _check_noise(sigma, sigmas, n)
@@ -519,8 +495,8 @@ class EstimatorFamily(ABC):
         return out
 
     def _label(self, s):
-        """A tuned value as callers see it: a label in a discrete domain, else a float."""
-        return self.domain.labels[int(s)] if self.domain.kind == "discrete" else float(s)
+        """A tuned value as callers see it: a float (a subset collection's label)."""
+        return float(s)
 
     def _check_model(self, model):
         """DomainError unless `model` is a GaussianModel with this n and noise."""
@@ -534,9 +510,12 @@ class EstimatorFamily(ABC):
         return getattr(self, "sigmas", None) is not None
 
     def _check_s(self, s):
-        """DomainError unless s is in the domain; `estimate`, `naive_df` and `sure` call it."""
-        if not self.domain.contains(s):
+        """s as one float in `_s_range`, else DomainError; `estimate`, `naive_df`
+        and `sure` call it (a subset collection looks its labels up instead)."""
+        s = _check_tuning_value(s, "tuning value")
+        if not self._s_range[0] <= s <= self._s_range[1]:
             raise DomainError(f"tuning value {s!r} is outside the family domain")
+        return s
 
     @abstractmethod
     def estimate(self, s, y):
@@ -559,8 +538,8 @@ class EstimatorFamily(ABC):
     def tune(self, y):
         """Minimize SURE over the domain for a single data vector.
 
-        Row 0 of `tune_batch(y[None])`, with a discrete index mapped back to
-        its label in `domain.labels`.
+        Row 0 of `tune_batch(y[None])`, with a subset collection's index
+        mapped back to its label in `subsets`.
         """
         y = np.asarray(y, dtype=float)
         if y.shape != (self.n,):

@@ -28,7 +28,6 @@ from .core import (
     EstimatorFamily,
     ShapeError,
     TunedBatch,
-    TuningDomain,
     _check_batch,
     _check_count,
     _check_design,
@@ -114,8 +113,7 @@ class ShrinkMeansFamily(EstimatorFamily):
 
     def naive_df(self, s, y):
         # Divergence of y -> y/(1+s), 0 at s = +inf; data-free for this family.
-        self._check_s(s)
-        return self.n / (1.0 + s)
+        return self.n / (1.0 + self._check_s(s))
 
     def _tuned(self, Y, sigma):
         return _tuned_shrink(np.einsum("ij,ij->i", Y, Y), self.n, sigma, Y)
@@ -154,8 +152,7 @@ class ShrinkRegressionFamily(EstimatorFamily):
         return py / (1.0 + s)
 
     def naive_df(self, s, y):
-        self._check_s(s)
-        return self.rank / (1.0 + s)
+        return self.rank / (1.0 + self._check_s(s))
 
     def _tuned(self, Y, sigma):
         coords = Y @ self._basis
@@ -191,10 +188,10 @@ class SingletonShrinkFamily(ShrinkMeansFamily):
 
     def __init__(self, n, sigma, s=1.0):
         super().__init__(n, sigma)
-        self.s_fixed = float(_check_tuning(s, "the fixed tuning value"))
+        self.s_fixed = self._check_s(s)
         if math.isinf(self.s_fixed):
             raise DomainError("a singleton family has no member at s = +inf")
-        self.domain = TuningDomain(kind="continuous", lower=self.s_fixed, upper=self.s_fixed)
+        self._s_range = (self.s_fixed, self.s_fixed)
 
     def _tuned(self, Y, sigma):
         s = self.s_fixed
@@ -219,8 +216,8 @@ def edf_unbiased_shrink(s_hat):
     (where the tuned rule is locally constant zero).  Averaging this over
     draws estimates the excess degrees of freedom, which therefore never
     exceeds 2 for these families.  Broadcasts over an array of tuned
-    values; a scalar gives a float.  Raises DomainError on a negative or
-    NaN s_hat.
+    values; a scalar gives a float.  Raises DomainError on a negative, NaN
+    or non-numeric s_hat.
     """
     s = _check_tuning(s_hat, "s_hat")
     s = np.where(s == math.inf, 0.0, s)

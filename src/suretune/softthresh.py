@@ -23,7 +23,7 @@ from .core import (
     _bisect_sign_change,
     _check_count,
     _check_noise,
-    _check_tuning,
+    _check_tuning_value,
     _normal_cdf,
     _normal_pdf,
     _row_blocks,
@@ -39,8 +39,8 @@ __all__ = [
 
 
 def soft_threshold(y, s):
-    """sign(y) * (|y| - s)_+ elementwise; s may be +inf (all zeros)."""
-    _check_tuning(s, "threshold")
+    """sign(y) * (|y| - s)_+ elementwise; s is one value, and may be +inf (all zeros)."""
+    s = _check_tuning_value(s, "threshold")
     y = np.asarray(y, dtype=float)
     if math.isinf(s):
         return np.zeros_like(y)
@@ -57,8 +57,7 @@ class SoftThreshFamily(EstimatorFamily):
         self._set_noise(sigma=sigma)
 
     def estimate(self, s, y):
-        self._check_s(s)
-        return soft_threshold(y, s)
+        return soft_threshold(y, self._check_s(s))
 
     def naive_df(self, s, y):
         self._check_s(s)
@@ -147,11 +146,11 @@ def soft_threshold_risk(theta0, sigma, s):
 
     D = Phi(lam - m) - Phi(-lam - m).  Returns an array matching the vector
     theta0.  Raises DomainError on a non-finite theta0, a bad sigma (see
-    `core._check_noise`), or a negative or NaN s (s = +inf is allowed).
+    `core._check_noise`), or an s that `core._check_tuning_value` refuses (+inf is allowed).
     """
     theta0 = _as_float_vector(theta0, "theta0")
     sigma = _check_noise(sigma, None)[0]
-    _check_tuning(s, "threshold")
+    s = _check_tuning_value(s, "threshold")
     if math.isinf(s):
         return theta0**2
     lam = s / sigma
@@ -200,15 +199,19 @@ def scan_jumps(family, y_base, coord, t_grid):
     the plug-in df, so grid cells with constant naive df are skipped.
     Flagged cells are bisected until every cell's midpoint rounds to one of
     its ends, as it does once they are adjacent doubles; each step halves
-    every open cell, so this ends.  Jumps no larger than 1e-6 sigma are
-    discarded.  Cells containing several switches resolve to the one with
-    the largest fit gap; use a grid fine enough to separate switches of
-    interest.  Returns a list of `Jump`.
+    every open cell, so this ends.  Jumps no larger than 1e-6 times the
+    noise sd of coordinate `coord` are discarded.  Cells containing several
+    switches resolve to the one with the largest fit gap; use a grid fine
+    enough to separate switches of interest.  Returns a list of `Jump`.
     """
-    y_base = np.asarray(y_base, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
+    coord = _check_count(coord, "coord", 0)
+    if coord >= family.n:
+        raise DomainError(f"coord {coord} outside data of length {family.n}")
+    y_base = _as_float_vector(y_base, "y_base", family.n)
+    t_grid = _as_float_vector(t_grid, "t_grid")
     if np.any(np.diff(t_grid) <= 0):
         raise DomainError("t_grid must be strictly increasing")
+    cut = 1e-6 * (family.sigma if family.sigmas is None else family.sigmas[coord])
 
     def state_at(ts):
         # Rows t, theta_hat[coord], s_hat and naive df, one column per t.
@@ -231,4 +234,4 @@ def scan_jumps(family, y_base, coord, t_grid):
         lo, hi = np.where(go_left, lo, mid), np.where(go_left, mid, hi)
     return [Jump(location=0.5 * (a[0] + b[0]), size=float(b[1] - a[1]),
                  s_left=float(a[2]), s_right=float(b[2]))
-            for a, b in zip(lo.T, hi.T) if abs(b[1] - a[1]) > 1e-6 * family.sigma]
+            for a, b in zip(lo.T, hi.T) if abs(b[1] - a[1]) > cut]

@@ -44,6 +44,7 @@ from .core import (
     _as_float_vector,
     _check_batch,
     _check_noise,
+    _check_tuning_value,
     _rank_basis,
     _row_blocks,
 )
@@ -223,7 +224,7 @@ def edf_implicit_diff(hooks, y, s_hat):
     CurvatureError
         If d2G/ds2 is not strictly positive there.  Failed checks name row 0.
     """
-    if not math.isfinite(s_hat):
+    if not math.isfinite(s_hat := _check_tuning_value(s_hat, "s_hat")):
         raise StationarityError("implicit differentiation needs a finite interior s_hat")
     value = _implicit_diff_stats(hooks, np.asarray(y, dtype=float)[None], [s_hat])[0]
     return EdfReport(method="implicit_diff", value=float(value), std_error=0.0, reps=1)
@@ -324,8 +325,7 @@ class HeteroShrinkFamily(EstimatorFamily):
         return y / (1.0 + self._sig2 * s)
 
     def naive_df(self, s, y):
-        self._check_s(s)
-        return float(np.sum(1.0 / (1.0 + self._sig2 * s)))
+        return float(np.sum(1.0 / (1.0 + self._sig2 * self._check_s(s))))
 
     def _tuned(self, Y, sd):
         """Minimize scaled SURE on every row of Y, tracking modality.
@@ -443,7 +443,7 @@ def exopt_hetero_shrink(y, sigmas, s_hat):
     """
     sig2 = _check_noise(None, sigmas)[1] ** 2
     y = _as_float_vector(y, "y", sig2.shape[0])
-    if not math.isfinite(s_hat) or s_hat <= 0:
+    if not math.isfinite(s_hat := _check_tuning_value(s_hat, "s_hat")) or s_hat <= 0:
         raise StationarityError("the ratio form needs a finite positive s_hat")
     u = sig2 * s_hat
     num = np.sum(4.0 * y**2 * sig2**2 * s_hat / (1.0 + u) ** 5)
@@ -483,10 +483,10 @@ class RidgeRotation:
 
     def penalty_of(self, s):
         """Ridge penalty t corresponding to the family tuning value s."""
-        return self.sigma**2 * s
+        return self.sigma**2 * self.family._check_s(s)
 
     def s_of_penalty(self, t):
-        return t / self.sigma**2
+        return _check_tuning_value(t, "penalty") / self.sigma**2
 
     def coef(self, s):
         """Ridge coefficient vector at family tuning value s."""

@@ -28,7 +28,6 @@ from .core import (
     EstimatorFamily,
     ShapeError,
     TunedBatch,
-    TuningDomain,
     _RANK_TOL,
     _as_float_vector,
     _check_count,
@@ -98,9 +97,9 @@ class SubsetCollection(EstimatorFamily):
         labels = tuple(dict.fromkeys(_normalize_subset(s, X.shape[1]) for s in subsets))
         if not labels:
             raise DomainError("need at least one candidate subset")
-        self.domain = TuningDomain(kind="discrete", labels=labels)
-        position = {cols: k for k, cols in enumerate(labels)}
-        grown = [_grown_from(cols, position) for cols in labels]
+        self.subsets = labels
+        self._position = {cols: k for k, cols in enumerate(labels)}
+        grown = [_grown_from(cols, self._position) for cols in labels]
         # Room for every direction: one per grown subset, a full basis otherwise.
         dirs = np.empty((sum(1 if parent is not None else min(len(cols), self.n)
                              for cols, (parent, _) in zip(labels, grown)), self.n))
@@ -128,18 +127,17 @@ class SubsetCollection(EstimatorFamily):
         # lexicographic column indices.
         self._tie_order = sorted(range(len(labels)), key=lambda k: (self.ranks[k], labels[k]))
 
-    @property
-    def subsets(self):
-        return self.domain.labels
-
     def _index(self, s):
         try:
-            return self.domain.labels.index(tuple(s))
-        except (TypeError, ValueError):
+            return self._position[tuple(s)]
+        except (TypeError, KeyError):
             raise DomainError(f"subset {s!r} is not in the collection") from None
 
     # One label rule: `sure` checks a subset as `estimate` and `naive_df` do.
     _check_s = _index
+
+    def _label(self, k):
+        return self.subsets[int(k)]
 
     def estimate(self, s, y):
         Q = self.Q[:, self._qcols[self._index(s)]]

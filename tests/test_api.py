@@ -40,6 +40,7 @@ from suretune import (
     SubsetCollection,
     chi_sq_max_bound,
     cli,
+    edf_implicit_diff,
     edf_two_model_exact,
     edf_unbiased_shrink,
     edf_upper_bound_simplified,
@@ -56,6 +57,7 @@ from suretune import (
     nested_bound_tail_split,
     nested_null_edf_bound,
     parse_config,
+    scan_jumps,
     simulate,
     soft_threshold,
     soft_threshold_risk,
@@ -90,7 +92,7 @@ LIBRARY_MODULES = (
 DELETED = {
     "bootstrap": ("bootstrap_df",),
     "core": ("sure", "tune_by_sure", "vectorize_rows", "oracle_tuning", "oracle_gap_check",
-             "OracleGapReport"),
+             "OracleGapReport", "TuningDomain"),
     "shrinkage": ("tune_shrink_means", "tune_shrink_regression", "minimize_quadratic_sure",
                   "shrink_means_positive_part", "james_stein_positive_regression",
                   "unbiased_risk_sure_tuned_shrink", "ShrinkRiskBounds", "risk_bounds_shrink"),
@@ -452,6 +454,8 @@ VECTOR_ENTRIES = {
     "edf_upper_bound_simplified": ("sizes", lambda x: edf_upper_bound_simplified(x, 0.5)),
     "SimSpec": ("theta0", lambda x: SimSpec(setting="custom", sizes=(3,), theta0=x)),
     "theta0_for": ("custom theta0", lambda x: theta0_for("custom", 3, custom=x)),
+    "scan_jumps-y_base": ("y_base", lambda x: scan_jumps(SoftThreshFamily(3, 1.0), x, 0, [0.0])),
+    "scan_jumps-t_grid": ("t_grid", lambda x: scan_jumps(SoftThreshFamily(3, 1.0), _Y, 0, x)),
 }
 # Data vectors are checked as one-row batches by `core._check_batch`.
 DATA_ENTRIES = {
@@ -487,6 +491,7 @@ COUNT_ENTRIES = {
     "SimSpec-outer_reps": ("outer_reps", 2, lambda v: SimSpec(outer_reps=v)),
     "SimSpec-bootstrap_B": ("bootstrap_B other than 0", 2, lambda v: SimSpec(bootstrap_B=v)),
     "SimSpec-seed": ("seed", 0, lambda v: SimSpec(seed=v)),
+    "scan_jumps": ("coord", 0, lambda v: scan_jumps(SoftThreshFamily(3, 1.0), _Y, v, [0.0])),
 }
 
 # A rule's output is checked as data are, naming the (row, column) of the
@@ -519,9 +524,31 @@ TUNING_ENTRIES = {
     "soft_threshold": ("threshold", lambda s: soft_threshold(_Y, s)),
     "soft_threshold_risk": ("threshold", lambda s: soft_threshold_risk(_Y, 1.0, s)),
     "edf_unbiased_shrink": ("s_hat", edf_unbiased_shrink),
-    "SingletonShrinkFamily": ("the fixed tuning value",
+    "SingletonShrinkFamily": ("tuning value",
                               lambda s: simulate.SingletonShrinkFamily(3, 1.0, s=s)),
+    "edf_implicit_diff": ("s_hat",
+                          lambda s: edf_implicit_diff(ShrinkMeansFamily(3, 1.0).hooks, _Y, s)),
+    "exopt_hetero_shrink": ("s_hat", lambda s: exopt_hetero_shrink(_Y, np.ones(3), s)),
+    "RidgeRotation.penalty_of": ("tuning value", lambda s: RidgeRotation(_X, _Y).penalty_of(s)),
+    "RidgeRotation.s_of_penalty": ("penalty", lambda s: RidgeRotation(_X, _Y).s_of_penalty(s)),
 }
+
+
+# Every entry but `edf_unbiased_shrink` takes one value.
+ONE_VALUE_TUNING = set(TUNING_ENTRIES) - {"edf_unbiased_shrink"}
+# NaN and -1 are out of range; a bool or a string is not a number, though a
+# float conversion reads True and "1" as 1.0; a one-value call refuses [1.0].
+BAD_TUNING = (math.nan, -1.0, True, "1", [1.0])
+
+
+def _tuning_message(arg, s):
+    """`core._check_tuning`'s message for the bad tuning value s (for [1.0],
+    `core._check_tuning_value`'s)."""
+    if isinstance(s, list):
+        return re.escape(f"{arg} must be one value, got shape (1,)")
+    if isinstance(s, (bool, str)):
+        return re.escape(f"{arg} must be a real number, got {s!r}")
+    return re.escape(f"{arg} must be nonnegative (+inf allowed), not NaN")
 
 
 def _family_call(family, method):
@@ -563,6 +590,11 @@ def _boundary_rows():
         for v in (2.5, -1):
             yield (f"count {name}", call, v, DomainError,
                    rf"{arg} must be an integer at least {least}, got {v}(\.0)?")
+    # A coordinate past the data is refused, as is a y_base of another length.
+    yield ("count scan_jumps", lambda v: scan_jumps(SoftThreshFamily(3, 1.0), _Y, v, [0.0]), 3,
+           DomainError, "coord 3 outside data of length 3")
+    yield ("vector scan_jumps-y_base", lambda x: scan_jumps(SoftThreshFamily(3, 1.0), x, 0, [0.0]),
+           [1.0, 2.0], ShapeError, "y_base must have length 3, got 2")
     # A fractional column index is refused, not truncated to a column.
     for name, call, v in (
             ("SubsetCollection", lambda v: SubsetCollection(np.eye(3), [(v,)], 1.0), 0.7),
@@ -570,20 +602,23 @@ def _boundary_rows():
         yield (f"count {name}", call, v, DomainError,
                rf"every column index must be an integer at least 0, got {v}")
     for name, (arg, call) in TUNING_ENTRIES.items():
-        for s in (math.nan, -1.0):
-            yield (f"tuning {name}", call, s, DomainError,
-                   re.escape(f"{arg} must be nonnegative (+inf allowed), not NaN"))
+        for s in BAD_TUNING if name in ONE_VALUE_TUNING else BAD_TUNING[:-1]:
+            yield f"tuning {name}", call, s, DomainError, _tuning_message(arg, s)
     for family in _FAMILIES:
         for method in ("estimate", "naive_df", "sure"):
-            for s in (math.nan, -1.0):
-                message = f"tuning value {s!r} is outside the family domain"
+            for s in BAD_TUNING:
+                message = _tuning_message("tuning value", s)
                 if family == "SubsetCollection":
-                    message = f"subset {s!r} is not in the collection"
+                    message = re.escape(f"subset {s!r} is not in the collection")
                 call = _family_call(family, method)
                 yield f"tuning {family}.{method}", call, s, DomainError, message
-    for s in (math.nan, -1.0):
+    # A family narrower than [0, +inf] refuses what lies outside its `_s_range`.
+    for method in ("estimate", "naive_df", "sure"):
+        yield (f"tuning SingletonShrinkFamily.{method}", _family_call("SingletonShrinkFamily",
+               method), 2.0, DomainError, r"tuning value 2\.0 is outside the family domain")
+    for s in BAD_TUNING:
         yield ("tuning RidgeRotation.coef", lambda s: RidgeRotation(_X, _Y).coef(s), s,
-               DomainError, f"tuning value {s!r} is outside the family domain")
+               DomainError, _tuning_message("tuning value", s))
 
 
 BOUNDARY = list(_boundary_rows())

@@ -13,7 +13,6 @@ from suretune import (
     HeteroShrinkFamily,
     ShrinkMeansFamily,
     TunedBatch,
-    TuningDomain,
     bootstrap_edf,
     corrected_error_estimate,
 )
@@ -25,10 +24,11 @@ from suretune.simulate import SingletonShrinkFamily
 class ZeroRuleFamily(EstimatorFamily):
     """Constant-zero estimate: no tuning, no degrees of freedom at all."""
 
+    _s_range = (0.0, 0.0)
+
     def __init__(self, n, sigma):
         self.n = int(n)
         self._set_noise(sigma=sigma)
-        self.domain = TuningDomain(kind="continuous", lower=0.0, upper=0.0)
 
     def estimate(self, s, y):
         return np.zeros_like(np.asarray(y, dtype=float))

@@ -296,6 +296,15 @@ class TestNestedNullBound:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert nested_null_edf_bound(5000) < 10.0
 
+    def test_summands_past_4880_underflow_and_are_not_summed(self):
+        # The log-space summand of `nested_null_edf_bound` at d = 4880 and 4881.
+        d = np.array([4880.0, 4881.0])
+        log_gamma = np.array([math.lgamma(k / 2.0) for k in d])
+        terms = np.exp(math.log(2.0) + np.log1p(1.0 / d) + (d / 2.0) * np.log(d) - d - log_gamma)
+        assert terms[0] > 0.0 == terms[1]
+        # Without the cut this would build a 10^12-long array.
+        assert nested_null_edf_bound(10**12) == nested_null_edf_bound(4880) == 9.557430968171106
+
     def test_validation(self):
         with pytest.raises(DomainError):
             nested_null_edf_bound(0)

@@ -241,8 +241,8 @@ def test_tuned_minimum_beats_dense_grid_and_tune_is_row_zero(case):
 
     fit = fam.tune(y)
     s0 = batch.s_hat[0]
-    discrete = fam.domain.kind == "discrete"
-    assert fit.s_hat == (fam.domain.labels[int(s0)] if discrete else s0)
+    discrete = isinstance(fam, SubsetCollection)
+    assert fit.s_hat == (fam.subsets[int(s0)] if discrete else s0)
     assert np.array_equal(fit.theta_hat, batch.theta_hat[0])
     assert fit.sure_min == batch.sure_min[0]
     assert fit.naive_df_at_shat == batch.naive_df_at_shat[0]
@@ -325,7 +325,7 @@ def _unscaled(family, answers, k):
     """`_answers` at noise 2^k, scaled back to k = 0 (exact for normal floats)."""
     s_hat, theta, sure_min, df, multimodal, s0, err = answers
     p, q = family._s_power * k, (0 if family.is_heteroskedastic else 2) * k
-    if family.domain.kind == "continuous":
+    if not isinstance(family, SubsetCollection):
         s_hat, s0 = np.ldexp(s_hat, -p), math.ldexp(s0, -p)
     return (s_hat, np.ldexp(theta, -k), np.ldexp(sure_min, -q), df, multimodal, s0,
             math.ldexp(err, -q))

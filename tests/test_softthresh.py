@@ -11,6 +11,7 @@ from scipy.special import ndtr
 from suretune import (
     DomainError,
     GaussianModel,
+    HeteroShrinkFamily,
     SoftThreshFamily,
     mc_edf,
     scan_jumps,
@@ -273,6 +274,24 @@ class TestScanJumps:
         fam = SoftThreshFamily(3, 1.0)
         y = np.array([0.0, 8.0, 9.0])
         assert scan_jumps(fam, y, 0, np.linspace(-0.2, 0.2, 41)) == []
+
+    def test_heteroskedastic_scan_finds_the_switch_from_full_shrinkage(self):
+        # Coordinate 0's tuned fit jumps where the all-zero fit at s = +inf
+        # stops winning.  The jump cut reads coordinate 0's noise sd: a
+        # heteroskedastic family has no single sigma.
+        fam = HeteroShrinkFamily([8.024619016, 0.325822386, 0.040645611])
+        y = np.array([25.93668072, -0.4129098876, 0.012077711])
+        (jump,) = scan_jumps(fam, y, 0, np.linspace(0.0, 60.0, 61))
+        assert jump.location == pytest.approx(16.1655350390567, rel=1e-9)
+        assert jump.s_left == math.inf and 0.0 < jump.s_right < 0.01
+        below, above = (fam.tune(np.array([t, *y[1:]]))
+                        for t in jump.location * (1.0 + np.array([-1e-12, 1e-12])))
+        assert below.theta_hat[0] == 0.0
+        assert above.theta_hat[0] == pytest.approx(jump.size, rel=1e-9)
+
+    def test_an_integral_float_coord_is_that_coordinate(self):
+        fam, y, grid = SoftThreshFamily(3, 1.0), np.array([0.5, -2.0, 3.0]), np.linspace(-3, 3, 31)
+        assert scan_jumps(fam, y, 1.0, grid) == scan_jumps(fam, y, 1, grid) != []
 
     def test_decreasing_grid_rejected(self):
         fam = SoftThreshFamily(2, 1.0)
