@@ -238,15 +238,15 @@ def nested_null_edf_bound(p):
 
     sum_{d=1}^p sqrt(2d)(1 + 1/d) Lambda_d(B_d(0, sqrt(2d))), where each
     surface area has the closed form; the summand simplifies to
-    2 (1 + 1/d) d^{d/2} e^{-d} / Gamma(d/2).  Nondecreasing in p and below
-    10 for every p.
+    2 (1 + 1/d) d^{d/2} e^{-d} / Gamma(d/2).  Nondecreasing in p, since `math.fsum`
+    rounds the sum of positive terms correctly, and below 10 for every p.
     """
     p = _check_count(p, "p", 1)
     # Every summand from d = 4881 on underflows to 0, so the sum stops there.
     d = np.arange(1, min(p, 4880) + 1, dtype=float)
     log_gamma = np.array([math.lgamma(k / 2.0) for k in range(1, d.size + 1)])
     log_terms = math.log(2.0) + np.log1p(1.0 / d) + (d / 2.0) * np.log(d) - d - log_gamma
-    return float(np.sum(np.exp(log_terms)))
+    return math.fsum(np.exp(log_terms))
 
 
 @dataclass(frozen=True)

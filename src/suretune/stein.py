@@ -108,26 +108,26 @@ class SmoothFamilyHooks:
     d2g_dyds: Callable = None
     unit_noise: tuple = None
 
-    def eval_dtheta_ds(self, s, y):
+    def _eval_dtheta_ds(self, s, y):
         if self.dtheta_ds is not None:
             return np.asarray(self.dtheta_ds(s, y), dtype=float)
         s, h = _step(s)
         return (np.asarray(self.theta(s + h, y), dtype=float)
                 - np.asarray(self.theta(s - h, y), dtype=float)) / (2.0 * h[..., None])
 
-    def eval_dg_ds(self, s, y):
+    def _eval_dg_ds(self, s, y):
         if self.dg_ds is not None:
             return np.asarray(self.dg_ds(s, y), dtype=float)
         s, h = _step(s)
         return (self.g(s + h, y) - self.g(s - h, y)) / (2.0 * h)
 
-    def eval_d2g_ds2(self, s, y):
+    def _eval_d2g_ds2(self, s, y):
         if self.d2g_ds2 is not None:
             return np.asarray(self.d2g_ds2(s, y), dtype=float)
         s, h = _step(s, _CURV_STEP)
         return (self.g(s + h, y) - 2.0 * self.g(s, y) + self.g(s - h, y)) / h**2
 
-    def eval_d2g_dyds(self, s, y):
+    def _eval_d2g_dyds(self, s, y):
         if self.d2g_dyds is not None:
             return np.asarray(self.d2g_dyds(s, y), dtype=float)
         y = np.asarray(y, dtype=float)
@@ -174,8 +174,8 @@ def _implicit_diff_stats(hooks, Y, s_hat):
     if hooks.unit_noise is not None:
         hooks, e, power = hooks.unit_noise
         Y, s = np.ldexp(Y, -e), np.ldexp(s, -power * e)
-    slope = np.where(finite, hooks.eval_dg_ds(s, Y), math.nan)
-    curv = hooks.eval_d2g_ds2(s, Y)
+    slope = np.where(finite, hooks._eval_dg_ds(s, Y), math.nan)
+    curv = hooks._eval_d2g_ds2(s, Y)
     steady = (np.abs(s * slope) <= 1e-6 * np.abs(hooks.g(s, Y))) | (
         np.abs(slope) <= 1e-6 * s * np.abs(curv))
     stuck = ~boundary & ~((s > 0.0) & steady)
@@ -188,8 +188,8 @@ def _implicit_diff_stats(hooks, Y, s_hat):
     if flat.any():
         r = int(np.argmax(flat))
         raise CurvatureError(f"row {r}: d2G/ds2 = {curv[r]:.3e} at s_hat = {s_hat[r]:.6g}")
-    cross = hooks.eval_d2g_dyds(s, Y)
-    dtheta = hooks.eval_dtheta_ds(s, Y)
+    cross = hooks._eval_d2g_dyds(s, Y)
+    dtheta = hooks._eval_dtheta_ds(s, Y)
     # Boundary rows skipped the curvature check, so it may be zero there.
     value = -np.sum(dtheta * cross, axis=-1) / np.where(boundary, 1.0, curv)
     return np.where(boundary, 0.0, value)

@@ -296,6 +296,12 @@ class TestNestedNullBound:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert nested_null_edf_bound(5000) < 10.0
 
+    @pytest.mark.parametrize("p", [320, 432, 464, 512, 640, 864, 928, 1024, 1280, 1728,
+                                   1856, 2048, 2560, 3456, 3712, 4096])
+    def test_nondecreasing_where_a_pairwise_sum_drops(self, p):
+        # np.sum's pairwise order made the bound drop by an ulp at each of these p.
+        assert nested_null_edf_bound(p) >= nested_null_edf_bound(p - 1)
+
     def test_summands_past_4880_underflow_and_are_not_summed(self):
         # The log-space summand of `nested_null_edf_bound` at d = 4880 and 4881.
         d = np.array([4880.0, 4881.0])

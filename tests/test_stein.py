@@ -64,13 +64,18 @@ class TestImplicitDiff:
         # the single vector keeps np.allclose's default atol of 1e-8.
         for (s, y), cross_atol, theta_atol in ((one, 1e-8, 1e-8), (batch, 1e-5, 0.0)):
             for name, rtol in (("dg_ds", 1e-4), ("d2g_ds2", 1e-3)):
-                got, want = (getattr(h, f"eval_{name}")(s, y) for h in (bare, closed))
+                got, want = (getattr(h, f"_eval_{name}")(s, y) for h in (bare, closed))
                 assert np.shape(got) == np.shape(want) == np.shape(s)
                 assert np.allclose(got, want, rtol=rtol, atol=0)
             for name, atol in (("d2g_dyds", cross_atol), ("dtheta_ds", theta_atol)):
-                got, want = (getattr(h, f"eval_{name}")(s, y) for h in (bare, closed))
+                got, want = (getattr(h, f"_eval_{name}")(s, y) for h in (bare, closed))
                 assert got.shape == want.shape == y.shape
                 assert np.allclose(got, want, rtol=1e-4, atol=atol)
+
+    def test_hooks_have_no_public_evaluators(self):
+        # The evaluators take tuning values unchecked, so only the stationarity
+        # checks of `_implicit_diff_stats` reach them.
+        assert [name for name in dir(SmoothFamilyHooks) if name.startswith("eval_")] == []
 
     def test_fallback_statistic_is_accurate_on_wide_data(self):
         # Second differences lose about eps |G| / h^2 to rounding, which the
@@ -84,9 +89,9 @@ class TestImplicitDiff:
         assert inner.sum() > 3900
         stats = stein._implicit_diff_stats(bare, Y, s_hat)
         assert np.max(np.abs(stats - 2.0 * s_hat / (1.0 + s_hat))) <= 2e-5
-        curv, want = bare.eval_d2g_ds2(s_hat, Y), closed.eval_d2g_ds2(s_hat, Y)
+        curv, want = bare._eval_d2g_ds2(s_hat, Y), closed._eval_d2g_ds2(s_hat, Y)
         assert np.max(np.abs(curv / want - 1.0)) <= 1e-5
-        cross, want = bare.eval_d2g_dyds(s_hat, Y), closed.eval_d2g_dyds(s_hat, Y)
+        cross, want = bare._eval_d2g_dyds(s_hat, Y), closed._eval_d2g_dyds(s_hat, Y)
         assert np.max(np.abs(cross - want).max(axis=1) / np.abs(want).max(axis=1)) <= 3e-6
 
     @staticmethod
@@ -118,8 +123,8 @@ class TestImplicitDiff:
         fallback = kind.endswith("fallback")
         for y, s, got in zip(Y[~boundary], s_hat[~boundary], batch[~boundary]):
             # The statistic of one vector, evaluated with scalar hook calls.
-            loop = -float(np.dot(hooks.eval_dtheta_ds(s, y), hooks.eval_d2g_dyds(s, y))
-                          / hooks.eval_d2g_ds2(s, y))
+            loop = -float(np.dot(hooks._eval_dtheta_ds(s, y), hooks._eval_d2g_dyds(s, y))
+                          / hooks._eval_d2g_ds2(s, y))
             assert got == pytest.approx(loop, rel=1e-12, abs=0)
             assert got == pytest.approx(edf_implicit_diff(hooks, y, s).value, rel=1e-12, abs=0)
             exact = (2.0 * s / (1.0 + s) if sigmas is None
