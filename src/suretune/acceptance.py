@@ -24,8 +24,8 @@ from .bounds import (
     gas_stations_rotation,
     nested_null_edf_bound,
 )
-from .core import (DomainError, GaussianModel, _df_unit, _mean_se, _sq_error, _tuned_stats,
-                   mc_df, mc_edf)
+from .core import (DomainError, GaussianModel, _df_unit, _mean_se, _normal_pdf, _sq_error,
+                   _tuned_stats, mc_df, mc_edf)
 from .shrinkage import (
     ShrinkMeansFamily,
     ShrinkRegressionFamily,
@@ -192,6 +192,18 @@ def c04_risk_bound():
         f"shrink-means excess risk {', '.join(excess)}, limit 4")
 
 
+def _two_model_quadrature(m):
+    """E[(Z^2 - m Z - 1) 1{Z^2 > 2}] for Z ~ N(m, 1), the two-model excess df
+    as a covariance integral, by Simpson's rule on [m - 40, -sqrt 2] and
+    [sqrt 2, m + 40] (2^15 intervals each); the mass left out is below 1e-300."""
+    total = 0.0
+    for a, b in ((m - 40.0, -math.sqrt(2.0)), (math.sqrt(2.0), m + 40.0)):
+        z = np.linspace(a, b, 2**15 + 1)
+        f = (z**2 - m * z - 1.0) * _normal_pdf(z - m)
+        total += (z[1] - z[0]) / 3.0 * (f[0] + f[-1] + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum())
+    return total
+
+
 def c05_two_model():
     """Two-model Cp selection edf matches the exact normal-density formula.
 
@@ -213,6 +225,7 @@ def c05_two_model():
         exact = edf_two_model_exact(X, theta0, 1.0)
         report = mc_edf(family, GaussianModel(theta0, sigma=1.0), reps=reps, seed=seed)
         clauses[f"m={m:g} within 4 SE"] = abs(report.value - exact) <= 4.0 * report.std_error
+        clauses[f"m={m:g} matches quadrature"] = abs(exact - _two_model_quadrature(m)) <= 1e-9
         notes.append(f"m={m:g}: MC {report.value:.4f}+-{report.std_error:.4f} vs {exact:.4f}")
         if m == 0.0:
             clauses["m=0 SE <= 0.02"] = report.std_error <= 0.02

@@ -202,7 +202,7 @@ class GasStationsRotation:
     multiplicity: int
 
 
-_GAS_TOL = 1e-9  # slack of the sum check and of every prefix-sum comparison
+_GAS_TOL = 1e-9  # slack of the sum check and of the comparison with max(f)
 
 
 def gas_stations_rotation(w):
@@ -211,8 +211,11 @@ def gas_stations_rotation(w):
     For nonnegative w summing to 2d (within 1e-9), exactly one circular
     rotation has all prefix sums bounded by 2q (q = 1, ..., d); vectors
     with rotational symmetry can tie, in which case the smallest start
-    index is returned along with the multiplicity.  Comparisons allow
-    slack `_GAS_TOL` so boundary cases like the all-twos vector count.
+    index is returned along with the multiplicity.  By the cyclic lemma,
+    start r is admissible exactly when f_r = sum_{i<r} (w_i - 2) is a
+    maximum of f, so one cumulative sum finds every start; one always is.
+    The comparison allows slack `_GAS_TOL` so boundary cases like the
+    all-twos vector count.
     """
     w = _as_float_vector(w, "w")
     if w.size == 0:
@@ -222,15 +225,9 @@ def gas_stations_rotation(w):
     d = w.size
     if abs(float(w.sum()) - 2.0 * d) > _GAS_TOL:
         raise DomainError(f"entries must sum to 2d (within {_GAS_TOL})")
-    budget = 2.0 * np.arange(1, d + 1)
-    valid = []
-    for r in range(d):
-        prefix = np.cumsum(np.roll(w, -r))
-        if np.all(prefix <= budget + _GAS_TOL):
-            valid.append(r)
-    if not valid:
-        raise DomainError("no admissible rotation found; tolerance too tight?")
-    return GasStationsRotation(start=valid[0], multiplicity=len(valid))
+    f = np.concatenate([[0.0], np.cumsum(w[:-1] - 2.0)])
+    valid = np.flatnonzero(f >= f.max() - _GAS_TOL)
+    return GasStationsRotation(start=int(valid[0]), multiplicity=len(valid))
 
 
 def nested_null_edf_bound(p):

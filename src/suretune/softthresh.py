@@ -183,12 +183,13 @@ def _soft_threshold_risk_slope(theta0, sigma, s):
 
 @dataclass
 class Jump:
-    """A discontinuity of one tuned-fit coordinate along a data path."""
+    """A discontinuity of one tuned-fit coordinate along a data path, with the
+    tuned values on either side as `tune` reports them (a subset collection's label)."""
 
     location: float
     size: float
-    s_left: float
-    s_right: float
+    s_left: object
+    s_right: object
 
 
 def scan_jumps(family, y_base, coord, t_grid):
@@ -232,6 +233,6 @@ def scan_jumps(family, y_base, coord, t_grid):
         bigger_left = np.abs(mid[1] - lo[1]) >= np.abs(hi[1] - mid[1])
         go_left = in_left & (~in_right | bigger_left)
         lo, hi = np.where(go_left, lo, mid), np.where(go_left, mid, hi)
-    return [Jump(location=0.5 * (a[0] + b[0]), size=float(b[1] - a[1]),
-                 s_left=float(a[2]), s_right=float(b[2]))
+    return [Jump(location=float(0.5 * (a[0] + b[0])), size=float(b[1] - a[1]),
+                 s_left=family._label(a[2]), s_right=family._label(b[2]))
             for a, b in zip(lo.T, hi.T) if abs(b[1] - a[1]) > cut]

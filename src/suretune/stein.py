@@ -29,7 +29,7 @@ under heteroskedastic noise, and, through the singular value rotation,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -93,11 +93,11 @@ class SmoothFamilyHooks:
         by a central difference of `theta` or `g` with step h * (1 + |value|)
         in each differenced argument: h = 1e-5 for first derivatives and
         eps**0.25 ~ 1.2e-4 for the second derivatives of `g`.
-    unit_noise : (SmoothFamilyHooks, int, int), optional
-        (hooks, e, p): the same family's hooks at unit noise, where data y
-        and tuning values s are 2^-e y and 2^-(p e) s (e and p as in
-        `EstimatorFamily._noise_exp` and `_s_power`).  `_implicit_diff_stats`
-        runs there, so no square of the caller's units forms.
+
+    A family, not the caller, may set `unit_noise` to (hooks, e, p): its
+    hooks at unit noise, where y and s are 2^-e y and 2^-(p e) s (e and p as
+    in `EstimatorFamily._noise_exp` and `_s_power`).  `_implicit_diff_stats`
+    runs there, so no square of the caller's units forms.
     """
 
     theta: Callable
@@ -106,7 +106,7 @@ class SmoothFamilyHooks:
     dg_ds: Callable = None
     d2g_ds2: Callable = None
     d2g_dyds: Callable = None
-    unit_noise: tuple = None
+    unit_noise: tuple = field(default=None, init=False)
 
     def _eval_dtheta_ds(self, s, y):
         if self.dtheta_ds is not None:
@@ -207,8 +207,8 @@ def edf_implicit_diff(hooks, y, s_hat):
     y : array
         The data vector at which the family was tuned.
     s_hat : float
-        The tuned value; must be a finite interior stationary point of
-        ``s -> g(s, y)``.
+        The tuned value: +inf, the boundary, gives 0, as in every row of the
+        batch; otherwise an interior stationary point of ``s -> g(s, y)``.
 
     Returns
     -------
@@ -220,12 +220,11 @@ def edf_implicit_diff(hooks, y, s_hat):
     Raises
     ------
     StationarityError
-        If s_hat is infinite or dG/ds is not ~0 there.
+        If a finite s_hat is not positive or dG/ds is not ~0 there.
     CurvatureError
         If d2G/ds2 is not strictly positive there.  Failed checks name row 0.
     """
-    if not math.isfinite(s_hat := _check_tuning_value(s_hat, "s_hat")):
-        raise StationarityError("implicit differentiation needs a finite interior s_hat")
+    s_hat = _check_tuning_value(s_hat, "s_hat")
     value = _implicit_diff_stats(hooks, np.asarray(y, dtype=float)[None], [s_hat])[0]
     return EdfReport(method="implicit_diff", value=float(value), std_error=0.0, reps=1)
 
@@ -292,15 +291,16 @@ class HeteroShrinkFamily(EstimatorFamily):
         self._set_noise(sigmas=sigmas)
         self.n = self.sigmas.shape[0]
         self._sig2 = self.sigmas**2
-        with np.errstate(over="ignore"):
-            lo, hi = 1e-4 / float(np.mean(self._sig2)), 1e8 / float(np.min(self._sig2))
-        if not (lo > 0.0 and math.isfinite(hi / lo)):
+        # The variances at unit noise, where the grid is built and the search runs.
+        self._unit_sig2 = unit = np.ldexp(self._sig2, -2 * self._noise_exp)
+        with np.errstate(over="ignore", divide="ignore"):
+            lo, hi = 1e-4 / np.mean(unit), 1e8 / np.min(unit)
+            ratio = hi / lo
+        if not np.isfinite(ratio):
             raise DomainError("the search grid from 1e-4 / mean(sigmas^2) to 1e8 / min(sigmas^2) "
-                              "needs finite bounds and ratio (min(sigmas) at least about 2^-498.7)")
-        points = 1 + math.ceil(63.0 / 12.0 * math.log10(hi / lo))
-        # The grid in the units of s at unit noise, where the search runs, and
-        # 1e2 times its last point, so a minimum just past the grid is bracketed.
-        grid = np.ldexp(np.concatenate([[0.0], np.geomspace(lo, hi, points)]), 2 * self._noise_exp)
+                              "needs mean(sigmas^2) / min(sigmas^2) at most about 2^984")
+        points = 1 + math.ceil(63.0 / 12.0 * math.log10(ratio))
+        grid = np.concatenate([[0.0], np.geomspace(lo, hi, points)])
         self._grid = np.append(grid, grid[-1] * 1e2)
 
     @property
@@ -312,9 +312,8 @@ class HeteroShrinkFamily(EstimatorFamily):
         statistic runs them at unit noise through `unit_noise`, the way
         `tune_batch` runs the tuner.
         """
-        hooks, e = _hetero_hooks(self._sig2), self._noise_exp
-        if e:
-            hooks.unit_noise = (_hetero_hooks(np.ldexp(self._sig2, -2 * e)), e, self._s_power)
+        hooks = _hetero_hooks(self._sig2)
+        hooks.unit_noise = (_hetero_hooks(self._unit_sig2), self._noise_exp, self._s_power)
         return hooks
 
     def estimate(self, s, y):

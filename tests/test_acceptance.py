@@ -176,7 +176,7 @@ PLANTED = {
     "c01": (_scaled(ShrinkMeansFamily, "naive_df", 1.1), "within 4 SE"),
     "c02": (_scaled(ShrinkMeansFamily, "edf_unbiased", 1.1), "matches unbiased"),
     "c04": (_SECOND_BEST_SOFT_THRESHOLD, "soft_threshold (c)"),
-    "c05": (_scaled(acceptance, "edf_two_model_exact", 1.05), "m=0 exact value"),
+    "c05": (_scaled(acceptance, "edf_two_model_exact", 1.05), "m=1 matches quadrature"),
     "c07": (_scaled(acceptance, "edf_upper_bound_simplified", 1.001), "constants exact"),
     "c08": (_SECOND_BEST_SOFT_THRESHOLD, "search exact"),
     "c09": (_scaled(acceptance, "edf_unbiased_shrink", 1.1), "homo matches"),

@@ -6,11 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import chi2, ncx2
 
 from suretune.acceptance import _sphere_average_area
 from suretune.bounds import (
     _chi2_prob,
+    _logsumexp,
     best_subset_constant,
     best_subset_penalty_curve,
     chi_sq_max_bound,
@@ -365,6 +367,20 @@ class TestChiSquareProbabilities:
     def test_zero_df_is_vacuous(self):
         assert _chi2_prob(0, 0.0, 1.0, True) == 1.0
 
+    @pytest.mark.parametrize("df, nonc, threshold", [(2, 2500.0, 2.0), (1, 0.0, 3000.0),
+                                                     (3, 1.0, 6400.0)])
+    def test_tails_past_40_standard_deviations_against_scipy(self, df, nonc, threshold):
+        # sqrt(threshold) lies 40 SD below |c| = sqrt(nonc), or 40 SD above
+        # it plus sqrt(df): each tail is 0 or 1 in double precision.
+        dist = ncx2(df, nonc) if nonc > 0 else chi2(df)
+        for upper, want in ((True, dist.sf(threshold)), (False, dist.cdf(threshold))):
+            assert want in (0.0, 1.0)
+            assert _chi2_prob(df, nonc, threshold, upper) == want
+
+
+def test_logsumexp_of_all_minus_infinity_is_minus_infinity():
+    assert _logsumexp(np.full(3, -math.inf)) == -math.inf == logsumexp(np.full(3, -math.inf))
+
     def test_both_tails_keep_relative_precision_down_to_1e_12(self):
         # 3000 random points with df <= 11 and nonc <= 20 (a fifth central),
         # each at a threshold where the asked-for tail is between 1e-12 and
@@ -451,6 +467,15 @@ class TestGeneralThetaBound:
         assert rep.windowed == pytest.approx(windowed, rel=1e-12, abs=0.0)
         assert rep.alternate == pytest.approx(alternate, rel=1e-12, abs=0.0)
         assert general_theta_bound(mu) == rep
+
+    def test_a_far_mean_takes_the_far_tail_shortcut(self):
+        # The window below coordinate 2 holds |mu|^2 = 2500 against a
+        # threshold of 2, 48.6 SD past it.
+        mu = np.array([50.0, 0.0, 0.0])
+        rep = general_theta_bound(mu)
+        windowed, alternate = _scipy_general_theta(mu)
+        assert rep.windowed == pytest.approx(windowed, rel=1e-12, abs=0.0)
+        assert rep.alternate == pytest.approx(alternate, rel=1e-12, abs=0.0)
 
     def test_takes_only_mu(self):
         assert list(inspect.signature(general_theta_bound).parameters) == ["mu"]

@@ -116,6 +116,14 @@ class TestEdf:
         assert kv["method"] == "implicit_diff"
         assert float(kv["value"]) == pytest.approx(2.0 / 3.0, abs=1e-6)
 
+    def test_implicit_diff_at_full_shrinkage_is_zero_as_analytic_is(self, tmp_path, capsys):
+        # ||y||^2 = 0.1525 <= n sigma^2 = 5: the tuner lands on s = +inf.
+        path = tmp_path / "y.txt"
+        path.write_text("0.1\n0.2\n-0.3\n0.1\n0.05\n")
+        for method in ("implicit-diff", "analytic"):
+            assert main(["edf", "--method", method, "--data", str(path)]) == 0
+            assert _kv(capsys.readouterr().out)["value"] == "0"
+
     def test_monte_carlo(self, capsys):
         rc = main(["--seed", "7", "edf", "--method", "monte-carlo",
                    "--n", "10", "--reps", "200"])

@@ -305,9 +305,7 @@ def test_scaling_data_and_noise_together_rescales_the_fit(case):
 # theta_hat times 2^k, the SURE minimum and the oracle error times 4^k (times
 # 1 in the scaled heteroskedastic units), and the tuning value times
 # 2^(k * _s_power).  pytest turns every warning into an error, so no row may
-# warn either.  The heteroskedastic search grid is numpy's geomspace over
-# bounds set by the sigma_i, which rounds differently at each scale: its rows
-# agree to 1e-13 as built, and to the bit on the k = 0 grid.
+# warn either.
 SCALES = (-500, -300, -60, 60, 300, 500)
 _NOISE = 0.7
 
@@ -338,21 +336,23 @@ def test_scaling_data_and_noise_by_a_power_of_two_scales_every_answer_bitwise(in
     base = build(_NOISE)
     theta0 = np.linspace(-1.5, 2.5, base.n) * _NOISE
     Y = theta0 + _NOISE * np.random.default_rng(30).standard_normal((40, base.n))
-    if base.is_heteroskedastic and k == -500:
-        with pytest.raises(DomainError, match=r"min\(sigmas\) at least about 2\^-498.7"):
-            build(_NOISE * 2.0**k)
-        return
     scaled = build(_NOISE * 2.0**k)
     want = _answers(base, Y, theta0)
     got = _unscaled(scaled, _answers(scaled, np.ldexp(Y, k), np.ldexp(theta0, k)), k)
-    if base.is_heteroskedastic:
-        assert np.allclose(scaled._grid, base._grid, rtol=1e-13, atol=0.0)
-        for a, b in zip(got, want):
-            assert np.allclose(a, b, rtol=1e-13, atol=0.0)
-        scaled._grid = base._grid
-        got = _unscaled(scaled, _answers(scaled, np.ldexp(Y, k), np.ldexp(theta0, k)), k)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [-18, 0, 500])
+def test_the_heteroskedastic_grid_refuses_only_a_sigma_ratio_it_cannot_span(k):
+    # The grid runs from 1e-4 / mean(sigma_i^2) to 1e8 / min(sigma_i^2) at
+    # unit noise, so only the ratio of the two bounds can overflow, at
+    # mean / min about 2^984: sigmas (1, 2^-492) pass and (1, 2^-493) do not,
+    # at every scale 2^k where both sigmas are accepted.
+    fam = HeteroShrinkFamily(np.ldexp([1.0, 2.0**-492], k))
+    assert np.isfinite(fam._grid).all()
+    with pytest.raises(DomainError, match=r"min\(sigmas\^2\) at most about 2\^984"):
+        HeteroShrinkFamily(np.ldexp([1.0, 2.0**-493], k))
 
 
 def test_the_sure_minimum_is_the_criterion_at_the_tuned_value_at_small_noise():
@@ -530,7 +530,7 @@ BATCH_SHA256 = {
     "all-subsets-rank-deficient": (
         _pinned_all_subsets, "e9f8fb1f014e3730932097faf530f913fe2d30f0ffd690ecf6fd6308d8c0cacf"),
     "hetero-1310": (_pinned_hetero,
-                    "690f40e89568cef01f4e15515f28d7151293d3072df85e55b288582cc76f0fab"),
+                    "d0cd6465037008efa6c678ba9fb2257e9b9591970e34a780276f478f3f45e3ba"),
 }
 
 

@@ -13,6 +13,7 @@ from suretune import (
     GaussianModel,
     HeteroShrinkFamily,
     SoftThreshFamily,
+    make_nested,
     mc_edf,
     scan_jumps,
     soft_threshold,
@@ -289,6 +290,18 @@ class TestScanJumps:
         assert below.theta_hat[0] == 0.0
         assert above.theta_hat[0] == pytest.approx(jump.size, rel=1e-9)
 
+    def test_a_subset_scan_reports_the_labels_tune_reports(self):
+        # Coordinate 1 enters the chain where |y_1| passes sqrt(2).
+        fam, y = make_nested(np.eye(4), 1.0), np.array([2.0, 1.0, 0.3, 0.1])
+        jumps = scan_jumps(fam, y, 1, np.linspace(-4.0, 4.0, 41))
+        assert [(j.s_left, j.s_right) for j in jumps] == [((0, 1), (0,)), ((0,), (0, 1))]
+        for jump in jumps:
+            assert type(jump.location) is float
+            assert abs(jump.location) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+            for t, label in ((jump.location - 1e-9, jump.s_left),
+                             (jump.location + 1e-9, jump.s_right)):
+                assert fam.tune(np.array([y[0], t, *y[2:]])).s_hat == label
+
     def test_an_integral_float_coord_is_that_coordinate(self):
         fam, y, grid = SoftThreshFamily(3, 1.0), np.array([0.5, -2.0, 3.0]), np.linspace(-3, 3, 31)
         assert scan_jumps(fam, y, 1.0, grid) == scan_jumps(fam, y, 1, grid) != []
@@ -360,8 +373,8 @@ def _bisect_each_cell(family, y_base, coord, t_grid):
             else:
                 lo = mid
         if abs(hi[1] - lo[1]) > 1e-6 * family.sigma:
-            jumps.append(Jump(0.5 * (lo[0] + hi[0]), float(hi[1] - lo[1]),
-                              float(lo[2]), float(hi[2])))
+            jumps.append(Jump(float(0.5 * (lo[0] + hi[0])), float(hi[1] - lo[1]),
+                              lo[2], hi[2]))
     return jumps
 
 

@@ -161,10 +161,10 @@ class TestImplicitDiff:
             stein._implicit_diff_stats(hooks, Y, np.array([1.0, 1.0, math.inf, math.inf])),
             np.zeros(4))
 
-    def test_infinite_s_hat_rejected(self):
-        hooks = ShrinkMeansFamily(4, 1.0).hooks
-        with pytest.raises(StationarityError):
-            edf_implicit_diff(hooks, np.ones(4), math.inf)
+    def test_infinite_s_hat_gives_zero(self):
+        # The boundary s_hat = +inf gives 0 here as in every row of the batch.
+        for fam in (ShrinkMeansFamily(4, 1.0), HeteroShrinkFamily(np.linspace(0.5, 2.0, 4))):
+            assert edf_implicit_diff(fam.hooks, np.ones(4), math.inf).value == 0.0
 
     def test_nonstationary_point_rejected(self):
         fam = ShrinkMeansFamily(10, 1.0)
@@ -190,8 +190,7 @@ class TestImplicitDiff:
             s_scaled = math.ldexp(s_hat, k * fam._s_power)
             assert fam.tune(c * y).s_hat == s_scaled
             value = edf_implicit_diff(fam.hooks, c * y, s_scaled).value
-            assert value == pytest.approx(edf_implicit_diff(unit.hooks, y, s_hat).value,
-                                          rel=1e-12)
+            assert value == edf_implicit_diff(unit.hooks, y, s_hat).value
             for off in (1.3, 1.0 / 1.3):
                 with pytest.raises(StationarityError, match="not a stationary point"):
                     edf_implicit_diff(fam.hooks, c * y, off * s_scaled)
@@ -394,7 +393,7 @@ class TestTuneHeteroShrink:
         for name in ("s_hat", "theta_hat", "sure_min", "naive_df_at_shat", "multimodal"):
             digest.update(getattr(fit, name).tobytes())
         assert digest.hexdigest() == \
-            "60475061577866034742ae560bbfed34cbac2497b3931ca16710d2bba7346bfc"
+            "a0fee7c2e6d6a799dfad10b490787da769be96b2d61470151302e695c97ccb42"
 
     def test_monte_carlo_pass_memory_is_a_few_chunks(self):
         # mc_edf over 2000 reps of the library-mix model peaked at 6.35 MB
