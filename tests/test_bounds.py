@@ -377,10 +377,6 @@ class TestChiSquareProbabilities:
             assert want in (0.0, 1.0)
             assert _chi2_prob(df, nonc, threshold, upper) == want
 
-
-def test_logsumexp_of_all_minus_infinity_is_minus_infinity():
-    assert _logsumexp(np.full(3, -math.inf)) == -math.inf == logsumexp(np.full(3, -math.inf))
-
     def test_both_tails_keep_relative_precision_down_to_1e_12(self):
         # 3000 random points with df <= 11 and nonc <= 20 (a fifth central),
         # each at a threshold where the asked-for tail is between 1e-12 and
@@ -403,6 +399,10 @@ def test_logsumexp_of_all_minus_infinity_is_minus_infinity():
                         for k, lam, t, u in zip(df, nonc, x, upper)])
         rel = np.abs(got / want - 1.0)
         assert rel[upper].max() <= 1e-13 and rel[~upper].max() <= 1e-13
+
+
+def test_logsumexp_of_all_minus_infinity_is_minus_infinity():
+    assert _logsumexp(np.full(3, -math.inf)) == -math.inf == logsumexp(np.full(3, -math.inf))
 
 
 def _scipy_general_theta(mu):
