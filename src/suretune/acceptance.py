@@ -148,7 +148,10 @@ def c04_risk_bound():
     (c) gap_r = SURE(s0; Y_r) - sure_min_r >= -1e-9 max|sure_min| on every
         draw, which a tuner that misses its minimum breaks;
     (d) shrink means only: mean(err_r - oracle err) <= 4 unit + 4 SE, since
-        that family's excess df is at most 2.
+        that family's excess df is at most 2;
+    (e) on 50 fresh draws, `tune(y)`'s theta_hat, sure_min and plug-in df
+        equal the family's own `estimate`, `sure` and `naive_df` at s_hat to
+        1e-9 relative, which a tuner off its own family breaks.
     """
     n = 30
     rng = np.random.default_rng(1028)
@@ -167,7 +170,7 @@ def c04_risk_bound():
                   ("hetero_shrink", HeteroShrinkFamily(sigmas),
                    GaussianModel(weak, sigmas=sigmas))))]
     clauses, worst_z, worst_gap, excess = {}, (-math.inf, ""), (math.inf, ""), []
-    for name, family, model, seed, reps in cases:
+    for k, (name, family, model, seed, reps) in enumerate(cases):
         oracle, unit = family.oracle(model), _df_unit(model)
         stats = _tuned_stats(
             family.tune_batch, model, seed, reps, "edf", "sure_min",
@@ -186,10 +189,20 @@ def c04_risk_bound():
             mean, se, _ = _mean_se(err - oracle.err)
             clauses[f"{name} (d)"] = mean <= 4.0 * unit + 4.0 * se
             excess.append(f"{name.split()[1]} {mean:.2f}")
+        fits = [(y, family.tune(y)) for y in model.draw(np.random.default_rng((1030, k)), 50)]
+        clauses[f"{name} (e)"] = all(
+            _agrees(family.estimate(fit.s_hat, y), fit.theta_hat)
+            and _agrees(family.sure(fit.s_hat, y), fit.sure_min)
+            and _agrees(family.naive_df(fit.s_hat, y), fit.naive_df_at_shat) for y, fit in fits)
     return clauses, (
         f"worst z = {worst_z[0]:+.2f} ({worst_z[1]}), limit 4; worst per-draw gap "
         f"{worst_gap[0]:.1e} of scale ({worst_gap[1]}), limit -1e-9; "
         f"shrink-means excess risk {', '.join(excess)}, limit 4")
+
+
+def _agrees(a, b, rtol=1e-9):
+    """a equals b to rtol relative to the largest magnitude in b."""
+    return np.max(np.abs(np.subtract(a, b))) <= rtol * np.max(np.abs(b))
 
 
 def _two_model_quadrature(m):
@@ -234,7 +247,9 @@ def c05_two_model():
 
 
 def c06_nested_chains():
-    """Null nested-chain edf is nonnegative and under the universal bound."""
+    """Null nested-chain edf is nonnegative and under the universal bound,
+    which equals its definition: the sum over d <= p of sqrt(2d) (1 + 1/d)
+    times the surface area of the origin-centered sphere of radius sqrt(2d)."""
     n, reps = 30, 3000
     rng = np.random.default_rng(1011)
     clauses, notes = {}, []
@@ -246,16 +261,22 @@ def c06_nested_chains():
         clauses[f"p={p} nonnegative"] = report.value >= -4.0 * report.std_error
         clauses[f"p={p} under 10"] = report.value <= 10.0 and bound < 10.0
         clauses[f"p={p} under bound"] = report.value <= bound + 4.0 * report.std_error
+        definition = math.fsum(
+            math.sqrt(2.0 * d) * (1.0 + 1.0 / d)
+            * bounds.gaussian_surface_area_ball(np.zeros(d), math.sqrt(2.0 * d))
+            for d in range(1, p + 1))
+        clauses[f"p={p} bound is its definition"] = _agrees(bound, definition, 1e-12)
         notes.append(f"p={p}: MC {report.value:.3f}+-{report.std_error:.3f}, bound {bound:.3f}")
     return clauses, "; ".join(notes)
 
 
 def c07_chi_sq_max():
-    """Expected max of centered chi-squares never exceeds the delta bounds."""
+    """Expected max of centered chi-squares never exceeds the delta bounds,
+    and the bound equals 2/(1-delta) log of the math.fsum of its summands."""
     rng = np.random.default_rng(1015)
     deltas = (0.3, 0.5, 0.7, 0.9)
     reps = 2000
-    worst = -math.inf
+    worst, formula = -math.inf, True
     for _ in range(50):
         K = int(rng.integers(1, 13))
         sizes = rng.integers(0, 13, size=K)
@@ -270,10 +291,14 @@ def c07_chi_sq_max():
         for delta in deltas:
             bound = chi_sq_max_bound(sizes, delta)
             worst = max(worst, emax - bound - 4.0 * se)
+            terms = (delta * math.exp(1.0 - delta)) ** (-sizes / 2.0)
+            exact = 2.0 / (1.0 - delta) * math.log(math.fsum(terms))
+            formula = formula and _agrees(bound, exact, 1e-12)
     lead = edf_upper_bound_simplified(np.array([1]), 0.9)
     factor = (edf_upper_bound_simplified(np.array([1, 1]), 0.9) - lead) / math.log(2.0)
     consts = abs(factor - 20.0) <= 1e-9 and abs(lead - 0.05360515657826381) <= 1e-12
-    return ({"bound holds": worst <= 0.0, "constants exact": consts},
+    return ({"bound holds": worst <= 0.0, "bound is its formula": formula,
+             "constants exact": consts},
             f"worst violation {worst:.3f} (<=0 required), constants 20/{lead:.6f}")
 
 
@@ -384,7 +409,7 @@ def c10_ridge_round_trip():
 
 def _bootstrap_pass(family, model, seed, reps, B, *names):
     # The pass over `reps` draws from default_rng(seed) with "boot", the
-    # parametric bootstrap's (reps, 4) `_bootstrap_stats` block; its row seeds
+    # parametric bootstrap's (reps, 3) `_bootstrap_stats` block; its row seeds
     # follow `_pass_statistic`'s rule with entropy (seed,).
     return _tuned_stats(family.tune_batch, model, seed, reps, *names,
                         boot=_pass_statistic(family, BootstrapConfig(B=B), (seed,)))

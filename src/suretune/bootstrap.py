@@ -25,7 +25,7 @@ Batch contract: `_bootstrap_stats(family, Y, theta_hat, config, seeds)`
 runs the recipe for every row of a (reps, n) batch Y with tuned fits
 theta_hat.  Row r draws its B replicates from its own stream
 `default_rng(seeds[r])`, so its result depends on nothing else in the
-batch, and it comes back as row r of one (reps, 4) array.  `_replicates`
+batch, and it comes back as row r of one (reps, 3) array.  `_replicates`
 fills one (k, B, n) block per job, drawing row by row, then scaling and
 shifting the whole block; `mean(axis=1)` takes every rep's center.  These
 are the operations and reduction axes of a fresh (B, n) array per rep, so
@@ -113,11 +113,10 @@ def _bootstrap_stats(family, Y, theta_hat, config, seeds):
     """Bootstrap summaries for each row of a (reps, n) batch Y of data vectors.
 
     Row r draws B replicates around its tuned fit theta_hat[r] from
-    `np.random.default_rng(seeds[r])`, retunes every replicate, and
-    summarizes two per-replicate statistics by their mean and standard
-    error.  Row r of the (reps, 4) result holds, in order, the mean and
-    standard error of the excess df (the covariance form minus the plug-in
-    df) and of the covariance form.  `config.seed` is not used here.
+    `np.random.default_rng(seeds[r])` and retunes every replicate.  Row r
+    of the (reps, 3) result holds, in order, the mean and standard error of
+    the excess df (the covariance form minus the plug-in df) and the mean
+    of the covariance form.  `config.seed` is not used here.
     """
     B, (reps, n) = config.B, Y.shape
     jobs = list(_row_blocks(reps, B * n))
@@ -127,7 +126,7 @@ def _bootstrap_stats(family, Y, theta_hat, config, seeds):
     step = next(_row_blocks(size * B, n)).stop
     workers = min(os.cpu_count() or 1, len(jobs))
     buffers = [(np.empty((size, B, n)), np.empty((step, n))) for _ in range(workers)]
-    out = np.empty((reps, 4))
+    out = np.empty((reps, 3))
     jobs, lock = iter(jobs), threading.Lock()
 
     def run(w):
@@ -171,15 +170,15 @@ def _block(family, Y, theta_hat, config, seeds, Ystar, work, out):
         np.divide(w, scale, out=w)
         np.sum(w, axis=1, out=cov_form[a:b])
         plugin[a:b] = refit.naive_df_at_shat
-    for k, stats in enumerate((cov_form - plugin, cov_form)):
-        stats = stats.reshape(reps, B)
-        out[:, 2 * k] = stats.mean(axis=1)
-        out[:, 2 * k + 1] = stats.std(axis=1, ddof=1) / math.sqrt(B)
+    excess = (cov_form - plugin).reshape(reps, B)
+    out[:, 0] = excess.mean(axis=1)
+    out[:, 1] = excess.std(axis=1, ddof=1) / math.sqrt(B)
+    out[:, 2] = cov_form.reshape(reps, B).mean(axis=1)
 
 
 def _pass_statistic(family, config, entropy):
     """The bootstrap as a func(Y, fit) of `core._tuned_stats`: each tuned
-    row block's (k, 4) `_bootstrap_stats`, row r of the pass drawing from
+    row block's (k, 3) `_bootstrap_stats`, row r of the pass drawing from
     the seed int(SeedSequence([*entropy, r]).generate_state(1)[0])."""
     seeds = (int(np.random.SeedSequence([*entropy, r]).generate_state(1)[0]) for r in count())
     return lambda Y, fit: _bootstrap_stats(family, Y, fit.theta_hat, config,

@@ -173,7 +173,7 @@ def _cmd_simulate(args):
             spec = parse_config(fh.read())
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    dest = args.out or spec.out
+    dest = args.out or "-"
     rows = run_simulation(spec)
     write_csv(rows, dest)
     if dest != "-":

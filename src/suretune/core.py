@@ -469,8 +469,7 @@ class EstimatorFamily(ABC):
 
         core returns a TunedBatch (for a model, (s0, err) as scalars or
         one-value arrays); its theta_hat is scaled back by c, sure_min (err)
-        by c^2 (by 1 in scaled heteroskedastic units), s_hat by c^_s_power,
-        and a field left None stays None.
+        by c^2 (by 1 in scaled heteroskedastic units) and s_hat by c^_s_power.
         """
         what = "data"
         if oracle:
@@ -490,7 +489,7 @@ class EstimatorFamily(ABC):
             s0, err = (np.ldexp(v, powers[k]).item() for v, k in zip(out, ("s_hat", "sure_min")))
             return OracleTuning(s0=self._label(s0), err=err)
         for name, k in powers.items():
-            if k and getattr(out, name) is not None:  # the core's own arrays: scaled in place
+            if k:  # the core's own arrays: scaled in place
                 np.ldexp(getattr(out, name), k, out=getattr(out, name))
         return out
 

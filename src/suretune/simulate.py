@@ -90,7 +90,6 @@ class SimSpec:
     bootstrap_sampler: str = "parametric"
     bootstrap_c: float = 1.0
     seed: int = 0
-    out: str = "-"
     theta0: tuple = None
 
     def __post_init__(self):
@@ -189,7 +188,7 @@ def run_simulation(spec):
             # The bootstrap's columns, as `_bootstrap_stats` documents them.
             boot_edf = boot_df_naive = None
             if boot is not None:
-                boot_edf, _, boot_df_naive, _ = per_row["boot"].T
+                boot_edf, _, boot_df_naive = per_row["boot"].T
 
             naive, sure_min = per_row["naive_df_at_shat"], per_row["sure_min"]
             test_err = per_row["test"]
@@ -277,7 +276,6 @@ _PARSERS = {
     "bootstrap_sampler": str,
     "bootstrap_c": float,
     "seed": int,
-    "out": str,
     "theta0": lambda v: tuple(float(part) for part in v.split(",") if part.strip()),
 }
 

@@ -147,14 +147,6 @@ class SubsetCollection(EstimatorFamily):
     def naive_df(self, s, y):
         return float(self.ranks[self._index(s)])
 
-    def criterion_matrix(self, Y):
-        """Cp values for every subset: shape (reps, n_subsets)."""
-        def core(Y, sigma):
-            cp = self._cp(np.sum(Y**2, axis=1), (Y @ self.Q) ** 2, sigma)
-            return TunedBatch(s_hat=None, theta_hat=None, sure_min=cp, naive_df_at_shat=None)
-
-        return self._at_unit_noise(core, Y).sure_min
-
     def _cp(self, y2, C2, sigma):
         """Cp for every subset from ||y||^2 and the squared coordinates C2 = (Y @ Q)^2."""
         return y2[:, None] - self._fitted2(C2).T + 2.0 * sigma**2 * self.ranks

@@ -1,9 +1,9 @@
 """The public surface: each concept is reached one way.
 
 A family is used through its methods (`tune`, `tune_batch`, `sure`,
-`estimate`, `oracle`, and `criterion_matrix` for subsets); the package
-exports no module-level wrapper that only forwards to one of them.  Bad
-input is refused at one boundary, `core`'s input checks (the last table).
+`estimate` and `oracle`); the package exports no module-level wrapper that
+only forwards to one of them.  Bad input is refused at one boundary,
+`core`'s input checks (the last table).
 """
 
 import ast
@@ -304,13 +304,12 @@ def test_one_pass_over_a_models_draws():
 def test_one_step_checks_a_familys_data_and_scales_its_noise():
     # `EstimatorFamily._at_unit_noise` alone checks a family's batch or model
     # and runs the family's core at unit noise; no family calls the checks.
-    # Outside `core` only the subset Cp matrix runs a core through the step:
-    # every family's tuner and oracle reach it through the base class.
+    # Its two callers are the base class's tuner and oracle, through which
+    # every family reaches it.
     package = Path(suretune.__file__).resolve().parent
     callers = {(path.name, func) for path in sorted(package.glob("*.py"))
                for func in _calls(path, "_at_unit_noise")}
-    assert callers == {("core.py", "tune_batch"), ("core.py", "oracle"),
-                       ("subsets.py", "criterion_matrix")}
+    assert callers == {("core.py", "tune_batch"), ("core.py", "oracle")}
     found = []
     for info in pkgutil.iter_modules(suretune.__path__):
         module = importlib.import_module(f"suretune.{info.name}")

@@ -293,6 +293,16 @@ class TestNestedNullBound:
     def test_frozen_value_at_p_100(self):
         assert nested_null_edf_bound(100) == pytest.approx(9.557423268177821, abs=1e-10)
 
+    @pytest.mark.parametrize("p", [1, 2, 5, 10, 20, 100, 400])
+    def test_equals_its_definition(self, p):
+        # The sum of sqrt(2d) (1 + 1/d) times the origin-centered sphere's
+        # surface area at radius sqrt(2d), as acceptance c06 states it.
+        definition = math.fsum(
+            math.sqrt(2.0 * d) * (1.0 + 1.0 / d)
+            * gaussian_surface_area_ball(np.zeros(d), math.sqrt(2.0 * d))
+            for d in range(1, p + 1))
+        assert nested_null_edf_bound(p) == pytest.approx(definition, rel=1e-12, abs=0.0)
+
     def test_monotone_and_below_ten(self):
         vals = [nested_null_edf_bound(p) for p in range(1, 61)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))

@@ -1,12 +1,17 @@
-"""End-to-end command line checks, run in process through main(argv)."""
+"""End-to-end command line checks, run in process through main(argv) and once
+as `python -m suretune.cli`."""
 
 import hashlib
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import suretune
 from suretune.cli import BOUNDS, CLI_FAMILIES, build_parser, main
 
 
@@ -158,6 +163,10 @@ class TestEdf:
         rc = main(["edf", "--method", "monte-carlo", "--n", "5", "--reps", reps])
         assert rc == 1
         assert "reps must be an integer at least 2" in capsys.readouterr().err
+
+    def test_analytic_needs_data(self, capsys):
+        assert main(["edf", "--method", "analytic"]) == 1
+        assert capsys.readouterr().err == "error: method analytic needs --data FILE\n"
 
     def test_monte_carlo_needs_a_size(self, capsys):
         rc = main(["edf", "--method", "monte-carlo"])
@@ -336,6 +345,15 @@ class TestSimulate:
         assert rc == 2
         assert "config error: line 2" in capsys.readouterr().err
 
+    def test_a_config_that_names_its_output_exits_2(self, tmp_path, capsys):
+        # Only the global --out names the output; the file is never written.
+        cfg, dest = tmp_path / "run.cfg", tmp_path / "rows.csv"
+        cfg.write_text(f"sizes = 6\nouter_reps = 8\nout = {dest}\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: line 3: unknown key 'out'; valid keys: ")
+        assert captured.out == "" and not dest.exists()
+
     @pytest.mark.parametrize("text", [
         "sizes = 3\nsigma = nan\n",
         "setting = custom\nsizes = 3\ntheta0 = 1,nan,2\n",
@@ -369,6 +387,15 @@ class TestSimulate:
         cfg.write_text("sizes = 6\nouter_reps = 8\n")
         assert main(["simulate", "--config", str(cfg), "--preset", "smoke"]) == 2
         capsys.readouterr()
+
+
+def test_the_module_runs_as_a_script_with_mains_exit_status():
+    src = str(Path(suretune.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "suretune.cli", "edf", "--method", "analytic"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", "error: method analytic needs --data FILE\n")
 
 
 class TestErrorPaths:

@@ -213,6 +213,8 @@ def test_edf_report_validation():
         EdfReport(method="closed_form", value=0.0, std_error=0.0, reps=1)
     with pytest.raises(DomainError):
         EdfReport(method="monte_carlo", value=0.0, std_error=-1.0, reps=1)
+    with pytest.raises(DomainError, match="edf value must be finite"):
+        EdfReport(method="monte_carlo", value=math.nan, std_error=0.0, reps=1)
 
 
 class TestMonteCarloDf:
@@ -563,3 +565,13 @@ def test_non_finite_design_is_refused_before_any_arithmetic(entry, bad):
     X[4, 2] = bad
     with pytest.raises(DomainError, match=r"design X is not finite at \(row 4, column 2\)"):
         DESIGN_ENTRIES[entry](X)
+
+
+@pytest.mark.parametrize("entry", sorted(DESIGN_ENTRIES))
+def test_a_one_dimensional_design_is_refused(entry):
+    # The ridge entries first check X against y, with their own message.
+    message = r"X must be a 2-d design matrix, got shape \(6,\)"
+    if entry in ("RidgeRotation", "ridge_as_hetero"):
+        message = "X must be 2-d with rows matching y"
+    with pytest.raises(ShapeError, match=message):
+        DESIGN_ENTRIES[entry](np.ones(6))

@@ -111,6 +111,19 @@ def test_oracle_refuses_a_model_that_does_not_match(family, mismatch):
         family.oracle(_mismatched_models(family)[mismatch])
 
 
+@pytest.mark.parametrize("family", [f for f in _every_family() if f._s_range[1] == math.inf
+                                    and not isinstance(f, SubsetCollection)],
+                         ids=lambda f: type(f).__name__)
+def test_full_shrinkage_is_the_zero_fit(family):
+    # At s = +inf the fit is 0 with no df, so SURE is the squared norm of the
+    # data (each y_i^2 over sigma_i^2 under heteroskedastic noise).
+    y = np.arange(1.0, family.n + 1)
+    norm2 = np.sum(y**2 / family.sigmas**2) if family.is_heteroskedastic else np.sum(y**2)
+    assert np.array_equal(family.estimate(math.inf, y), np.zeros(family.n))
+    assert family.naive_df(math.inf, y) == 0.0
+    assert family.sure(math.inf, y) == pytest.approx(float(norm2))
+
+
 @pytest.mark.parametrize("mismatch", ["type", "n", "sigma", "kind"])
 @pytest.mark.parametrize("family", _every_family(), ids=lambda f: type(f).__name__)
 def test_mc_edf_refuses_a_model_that_does_not_match(family, mismatch):
@@ -187,7 +200,7 @@ def _soft_threshold(y, sigma):
 
 def _nested(y, sigma, X):
     fam = make_nested(X, sigma)
-    return fam, fam.criterion_matrix(y[None, :])[0]
+    return fam, np.array([fam.sure(s, y) for s in fam.subsets])
 
 
 def _hetero(y, sigmas):

@@ -7,11 +7,13 @@ import pytest
 from suretune import (
     DomainError,
     GaussianModel,
+    ShapeError,
     ShrinkMeansFamily,
     ShrinkRegressionFamily,
     edf_unbiased_shrink,
     james_stein_positive,
 )
+from suretune.shrinkage import SingletonShrinkFamily
 
 
 def _unbiased_risk(family, Y):
@@ -178,6 +180,18 @@ def test_james_stein_warns_below_three_dims():
         warnings.simplefilter("always")
         james_stein_positive(np.array([1.0, 2.0]), 1.0)
     assert any("dominate" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("y, shape", [(np.empty((2, 0)), r"\(2, 0\)"), (3.0, r"\(\)")])
+def test_james_stein_needs_a_nonempty_last_axis(y, shape):
+    message = f"data must have a nonempty last axis, got shape {shape}"
+    with pytest.raises(ShapeError, match=message):
+        james_stein_positive(y, 1.0)
+
+
+def test_a_singleton_family_has_no_member_at_infinity():
+    with pytest.raises(DomainError, match=r"a singleton family has no member at s = \+inf"):
+        SingletonShrinkFamily(3, 1.0, s=math.inf)
 
 
 def test_james_stein_shrinks_toward_zero():

@@ -423,6 +423,12 @@ class TestParseConfig:
         assert info.value.line == 2
         assert "unknown key" in str(info.value)
 
+    def test_out_is_not_a_config_key(self):
+        # The output path is the global --out flag alone.
+        with pytest.raises(ConfigError, match="unknown key 'out'") as info:
+            parse_config("seed = 1\nout = rows.csv\n")
+        assert info.value.line == 2
+
     def test_duplicate_key_reports_second_line(self):
         with pytest.raises(ConfigError) as info:
             parse_config("seed = 1\nsigma = 1.0\nseed = 2\n")

@@ -33,21 +33,21 @@ class TestCpCriterion:
 
     def test_hand_enumeration(self):
         # identity design, y = (3, 0.1): residuals are read off directly
-        vals = dict(zip(self.coll.subsets, self.coll.criterion_matrix(self.y[None, :])[0]))
+        vals = {s: self.coll.sure(s, self.y) for s in self.coll.subsets}
         assert vals[()] == pytest.approx(9.01)
         assert vals[(0,)] == pytest.approx(2.01)
         assert vals[(1,)] == pytest.approx(11.0)
         assert vals[(0, 1)] == pytest.approx(4.0)
 
     def test_empty_subset_is_total_sum_of_squares(self):
-        assert self.coll.criterion_matrix(self.y[None, :])[0, 0] == pytest.approx(float(self.y @ self.y))
+        assert self.coll.sure((), self.y) == pytest.approx(float(self.y @ self.y))
 
     def test_full_invertible_square_design(self):
         sigma = 1.3
         coll = SubsetCollection(np.eye(4), [(0, 1, 2, 3)], sigma)
         y = np.array([0.4, -2.0, 1.1, 0.0])
         expected = 2.0 * sigma**2 * 4
-        assert coll.criterion_matrix(y[None, :])[0, 0] == pytest.approx(expected)
+        assert coll.sure((0, 1, 2, 3), y) == pytest.approx(expected)
 
     def test_minimizer_and_fit(self):
         fit = self.coll.tune(self.y)
@@ -90,6 +90,11 @@ def test_sure_estimate_and_naive_df_accept_the_same_labels():
                 method(label, y)
 
 
+def test_a_collection_needs_a_subset():
+    with pytest.raises(DomainError, match="need at least one candidate subset"):
+        SubsetCollection(np.eye(3), [], 1.0)
+
+
 def test_singleton_collection_returns_its_only_subset():
     coll = SubsetCollection(np.eye(3), [(0, 2)], 1.0)
     fit = coll.tune(np.array([1.0, 2.0, 3.0]))
@@ -116,7 +121,7 @@ def test_rank_deficient_subset_uses_actual_rank():
     # both columns are the same direction, rank 1, so the penalty is 2 sigma^2
     fitted = np.full(4, y.mean())
     expected = float(np.sum((y - fitted) ** 2)) + 2.0 * 4.0 * 1
-    assert coll.criterion_matrix(y[None, :])[0, 0] == pytest.approx(expected)
+    assert coll.sure((0, 1), y) == pytest.approx(expected)
     assert coll.naive_df((0, 1), y) == 1.0
 
 
@@ -193,6 +198,10 @@ class TestTwoModelExact:
         theta0[1] = bad
         with pytest.raises(DomainError, match="theta0 is not finite at index 1"):
             edf_two_model_exact(np.eye(3)[:, :2], theta0, 1.0)
+
+    def test_a_design_without_columns_is_refused(self):
+        with pytest.raises(ShapeError, match="X must be a 2-d design with at least one column"):
+            edf_two_model_exact(np.empty((3, 0)), np.zeros(3), 1.0)
 
     def test_degenerate_last_column(self):
         X = np.column_stack([np.ones(4), 2.0 * np.ones(4)])
@@ -402,7 +411,8 @@ def test_shared_factor_matches_per_subset_least_squares(name):
     Y = signal + sigma * rng.standard_normal((300, X.shape[0]))
     ranks, cp, fits = _lstsq_reference(X, coll.subsets, sigma, Y)
     assert np.array_equal(coll.ranks, ranks)
-    assert np.allclose(coll.criterion_matrix(Y), cp, rtol=1e-10, atol=0.0)
+    assert np.allclose(coll._cp(np.sum(Y**2, axis=1), (Y @ coll.Q) ** 2, sigma), cp,
+                       rtol=1e-10, atol=0.0)
     batch = coll.tune_batch(Y)
     for r in range(Y.shape[0]):
         # The pick is the reference minimizer; where subsets span the same
@@ -522,7 +532,7 @@ def test_tree_recurrence_gives_the_bytes_of_the_direct_sum(rows):
             "its k columns one at a time, left to right, so the subset-tree "
             "recurrence no longer gives the bytes of C2[:, idx].sum(axis=1)")
         cp = np.sum(Y**2, axis=1)[:, None] - direct.T + 2.0 * coll.ranks
-        assert np.array_equal(coll.criterion_matrix(Y), cp)
+        assert np.array_equal(coll._cp(np.sum(Y**2, axis=1), C2, 1.0), cp)
 
 
 def test_one_row_fitted_sums_stay_within_the_summation_error():
